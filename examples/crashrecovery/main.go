@@ -33,11 +33,11 @@ import (
 )
 
 func main() {
-	cluster, keys, err := driver.BuildCluster(48, 8_000, 11)
+	cluster, keys, stop, err := driver.Build(driver.Spec{Peers: 48, Items: 8_000, Seed: 11})
 	if err != nil {
 		log.Fatalf("build: %v", err)
 	}
-	defer cluster.Stop()
+	defer stop()
 	fmt.Printf("live cluster: %d peer goroutines, %d items, replication on\n\n", cluster.Size(), len(keys))
 
 	// --- Act 1: crash, observe the outage, repair -------------------------

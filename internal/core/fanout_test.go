@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"baton/internal/keyspace"
@@ -184,6 +185,40 @@ func TestFanoutSearchAndRange(t *testing.T) {
 		if len(res.Items) != nw.TotalItems() {
 			t.Fatalf("m=%d: full-domain range returned %d items, stored %d", m, len(res.Items), nw.TotalItems())
 		}
+	}
+}
+
+// TestFanoutCutsExactSearchMessages pins the payoff of BATON*: on 64 peers
+// (seed 1) the median number of messages a SearchExact exchanges at fanout 8
+// is strictly below the binary tree's. Everything is seeded, so the counts
+// are deterministic — this is the count-based form of the "m=8 hops_p50
+// below binary" gate CI used to take from one timed bench run.
+func TestFanoutCutsExactSearchMessages(t *testing.T) {
+	median := func(m int) int {
+		nw := buildNetworkFanout(t, m, 64, 1)
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]keyspace.Key, 400)
+		for i := range keys {
+			keys[i] = keyspace.Key(rng.Int63n(1_000_000_000) + 1)
+			if _, err := nw.Insert(nw.RandomPeer(), keys[i], []byte{1}); err != nil {
+				t.Fatalf("m=%d: insert: %v", m, err)
+			}
+		}
+		msgs := make([]int, len(keys))
+		for i, k := range keys {
+			_, found, cost, err := nw.SearchExact(nw.RandomPeer(), k)
+			if err != nil || !found {
+				t.Fatalf("m=%d: search %d: found=%v err=%v", m, k, found, err)
+			}
+			msgs[i] = cost.Messages
+		}
+		sort.Ints(msgs)
+		return msgs[len(msgs)/2]
+	}
+	binary, wide := median(2), median(8)
+	t.Logf("median SearchExact messages at 64 peers: fanout 2 = %d, fanout 8 = %d", binary, wide)
+	if wide >= binary {
+		t.Fatalf("fanout 8 median %d messages not below fanout 2 median %d", wide, binary)
 	}
 }
 

@@ -65,6 +65,33 @@ func TestDirectRouteQuiescedOneHop(t *testing.T) {
 	}
 }
 
+// TestDirectGetAllocsPerOp pins down the zero-alloc request path: a
+// direct-routed Get on a quiesced cluster must not allocate on either side
+// of the message exchange — the reply channel comes from the pool, the
+// request and response travel by value — so the whole-process allocation
+// count per operation stays at (amortised) zero. The bound of 2 leaves room
+// for scheduler and pool-refill noise while still failing loudly if a
+// per-op allocation sneaks back onto the path.
+func TestDirectGetAllocsPerOp(t *testing.T) {
+	c, keys := liveCluster(t, 256, 20_000, 1)
+	c.SetRouteMode(RouteDirect)
+	via := c.PeerIDs()[0]
+	// Warm the reply-channel pool and the route cache path.
+	for i := 0; i < 100; i++ {
+		c.Get(via, keys[i%len(keys)])
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, ok, _, err := c.Get(via, keys[i%len(keys)]); err != nil || !ok {
+			t.Fatalf("get: ok=%v err=%v", ok, err)
+		}
+		i++
+	})
+	if allocs > 2 {
+		t.Fatalf("direct get allocates %.1f objects per op, want (amortised) 0 — the pooled reply-channel path regressed", allocs)
+	}
+}
+
 // TestOverlayHopsUnchangedByDirectMode asserts that the fast path leaves the
 // paper-faithful overlay untouched: the hop count of every overlay-routed
 // lookup is identical before direct mode is used, while it is the active

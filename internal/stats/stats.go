@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // MsgType classifies a protocol message for accounting purposes. The names
@@ -235,7 +234,7 @@ func (a *Accumulator) StdDev() float64 {
 // Figure 8(h): the distribution of the number of nodes displaced by one load
 // balancing operation. It is not safe for concurrent use — including
 // concurrent read-only calls: Percentile and Buckets lazily (re)build the
-// sorted-bucket cache. Latency is the concurrent sampler.
+// sorted-bucket cache. The concurrent latency histogram is obs.Histogram.
 type Histogram struct {
 	counts map[int]int64
 	total  int64
@@ -384,86 +383,6 @@ func (l *LevelLoad) Levels() []int {
 
 // Reset clears all counters.
 func (l *LevelLoad) Reset() { l.perLevel = make(map[OpKind]map[int]int64) }
-
-// Latency collects individual latency samples from many goroutines and
-// reports percentiles. The unit is whatever the caller records (the
-// throughput driver records microseconds). Unlike Accumulator it keeps
-// every sample, so exact percentiles are available; unlike Histogram it is
-// safe for concurrent use, which is what a closed-loop multi-client
-// workload needs. The zero value is ready to use.
-type Latency struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  []float64 // lazily built snapshot for percentiles, nil when stale
-}
-
-// Add records one sample. Safe for concurrent use.
-func (l *Latency) Add(v float64) {
-	l.mu.Lock()
-	l.samples = append(l.samples, v)
-	l.sorted = nil
-	l.mu.Unlock()
-}
-
-// Count returns the number of samples recorded.
-func (l *Latency) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
-// Mean returns the mean sample, or 0 when empty.
-func (l *Latency) Mean() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range l.samples {
-		sum += v
-	}
-	return sum / float64(len(l.samples))
-}
-
-// Max returns the largest sample, or 0 when empty.
-func (l *Latency) Max() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var max float64
-	for _, v := range l.samples {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// Percentile returns the smallest sample v such that at least p (0..1) of
-// the samples are <= v, or 0 when empty. The sorted snapshot is cached, so
-// reporting several percentiles of the same distribution sorts only once.
-func (l *Latency) Percentile(p float64) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	if l.sorted == nil {
-		l.sorted = append([]float64(nil), l.samples...)
-		sort.Float64s(l.sorted)
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	idx := int(math.Ceil(p*float64(len(l.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return l.sorted[idx]
-}
 
 // Series is one plotted line of a figure: a label plus (x, y) points.
 type Series struct {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -225,45 +224,5 @@ func TestOpCostFields(t *testing.T) {
 	c := OpCost{Kind: OpLoadBalance, Messages: 12, LocateMessages: 3, UpdateMessages: 6, DataMessages: 2, ExtraMessages: 1, NodesInvolved: 4}
 	if c.LocateMessages+c.UpdateMessages+c.DataMessages+c.ExtraMessages > c.Messages {
 		t.Fatal("component messages should not exceed total in this test fixture")
-	}
-}
-
-func TestLatency(t *testing.T) {
-	var l Latency
-	if l.Count() != 0 || l.Mean() != 0 || l.Max() != 0 || l.Percentile(0.5) != 0 {
-		t.Fatal("zero-value Latency should report zeros")
-	}
-	// Concurrent adds from many goroutines (run with -race).
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 1; i <= 125; i++ {
-				l.Add(float64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if l.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", l.Count())
-	}
-	if got := l.Mean(); got != 63 {
-		t.Fatalf("mean = %f, want 63", got)
-	}
-	if got := l.Max(); got != 125 {
-		t.Fatalf("max = %f, want 125", got)
-	}
-	if p50 := l.Percentile(0.5); p50 != 63 {
-		t.Fatalf("p50 = %f, want 63", p50)
-	}
-	if p100 := l.Percentile(1); p100 != 125 {
-		t.Fatalf("p100 = %f, want 125", p100)
-	}
-	if p0 := l.Percentile(0); p0 != 1 {
-		t.Fatalf("p0 = %f, want 1", p0)
-	}
-	if l.Percentile(0.95) > l.Percentile(0.99) {
-		t.Fatal("p95 above p99")
 	}
 }

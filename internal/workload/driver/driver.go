@@ -1,7 +1,8 @@
 // Package driver is the closed-loop concurrent workload driver for the live
 // p2p cluster: N client goroutines issue a configurable read/write/range mix
 // (optionally batched through the bulk APIs, optionally under churn) and the
-// run is summarised as ops/sec plus latency percentiles via internal/stats.
+// run is summarised as ops/sec plus latency percentiles from the cluster's
+// own lock-free obs.Histogram, fed nanoseconds.
 // It lives in its own package, rather than in internal/workload proper,
 // because it drives internal/p2p while the core simulator's tests consume
 // internal/workload's generators — folding it into workload would create an
@@ -12,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,100 +22,69 @@ import (
 	"baton/internal/keyspace"
 	"baton/internal/obs"
 	"baton/internal/p2p"
-	"baton/internal/stats"
 	"baton/internal/store"
 	"baton/internal/workload"
 )
 
-// BuildCluster grows a simulated network to the requested size via random
-// joins, loads it with uniformly distributed items, and animates it as a
-// live cluster — the shared scaffold of the throughput CLI mode, the
-// examples and the benchmarks. The returned keys are the inserted ones
-// (reads drawn from them hit). The caller owns the cluster and must Stop it.
-func BuildCluster(peers, items int, seed int64) (*p2p.Cluster, []keyspace.Key, error) {
-	return BuildClusterDist(peers, items, seed, workload.Uniform, 0)
+// Spec describes the cluster Build grows: its size and preloaded data, the
+// overlay fanout, and the transport it is animated over.
+type Spec struct {
+	Peers, Items int
+	Seed         int64
+	// Fanout is the tree fanout: 2 (or 0) grows the paper's binary overlay,
+	// larger values the BATON* m-ary generalisation.
+	Fanout int
+	// Distribution and ZipfTheta shape the preloaded keys. The overlay's
+	// ranges are grown by uniform joins either way, so workload.Zipf lands
+	// the data on a few peers — the configuration the load balancer exists
+	// for.
+	Distribution workload.Distribution
+	ZipfTheta    float64
+	// Transport "tcp" animates the overlay as a loopback wire pair: a
+	// coordinator hosting half the peers listens on Listen ("" picks a free
+	// loopback port) and a daemon-side cluster in the same OS process joins
+	// through the wire and hosts the other half, so every cross-half
+	// message, handoff, replica sync and structural update crosses the
+	// transport exactly as it would between cmd/batond processes. Any other
+	// value ("local" by convention) means in-process channels.
+	Transport, Listen string
 }
 
-// BuildClusterFanout is BuildCluster with a tree fanout: 2 (or 0) grows the
-// paper's binary overlay, larger values the BATON* m-ary generalisation with
-// routing tables at distances j*m^i. Every workload and churn scenario runs
-// unchanged at any fanout; only the overlay's hop counts differ.
-func BuildClusterFanout(peers, items int, seed int64, fanout int) (*p2p.Cluster, []keyspace.Key, error) {
-	return BuildClusterDistFanout(peers, items, seed, workload.Uniform, 0, fanout)
-}
-
-// BuildClusterDist is BuildCluster with a key distribution: the pre-loaded
-// items are drawn from dist (workload.Zipf with the given theta skews the
-// stored data the way the paper's skew experiments do, concentrating the
-// hot ranks in a contiguous region of the key space). The overlay's ranges
-// are grown by uniform joins either way, so a skewed load lands on a few
-// peers — the configuration the load balancer exists for.
-func BuildClusterDist(peers, items int, seed int64, dist workload.Distribution, theta float64) (*p2p.Cluster, []keyspace.Key, error) {
-	return BuildClusterDistFanout(peers, items, seed, dist, theta, 0)
-}
-
-// BuildClusterDistFanout combines the key-distribution and fanout knobs; it
-// is the full-parameter scaffold every other Build variant wraps.
-func BuildClusterDistFanout(peers, items int, seed int64, dist workload.Distribution, theta float64, fanout int) (*p2p.Cluster, []keyspace.Key, error) {
-	if fanout != 0 && !core.ValidFanout(fanout) {
-		return nil, nil, fmt.Errorf("build cluster: invalid fanout %d (want 2..%d)", fanout, core.MaxFanout)
+// Build grows a simulated network to the requested size via random joins,
+// loads it, and animates it as a live cluster — the shared scaffold of
+// cmd/batonsim's scenarios and the examples. The returned keys are the
+// inserted ones (reads drawn from them hit); the returned cluster is the
+// coordinator, which every scenario drives unchanged on either transport.
+// The caller must call stop instead of Cluster.Stop: over tcp it tears down
+// the daemon half first.
+func Build(s Spec) (c *p2p.Cluster, keys []keyspace.Key, stop func(), err error) {
+	if s.Fanout != 0 && !core.ValidFanout(s.Fanout) {
+		return nil, nil, nil, fmt.Errorf("build cluster: invalid fanout %d (want 2..%d)", s.Fanout, core.MaxFanout)
 	}
-	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < peers {
-		ids := nw.PeerIDs()
-		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
-			return nil, nil, fmt.Errorf("grow cluster: %w", err)
-		}
+	daemonShare := 0
+	if s.Transport == "tcp" {
+		daemonShare = s.Peers / 2
 	}
-	gen := workload.NewGenerator(workload.Config{Seed: seed + 1, Distribution: dist, ZipfTheta: theta})
-	keys := gen.Keys(items)
-	for _, k := range keys {
-		if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
-			return nil, nil, fmt.Errorf("load cluster: %w", err)
-		}
-	}
-	return p2p.NewCluster(nw), keys, nil
-}
-
-// BuildClusterTCP is BuildClusterTCPDistFanout with uniform keys — the
-// loopback-wire counterpart of BuildClusterFanout.
-func BuildClusterTCP(peers, items int, seed int64, fanout int, listen string) (*p2p.Cluster, func(), []keyspace.Key, error) {
-	return BuildClusterTCPDistFanout(peers, items, seed, workload.Uniform, 0, fanout, listen)
-}
-
-// BuildClusterTCPDistFanout builds the same overlay as
-// BuildClusterDistFanout but animates it as a two-process-shaped pair over
-// loopback TCP: a coordinator hosting roughly half the peers listens on the
-// given address ("" picks a free loopback port), and a daemon-side cluster
-// in the same OS process joins through the wire and hosts the other half —
-// so every cross-half message, handoff, replica sync and structural update
-// crosses the transport, exactly as it would between cmd/batond processes.
-// The returned cluster is the coordinator: every scenario (workload mix,
-// churn, kills, audits) drives it unchanged. The returned stop function
-// tears down the daemon first, then the coordinator; the caller must call
-// it instead of Cluster.Stop.
-func BuildClusterTCPDistFanout(peers, items int, seed int64, dist workload.Distribution, theta float64, fanout int, listen string) (*p2p.Cluster, func(), []keyspace.Key, error) {
-	if fanout != 0 && !core.ValidFanout(fanout) {
-		return nil, nil, nil, fmt.Errorf("build cluster: invalid fanout %d (want 2..%d)", fanout, core.MaxFanout)
-	}
-	daemonShare := peers / 2
-	headPeers := peers - daemonShare
-	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < headPeers {
+	nw := core.NewNetwork(core.Config{Seed: s.Seed, Fanout: s.Fanout})
+	rng := rand.New(rand.NewSource(s.Seed))
+	for nw.Size() < s.Peers-daemonShare {
 		ids := nw.PeerIDs()
 		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
 			return nil, nil, nil, fmt.Errorf("grow cluster: %w", err)
 		}
 	}
-	gen := workload.NewGenerator(workload.Config{Seed: seed + 1, Distribution: dist, ZipfTheta: theta})
-	keys := gen.Keys(items)
+	gen := workload.NewGenerator(workload.Config{Seed: s.Seed + 1, Distribution: s.Distribution, ZipfTheta: s.ZipfTheta})
+	keys = gen.Keys(s.Items)
 	for _, k := range keys {
 		if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
 			return nil, nil, nil, fmt.Errorf("load cluster: %w", err)
 		}
 	}
+	if s.Transport != "tcp" {
+		c = p2p.NewCluster(nw)
+		return c, keys, c.Stop, nil
+	}
+	listen := s.Listen
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
@@ -124,27 +93,23 @@ func BuildClusterTCPDistFanout(peers, items int, seed int64, dist workload.Distr
 		return nil, nil, nil, fmt.Errorf("listen: %w", err)
 	}
 	if daemonShare == 0 {
-		return head, head.Stop, keys, nil
+		return head, keys, head.Stop, nil
 	}
 	daemon, err := p2p.JoinRemote(head.Addr(), daemonShare)
 	if err != nil {
 		head.Stop()
 		return nil, nil, nil, fmt.Errorf("join daemon half: %w", err)
 	}
-	stop := func() {
-		daemon.Stop()
-		head.Stop()
-	}
-	return head, stop, keys, nil
+	return head, keys, func() { daemon.Stop(); head.Stop() }, nil
 }
 
-// AttachCluster joins an existing multi-process overlay (a cmd/batond
-// coordinator) at seedAddr as a pure data-plane client and preloads items
-// uniformly drawn keys through the wire, so the returned key set behaves
-// like BuildCluster's (reads drawn from it hit). Structural operations are
-// the coordinator's alone — drive only churn-free workloads through the
-// returned cluster. The caller must Stop it.
-func AttachCluster(seedAddr string, items int, seed int64) (*p2p.Cluster, []keyspace.Key, error) {
+// Attach joins an existing multi-process overlay (a cmd/batond coordinator)
+// at seedAddr as a pure data-plane client and preloads items uniformly
+// drawn keys through the wire, so the returned key set behaves like Build's
+// (reads drawn from it hit). Structural operations are the coordinator's
+// alone — drive only churn-free workloads through the returned cluster.
+// The caller must Stop it.
+func Attach(seedAddr string, items int, seed int64) (*p2p.Cluster, []keyspace.Key, error) {
 	c, err := p2p.JoinRemote(seedAddr, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("attach to %s: %w", seedAddr, err)
@@ -203,15 +168,10 @@ type Config struct {
 	// RangeSelectivity is the queried fraction of the key domain per range
 	// query. Default 0.01.
 	RangeSelectivity float64
-	// SerialRange walks ranges with the sequential adjacent-chain protocol
-	// instead of the parallel fan-out. Equivalent to Plan "serial"; setting
-	// both to conflicting values is a Validate error.
-	SerialRange bool
 	// Plan selects the range execution plan: "serial" (the adjacent-chain
 	// walk), "parallel" (the scatter fan-out) or "adaptive" (the query
 	// layer's self-tuned planner picks per request from the range's
-	// estimated peer-span). Empty defaults to "serial" when SerialRange is
-	// set and "parallel" otherwise, matching the pre-planner behaviour.
+	// estimated peer-span). Empty defaults to "parallel".
 	Plan string
 	// RangeDist shapes the per-query range width around the
 	// RangeSelectivity base width: "fixed" (every query uses the base
@@ -299,19 +259,14 @@ const (
 	RangeDistBimodal = "bimodal"
 )
 
-// Validate rejects a Config whose plan or range-distribution knobs are
-// inconsistent: an unknown Plan or RangeDist name, or a Plan that
-// contradicts the legacy SerialRange flag. Run assumes a valid Config;
-// cmd/batonsim turns a Validate error into a usage failure.
+// Validate rejects an unknown Plan or RangeDist name. Run assumes a valid
+// Config; cmd/batonsim turns a Validate error into a usage failure.
 func (cfg Config) Validate() error {
 	switch cfg.Plan {
 	case "", PlanSerial, PlanParallel, PlanAdaptive:
 	default:
 		return fmt.Errorf("driver: unknown plan %q (want %s, %s or %s)",
 			cfg.Plan, PlanSerial, PlanParallel, PlanAdaptive)
-	}
-	if cfg.SerialRange && cfg.Plan != "" && cfg.Plan != PlanSerial {
-		return fmt.Errorf("driver: SerialRange conflicts with plan %q", cfg.Plan)
 	}
 	switch cfg.RangeDist {
 	case "", RangeDistFixed, RangeDistUniform, RangeDistBimodal:
@@ -322,20 +277,8 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// planOf resolves the effective range plan, folding the legacy SerialRange
-// flag into the Plan namespace.
-func (cfg Config) planOf() string {
-	if cfg.Plan != "" {
-		return cfg.Plan
-	}
-	if cfg.SerialRange {
-		return PlanSerial
-	}
-	return PlanParallel
-}
-
 // Report summarises one driver run: counts, wall-clock throughput and
-// per-operation latency percentiles (microseconds).
+// per-operation latency distributions (nanoseconds).
 type Report struct {
 	Clients  int
 	Ops      int64
@@ -352,9 +295,10 @@ type Report struct {
 	Rebalanced int
 	Elapsed    time.Duration
 	OpsPerSec  float64
-	// Latency maps an operation kind (plus "all") to its recorded latency
-	// samples in microseconds.
-	Latency map[Op]*stats.Latency
+	// Latency maps an operation kind (plus "all") to the distribution of
+	// its latencies in nanoseconds: exact below 128 ns, power-of-two buckets
+	// above — smoke-output resolution; quoted numbers come from ./bench.
+	Latency map[Op]obs.HistogramSnapshot
 	// HopsP50 and HopsP99 are percentiles of the per-operation message hop
 	// counts (every routed op reports its hops; the driver histograms them).
 	HopsP50, HopsP99 float64
@@ -374,7 +318,7 @@ type Report struct {
 const OpAll Op = "all"
 
 // String renders the report as an aligned table of throughput and latency
-// percentiles, the format cmd/batonsim prints in throughput mode.
+// percentiles, the format every live-cluster mode of cmd/batonsim prints.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "clients %d  ops %d  errors %d  notfound %d  churn killed/joined/departed/recovered %d/%d/%d/%d  rebalanced %d\n",
@@ -387,18 +331,14 @@ func (r Report) String() string {
 			r.PlanSerial, r.PlanParallel, r.PlanCacheHits)
 	}
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %10s %10s %10s\n", "op", "count", "mean µs", "p50 µs", "p95 µs", "p99 µs", "max µs")
-	ops := make([]string, 0, len(r.Latency))
-	for op := range r.Latency {
-		ops = append(ops, string(op))
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		l := r.Latency[Op(op)]
-		if l.Count() == 0 {
+	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	for _, op := range []Op{OpAll, OpBulkPut, OpDelete, OpGet, OpPut, OpRange} {
+		l := r.Latency[op]
+		if l.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-10s %10d %10.0f %10.0f %10.0f %10.0f %10.0f\n",
-			op, l.Count(), l.Mean(), l.Percentile(0.50), l.Percentile(0.95), l.Percentile(0.99), l.Max())
+		fmt.Fprintf(&b, "%-10s %10d %10.1f %10.1f %10.1f %10.1f %10.1f\n",
+			op, l.Count, l.Mean()/1e3, us(l.Percentile(50)), us(l.Percentile(95)), us(l.Percentile(99)), us(l.Percentile(100)))
 	}
 	return b.String()
 }
@@ -449,22 +389,11 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	refreshIDs()
 	value := make([]byte, cfg.ValueSize)
 	domain := keyspace.FullDomain()
-	width := int64(float64(domain.Size()) * cfg.RangeSelectivity)
-	if width < 1 {
-		width = 1
-	}
+	width := max(1, int64(float64(domain.Size())*cfg.RangeSelectivity))
+	clampWidth := func(w int64) int64 { return min(max(w, 1), domain.Size()) }
 	// widthFor draws one query's range width around the base width
 	// according to the configured distribution; each client passes its own
 	// deterministic source.
-	clampWidth := func(w int64) int64 {
-		if w < 1 {
-			return 1
-		}
-		if max := domain.Size(); w > max {
-			return max
-		}
-		return w
-	}
 	widthFor := func(rng *rand.Rand) int64 {
 		switch cfg.RangeDist {
 		case RangeDistUniform:
@@ -478,14 +407,11 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 			return width
 		}
 	}
-	plan := cfg.planOf()
 	plansBefore := c.PlanStats()
 
-	report := Report{
-		Clients: cfg.Clients,
-		Latency: map[Op]*stats.Latency{
-			OpGet: {}, OpPut: {}, OpDelete: {}, OpRange: {}, OpBulkPut: {}, OpAll: {},
-		},
+	report := Report{Clients: cfg.Clients}
+	latency := map[Op]*obs.Histogram{
+		OpGet: {}, OpPut: {}, OpDelete: {}, OpRange: {}, OpBulkPut: {}, OpAll: {},
 	}
 	// opsDone hands out the operation budget (one increment per roll, so a
 	// batched put consumes budget per key); unitsDone counts the logical key
@@ -653,9 +579,8 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	// below 128, so routed hop counts lose no precision).
 	var hopsHist obs.Histogram
 	record := func(op Op, units int, d time.Duration, err error, found bool, hops int) {
-		us := float64(d.Microseconds())
-		report.Latency[op].Add(us)
-		report.Latency[OpAll].Add(us)
+		latency[op].Observe(d.Nanoseconds())
+		latency[OpAll].Observe(d.Nanoseconds())
 		unitsDone.Add(int64(units))
 		if err != nil {
 			errCount.Add(1)
@@ -704,9 +629,9 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 				}
 				t0 := time.Now()
 				res, err := c.BulkPut(bulk)
-				us := float64(time.Since(t0).Microseconds())
-				report.Latency[OpBulkPut].Add(us)
-				report.Latency[OpAll].Add(us)
+				ns := time.Since(t0).Nanoseconds()
+				latency[OpBulkPut].Observe(ns)
+				latency[OpAll].Observe(ns)
 				unitsDone.Add(int64(len(bulk)))
 				if err != nil {
 					// Whole-call failure: every key in the batch failed.
@@ -772,7 +697,7 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 					var err error
 					var hops int
 					t0 := time.Now()
-					switch plan {
+					switch cfg.Plan {
 					case PlanSerial:
 						_, hops, err = c.RangeSerial(via, r)
 					case PlanAdaptive:
@@ -798,6 +723,10 @@ func Run(c *p2p.Cluster, cfg Config) Report {
 	report.Rebalanced = int(c.BalanceEvents() - balanceEventsBefore)
 	if secs := report.Elapsed.Seconds(); secs > 0 {
 		report.OpsPerSec = float64(report.Ops) / secs
+	}
+	report.Latency = make(map[Op]obs.HistogramSnapshot, len(latency))
+	for op, h := range latency {
+		report.Latency[op] = h.Snapshot()
 	}
 	hops := hopsHist.Snapshot()
 	report.HopsP50 = float64(hops.Percentile(50))

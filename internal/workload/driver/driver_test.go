@@ -14,11 +14,11 @@ import (
 // driverCluster builds a loaded live cluster for driver tests.
 func driverCluster(t *testing.T, peers, items int, seed int64) (*p2p.Cluster, []keyspace.Key) {
 	t.Helper()
-	c, keys, err := BuildCluster(peers, items, seed)
+	c, keys, stop, err := Build(Spec{Peers: peers, Items: items, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Stop)
+	t.Cleanup(stop)
 	return c, keys
 }
 
@@ -45,16 +45,49 @@ func TestDriverMixedWorkload(t *testing.T) {
 		t.Fatalf("throughput = %f", rep.OpsPerSec)
 	}
 	for _, op := range []Op{OpGet, OpPut, OpDelete, OpRange} {
-		if rep.Latency[op].Count() == 0 {
+		if rep.Latency[op].Count == 0 {
 			t.Fatalf("no %s operations recorded", op)
 		}
 	}
 	all := rep.Latency[OpAll]
-	if all.Percentile(0.5) > all.Percentile(0.99) {
+	if all.Percentile(50) > all.Percentile(99) {
 		t.Fatal("p50 above p99")
+	}
+	// Latencies are nanoseconds: in a closed loop every client is inside an
+	// op nearly all the time, so the samples sum to about clients × elapsed
+	// (whole-microsecond samples would sum to a thousandth of that).
+	if sum := time.Duration(all.Sum); sum < rep.Elapsed/10 || sum > 9*rep.Elapsed {
+		t.Fatalf("latency samples sum to %v over a %v run with 8 clients; want nanosecond samples", sum, rep.Elapsed)
 	}
 	if rep.String() == "" {
 		t.Fatal("empty report")
+	}
+}
+
+// TestBuildTCPAndAttach builds the loopback wire pair, attaches a zero-peer
+// data-plane client to its coordinator the way batonsim -seedaddr does, and
+// drives a churn-free workload through the client: every op crosses the
+// wire and none may fail.
+func TestBuildTCPAndAttach(t *testing.T) {
+	head, _, stop, err := Build(Spec{Peers: 12, Items: 300, Seed: 17, Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if head.Size() != 12 {
+		t.Fatalf("tcp pair has %d peers, want 12", head.Size())
+	}
+	client, keys, err := Attach(head.Addr(), 200, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Stop()
+	rep := Run(client, Config{Clients: 4, Ops: 600, Keys: keys, Seed: 19})
+	if rep.Errors != 0 || rep.Ops == 0 {
+		t.Fatalf("attached client: ops %d, errors %d", rep.Ops, rep.Errors)
+	}
+	if _, _, _, err := Build(Spec{Peers: 4, Fanout: 1}); err == nil {
+		t.Fatal("Build accepted fanout 1")
 	}
 }
 
@@ -303,17 +336,17 @@ func TestDriverBulkAndSerialRange(t *testing.T) {
 		PutFraction:   0.5,
 		RangeFraction: 0.5,
 		BulkSize:      16,
-		SerialRange:   true,
+		Plan:          PlanSerial,
 		Keys:          keys,
 		Seed:          6,
 	})
-	if rep.Latency[OpBulkPut].Count() == 0 {
+	if rep.Latency[OpBulkPut].Count == 0 {
 		t.Fatal("BulkSize set but no bulk puts recorded")
 	}
-	if rep.Latency[OpPut].Count() != 0 {
+	if rep.Latency[OpPut].Count != 0 {
 		t.Fatal("BulkSize set but singleton puts recorded")
 	}
-	if rep.Latency[OpRange].Count() == 0 {
+	if rep.Latency[OpRange].Count == 0 {
 		t.Fatal("no range queries recorded")
 	}
 	if rep.Errors != 0 {
@@ -352,7 +385,7 @@ func TestDriverFullDomainSelectivity(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Fatalf("full-domain ranges errored %d times", rep.Errors)
 	}
-	if rep.Latency[OpRange].Count() == 0 {
+	if rep.Latency[OpRange].Count == 0 {
 		t.Fatal("no range queries recorded")
 	}
 }
@@ -393,11 +426,11 @@ func TestDriverZipfSkewsLoad(t *testing.T) {
 // with a visibly lower imbalance than the balancer-off twin.
 func TestDriverAutoBalance(t *testing.T) {
 	run := func(balance bool) (Report, int64, float64) {
-		c, _, err := BuildClusterDist(24, 3000, 15, workload.Zipf, 1.0)
+		c, _, stop, err := Build(Spec{Peers: 24, Items: 3000, Seed: 15, Distribution: workload.Zipf, ZipfTheta: 1.0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Stop()
+		defer stop()
 		rep := Run(c, Config{
 			Clients:      4,
 			Ops:          2000,
@@ -455,8 +488,8 @@ func TestDriverBulkOpsAccounting(t *testing.T) {
 	if rep.Ops < ops-4*bulkSize || rep.Ops > ops {
 		t.Fatalf("ops = %d, want ≈%d (batch flushes must count per key)", rep.Ops, ops)
 	}
-	flushes := rep.Latency[OpBulkPut].Count()
-	if flushes == 0 || int64(flushes) >= rep.Ops {
+	flushes := rep.Latency[OpBulkPut].Count
+	if flushes == 0 || flushes >= rep.Ops {
 		t.Fatalf("flushes = %d for %d ops", flushes, rep.Ops)
 	}
 	if rep.Errors != 0 {
