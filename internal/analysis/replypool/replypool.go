@@ -13,7 +13,9 @@
 // The correlation table (see internal/p2p/node.go) is the wire transport's
 // replacement for reply channels: an entry that is registered but never
 // released — and whose frame never went out — waits for a response that
-// cannot come, and survives until the node dies.
+// cannot come, and survives until the node dies. (lookupCorr, the lookup a
+// partial response uses, reads an entry and leaves it registered: it is not
+// a release, and a leaking path that calls it is told so.)
 //
 // The check is lexical, per function, and deliberately simple. For each
 // return statement after an acquisition it walks backwards through the
@@ -56,10 +58,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // pair is one acquire/release discipline: the two package-level function
-// names and the noun the diagnostic says an unbalanced path leaks.
+// names and the noun the diagnostic says an unbalanced path leaks. peek, if
+// set, names a lookup that reads the acquired thing and leaves it acquired:
+// it is not a release, and a leaking function that calls it is told so — a
+// reader who takes the lookup for a release would otherwise stare at a
+// diagnostic that looks wrong.
 type pair struct {
 	acquire, release string
 	leaks            string
+	peek             string
 }
 
 // pairs lists every discipline the analyzer enforces. The check runs once
@@ -67,7 +74,7 @@ type pair struct {
 // local reply channel) has each audited independently.
 var pairs = []pair{
 	{acquire: "getReply", release: "putReply", leaks: "the pooled reply channel"},
-	{acquire: "acquireCorr", release: "releaseCorr", leaks: "the correlation entry"},
+	{acquire: "acquireCorr", release: "releaseCorr", leaks: "the correlation entry", peek: "lookupCorr"},
 }
 
 func run(pass *analysis.Pass) error {
@@ -86,11 +93,15 @@ func checkBody(pass *analysis.Pass, node ast.Node, body *ast.BlockStmt, pr pair)
 	firstGet := token.NoPos
 	var deferPuts []token.Pos
 	var returns []*ast.ReturnStmt
+	hint := ""
 	inspectSansLits(body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if isPoolCall(pass, n, pr.acquire) && (!firstGet.IsValid() || n.Pos() < firstGet) {
 				firstGet = n.Pos()
+			}
+			if pr.peek != "" && isPoolCall(pass, n, pr.peek) {
+				hint = " (" + pr.peek + " looks the entry up and leaves it acquired)"
 			}
 		case *ast.DeferStmt:
 			if isPoolCall(pass, n.Call, pr.release) {
@@ -116,8 +127,8 @@ ret:
 		}
 		if !backwardReleased(pass, body.List, r, pr) {
 			pass.Reportf(r.Pos(),
-				"return in %s leaks %s: no %s on this path after %s",
-				analysis.FuncName(node), pr.leaks, pr.release, pr.acquire)
+				"return in %s leaks %s: no %s on this path after %s%s",
+				analysis.FuncName(node), pr.leaks, pr.release, pr.acquire, hint)
 		}
 	}
 }

@@ -117,6 +117,8 @@ func acquireCorr(t *corrTable, fn func(response)) uint64 {
 
 func releaseCorr(t *corrTable, id uint64) (func(response), bool) { return nil, false }
 
+func lookupCorr(t *corrTable, id uint64) (func(response), bool) { return nil, false }
+
 func wireSend(id uint64) bool { return id != 0 }
 
 var corr corrTable
@@ -163,6 +165,19 @@ func corrLeakNoDirective() bool {
 		return false
 	}
 	return true // want `leaks the correlation entry`
+}
+
+// corrPeekIsNoRelease looks its entry up on the failed send — the lookup a
+// partial response uses, which leaves the entry in the table — and returns
+// as if that had released it.
+func corrPeekIsNoRelease() bool {
+	id := acquireCorr(&corr, func(response) {})
+	if !wireSend(id) {
+		lookupCorr(&corr, id)
+		return false // want `leaks the correlation entry: no releaseCorr on this path after acquireCorr \(lookupCorr looks the entry up and leaves it acquired\)`
+	}
+	releaseCorr(&corr, id)
+	return true
 }
 
 // mixedPairs uses both disciplines in one function: each is audited

@@ -204,6 +204,20 @@ type ClusterMetrics struct {
 	// filled in by the cluster after the per-peer aggregation, since
 	// planning happens client-side and touches no peer.
 	Plans PlanSnapshot `json:"plans"`
+
+	// Transport counts the frames and bytes this node's wire transport has
+	// moved; all zero on an in-process cluster. Filled in by the cluster.
+	Transport TransportSnapshot `json:"transport"`
+}
+
+// TransportSnapshot is one node's wire traffic since it started listening:
+// frames and bytes (length prefixes and headers included) read from and
+// written to its sockets. Counts only — no timing.
+type TransportSnapshot struct {
+	FramesIn  uint64 `json:"frames_in"`
+	FramesOut uint64 `json:"frames_out"`
+	BytesIn   uint64 `json:"bytes_in"`
+	BytesOut  uint64 `json:"bytes_out"`
 }
 
 // BuildClusterMetrics folds per-peer snapshots (live peers plus the

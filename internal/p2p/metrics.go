@@ -30,6 +30,11 @@ func (c *Cluster) Metrics() obs.ClusterMetrics {
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Peer < peers[j].Peer })
 	cm := obs.BuildClusterMetrics(peers, c.retired.Snapshot(-1, kindName))
 	cm.Plans = c.plans.Snapshot()
+	if c.net != nil {
+		if tr := c.net.tr(); tr != nil {
+			cm.Transport = obs.TransportSnapshot(tr.Stats())
+		}
+	}
 	return cm
 }
 

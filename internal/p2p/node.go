@@ -13,12 +13,24 @@
 // (acquireCorr) and travels with the entry's ID in the frame header; the
 // node that finally serves it wire-replies to the frame's Origin with the
 // same ID, and the origin releases the entry (releaseCorr) and runs its
-// completion — a channel send, a range-collector contribution, or a
-// pass-through to yet another node's correlation. Entries are released
-// exactly once: on response arrival, when the connection they depend on
-// drops (completed with ErrOwnerDown, the failure retry layers already
-// handle), or at Stop (ErrStopped). batonvet's replypool analyzer checks
-// the acquire/release pairing.
+// completion — a channel send, or a range collector's branch retiring.
+// Entries are released exactly once: on response arrival, when the
+// connection they depend on drops (completed with ErrOwnerDown, the failure
+// retry layers already handle), or at Stop (ErrStopped). batonvet's
+// replypool analyzer checks the acquire/release pairing.
+//
+// A range query that leaves its origin node holds one more entry there, the
+// *origin entry* (anyNode): range items never travel in requests, nor back
+// along the route — every contributing peer ships its chunk straight to that
+// entry as a partial response frame (msgFlagPartial), once. The entry is
+// looked up, not released, per partial (lookupCorr); the query's collector
+// releases it on completion. Control stays hierarchical: each branch — a
+// scatter sub-request, or the whole serial chain — has an ordinary entry at
+// the node that sent it, answered by one final response of counts (hops,
+// error, and how many partials the branch's sub-tree sent the origin). The
+// senders count partials, the origin counts arrivals, and the collector is
+// complete when every branch has reported and the two counts agree; see
+// collector in range_fanout.go.
 //
 // # Roles
 //
@@ -31,9 +43,11 @@
 package p2p
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +56,7 @@ import (
 	"baton/internal/keyspace"
 	"baton/internal/obs"
 	"baton/internal/query"
+	"baton/internal/store"
 	"baton/internal/transport"
 )
 
@@ -62,6 +77,18 @@ const headNodeID transport.NodeID = 1
 // the request.
 const msgFlagAny = 1 << 0
 
+// msgFlagPartial marks a response frame as one chunk of a range answer on
+// its way to the query's origin entry: it completes nothing, and any number
+// may precede — or, on another connection, trail — the finals that announce
+// them.
+const msgFlagPartial = 1 << 1
+
+// anyNode is the node an origin entry depends on: every one. Finals announce
+// how many partials were sent, not by whom, so when any connection drops the
+// origin cannot tell whether a chunk went with it and ends the query with
+// ErrOwnerDown and what has arrived.
+const anyNode = ^transport.NodeID(0)
+
 // ctlOp is a control-plane opcode (first payload byte of a msgControl
 // frame). A defined type so batonvet's kindexhaustive check covers the ctl
 // worker's dispatch: adding an opcode without deciding how handleCtl treats
@@ -71,12 +98,12 @@ type ctlOp byte
 // Control-plane opcodes.
 const (
 	ctlReply ctlOp = iota + 1 // RPC completion, body = the reply
-	ctlHello                 // daemon→head: body = daemon listen addr; reply = domain + fanout
-	ctlJoin                  // daemon→head: body = peer count; reply = joined count
-	ctlSpawn                 // head→daemon: create a hosted peer; reply = status byte
-	ctlTopo                  // head→daemon broadcast: topology snapshot, no reply
-	ctlLoads                 // head→daemon: reply = per-hosted-peer load counters
-	ctlPush                  // local only: head ctl worker pushes topology to one node
+	ctlHello                  // daemon→head: body = daemon listen addr; reply = domain + fanout
+	ctlJoin                   // daemon→head: body = peer count; reply = joined count
+	ctlSpawn                  // head→daemon: create a hosted peer; reply = status byte
+	ctlTopo                   // head→daemon broadcast: topology snapshot, no reply
+	ctlLoads                  // head→daemon: reply = per-hosted-peer load counters
+	ctlPush                   // local only: head ctl worker pushes topology to one node
 )
 
 // rpcTimeout bounds a control RPC: a wedged remote must not hang a
@@ -84,10 +111,23 @@ const (
 const rpcTimeout = 30 * time.Second
 
 // corrEntry is one outstanding wire request: the node whose connection the
-// response depends on, and the completion to run when it arrives.
+// response depends on, and who is waiting — a channel, or the collector of a
+// range query, which holds one entry per branch out and, under anyNode, the
+// origin entry its chunks arrive at. Plain fields rather than a closure: an
+// entry costs no allocation.
 type corrEntry struct {
 	node transport.NodeID
-	fn   func(response)
+	ch   chan response
+	coll *collector
+}
+
+// complete hands the waiter its response.
+func (e corrEntry) complete(r response) {
+	if e.coll != nil {
+		e.coll.fromWire(r, e.node != anyNode)
+		return
+	}
+	e.ch <- r
 }
 
 // corrTable maps correlation IDs to completions. IDs are never reused
@@ -101,45 +141,55 @@ type corrTable struct {
 // acquireCorr registers a completion and returns its correlation ID.
 // Package-level (not a method) so batonvet's replypool analyzer can pair
 // acquire and release sites the same way it pairs getReply/putReply.
-func acquireCorr(t *corrTable, node transport.NodeID, fn func(response)) uint64 {
+func acquireCorr(t *corrTable, e corrEntry) uint64 {
 	t.mu.Lock()
 	t.next++
 	id := t.next
 	if t.m == nil {
 		t.m = make(map[uint64]corrEntry)
 	}
-	t.m[id] = corrEntry{node: node, fn: fn}
+	t.m[id] = e
 	t.mu.Unlock()
 	return id
 }
 
 // releaseCorr removes and returns the completion for id; ok is false when
 // the entry was already released (response raced a connection drop).
-func releaseCorr(t *corrTable, id uint64) (fn func(response), ok bool) {
+func releaseCorr(t *corrTable, id uint64) (e corrEntry, ok bool) {
 	t.mu.Lock()
-	e, found := t.m[id]
-	if found {
+	e, ok = t.m[id]
+	if ok {
 		delete(t.m, id)
 	}
 	t.mu.Unlock()
-	return e.fn, found
+	return e, ok
+}
+
+// lookupCorr returns origin entry id without releasing it: partial
+// responses come in any number. Any other entry is not found — its
+// completion runs exactly once, at the release.
+func lookupCorr(t *corrTable, id uint64) (e corrEntry, ok bool) {
+	t.mu.Lock()
+	e, ok = t.m[id]
+	t.mu.Unlock()
+	return e, ok && e.node == anyNode
 }
 
 // sweep releases every entry (node == 0) or every entry depending on the
 // given node, completing each with err — the wire counterpart of refusing
 // a delivery.
 func (t *corrTable) sweep(node transport.NodeID, err error) {
-	var fns []func(response)
+	var swept []corrEntry
 	t.mu.Lock()
 	for id, e := range t.m {
-		if node == 0 || e.node == node {
-			fns = append(fns, e.fn)
+		if node == 0 || e.node == node || e.node == anyNode {
+			swept = append(swept, e)
 			delete(t.m, id)
 		}
 	}
 	t.mu.Unlock()
-	for _, fn := range fns {
-		fn(response{err: err})
+	for _, e := range swept {
+		e.complete(response{err: err})
 	}
 }
 
@@ -155,6 +205,13 @@ type ctlMsg struct {
 type rpcResult struct {
 	body []byte
 	err  error
+}
+
+// pendingRPC is one control RPC in flight: the node it was sent to, whose
+// dropped connection fails it, and the waiter.
+type pendingRPC struct {
+	node transport.NodeID
+	ch   chan rpcResult
 }
 
 // netLayer is a Cluster's connection to the rest of the multi-process
@@ -183,7 +240,7 @@ type netLayer struct {
 
 	pendMu   sync.Mutex
 	pendNext uint64
-	pending  map[uint64]chan rpcResult
+	pending  map[uint64]pendingRPC
 
 	// Head: node IDs for dialers and the address table rebroadcast in
 	// ctlTopo so daemons can dial each other for direct handoffs.
@@ -207,7 +264,7 @@ func newNetLayer(isHead bool) *netLayer {
 		isHead:   isHead,
 		headNode: headNodeID,
 		ctlWake:  make(chan struct{}, 1),
-		pending:  make(map[uint64]chan rpcResult),
+		pending:  make(map[uint64]pendingRPC),
 		done:     make(chan struct{}),
 		seedDown: make(chan struct{}),
 	}
@@ -226,6 +283,13 @@ func (n *netLayer) assign() transport.NodeID { return transport.NodeID(n.assignN
 func (n *netLayer) send(to transport.NodeID, m *transport.Msg) bool {
 	tr := n.tr()
 	return tr != nil && tr.Send(to, m)
+}
+
+// sendRequest encodes req into a frame of its final size, built in place,
+// and queues it for node `to` under header m.
+func (n *netLayer) sendRequest(to transport.NodeID, m *transport.Msg, req *request) bool {
+	tr := n.tr()
+	return tr != nil && tr.SendFrame(to, m, encodeRequest(transport.NewFrame(requestSize(req)), req))
 }
 
 // attach binds the netLayer to its cluster and starts the control worker.
@@ -252,13 +316,16 @@ func (n *netLayer) finishClose() {
 	n.failPending(0, ErrStopped)
 }
 
+// failPending fails every control RPC in flight (node == 0) or those sent
+// to the given node, as corrTable.sweep does for data requests.
 func (n *netLayer) failPending(node transport.NodeID, err error) {
 	var chs []chan rpcResult
 	n.pendMu.Lock()
-	for id, ch := range n.pending {
-		_ = id
-		chs = append(chs, ch)
-		delete(n.pending, id)
+	for id, p := range n.pending {
+		if node == 0 || p.node == node {
+			chs = append(chs, p.ch)
+			delete(n.pending, id)
+		}
 	}
 	n.pendMu.Unlock()
 	for _, ch := range chs {
@@ -285,17 +352,7 @@ func (n *netLayer) onPeerUp(node transport.NodeID) {
 func (n *netLayer) onPeerDown(node transport.NodeID) {
 	err := fmt.Errorf("%w: connection to node %d lost", ErrOwnerDown, node)
 	n.corr.sweep(node, err)
-	var chs []chan rpcResult
-	n.pendMu.Lock()
-	for id, ch := range n.pending {
-		_ = id
-		chs = append(chs, ch)
-		delete(n.pending, id)
-	}
-	n.pendMu.Unlock()
-	for _, ch := range chs {
-		ch <- rpcResult{err: err}
-	}
+	n.failPending(node, err)
 	if !n.isHead && node == n.headNode {
 		n.seedOnce.Do(func() { close(n.seedDown) })
 	}
@@ -347,8 +404,7 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 			mv := &moves[i]
 			mv.dstNode = n.nodeOf(c, mv.dst)
 			if mv.ack != nil {
-				ack := mv.ack
-				mv.ackCorr = acquireCorr(&n.corr, mv.dstNode, func(r response) { ack <- r })
+				mv.ackCorr = acquireCorr(&n.corr, corrEntry{node: mv.dstNode, ch: mv.ack})
 				mv.ackNode = n.self
 				corrs = append(corrs, mv.ackCorr)
 				mv.ack = nil
@@ -357,25 +413,35 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		req.moves = moves
 	}
 
+	// A range query leaving the node its client is on: from here on this
+	// node's collector is the query's origin side, whatever the plan. What a
+	// serial walk collected before it got here is the first chunk.
+	fresh := false
+	if req.reply != nil && (req.kind == kindRange || req.kind == kindRangePred) {
+		req.coll = &collector{reply: req.reply, pred: req.pred, pending: 1}
+		if len(req.acc) > 0 {
+			req.coll.chunks = []chunk{{lo: req.acc[0].Key, items: req.acc}}
+		}
+		req.reply, req.acc, fresh = nil, nil, true
+	}
 	switch {
 	case req.reply != nil:
-		ch := req.reply
-		m.Corr = acquireCorr(&n.corr, p.node, func(r response) { ch <- r })
+		m.Corr = acquireCorr(&n.corr, corrEntry{node: p.node, ch: req.reply})
 	case req.coll != nil:
-		// A scatter branch leaving the node: the collector stays here and
-		// the remote gathers its branch into a proxy (see inboundRequest),
-		// wire-replying the branch total to this correlation. Streaming
-		// collectors push into a bounded sink, which may block — never on
-		// a connection reader, so those complete on a fresh goroutine.
+		// A branch leaving the node: its final — counts only — retires one
+		// pending unit of the collector here, and its chunks go to the
+		// query's origin entry, which the origin's own collector registers
+		// the first time one of its branches crosses. The remote end runs the
+		// branch under a proxy (proxyFor).
 		coll := req.coll
-		lo := req.rng.Lower
-		m.Corr = acquireCorr(&n.corr, p.node, func(r response) {
-			if coll.sink != nil {
-				go coll.finish(lo, r.items, r.hops, r.err)
-			} else {
-				coll.finish(lo, r.items, r.hops, r.err)
-			}
-		})
+		coll.mu.Lock()
+		if coll.origin.corr == 0 {
+			coll.origin = wireDest{n: n, node: n.self, corr: acquireCorr(&n.corr, corrEntry{node: anyNode, coll: coll})}
+		}
+		req.onode, req.ocorr = coll.origin.node, coll.origin.corr
+		coll.mu.Unlock()
+		req.pred = coll.pred
+		m.Corr = acquireCorr(&n.corr, corrEntry{node: p.node, coll: coll})
 	case req.rcorr != 0:
 		// Forwarding a request that originated on another node: pass the
 		// origin's correlation through verbatim, so the final server
@@ -383,10 +449,14 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		m.Corr = req.rcorr
 		m.Origin = req.rnode
 	}
-	m.Payload = encodeRequest(nil, &req)
-	if !n.send(p.node, &m) {
+	if !n.sendRequest(p.node, &m, &req) {
 		if req.reply != nil || req.coll != nil {
 			releaseCorr(&n.corr, m.Corr)
+		}
+		if fresh {
+			// Nobody will ever finish this collector: the caller still holds
+			// the request as it was and fails over with it.
+			releaseCorr(&n.corr, req.ocorr)
 		}
 		for _, id := range corrs {
 			releaseCorr(&n.corr, id)
@@ -426,25 +496,52 @@ func (n *netLayer) sendRequestTo(node transport.NodeID, id core.PeerID, req requ
 		m.Corr = req.rcorr
 		m.Origin = req.rnode
 	}
-	m.Payload = encodeRequest(nil, &req)
-	return n.send(node, &m)
+	return n.sendRequest(node, &m, &req)
 }
 
-// replyWire answers a wire request: complete the correlation locally when
-// it lives in this node's own table (a request that crossed the wire and
-// came back), otherwise send a response frame to the origin node.
+// replyWire answers a wire request with its final response.
 func (n *netLayer) replyWire(node transport.NodeID, corr uint64, resp response) {
+	n.answer(node, corr, resp, 0)
+}
+
+// partial ships one sorted chunk of a range answer to the query's origin
+// entry. False means the chunk was not, and will not be, sent.
+func (n *netLayer) partial(node transport.NodeID, corr uint64, items []store.Item) bool {
+	return n.answer(node, corr, response{items: items}, msgFlagPartial)
+}
+
+// answer delivers a response to the correlation it names: completed locally
+// when the entry lives in this node's own table (a request that crossed the
+// wire and came back), otherwise encoded — once, into a frame of its final
+// size — and sent to the origin node.
+func (n *netLayer) answer(node transport.NodeID, corr uint64, resp response, flags uint8) bool {
 	if corr == 0 {
-		return
+		return false
 	}
 	if node == n.self || node == 0 {
-		if fn, ok := releaseCorr(&n.corr, corr); ok {
-			fn(resp)
+		n.complete(corr, resp, flags)
+		return true
+	}
+	tr := n.tr()
+	m := transport.Msg{Corr: corr, Origin: n.self, Kind: byte(msgResponse), Flags: flags}
+	return tr != nil && tr.SendFrame(node, &m, encodeResponse(transport.NewFrame(responseSize(&resp)), &resp))
+}
+
+// complete is the one completion routine for responses, whether a frame
+// brought them or the answering peer sits on this very node: a final
+// releases its entry and runs the completion; a partial runs the origin
+// entry's and leaves it in place. One naming an entry that is gone — or, for
+// a partial, one that was never an origin entry — is dropped.
+func (n *netLayer) complete(corr uint64, resp response, flags uint8) {
+	if flags&msgFlagPartial != 0 {
+		if e, ok := lookupCorr(&n.corr, corr); ok {
+			e.complete(resp)
 		}
 		return
 	}
-	m := transport.Msg{Corr: corr, Origin: n.self, Kind: byte(msgResponse), Payload: encodeResponse(nil, &resp)}
-	n.send(node, &m)
+	if e, ok := releaseCorr(&n.corr, corr); ok {
+		e.complete(resp)
+	}
 }
 
 // respond is the single completion point for handled requests: in-process
@@ -482,7 +579,7 @@ func (n *netLayer) inboundRequest(m *transport.Msg) {
 	t := c.topo.Load()
 	p := t.peers[core.PeerID(int64(m.To))]
 	if p == nil {
-		n.failInbound(req, fmt.Errorf("%w: %d", ErrOwnerDown, core.PeerID(int64(m.To))))
+		c.refuse(nil, req, fmt.Errorf("%w: %d", ErrOwnerDown, core.PeerID(int64(m.To))))
 		return
 	}
 	if p.node != 0 {
@@ -492,7 +589,7 @@ func (n *netLayer) inboundRequest(m *transport.Msg) {
 		// between them forever — the hop cap ends the orbit.
 		req.hops++
 		if req.hops > t.hopCap || !c.deliverTo(p, req, evenDead) {
-			n.failInbound(req, fmt.Errorf("%w: %d", ErrOwnerDown, p.id))
+			c.refuse(nil, req, fmt.Errorf("%w: %d", ErrOwnerDown, p.id))
 		}
 		return
 	}
@@ -503,51 +600,46 @@ func (n *netLayer) inboundRequest(m *transport.Msg) {
 		p.alive.Store(false)
 	}
 	if req.kind == kindRangeScatter && req.rcorr != 0 {
-		// A scatter branch from another node: its collector stayed at the
-		// origin. Gather the branch (and its recursive local sub-branches)
-		// in a proxy collector that wire-replies the branch total.
-		coll := &collector{wire: &wireDest{n: n, node: req.rnode, corr: req.rcorr}}
-		coll.grow(1)
-		req.coll = coll
+		// A scatter branch from another node: run it (and its recursive
+		// local sub-branches) under a proxy of the sender's collector.
+		req.coll = n.proxyFor(&req)
+		req.coll.grow(1)
 		req.rcorr, req.rnode = 0, 0
 	}
 	if !c.deliverTo(p, req, evenDead) {
-		n.failInbound(req, fmt.Errorf("%w: %d", ErrOwnerDown, p.id))
+		c.refuse(nil, req, fmt.Errorf("%w: %d", ErrOwnerDown, p.id))
 	}
 }
 
-// failInbound refuses a wire request that could not be delivered, through
-// whichever completion it carries (mirrors Cluster.refuse).
-func (n *netLayer) failInbound(req request, err error) {
-	if req.coll != nil {
-		req.coll.finish(req.rng.Lower, nil, req.hops, err)
-		return
-	}
-	if req.rcorr != 0 {
-		n.replyWire(req.rnode, req.rcorr, response{items: req.acc, hops: req.hops, err: err})
-	}
-}
-
-// inboundResponse completes the correlation a response frame names.
+// inboundResponse hands a response frame to the correlation it names.
 func (n *netLayer) inboundResponse(m *transport.Msg) {
 	resp, err := decodeResponse(m.Payload)
 	if err != nil {
 		resp = response{err: fmt.Errorf("%w: undecodable response", ErrUnreachable)}
 	}
-	if fn, ok := releaseCorr(&n.corr, m.Corr); ok {
-		fn(resp)
-	}
+	n.complete(m.Corr, resp, m.Flags)
 }
 
-// wireDest is a collector's remote client: the origin-node correlation the
-// gathered branch total is wire-replied to.
+// wireDest names a correlation entry on some node: where a proxy's final
+// goes, or where a range query's chunks do.
 type wireDest struct {
 	n    *netLayer
 	node transport.NodeID
 	corr uint64
 }
 
-func (w *wireDest) deliver(resp response) { w.n.replyWire(w.node, w.corr, resp) }
+func (w wireDest) deliver(resp response) { w.n.replyWire(w.node, w.corr, resp) }
+
+// proxyFor builds the collector under which a range branch that arrived
+// over the wire runs on this node: finals go to the branch's correlation,
+// chunks to the query's origin entry.
+func (n *netLayer) proxyFor(req *request) *collector {
+	return &collector{
+		wire:   wireDest{n: n, node: req.rnode, corr: req.rcorr},
+		origin: wireDest{n: n, node: req.onode, corr: req.ocorr},
+		pred:   req.pred,
+	}
+}
 
 // inboundControl handles a control frame: RPC completions inline (the ctl
 // worker itself may be blocked waiting for one), everything else queued to
@@ -560,7 +652,7 @@ func (n *netLayer) inboundControl(from transport.NodeID, m *transport.Msg) {
 	body := m.Payload[1:]
 	if op == ctlReply {
 		n.pendMu.Lock()
-		ch, ok := n.pending[m.Corr]
+		p, ok := n.pending[m.Corr]
 		if ok {
 			delete(n.pending, m.Corr)
 		}
@@ -568,7 +660,7 @@ func (n *netLayer) inboundControl(from transport.NodeID, m *transport.Msg) {
 		if ok {
 			b := make([]byte, len(body))
 			copy(b, body)
-			ch <- rpcResult{body: b}
+			p.ch <- rpcResult{body: b}
 		}
 		return
 	}
@@ -698,7 +790,7 @@ func (n *netLayer) rpc(node transport.NodeID, op ctlOp, body []byte) ([]byte, er
 	n.pendMu.Lock()
 	n.pendNext++
 	id := n.pendNext
-	n.pending[id] = ch
+	n.pending[id] = pendingRPC{node: node, ch: ch}
 	n.pendMu.Unlock()
 	payload := append([]byte{byte(op)}, body...)
 	if !n.send(node, &transport.Msg{Corr: id, Origin: n.self, Kind: byte(msgControl), Payload: payload}) {
@@ -1013,16 +1105,8 @@ func (n *netLayer) gatherRemoteLoads(c *Cluster) {
 
 // sortTopology orders a freshly built topology's ring and id list.
 func sortTopology(nt *topology) {
-	for i := 1; i < len(nt.ring); i++ {
-		for j := i; j > 0 && nt.ring[j].lower < nt.ring[j-1].lower; j-- {
-			nt.ring[j], nt.ring[j-1] = nt.ring[j-1], nt.ring[j]
-		}
-	}
-	for i := 1; i < len(nt.ids); i++ {
-		for j := i; j > 0 && nt.ids[j] < nt.ids[j-1]; j-- {
-			nt.ids[j], nt.ids[j-1] = nt.ids[j-1], nt.ids[j]
-		}
-	}
+	slices.SortFunc(nt.ring, func(a, b ringEntry) int { return cmp.Compare(a.lower, b.lower) })
+	slices.Sort(nt.ids)
 }
 
 // newStub builds the local placeholder for a peer hosted on another node:
@@ -1159,6 +1243,16 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 	if err := c.waitTopo(10 * time.Second); err != nil {
 		c.Stop()
 		return nil, err
+	}
+	// The nodes that joined earlier have not heard of this one — their next
+	// topology broadcast may be far off — and could not dial it to hand a
+	// chunk of a range answer over (contributors answer the origin
+	// directly). Open those connections from this side; nodes joining later
+	// learn this one's address from the broadcast that brings them in.
+	for _, p := range c.topo.Load().peers {
+		if p.node != 0 {
+			tr.Connect(p.node)
+		}
 	}
 	return c, nil
 }

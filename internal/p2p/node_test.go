@@ -505,3 +505,59 @@ func TestWireClusterDaemonStop(t *testing.T) {
 		t.Fatalf("get for head-hosted range after daemon stop: %v", err)
 	}
 }
+
+// TestControlRPCSurvivesOtherNodesDrop: a dropped connection fails the
+// control RPCs sent to that node and no others. (It used to fail them all:
+// the zero-peer client disconnecting failed the coordinator's in-flight
+// ctlSpawn to a healthy daemon, and the Join with it.)
+func TestControlRPCSurvivesOtherNodesDrop(t *testing.T) {
+	head, daemon, client, _ := wireTrio(t, 3, 2, 20, 6)
+	// A daemon does not answer ctlHello, so this RPC stays in flight until
+	// its connection drops.
+	res := make(chan error, 1)
+	go func() {
+		_, err := head.net.rpc(daemon.net.self, ctlHello, nil)
+		res <- err
+	}()
+	inFlight := func() int {
+		head.net.pendMu.Lock()
+		defer head.net.pendMu.Unlock()
+		return len(head.net.pending)
+	}
+	for deadline := time.Now().Add(10 * time.Second); inFlight() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rpc never registered")
+		}
+	}
+	clientNode := client.net.self
+	client.Stop()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		gone := true
+		for _, id := range head.net.tr().Peers() {
+			gone = gone && id != clientNode
+		}
+		if gone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never noticed the client's connection dropping")
+		}
+	}
+	// The connection is unregistered before onPeerDown runs: sweep once more
+	// on its behalf, so the check below cannot pass by being early.
+	head.net.onPeerDown(clientNode)
+	select {
+	case err := <-res:
+		t.Fatalf("rpc to the daemon failed when the client dropped: %v", err)
+	default:
+	}
+	daemon.Stop()
+	select {
+	case err := <-res:
+		if !errors.Is(err, ErrOwnerDown) {
+			t.Fatalf("rpc to a dropped node returned %v, want ErrOwnerDown", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rpc to a dropped node still pending")
+	}
+}

@@ -349,7 +349,11 @@ type request struct {
 	value []byte
 	rng   keyspace.Range
 	hops  int
-	acc   []store.Item // accumulated range results (serial walk)
+	// acc accumulates the serial walk's results while the walk stays in the
+	// process that answers the client. It never crosses the wire: a walk
+	// whose origin is another node ships each peer's chunk straight there
+	// (see handleRange).
+	acc []store.Item
 	// par marks a kindRange request that should fan out in parallel once
 	// phase-1 routing reaches the peer owning the range's lower bound.
 	par bool
@@ -412,6 +416,17 @@ type request struct {
 	// messages.
 	rnode transport.NodeID
 	rcorr uint64
+	// onode and ocorr name the origin entry of a range query that left its
+	// origin node: where every contributing peer ships its chunk as a
+	// partial response (rnode/rcorr name the completion of this branch
+	// only). parts and shipped travel with a serial walk: the partials sent
+	// so far, which the final response announces, and the items in them,
+	// which a pushdown limit needs. All four are payload fields of the range
+	// kinds and zero on in-process requests.
+	onode   transport.NodeID
+	ocorr   uint64
+	parts   int
+	shipped int
 }
 
 // response is the terminal answer to a request.
@@ -421,6 +436,9 @@ type response struct {
 	items   []store.Item
 	results []BulkResult
 	hops    int
+	// parts is what the final response of a wire range branch announces: the
+	// partial responses its sub-tree (or chain) sent to the query's origin.
+	parts int
 	// Membership replies.
 	peerID   core.PeerID
 	slot     int
@@ -452,11 +470,11 @@ type peer struct {
 	// peer hosted elsewhere. A stub has no goroutine; deliveries to it
 	// detour through netLayer.deliver onto the wire (see node.go).
 	// Immutable after construction.
-	node transport.NodeID
-	pos    core.Position
-	rng    keyspace.Range
-	data   *store.Store
-	inbox  chan request
+	node  transport.NodeID
+	pos   core.Position
+	rng   keyspace.Range
+	data  *store.Store
+	inbox chan request
 
 	parent *link
 	// children holds the fanout child slots in tree order: slot 0 is the
@@ -1226,11 +1244,13 @@ func (c *Cluster) refuse(p *peer, req request, err error) {
 		req.coll.finish(req.rng.Lower, nil, req.hops, err)
 		return
 	}
-	// A serial range walk carries everything collected so far in req.acc;
-	// the client is promised the partial answer alongside the error, so it
-	// must not be dropped here. respond answers the reply channel or the
-	// wire correlation, and drops fire-and-forget requests (no waiter).
-	c.respond(req, response{items: req.acc, hops: req.hops, err: err})
+	// A serial range walk carries everything collected so far in req.acc
+	// (in-process) or has shipped it to the origin and counts the shipments
+	// in req.parts (over the wire); the client is promised the partial
+	// answer alongside the error, so neither may be dropped here. respond
+	// answers the reply channel or the wire correlation, and drops
+	// fire-and-forget requests (no waiter).
+	c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops, err: err})
 }
 
 func (c *Cluster) handle(p *peer, req request) {
@@ -1575,11 +1595,12 @@ func (c *Cluster) handleRange(p *peer, req request) {
 		// request; a materialising query's collector is created here.
 		coll := req.coll
 		if coll == nil {
-			coll = &collector{reply: req.reply, pred: req.pred}
 			if req.reply == nil && req.rcorr != 0 && c.net != nil {
-				// The client sits on another node: the gathered answer goes
-				// back over the wire to its correlation.
-				coll.wire = &wireDest{n: c.net, node: req.rnode, corr: req.rcorr}
+				// The client sits on another node: a proxy counts what this
+				// branch ships there and reports the counts to its correlation.
+				coll = c.net.proxyFor(&req)
+			} else {
+				coll = &collector{reply: req.reply, pred: req.pred}
 			}
 			coll.grow(1)
 		}
@@ -1598,15 +1619,16 @@ func (c *Cluster) handleRange(p *peer, req request) {
 			req.acc = scanFiltered(p.data, req.acc, r, req.pred)
 		}
 	}
-	if lim := req.pred.LimitOrZero(); lim > 0 && len(req.acc) >= lim {
+	if lim := req.pred.LimitOrZero(); lim > 0 && req.shipped+len(req.acc) >= lim {
 		// Limit-aware early termination: the pushdown limit is satisfied,
-		// so answer now instead of walking the rest of the chain.
-		c.respond(req, response{items: req.acc[:lim], hops: req.hops})
+		// so answer now instead of walking the rest of the chain. (shipped
+		// came off the wire: a count past the limit must not index.)
+		c.respond(req, response{items: req.acc[:max(lim-req.shipped, 0)], parts: req.parts, hops: req.hops})
 		return
 	}
 	next := p.adjacent[1]
 	if next == nil || next.lower >= r.Upper {
-		c.respond(req, response{items: req.acc, hops: req.hops})
+		c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops})
 		return
 	}
 	// Trim the still-uncovered part of the range so the next peer (whose
@@ -1616,11 +1638,24 @@ func (c *Cluster) handleRange(p *peer, req request) {
 		req.rng.Lower = p.rng.Upper
 		req.key = req.rng.Lower
 	}
+	if req.reply == nil && req.rcorr != 0 && len(req.acc) > 0 {
+		// The client sits on another node: the chain carries counts, the
+		// items go there now, once, as a partial response. A shipment the
+		// transport refuses is not counted — the origin must not wait for a
+		// frame that was never sent — and ends the walk.
+		if !c.net.partial(req.onode, req.ocorr, req.acc) {
+			c.respond(req, response{parts: req.parts, hops: req.hops, err: ErrOwnerDown})
+			return
+		}
+		req.parts++
+		req.shipped += len(req.acc)
+		req.acc = nil
+	}
 	if c.send(next.id, req) {
 		return
 	}
 	// The right adjacent peer is dead: answer with what has been collected
 	// so far and flag the dead link to the background repairer if one runs.
 	c.suspect(next.id)
-	c.respond(req, response{items: req.acc, hops: req.hops, err: ErrOwnerDown})
+	c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops, err: ErrOwnerDown})
 }

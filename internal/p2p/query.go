@@ -402,6 +402,9 @@ func (it *RangeIter) Next() bool {
 			if b.final {
 				it.hops, it.err = b.hops, b.err
 				it.done = true
+				// A query a dropped connection ended early may still have
+				// chunks in hand-over: nothing is left to wait for them.
+				it.Close()
 				return false
 			}
 			it.cur, it.idx = b.items, 0

@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,14 +27,28 @@ type chunk struct {
 // before it is sent and shrinks it when its branch finishes, so the count
 // can only reach zero once every branch has reported. The branch that takes
 // the count to zero delivers the gathered answer to the client.
+//
+// Over the wire the same collector is the origin side of every range query
+// — serial, parallel or streaming — that leaves its client's node
+// (netLayer.deliver): data comes in flat, control hierarchically. Each
+// contributing peer ships its chunk straight to the origin's correlation
+// entry as a partial response; a branch's final response brings only counts,
+// among them how many partials its sub-tree sent. Partials and finals ride
+// different connections, so arrival order proves nothing: the query is
+// complete when no branch is pending and no announced partial is missing.
 type collector struct {
 	reply chan response
-	// wire, when non-nil (and reply is nil), names the origin-node
-	// correlation the finished answer is delivered to: either the remote
-	// client of a parallel query whose coordinator lives here, or — for a
-	// proxy collector built by inboundRequest — the remote parent scatter
-	// branch this node's sub-tree reports into.
-	wire *wireDest
+	// wire, when set (corr != 0), makes this a proxy: the stand-in, on a
+	// node other than the one the branch was sent from, for the branches
+	// running here. It holds counts, never items — finish ships a chunk to
+	// origin the moment a peer hands it over — and its final tells the
+	// parent branch's correlation how many partials that makes.
+	wire wireDest
+	// origin is where the query's chunks go: for a proxy the origin node's
+	// entry, named by the request that built it; for the origin's own
+	// collector that entry itself, once the first branch has left the node
+	// (corr 0 until then), kept so completion can release it.
+	origin wireDest
 	// pred is the query's pushdown predicate, shared by every branch so a
 	// scatter sub-request carries one pointer instead of re-encoding the
 	// predicate per segment. Nil for unfiltered queries.
@@ -49,7 +65,23 @@ type collector struct {
 	err     error
 	hops    int // longest message chain across all branches
 	pending int
+	// parts counts partial responses: at the origin, those announced by
+	// finished branches minus those that have arrived (negative while
+	// partials outrun their final); in a proxy, those its sub-tree has sent.
+	parts int
+	// handing counts chunks off the wire on their way into the sink: a
+	// streaming query is not over, and its sink not closed, before they are
+	// in — not even one a lost connection cuts short (aborted), which stops
+	// waiting for everything else.
+	handing int
+	aborted bool
+	// done is set once the answer has been delivered; whatever arrives
+	// afterwards — a late partial, the final of a branch an abort gave up
+	// on — is dropped.
+	done bool
 }
+
+func (g *collector) proxy() bool { return g.wire.corr != 0 }
 
 // grow registers n additional outstanding branches. It must be called
 // before the corresponding sub-requests are sent so a fast child cannot
@@ -62,7 +94,7 @@ type collector struct {
 func (g *collector) grow(n int) {
 	g.mu.Lock()
 	g.pending += n
-	if g.sink == nil && cap(g.chunks)-len(g.chunks) < g.pending {
+	if g.sink == nil && !g.proxy() && cap(g.chunks)-len(g.chunks) < g.pending {
 		grown := make([]chunk, len(g.chunks), len(g.chunks)+g.pending)
 		copy(grown, g.chunks)
 		g.chunks = grown
@@ -75,33 +107,83 @@ func (g *collector) grow(n int) {
 // stitched together in key order and sent to the client; the reply channel
 // is buffered so this never blocks a peer goroutine. In streaming mode the
 // items go straight to the sink (a bounded send that respects the
-// iterator's cancellation) and the last branch closes the sink instead.
+// iterator's cancellation) and the last branch closes the sink instead. A
+// proxy ships the items to the query's origin and keeps the count; a
+// shipment the transport refuses is not counted — the origin must not wait
+// for a frame that was never sent — and turns into the branch's error.
 func (g *collector) finish(lo keyspace.Key, items []store.Item, hops int, err error) {
-	if g.sink != nil {
-		// Deliver before the bookkeeping: pending can only reach zero after
-		// every branch's send has completed, so the final batch is always
-		// the last thing the iterator receives.
-		if len(items) > 0 {
-			g.sink.send(items)
+	parts := 0
+	if g.proxy() && len(items) > 0 {
+		if g.origin.n.partial(g.origin.node, g.origin.corr, items) {
+			parts = 1
+		} else if err == nil {
+			err = ErrOwnerDown
 		}
-		g.mu.Lock()
-		if err != nil && g.err == nil {
-			g.err = err
-		}
-		if hops > g.hops {
-			g.hops = hops
-		}
-		g.pending--
-		done := g.pending == 0
-		ferr, fhops := g.err, g.hops
-		g.mu.Unlock()
-		if done {
-			g.sink.close(fhops, ferr)
-		}
+		items = nil
+	}
+	g.settle(lo, items, hops, err, 1, parts)
+}
+
+// fromWire feeds the collector what a response frame brought: a partial's
+// chunk, or a branch's final — its counts plus, at the end of a serial
+// chain, the last peer's chunk. Chunks are keyed by their first item, which
+// orders them exactly as segment bounds order in-process ones. An error in
+// place of a partial means partials may have been lost (a connection
+// dropped, a frame did not decode): the query ends now, with what it has. A
+// streaming collector takes everything on a fresh goroutine — the sink's
+// bounded send, of a chunk or of the closing summary, may block, and a
+// connection reader never does.
+func (g *collector) fromWire(r response, final bool) {
+	if g.sink == nil {
+		g.absorb(r, final)
 		return
 	}
+	if len(r.items) > 0 {
+		g.mu.Lock()
+		g.handing++
+		g.mu.Unlock()
+	}
+	go g.absorb(r, final)
+}
+
+func (g *collector) absorb(r response, final bool) {
+	var lo keyspace.Key
+	if len(r.items) > 0 {
+		lo = r.items[0].Key
+	}
+	switch {
+	case final:
+		g.settle(lo, r.items, r.hops, r.err, 1, r.parts)
+	case r.err != nil:
+		g.settle(lo, nil, 0, r.err, everyBranch, 0)
+	default:
+		g.settle(lo, r.items, 0, nil, 0, -1)
+	}
+}
+
+// everyBranch, as settle's branch count, gives up on everything still out.
+const everyBranch = -1
+
+// settle is the one piece of bookkeeping behind finish and fromWire: take a
+// chunk, merge hop count and error, retire `branches` pending branches and
+// move the partial count, then — if that completed the query — deliver.
+func (g *collector) settle(lo keyspace.Key, items []store.Item, hops int, err error, branches, parts int) {
+	handed := 0
+	if g.sink != nil && len(items) > 0 {
+		// Deliver before the bookkeeping: the query can only complete after
+		// every contribution's send has, so the closing summary is always
+		// the last thing the iterator receives. (Peers on this node feed the
+		// sink themselves and finish with no items: these came by wire.)
+		g.sink.send(items)
+		handed = 1
+	}
 	g.mu.Lock()
-	if len(items) > 0 {
+	g.handing -= handed
+	if g.done {
+		g.mu.Unlock()
+		return
+	}
+	if g.sink == nil && len(items) > 0 {
 		g.chunks = append(g.chunks, chunk{lo: lo, items: items})
 	}
 	if err != nil && g.err == nil {
@@ -110,11 +192,19 @@ func (g *collector) finish(lo keyspace.Key, items []store.Item, hops int, err er
 	if hops > g.hops {
 		g.hops = hops
 	}
-	g.pending--
-	done := g.pending == 0
-	var resp response
-	if done {
-		sort.Slice(g.chunks, func(i, j int) bool { return g.chunks[i].lo < g.chunks[j].lo })
+	if branches == everyBranch {
+		g.aborted = true
+	} else {
+		g.pending -= branches
+		g.parts += parts
+	}
+	g.done = g.handing == 0 && (g.aborted || g.pending == 0 && (g.proxy() || g.parts <= 0))
+	done, origin := g.done, g.origin
+	resp := response{hops: g.hops, err: g.err}
+	if g.proxy() {
+		resp.parts = g.parts
+	} else if done && g.sink == nil {
+		slices.SortFunc(g.chunks, func(a, b chunk) int { return cmp.Compare(a.lo, b.lo) })
 		n := 0
 		for _, c := range g.chunks {
 			n += len(c.items)
@@ -133,15 +223,23 @@ func (g *collector) finish(lo keyspace.Key, items []store.Item, hops int, err er
 				break
 			}
 		}
-		resp = response{items: all, hops: g.hops, err: g.err}
+		resp.items = all
 	}
 	g.mu.Unlock()
-	if done {
-		if g.reply != nil {
-			g.reply <- resp
-		} else if g.wire != nil {
-			g.wire.deliver(resp)
-		}
+	if !done {
+		return
+	}
+	switch {
+	case g.proxy():
+		g.wire.deliver(resp)
+		return
+	case g.sink != nil:
+		g.sink.close(resp.hops, resp.err)
+	case g.reply != nil:
+		g.reply <- resp
+	}
+	if origin.corr != 0 {
+		releaseCorr(&origin.n.corr, origin.corr)
 	}
 }
 

@@ -15,7 +15,15 @@
 //   - trace pointers: a sampled request's hop records are appended by
 //     goroutines sharing the trace's memory, so traces cover the hops
 //     taken on the origin node only;
-//   - enq timestamps: queue-wait is measured per hosting node.
+//   - enq timestamps: queue-wait is measured per hosting node;
+//   - acc, the serial walk's accumulator: range items travel only in
+//     response frames, each chunk once, contributor → origin (see node.go).
+//
+// Every frame is encoded into one buffer of its final size: requestSize /
+// responseSize bound the encoding from the variable-length fields, the
+// buffer comes from transport.NewFrame with the header room reserved, and
+// the transport queues those very bytes — append never regrows, nothing is
+// copied between the encoder and the socket.
 package p2p
 
 import (
@@ -23,7 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
@@ -73,6 +81,12 @@ func appendBytes(b, v []byte) []byte {
 	}
 	b = appendU32(b, uint32(len(v)))
 	return append(b, v...)
+}
+
+// appendString is appendBytes for a (never nil) string, without the
+// conversion's copy.
+func appendString(b []byte, v string) []byte {
+	return append(appendU32(b, uint32(len(v))), v...)
 }
 
 func appendKey(b []byte, k keyspace.Key) []byte { return appendI64(b, int64(k)) }
@@ -155,6 +169,21 @@ func (r *wreader) count(minElemSize int) int {
 	return n
 }
 
+// maxParts bounds a partial count read off the wire. The count sizes no
+// allocation, but a collector would wait forever for partials that do not
+// exist: more than a maximal frame has room to list marks the frame
+// malformed.
+const maxParts = transport.DefaultMaxFrame / respFixed
+
+func (r *wreader) partCount() int {
+	n := r.u32()
+	if n > maxParts {
+		r.fail = true
+		return 0
+	}
+	return int(n)
+}
+
 // ---------------------------------------------------------------------------
 // Composite fields.
 
@@ -165,6 +194,15 @@ func appendItems(b []byte, items []store.Item) []byte {
 		b = appendBytes(b, it.Value)
 	}
 	return b
+}
+
+// itemsSize is the encoded size of items past the count prefix.
+func itemsSize(items []store.Item) int {
+	n := 12 * len(items)
+	for i := range items {
+		n += len(items[i].Value)
+	}
+	return n
 }
 
 func (r *wreader) items() []store.Item {
@@ -205,20 +243,19 @@ func (r *wreader) keys() []keyspace.Key {
 	return out
 }
 
-// visited travels as a sorted id list so encodings are deterministic.
+// visited travels as a sorted id list so encodings are deterministic. The
+// ids are sorted on the stack: a request that has wandered past 16 peers is
+// rare enough to pay for its slice.
 func appendVisited(b []byte, visited map[core.PeerID]bool) []byte {
-	ids := make([]core.PeerID, 0, len(visited))
+	var few [16]core.PeerID
+	ids := few[:0]
 	for id, v := range visited {
 		if v {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = appendU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		b = appendPeerID(b, id)
-	}
-	return b
+	slices.Sort(ids)
+	return appendPeerIDs(b, ids)
 }
 
 func (r *wreader) visited() map[core.PeerID]bool {
@@ -501,9 +538,17 @@ func appendErr(b []byte, err error) []byte {
 	case errors.Is(err, ErrReplicaLost):
 		return appendU8(b, errCodeReplicaLost)
 	default:
-		b = appendU8(b, errCodeOpaque)
-		return appendBytes(b, []byte(err.Error()))
+		return appendString(appendU8(b, errCodeOpaque), err.Error())
 	}
+}
+
+// errSize bounds what appendErr writes past the code byte: the text, which
+// a sentinel does not send.
+func errSize(err error) int {
+	if err == nil {
+		return 0
+	}
+	return 4 + len(err.Error())
 }
 
 func (r *wreader) anErr() error {
@@ -538,6 +583,26 @@ const (
 	reqFlagPar = 1 << iota // kindRange/kindRangePred: parallel fan-out
 )
 
+// reqFixed bounds the fixed-width part of any kind's encoding: the range
+// kinds' 83 bytes are the longest, a kindUpdate's 67 come next.
+const reqFixed = 88
+
+// requestSize bounds encodeRequest's output from the variable-length fields
+// alone. A kind leaves the fields it does not carry unset, so they add
+// nothing — which is why no third per-kind switch sits beside the encoder's
+// and the decoder's.
+func requestSize(req *request) int {
+	n := reqFixed + len(req.value) + 8*len(req.visited) + itemsSize(req.bulk) +
+		8*len(req.dels) + 16*len(req.gains) + 40*len(req.moves)
+	if req.pred != nil {
+		n += 8 * len(req.pred.Keys)
+	}
+	if st := req.state; st != nil {
+		n += 25 * (3 + len(st.children) + len(st.rt[0]) + len(st.rt[1])) // every link present
+	}
+	return n
+}
+
 // encodeRequest serialises req for the wire. Reply channels, collectors
 // and traces are correlation/metadata concerns handled by the caller
 // (node.go); only protocol fields are encoded. The kind switch is
@@ -565,16 +630,14 @@ func encodeRequest(b []byte, req *request) []byte {
 		b = appendBytes(b, req.value)
 		b = appendU64(b, req.epoch)
 		b = appendVisited(b, req.visited)
-	case kindRange, kindRangeScatter:
+	case kindRange, kindRangeScatter, kindRangePred:
 		b = appendKey(b, req.key)
 		b = appendRange(b, req.rng)
 		b = appendVisited(b, req.visited)
-		b = appendItems(b, req.acc)
-	case kindRangePred:
-		b = appendKey(b, req.key)
-		b = appendRange(b, req.rng)
-		b = appendVisited(b, req.visited)
-		b = appendItems(b, req.acc)
+		b = appendU32(b, uint32(req.onode))
+		b = appendU64(b, req.ocorr)
+		b = appendU32(b, uint32(req.parts))
+		b = appendU32(b, uint32(req.shipped))
 		b = appendPred(b, req.pred)
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
 		b = appendItems(b, req.bulk)
@@ -638,16 +701,14 @@ func decodeRequest(payload []byte) (request, error) {
 		req.value = r.bytes()
 		req.epoch = r.u64()
 		req.visited = r.visited()
-	case kindRange, kindRangeScatter:
+	case kindRange, kindRangeScatter, kindRangePred:
 		req.key = r.key()
 		req.rng = r.rng()
 		req.visited = r.visited()
-		req.acc = r.items()
-	case kindRangePred:
-		req.key = r.key()
-		req.rng = r.rng()
-		req.visited = r.visited()
-		req.acc = r.items()
+		req.onode = transport.NodeID(r.u32())
+		req.ocorr = r.u64()
+		req.parts = r.partCount()
+		req.shipped = int(r.u32())
 		req.pred = r.pred()
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
 		req.bulk = r.items()
@@ -690,9 +751,32 @@ func decodeRequest(payload []byte) (request, error) {
 // Responses. One generic layout — every field travels with a nil-preserving
 // encoding — because responses are not kind-discriminated in memory either.
 
+// respFixed is the fixed-width part of a response with no snapshot.
+const respFixed = 56
+
+// responseSize bounds encodeResponse's output, as requestSize does the
+// request's.
+func responseSize(resp *response) int {
+	n := respFixed + errSize(resp.err) + len(resp.value) + itemsSize(resp.items)
+	for i := range resp.results {
+		n += 14 + len(resp.results[i].Value) + errSize(resp.results[i].Err)
+	}
+	if s := resp.snap; s != nil {
+		n += 96 + itemsSize(s.Items) + 8*(len(s.MidChildren)+len(s.LeftRouting)+len(s.RightRouting))
+	}
+	for _, items := range resp.replicaSets {
+		n += 12 + itemsSize(items)
+	}
+	if resp.replicaSets != nil {
+		n += 4
+	}
+	return n
+}
+
 func encodeResponse(b []byte, resp *response) []byte {
 	b = appendErr(b, resp.err)
 	b = appendU32(b, uint32(resp.hops))
+	b = appendU32(b, uint32(resp.parts))
 	b = appendBytes(b, resp.value)
 	b = appendBool(b, resp.found)
 	b = appendItems(b, resp.items)
@@ -713,11 +797,12 @@ func encodeResponse(b []byte, resp *response) []byte {
 	} else {
 		b = appendBool(b, true)
 		b = appendU32(b, uint32(len(resp.replicaSets)))
-		ids := make([]core.PeerID, 0, len(resp.replicaSets))
+		var few [16]core.PeerID
+		ids := few[:0]
 		for id := range resp.replicaSets {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		for _, id := range ids {
 			b = appendPeerID(b, id)
 			b = appendItems(b, resp.replicaSets[id])
@@ -731,6 +816,7 @@ func decodeResponse(payload []byte) (response, error) {
 	resp := response{}
 	resp.err = r.anErr()
 	resp.hops = int(r.u32())
+	resp.parts = r.partCount()
 	resp.value = r.bytes()
 	resp.found = r.bool()
 	resp.items = r.items()

@@ -1,0 +1,432 @@
+package p2p
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"baton/internal/core"
+	"baton/internal/keyspace"
+	"baton/internal/query"
+	"baton/internal/store"
+	"baton/internal/transport"
+)
+
+// wireTrio is wirePair plus a client node hosting no peers, so everything
+// the client asks for crosses a socket.
+func wireTrio(t testing.TB, headPeers, daemonPeers, items int, seed int64) (head, daemon, client *Cluster, keys []keyspace.Key) {
+	t.Helper()
+	head, daemon, keys = wirePair(t, headPeers, daemonPeers, items, seed)
+	client, err := JoinRemote(head.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Stop)
+	waitConverge(t, head, client)
+	return head, daemon, client, keys
+}
+
+// bytesSent sums the bytes every node's transport has written.
+func bytesSent(nodes ...*Cluster) (n uint64) {
+	for _, c := range nodes {
+		n += c.Metrics().Transport.BytesOut
+	}
+	return n
+}
+
+// TestWireRangeItemsCrossOnce pins the data-flat contract of wire range
+// queries: whatever the plan, and whether the client's node hosts peers or
+// not, the answer equals the in-process cluster's item for item, and every
+// item crosses a socket about once — the bytes all nodes send for a
+// 20 000-item answer stay within 15 % of the encoded answer plus 256 bytes
+// of framing and control per covering peer. (Before, when the serial walk
+// re-shipped its accumulator at every cross-node hop and a scatter chunk
+// retraced the scatter tree, the client's queries below put 4.71 × the
+// answer on the wire for the serial plan, 1.73 × for the scatter and 2.78 ×
+// for the limited walk; they now read 1.00–1.01 ×.)
+func TestWireRangeItemsCrossOnce(t *testing.T) {
+	head, daemon, client, keys := wireTrio(t, 8, 8, 24000, 11)
+
+	// The reference: the same items in an in-process cluster.
+	nw := core.NewNetwork(core.Config{Seed: 11})
+	for nw.Size() < 4 {
+		if _, _, err := nw.Join(nw.PeerIDs()[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys {
+		if _, err := nw.Insert(nw.RandomPeer(), k, []byte(fmt.Sprint(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local := NewCluster(nw)
+	defer local.Stop()
+
+	// Key-adjacent peers must alternate between the nodes, or the test
+	// would not see a chain leave and re-enter a node.
+	ring := head.topo.Load().ring
+	crossings := 0
+	for i := 1; i < len(ring); i++ {
+		if (ring[i].p.node != 0) != (ring[i-1].p.node != 0) {
+			crossings++
+		}
+	}
+	if crossings < 4 {
+		t.Fatalf("only %d node crossings along a ring of %d peers", crossings, len(ring))
+	}
+
+	r := head.Domain()
+	r.Lower += (r.Upper - r.Lower) / 16
+	want, _, err := local.Range(local.PeerIDs()[0], r)
+	if err != nil || len(want) < 20000 {
+		t.Fatalf("reference answer: %d items, err %v", len(want), err)
+	}
+	const limit = 5000
+	pred := func() *query.Pred { return &query.Pred{Limit: limit} }
+	wantLimited, _, err := local.RangeFiltered(local.PeerIDs()[0], r, pred())
+	if err != nil || len(wantLimited) != limit {
+		t.Fatalf("reference limited answer: %d items, err %v", len(wantLimited), err)
+	}
+	span := head.EstimateSpan(r)
+
+	iter := func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+		it, err := c.RangeIter(via, r)
+		if err != nil {
+			return nil, err
+		}
+		defer it.Close()
+		var got []store.Item
+		for it.Next() {
+			got = append(got, it.Item())
+		}
+		// Batches arrive in segment-arrival order; the answer is a set.
+		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
+		return got, it.Err()
+	}
+	plans := []struct {
+		name string
+		want []store.Item
+		run  func(c *Cluster, via core.PeerID) ([]store.Item, error)
+	}{
+		{"RangeSerial", want, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+			items, _, err := c.RangeSerial(via, r)
+			return items, err
+		}},
+		{"Range", want, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+			items, _, err := c.Range(via, r)
+			return items, err
+		}},
+		{"RangeAdaptive", want, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+			items, _, err := c.RangeAdaptive(via, r)
+			return items, err
+		}},
+		{"RangeIter", want, iter},
+		{"RangeFiltered+Limit", wantLimited, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+			items, _, err := c.RangeFiltered(via, r, pred())
+			return items, err
+		}},
+	}
+	origins := []struct {
+		name string
+		c    *Cluster
+	}{{"client", client}, {"daemon", daemon}}
+	for _, o := range origins {
+		// One throw-away query opens every socket the origin needs, so the
+		// measured ones count no handshakes.
+		if _, _, err := o.c.Range(o.c.PeerIDs()[0], r); err != nil {
+			t.Fatalf("%s: opening sockets: %v", o.name, err)
+		}
+		ids := o.c.PeerIDs()
+		for i, pl := range plans {
+			before := bytesSent(head, daemon, client)
+			got, err := pl.run(o.c, ids[(3*i+1)%len(ids)])
+			sent := bytesSent(head, daemon, client) - before
+			label := o.name + " " + pl.name
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(got) != len(pl.want) {
+				t.Fatalf("%s: %d items, want %d", label, len(got), len(pl.want))
+			}
+			for j := range got {
+				if got[j].Key != pl.want[j].Key || string(got[j].Value) != string(pl.want[j].Value) {
+					t.Fatalf("%s: item %d = %d %q, want %d %q", label, j,
+						got[j].Key, got[j].Value, pl.want[j].Key, pl.want[j].Value)
+				}
+			}
+			encoded := len(encodeResponse(nil, &response{items: pl.want}))
+			ratio := float64(sent) / float64(encoded)
+			if max := uint64(1.15*float64(encoded)) + 256*uint64(span); sent > max {
+				t.Errorf("%s: %d bytes on the wire for an answer that encodes to %d (%.2f×), budget %d",
+					label, sent, encoded, ratio, max)
+			} else {
+				t.Logf("%s: %.2f× the encoded answer on the wire", label, ratio)
+			}
+		}
+	}
+}
+
+// TestWireRangeMidChainKill pins the contract refuse documents, over the
+// wire: a dead peer inside the range yields ErrOwnerDown together with the
+// items collected — everything before the dead peer for the serial walk,
+// everything outside it for the scatter.
+func TestWireRangeMidChainKill(t *testing.T) {
+	head, daemon, client, keys := wireTrio(t, 6, 6, 3000, 5)
+	ring := head.topo.Load().ring
+	victim := ring[len(ring)/2]
+	victimRng := keyspace.Range{Lower: victim.lower, Upper: ring[len(ring)/2+1].lower}
+	if err := head.Kill(victim.id); err != nil {
+		t.Fatal(err)
+	}
+	// The kill rebroadcasts alive flags under an unchanged epoch: wait for
+	// both other nodes to have seen it.
+	for deadline := time.Now().Add(10 * time.Second); daemon.Alive(victim.id) || client.Alive(victim.id); {
+		if time.Now().After(deadline) {
+			t.Fatal("kill never reached the other nodes")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	all := uniqueSortedKeys(keys)
+	r := head.Domain()
+	var before, outside []keyspace.Key
+	for _, k := range all {
+		if k < victimRng.Lower {
+			before = append(before, k)
+		}
+		if !victimRng.Contains(k) {
+			outside = append(outside, k)
+		}
+	}
+	for _, c := range []*Cluster{client, daemon} {
+		via := c.PeerIDs()[0]
+		items, _, err := c.RangeSerial(via, r)
+		if !errors.Is(err, ErrOwnerDown) {
+			t.Fatalf("serial over a dead peer: err = %v, want ErrOwnerDown", err)
+		}
+		checkExactItems(t, items, before, "serial walk up to the dead peer")
+		items, _, err = c.Range(via, r)
+		if !errors.Is(err, ErrOwnerDown) {
+			t.Fatalf("scatter over a dead peer: err = %v, want ErrOwnerDown", err)
+		}
+		checkExactItems(t, items, outside, "scatter around the dead peer")
+	}
+}
+
+// TestWireRangeConnectionDropMidQuery: finals announce how many partials
+// were sent, not by whom, so a connection dropping while a query is in
+// flight ends it at the origin with ErrOwnerDown and the items that made
+// it — no waiting for chunks that went down with the socket, and (the
+// package's leak barrier) no goroutine left behind.
+func TestWireRangeConnectionDropMidQuery(t *testing.T) {
+	// The sweep itself, step by step: a streaming query with one branch out
+	// has received one chunk when a connection — any connection — drops.
+	head, daemon, client, keys := wireTrio(t, 12, 12, 4000, 9)
+	n := client.net
+	sink := &rangeSink{ch: make(chan iterBatch, sinkBuffer), cancel: make(chan struct{}), done: client.done}
+	coll := &collector{sink: sink, pending: 1}
+	origin := acquireCorr(&n.corr, corrEntry{node: anyNode, coll: coll})
+	coll.origin = wireDest{n: n, node: n.self, corr: origin}
+	acquireCorr(&n.corr, corrEntry{node: daemon.net.self, coll: coll})
+	n.complete(origin, response{items: []store.Item{{Key: 1}, {Key: 2}}}, msgFlagPartial)
+	n.corr.sweep(head.net.self, fmt.Errorf("%w: connection to node %d lost", ErrOwnerDown, head.net.self))
+	it := &RangeIter{sink: sink}
+	got := 0
+	for it.Next() {
+		got++
+	}
+	if got != 2 || !errors.Is(it.Err(), ErrOwnerDown) {
+		t.Fatalf("swept query yielded %d items and %v, want 2 and ErrOwnerDown", got, it.Err())
+	}
+	n.corr.sweep(daemon.net.self, ErrOwnerDown) // the branch's entry: its final changes nothing now
+	if len(sink.ch) != 0 {
+		t.Fatal("a final after the sweep reached the iterator")
+	}
+
+	// End to end: a streaming query nobody consumes — with more contributing
+	// peers than the sink buffers batches it cannot complete on its own —
+	// and then a node goes away. Whether its chunks had all arrived is up to
+	// the scheduler: the query ends complete, or with ErrOwnerDown and what
+	// made it, but it ends, and leaves nothing in the table.
+	it, err := client.RangeIter(client.PeerIDs()[0], head.Domain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for deadline := time.Now().Add(10 * time.Second); len(it.sink.ch) < sinkBuffer; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sink never filled: %d of %d batches", len(it.sink.ch), sinkBuffer)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	daemon.Stop()
+	got = 0
+	for it.Next() {
+		got++
+	}
+	switch total := len(uniqueSortedKeys(keys)); {
+	case it.Err() == nil && got != total:
+		t.Fatalf("query ended clean with %d of %d items", got, total)
+	case it.Err() != nil && (!errors.Is(it.Err(), ErrOwnerDown) || got == 0):
+		t.Fatalf("query ended with %v and %d items, want ErrOwnerDown and what had arrived", it.Err(), got)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		n.corr.mu.Lock()
+		left := len(n.corr.m)
+		n.corr.mu.Unlock()
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d correlation entries left at the origin after the query ended", left)
+		}
+	}
+}
+
+// TestWireRangeRefusedPartialNotCounted: a contributor whose chunk the
+// transport refuses (here: the origin is a node it has no connection to and
+// no address for) must not count it among the partials it announces, and
+// reports the failure on the control path — so the origin never waits for a
+// frame that was not sent.
+func TestWireRangeRefusedPartialNotCounted(t *testing.T) {
+	head, daemon, _ := wirePair(t, 4, 4, 800, 21)
+	var target *peer
+	for _, id := range hostedBy(daemon, false) {
+		if p := daemon.peerByID(id); p.items.Load() > 0 {
+			target = p
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("no daemon-hosted peer holds items")
+	}
+	final := make(chan response, 1)
+	branch := acquireCorr(&head.net.corr, corrEntry{node: daemon.net.self, ch: final})
+	sub := request{kind: kindRangeScatter, key: target.rng.Lower, rng: target.rng, onode: 99, ocorr: 5}
+	daemon.net.inboundRequest(&transport.Msg{
+		To: uint64(int64(target.id)), Origin: head.net.self, Corr: branch,
+		Kind: byte(msgRequest), Payload: encodeRequest(nil, &sub),
+	})
+	select {
+	case r := <-final:
+		if r.parts != 0 || !errors.Is(r.err, ErrOwnerDown) || len(r.items) != 0 {
+			t.Fatalf("final after a refused partial: parts=%d items=%d err=%v, want 0, 0, ErrOwnerDown",
+				r.parts, len(r.items), r.err)
+		}
+	case <-time.After(10 * time.Second):
+		releaseCorr(&head.net.corr, branch)
+		t.Fatal("no final after a refused partial")
+	}
+}
+
+// TestWireCollectorDropsStrayFrames feeds the origin side frames that name
+// nothing, the wrong kind of entry, or a finished query, and a final whose
+// partial count is absurd: none may disturb a collector or a single-answer
+// completion.
+func TestWireCollectorDropsStrayFrames(t *testing.T) {
+	head, daemon, _ := wirePair(t, 3, 3, 50, 4)
+	n := head.net
+	chunk := func(keys ...keyspace.Key) []store.Item {
+		items := make([]store.Item, len(keys))
+		for i, k := range keys {
+			items[i] = store.Item{Key: k, Value: []byte("v")}
+		}
+		return items
+	}
+	frame := func(corr uint64, flags uint8, resp response) *transport.Msg {
+		return &transport.Msg{Corr: corr, Origin: daemon.net.self, Kind: byte(msgResponse),
+			Flags: flags, Payload: encodeResponse(nil, &resp)}
+	}
+
+	// A partial for a correlation that never existed.
+	n.inboundResponse(frame(1<<40, msgFlagPartial, response{items: chunk(1)}))
+
+	// A partial naming a single-answer entry must not run its completion:
+	// that entry completes exactly once, with its final.
+	single := make(chan response, 1)
+	id := acquireCorr(&n.corr, corrEntry{node: daemon.net.self, ch: single})
+	n.inboundResponse(frame(id, msgFlagPartial, response{items: chunk(2)}))
+	if len(single) != 0 {
+		t.Fatal("a partial completed a single-answer correlation")
+	}
+	n.inboundResponse(frame(id, 0, response{hops: 3}))
+	if r := <-single; r.hops != 3 {
+		t.Fatalf("the final after a stray partial brought hops=%d, want 3", r.hops)
+	}
+
+	// An origin collector with one branch out: the final announces two
+	// partials, one of which has overtaken it.
+	reply := make(chan response, 1)
+	coll := &collector{reply: reply, pending: 1}
+	origin := acquireCorr(&n.corr, corrEntry{node: anyNode, coll: coll})
+	coll.origin = wireDest{n: n, node: n.self, corr: origin}
+	branch := acquireCorr(&n.corr, corrEntry{node: daemon.net.self, coll: coll})
+	n.inboundResponse(frame(origin, msgFlagPartial, response{items: chunk(30, 31)}))
+	n.inboundResponse(frame(branch, 0, response{parts: 2, hops: 7}))
+	if len(reply) != 0 {
+		t.Fatal("collector completed with an announced partial still missing")
+	}
+	n.inboundResponse(frame(origin, msgFlagPartial, response{items: chunk(10, 11)}))
+	r := <-reply
+	checkExactItems(t, r.items, []keyspace.Key{10, 11, 30, 31}, "stitched answer")
+	if r.hops != 7 || r.err != nil {
+		t.Fatalf("stitched answer: hops=%d err=%v", r.hops, r.err)
+	}
+	// The query is over: its origin entry is released, and a straggler —
+	// even one that raced the release — changes nothing.
+	n.inboundResponse(frame(origin, msgFlagPartial, response{items: chunk(50)}))
+	coll.fromWire(response{items: chunk(51)}, false)
+	if len(reply) != 0 {
+		t.Fatal("a partial after completion produced a second answer")
+	}
+
+	// A final announcing an absurd number of partials is a malformed frame:
+	// the branch ends with an error instead of parking the collector on a
+	// count nothing will ever meet.
+	reply2 := make(chan response, 1)
+	coll2 := &collector{reply: reply2, pending: 1}
+	branch2 := acquireCorr(&n.corr, corrEntry{node: daemon.net.self, coll: coll2})
+	n.inboundResponse(frame(branch2, 0, response{parts: maxParts + 1}))
+	if r := <-reply2; !errors.Is(r.err, ErrUnreachable) {
+		t.Fatalf("absurd partial count: err=%v, want ErrUnreachable", r.err)
+	}
+
+	n.corr.mu.Lock()
+	left := len(n.corr.m)
+	n.corr.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d correlation entries left behind", left)
+	}
+}
+
+// TestWireFilteredScatterFiltersRemoteBranches: the pushdown predicate of a
+// parallel query travels with its scatter sub-requests, so branches on
+// other nodes filter too.
+func TestWireFilteredScatterFiltersRemoteBranches(t *testing.T) {
+	head, daemon, keys := wirePair(t, 6, 6, 2000, 13)
+	all := uniqueSortedKeys(keys)
+	rng := rand.New(rand.NewSource(13))
+	pick := make([]keyspace.Key, 0, 200)
+	for _, i := range rng.Perm(len(all))[:200] {
+		pick = append(pick, all[i])
+	}
+	sort.Slice(pick, func(i, j int) bool { return pick[i] < pick[j] })
+	for _, c := range []*Cluster{head, daemon} {
+		it, err := c.RangeIterFiltered(c.PeerIDs()[0], c.Domain(), &query.Pred{Keys: pick})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []store.Item
+		for it.Next() {
+			got = append(got, it.Item())
+		}
+		it.Close()
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
+		checkExactItems(t, got, pick, "filtered scatter")
+	}
+}

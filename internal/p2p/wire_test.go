@@ -10,6 +10,7 @@ import (
 	"baton/internal/keyspace"
 	"baton/internal/query"
 	"baton/internal/store"
+	"baton/internal/transport"
 )
 
 // goldenRequests builds one representative request per kind — every field
@@ -35,12 +36,13 @@ func goldenRequests() map[kind]request {
 		kindPut:    {kind: kindPut, key: 43, value: []byte("v"), hops: 1, epoch: 9},
 		kindDelete: {kind: kindDelete, key: 44, hops: 2, visited: map[core.PeerID]bool{1: true}},
 		kindRange: {kind: kindRange, key: 50, rng: keyspace.Range{Lower: 50, Upper: 99},
-			hops: 4, par: true, acc: items, visited: visited},
-		kindRangeScatter: {kind: kindRangeScatter, key: 60, rng: keyspace.Range{Lower: 60, Upper: 80}, hops: 5},
-		kindBulkGet:      {kind: kindBulkGet, bulk: items, hops: 1},
-		kindBulkPut:      {kind: kindBulkPut, bulk: items, hops: 1},
-		kindBulkDelete:   {kind: kindBulkDelete, bulk: []store.Item{{Key: 77}}, hops: 2},
-		kindJoinLocate:   {kind: kindJoinLocate, key: 3, hops: 6, visited: visited},
+			hops: 4, par: true, visited: visited, onode: 3, ocorr: 77, parts: 5, shipped: 1200},
+		kindRangeScatter: {kind: kindRangeScatter, key: 60, rng: keyspace.Range{Lower: 60, Upper: 80}, hops: 5,
+			onode: 1, ocorr: 78, pred: pred},
+		kindBulkGet:    {kind: kindBulkGet, bulk: items, hops: 1},
+		kindBulkPut:    {kind: kindBulkPut, bulk: items, hops: 1},
+		kindBulkDelete: {kind: kindBulkDelete, bulk: []store.Item{{Key: 77}}, hops: 2},
+		kindJoinLocate: {kind: kindJoinLocate, key: 3, hops: 6, visited: visited},
 		kindFindReplacement: {kind: kindFindReplacement, key: 4, hops: 7,
 			visited: map[core.PeerID]bool{12: true}},
 		kindUpdate: {kind: kindUpdate, state: st, gains: []keyspace.Range{{Lower: 1, Upper: 2}},
@@ -59,7 +61,7 @@ func goldenRequests() map[kind]request {
 		kindReplicaDump:   {kind: kindReplicaDump, hops: 1},
 		kindGetPred:       {kind: kindGetPred, key: 45, hops: 1, epoch: 3, pred: pred, visited: visited},
 		kindRangePred: {kind: kindRangePred, key: 51, rng: keyspace.Range{Lower: 51, Upper: 90},
-			hops: 2, acc: items, pred: pred},
+			hops: 2, pred: pred, onode: 2, ocorr: 79, parts: 1, shipped: 7},
 	}
 }
 
@@ -89,7 +91,9 @@ func TestWireRequestRoundTripEveryKind(t *testing.T) {
 	}
 }
 
-func TestWireResponseRoundTrip(t *testing.T) {
+// goldenResponses covers every response field, each error code and the
+// nil-versus-empty distinctions the codec must keep.
+func goldenResponses() []response {
 	items := []store.Item{{Key: 1, Value: []byte("a")}, {Key: 2, Value: nil}}
 	snap := &core.PeerSnapshot{
 		ID: 4, Position: core.Position{Level: 2, Number: 3},
@@ -99,7 +103,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		LeftRouting:  []core.PeerID{2, core.NoPeer},
 		RightRouting: []core.PeerID{6},
 	}
-	cases := []response{
+	return []response{
 		{},
 		{value: []byte("v"), found: true, hops: 3},
 		{value: []byte{}, hops: 1}, // empty ≠ nil must survive
@@ -115,8 +119,13 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		{replicaSets: map[core.PeerID][]store.Item{5: items, 6: nil}, hops: 2},
 		{err: ErrUnreachable}, {err: ErrStopped}, {err: ErrUnknownPeer},
 		{err: ErrReplicaLost}, {err: fmt.Errorf("wrapped: %w", ErrOwnerDown)},
+		{parts: 13, hops: 6}, // a branch's final: counts only
+		{items: items, parts: 2, hops: 4, err: errors.New("opaque")}, // a serial chain's, with its last chunk
 	}
-	for i, want := range cases {
+}
+
+func TestWireResponseRoundTrip(t *testing.T) {
+	for i, want := range goldenResponses() {
 		payload := encodeResponse(nil, &want)
 		got, err := decodeResponse(payload)
 		if err != nil {
@@ -125,6 +134,63 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		if !responsesEqual(got, want) {
 			t.Errorf("case %d: round-trip mismatch\n got %+v\nwant %+v", i, got, want)
 		}
+	}
+}
+
+// TestWireFramesAreSizedOnce pins the one-buffer-per-frame contract: for
+// every golden request and response, and a 10 000-item range chunk, the
+// size bound holds (the encoding ends inside the buffer it started in),
+// wastes under 128 bytes, and sizing + allocating + encoding costs exactly
+// one allocation — the frame.
+func TestWireFramesAreSizedOnce(t *testing.T) {
+	check := func(name string, encode func() (buf, out []byte)) {
+		t.Helper()
+		buf, out := encode()
+		if len(out) > cap(buf) || &out[0] != &buf[:1][0] {
+			t.Errorf("%s: encoding outgrew its buffer: %d bytes into capacity %d", name, len(out), cap(buf))
+			return
+		}
+		if slack := cap(buf) - len(out); slack >= 128 {
+			t.Errorf("%s: %d bytes of slack in a %d-byte frame", name, slack, len(out))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { encode() }); allocs != 1 {
+			t.Errorf("%s: %.0f allocations per frame, want 1", name, allocs)
+		}
+	}
+	for k, req := range goldenRequests() {
+		req := req
+		check(k.String(), func() ([]byte, []byte) {
+			buf := transport.NewFrame(requestSize(&req))
+			return buf, encodeRequest(buf, &req)
+		})
+	}
+	big := make([]store.Item, 10000)
+	for i := range big {
+		big[i] = store.Item{Key: keyspace.Key(2 * i), Value: []byte("0123456789abcdef")}
+	}
+	for i, resp := range append(goldenResponses(), response{items: big, hops: 3}) {
+		resp := resp
+		check(fmt.Sprintf("response %d", i), func() ([]byte, []byte) {
+			buf := transport.NewFrame(responseSize(&resp))
+			return buf, encodeResponse(buf, &resp)
+		})
+	}
+}
+
+// TestWireDecodeRejectsAbsurdPartCount: a final announcing more partials
+// than any sane sub-tree could have sent is a malformed frame, not a count
+// for a collector to wait on.
+func TestWireDecodeRejectsAbsurdPartCount(t *testing.T) {
+	if _, err := decodeResponse(encodeResponse(nil, &response{parts: maxParts})); err != nil {
+		t.Fatalf("parts = maxParts rejected: %v", err)
+	}
+	if _, err := decodeResponse(encodeResponse(nil, &response{parts: maxParts + 1})); err == nil {
+		t.Fatal("parts > maxParts decoded successfully")
+	}
+	req := goldenRequests()[kindRange]
+	req.parts = maxParts + 1
+	if _, err := decodeRequest(encodeRequest(nil, &req)); err == nil {
+		t.Fatal("request with parts > maxParts decoded successfully")
 	}
 }
 
@@ -233,6 +299,9 @@ func FuzzDecodeRequest(f *testing.F) {
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add(encodeResponse(nil, &response{value: []byte("v"), found: true, hops: 1}))
 	f.Add(encodeResponse(nil, &response{err: ErrOwnerDown, items: []store.Item{{Key: 1}}}))
+	f.Add(encodeResponse(nil, &response{parts: 13, hops: 6}))
+	f.Add(encodeResponse(nil, &response{items: []store.Item{{Key: 4, Value: []byte("chunk")}}})) // what a partial frame carries
+	f.Add(encodeResponse(nil, &response{parts: maxParts + 1}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := decodeResponse(data)

@@ -13,6 +13,10 @@ import (
 const (
 	frameHeader = 8 + 8 + 4 + 1 + 1
 
+	// FrameReserve is the room a frame built in place keeps in front of its
+	// payload: the length prefix and the header (see NewFrame).
+	FrameReserve = 4 + frameHeader
+
 	// DefaultMaxFrame bounds a single frame (bulk handoffs carry whole key
 	// ranges, so this is generous). A peer announcing a larger frame is
 	// protocol-broken and the connection is dropped rather than trusted
@@ -32,13 +36,30 @@ var (
 // AppendFrame appends m encoded as one frame to dst and returns the
 // extended slice.
 func AppendFrame(dst []byte, m *Msg) []byte {
-	n := frameHeader + len(m.Payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint64(dst, m.To)
-	dst = binary.LittleEndian.AppendUint64(dst, m.Corr)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Origin))
-	dst = append(dst, m.Kind, m.Flags)
-	return append(dst, m.Payload...)
+	at := len(dst)
+	dst = append(dst, make([]byte, FrameReserve)...)
+	dst = append(dst, m.Payload...)
+	putHeader(dst[at:], m)
+	return dst
+}
+
+// NewFrame starts a frame built in place: the returned slice holds the
+// reserved header room and has capacity for a payload of n bytes. The caller
+// appends the payload — never past n, or the append reallocates and the
+// point is lost — and hands the slice to (*TCP).SendFrame, which fills the
+// header in and queues these very bytes: no copy between encoder and socket.
+func NewFrame(n int) []byte {
+	return make([]byte, FrameReserve, FrameReserve+n)
+}
+
+// putHeader fills frame's first FrameReserve bytes from m; everything after
+// them is the payload.
+func putHeader(frame []byte, m *Msg) {
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(frame)-4))
+	binary.LittleEndian.PutUint64(frame[4:], m.To)
+	binary.LittleEndian.PutUint64(frame[12:], m.Corr)
+	binary.LittleEndian.PutUint32(frame[20:], uint32(m.Origin))
+	frame[24], frame[25] = m.Kind, m.Flags
 }
 
 // ReadFrame reads one frame from r. maxFrame bounds the announced length
@@ -46,33 +67,46 @@ func AppendFrame(dst []byte, m *Msg) []byte {
 // error without allocating more than the limit. The returned Msg's Payload
 // aliases a fresh buffer owned by the caller.
 func ReadFrame(r io.Reader, maxFrame int) (*Msg, error) {
+	var hdr [FrameReserve]byte
+	m := new(Msg)
+	if err := readFrame(r, maxFrame, &hdr, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// readFrame is ReadFrame into memory the caller owns — hdr is scratch for
+// the length prefix and header, m is overwritten — so that a connection's
+// reader allocates nothing per frame but the payload.
+func readFrame(r io.Reader, maxFrame int, hdr *[FrameReserve]byte, m *Msg) error {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return err
 	}
-	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n < frameHeader {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTruncated, n)
+		return fmt.Errorf("%w: %d bytes", ErrFrameTruncated, n)
 	}
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return err
 	}
-	m := &Msg{
-		To:     binary.LittleEndian.Uint64(buf[0:]),
-		Corr:   binary.LittleEndian.Uint64(buf[8:]),
-		Origin: NodeID(binary.LittleEndian.Uint32(buf[16:])),
-		Kind:   buf[20],
-		Flags:  buf[21],
+	*m = Msg{
+		To:     binary.LittleEndian.Uint64(hdr[4:]),
+		Corr:   binary.LittleEndian.Uint64(hdr[12:]),
+		Origin: NodeID(binary.LittleEndian.Uint32(hdr[20:])),
+		Kind:   hdr[24],
+		Flags:  hdr[25],
 	}
 	if n > frameHeader {
-		m.Payload = buf[frameHeader:]
+		m.Payload = make([]byte, n-frameHeader)
+		if _, err := io.ReadFull(r, m.Payload); err != nil {
+			return err
+		}
 	}
-	return m, nil
+	return nil
 }

@@ -24,10 +24,29 @@ type TCP struct {
 	stopped atomic.Bool
 	wg      sync.WaitGroup
 
+	// Frame and byte counts since Listen, bumped by the reader and writer
+	// loops; see Stats.
+	framesIn, framesOut, bytesIn, bytesOut atomic.Uint64
+
 	mu      sync.Mutex
 	conns   map[NodeID]*tcpConn
 	addrs   map[NodeID]string
 	dialing map[NodeID]bool
+}
+
+// Stats counts the frames and bytes (length prefixes and headers included)
+// a TCP transport has read from and written to its sockets.
+type Stats struct {
+	FramesIn, FramesOut uint64
+	BytesIn, BytesOut   uint64
+}
+
+// Stats reads the transport's frame and byte counters.
+func (t *TCP) Stats() Stats {
+	return Stats{
+		FramesIn: t.framesIn.Load(), FramesOut: t.framesOut.Load(),
+		BytesIn: t.bytesIn.Load(), BytesOut: t.bytesOut.Load(),
+	}
 }
 
 // Config parameterizes a TCP transport.
@@ -138,7 +157,7 @@ func (t *TCP) dial(addr string) (NodeID, error) {
 	if t.Self() == 0 {
 		t.self.Store(uint32(assigned))
 	}
-	t.register(server, nc, addr, true)
+	t.register(server, nc, addr, true, nil)
 	return server, nil
 }
 
@@ -174,18 +193,23 @@ func (t *TCP) handshakeServer(nc net.Conn) {
 	ack := &Msg{Kind: kindHelloAck, Origin: t.Self()}
 	ack.Payload = binary.LittleEndian.AppendUint32(
 		binary.LittleEndian.AppendUint32(nil, uint32(id)), uint32(t.Self()))
-	if _, err := nc.Write(AppendFrame(nil, ack)); err != nil {
-		nc.Close()
-		return
-	}
 	_ = nc.SetDeadline(time.Time{})
-	t.register(id, nc, addr, false)
+	// The ack goes out as the registered connection's first frame, not
+	// before registering: when the dialer's Dial returns, this side can
+	// already send to it. Registered after the ack, a node answering the
+	// dialer's first request by another route would find no connection,
+	// dial back, and the two connections would replace each other.
+	t.register(id, nc, addr, false, AppendFrame(nil, ack))
 }
 
 // register installs nc as the connection to peer, replacing (and closing)
-// any previous one, and starts its reader and writer goroutines.
-func (t *TCP) register(peer NodeID, nc net.Conn, addr string, dialer bool) {
+// any previous one, and starts its reader and writer goroutines; first, if
+// non-nil, is written ahead of every queued frame.
+func (t *TCP) register(peer NodeID, nc net.Conn, addr string, dialer bool, first []byte) {
 	c := &tcpConn{t: t, peer: peer, nc: nc, dialer: dialer, addr: addr, wake: make(chan struct{}, 1)}
+	if first != nil {
+		c.out = [][]byte{first}
+	}
 	t.mu.Lock()
 	if t.stopped.Load() {
 		t.mu.Unlock()
@@ -212,8 +236,31 @@ func (t *TCP) register(peer NodeID, nc net.Conn, addr string, dialer bool) {
 // address is known, Send dials it synchronously once (later failures are
 // the caller's cue to fail over, exactly as with a local dead peer).
 func (t *TCP) Send(to NodeID, m *Msg) bool {
-	if t.stopped.Load() {
+	return t.SendFrame(to, m, append(NewFrame(len(m.Payload)), m.Payload...))
+}
+
+// SendFrame is Send for a frame built in place (NewFrame): the payload is
+// frame[FrameReserve:], m supplies the header and m.Payload is ignored. The
+// transport owns frame from here on, sent or not.
+func (t *TCP) SendFrame(to NodeID, m *Msg, frame []byte) bool {
+	c := t.conn(to)
+	if c == nil {
 		return false
+	}
+	putHeader(frame, m)
+	return c.enqueue(frame)
+}
+
+// Connect reports whether a connection to node `to` exists, dialing it
+// first under Send's rules when none does.
+func (t *TCP) Connect(to NodeID) bool { return t.conn(to) != nil }
+
+// conn returns the registered connection to node `to`; with none, and the
+// node's address known, it dials synchronously — unless another caller's
+// dial is in progress, which refuses this one. Nil means no frame can go.
+func (t *TCP) conn(to NodeID) *tcpConn {
+	if t.stopped.Load() {
+		return nil
 	}
 	t.mu.Lock()
 	c := t.conns[to]
@@ -229,14 +276,11 @@ func (t *TCP) Send(to NodeID, m *Msg) bool {
 		delete(t.dialing, to)
 		c = t.conns[to]
 		t.mu.Unlock()
-		if err != nil || c == nil {
-			return false
+		if err != nil {
+			return nil
 		}
 	}
-	if c == nil {
-		return false
-	}
-	return c.enqueue(AppendFrame(nil, m))
+	return c
 }
 
 // Peers lists the nodes currently connected.
@@ -282,6 +326,7 @@ type tcpConn struct {
 
 	mu     sync.Mutex
 	out    [][]byte
+	spare  [][]byte // the queue the writer drained last, emptied, for reuse
 	closed bool
 }
 
@@ -366,14 +411,19 @@ func (t *TCP) reconnect(peer NodeID, addr string) {
 func (c *tcpConn) readLoop() {
 	defer c.t.wg.Done()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	// One header scratch and one Msg per connection, reused for every frame
+	// (see Handler): a frame costs its payload's allocation and no other.
+	var hdr [FrameReserve]byte
+	var m Msg
 	for {
-		m, err := ReadFrame(br, c.t.cfg.MaxFrame)
-		if err != nil {
+		if err := readFrame(br, c.t.cfg.MaxFrame, &hdr, &m); err != nil {
 			c.drop()
 			return
 		}
+		c.t.framesIn.Add(1)
+		c.t.bytesIn.Add(uint64(FrameReserve + len(m.Payload)))
 		if h := c.t.cfg.Handler; h != nil && m.Kind < kindHelloAck {
-			h(c.peer, m)
+			h(c.peer, &m)
 		}
 	}
 }
@@ -384,10 +434,14 @@ func (c *tcpConn) writeLoop() {
 	for {
 		c.mu.Lock()
 		q := c.out
-		c.out = nil
+		c.out, c.spare = c.spare, nil
 		closed := c.closed
 		c.mu.Unlock()
 		for _, frame := range q {
+			// Counted before the write, so that a frame the far side has
+			// read is one Stats has seen.
+			c.t.framesOut.Add(1)
+			c.t.bytesOut.Add(uint64(len(frame)))
 			if _, err := bw.Write(frame); err != nil {
 				c.drop()
 				return
@@ -398,6 +452,10 @@ func (c *tcpConn) writeLoop() {
 				c.drop()
 				return
 			}
+			clear(q) // the frames are written: let go of them
+			c.mu.Lock()
+			c.spare = q[:0]
+			c.mu.Unlock()
 			continue // re-check the queue before blocking
 		}
 		if closed {

@@ -54,7 +54,8 @@ func newSink() *sink {
 
 func (s *sink) handler(from NodeID, m *Msg) {
 	s.mu.Lock()
-	s.got = append(s.got, m)
+	cp := *m // the Msg is the reader's; only the payload is ours to keep
+	s.got = append(s.got, &cp)
 	s.from = append(s.from, from)
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -21,16 +21,29 @@
 //
 //   - Corr == 0 means fire-and-forget: no response frame may be sent for it.
 //   - Corr != 0 obliges whichever node finally serves the request to send
-//     exactly one response frame addressed to Msg.Origin carrying the same
-//     Corr. Intermediate nodes that forward the request forward Origin and
-//     Corr verbatim — the response does not retrace the request's route.
+//     exactly one *final* response frame addressed to Msg.Origin carrying
+//     the same Corr. Intermediate nodes that forward the request forward
+//     Origin and Corr verbatim — the response does not retrace the
+//     request's route.
 //   - The origin keeps a table mapping Corr to a completion (a channel send,
-//     a range-collector contribution, ...). The table entry is released when
-//     the response arrives, when the connection that the request left on
+//     a range collector's branch, ...). The table entry is released when
+//     the final arrives, when the connection that the request left on
 //     drops (completed with the owner-down error so retry layers see the
 //     exact failure they already handle), or when the node stops.
 //   - A response for a released Corr is dropped silently; late duplicates
 //     are harmless.
+//   - A query whose answer many nodes contribute to may also name, in its
+//     payload, a second correlation of the origin's that takes *partial*
+//     response frames (the p2p layer marks them with a bit in Msg.Flags):
+//     zero or more per contributor, each completing nothing. Who counts
+//     what: a sender counts the partials it actually handed to Send — a
+//     refused one is not counted — and the count travels with the finals;
+//     the origin counts arrivals and is done when every final is in and the
+//     two counts agree. Partials and finals ride different connections, so
+//     their arrival order means nothing. The origin releases that entry
+//     itself; a dropped connection — any, since finals say how many
+//     partials were sent, not by whom — ends the query with the owner-down
+//     error and what has arrived.
 //
 // Transports deliver frames at most once, in order per connection, and never
 // block the sender: Send either enqueues and returns true or returns false
@@ -55,7 +68,10 @@ type Msg struct {
 }
 
 // Handler receives every inbound frame. It runs on the connection's reader
-// goroutine and must not block: hand long work to another goroutine.
+// goroutine and must not block: hand long work to another goroutine. The Msg
+// is the reader's and is overwritten by the next frame — copy what must
+// outlive the call; its Payload is a fresh buffer per frame and the
+// handler's to keep.
 type Handler func(from NodeID, m *Msg)
 
 // Transport moves frames between nodes.
