@@ -25,6 +25,7 @@ type counterLine struct {
 // method is safe for concurrent use by any goroutine.
 type PeerMetrics struct {
 	delivered []counterLine // one padded counter per message kind
+	inline    []atomic.Int64
 	spilled   []atomic.Int64
 	refused   []atomic.Int64
 
@@ -41,14 +42,22 @@ type PeerMetrics struct {
 func NewPeerMetrics(nkinds int) *PeerMetrics {
 	return &PeerMetrics{
 		delivered: make([]counterLine, nkinds),
+		inline:    make([]atomic.Int64, nkinds),
 		spilled:   make([]atomic.Int64, nkinds),
 		refused:   make([]atomic.Int64, nkinds),
 	}
 }
 
-// Delivered counts one message of the given kind accepted into the
-// peer's inbox or spill queue.
+// Delivered counts one message of the given kind accepted by the peer:
+// run inline on the sender's goroutine, or queued in its inbox or spill
+// queue. delivered = inline + queued.
 func (m *PeerMetrics) Delivered(kind int) { m.delivered[kind].n.Add(1) }
+
+// Inline counts one message of the given kind that found the peer idle
+// and ran to completion on the delivering goroutine (it is also counted
+// as delivered). Its queue wait is recorded as 0, and the handle time of
+// the hop that delivered it includes its own.
+func (m *PeerMetrics) Inline(kind int) { m.inline[kind].Add(1) }
 
 // Spilled counts one message of the given kind that overflowed the inbox
 // into the spill queue (it is also counted as delivered).
@@ -76,11 +85,13 @@ func (m *PeerMetrics) SetSpillDepth(n int64) {
 }
 
 // ObserveQueueWait records how long one message sat queued (inbox or
-// spill) before handling began, in nanoseconds.
+// spill) before handling began, in nanoseconds; 0 for a message run
+// inline.
 func (m *PeerMetrics) ObserveQueueWait(ns int64) { m.queueWait.Observe(ns) }
 
 // ObserveHandle records how long handling one message took, in
-// nanoseconds (forwarding included — it is work this peer performed).
+// nanoseconds (forwarding included — it is work this peer performed —
+// and so is every later hop the forward ran inline).
 func (m *PeerMetrics) ObserveHandle(ns int64) { m.handleTime.Observe(ns) }
 
 // ObserveSpillDrain records how long a spill batch waited between the
@@ -97,20 +108,21 @@ func (m *PeerMetrics) Absorb(o *PeerMetrics) {
 			m.delivered[i].n.Add(n)
 		}
 	}
-	for i := range o.spilled {
-		if n := o.spilled[i].Load(); n != 0 {
-			m.spilled[i].Add(n)
-		}
-	}
-	for i := range o.refused {
-		if n := o.refused[i].Load(); n != 0 {
-			m.refused[i].Add(n)
-		}
-	}
+	absorbCounts(m.inline, o.inline)
+	absorbCounts(m.spilled, o.spilled)
+	absorbCounts(m.refused, o.refused)
 	m.stale.Add(o.stale.Load())
 	absorbHist(&m.queueWait, &o.queueWait)
 	absorbHist(&m.handleTime, &o.handleTime)
 	absorbHist(&m.spillDrain, &o.spillDrain)
+}
+
+func absorbCounts(dst, src []atomic.Int64) {
+	for i := range src {
+		if n := src[i].Load(); n != 0 {
+			dst[i].Add(n)
+		}
+	}
 }
 
 func absorbHist(dst, src *Histogram) {
@@ -128,6 +140,7 @@ func absorbHist(dst, src *Histogram) {
 type PeerSnapshot struct {
 	Peer           int64            `json:"peer"`
 	Delivered      map[string]int64 `json:"delivered,omitempty"`
+	Inline         map[string]int64 `json:"inline,omitempty"`
 	Spilled        map[string]int64 `json:"spilled,omitempty"`
 	Refused        map[string]int64 `json:"refused,omitempty"`
 	StaleRoutes    int64            `json:"stale_routes,omitempty"`
@@ -151,6 +164,9 @@ func (m *PeerMetrics) Snapshot(peer int64, kindName func(int) string) PeerSnapsh
 		QueueWait:      m.queueWait.Snapshot(),
 		HandleTime:     m.handleTime.Snapshot(),
 		SpillDrain:     m.spillDrain.Snapshot(),
+		Inline:         countMap(m.inline, kindName),
+		Spilled:        countMap(m.spilled, kindName),
+		Refused:        countMap(m.refused, kindName),
 	}
 	for i := range m.delivered {
 		if n := m.delivered[i].n.Load(); n != 0 {
@@ -160,23 +176,22 @@ func (m *PeerMetrics) Snapshot(peer int64, kindName func(int) string) PeerSnapsh
 			s.Delivered[kindName(i)] = n
 		}
 	}
-	for i := range m.spilled {
-		if n := m.spilled[i].Load(); n != 0 {
-			if s.Spilled == nil {
-				s.Spilled = make(map[string]int64, 4)
-			}
-			s.Spilled[kindName(i)] = n
-		}
-	}
-	for i := range m.refused {
-		if n := m.refused[i].Load(); n != 0 {
-			if s.Refused == nil {
-				s.Refused = make(map[string]int64, 4)
-			}
-			s.Refused[kindName(i)] = n
-		}
-	}
 	return s
+}
+
+// countMap names the non-zero counters of a per-kind array; nil when all
+// are zero.
+func countMap(counts []atomic.Int64, kindName func(int) string) map[string]int64 {
+	var out map[string]int64
+	for i := range counts {
+		if n := counts[i].Load(); n != 0 {
+			if out == nil {
+				out = make(map[string]int64, 4)
+			}
+			out[kindName(i)] = n
+		}
+	}
+	return out
 }
 
 // ClusterMetrics aggregates every peer's snapshot plus the totals of
@@ -187,6 +202,7 @@ type ClusterMetrics struct {
 	Peers []PeerSnapshot `json:"peers"`
 
 	Delivered   map[string]int64 `json:"delivered,omitempty"`
+	Inline      map[string]int64 `json:"inline,omitempty"`
 	Spilled     map[string]int64 `json:"spilled,omitempty"`
 	Refused     map[string]int64 `json:"refused,omitempty"`
 	StaleRoutes int64            `json:"stale_routes"`
@@ -234,6 +250,7 @@ func BuildClusterMetrics(peers []PeerSnapshot, retired PeerSnapshot) ClusterMetr
 	}
 	fold := func(s PeerSnapshot) {
 		add(&cm.Delivered, s.Delivered)
+		add(&cm.Inline, s.Inline)
 		add(&cm.Spilled, s.Spilled)
 		add(&cm.Refused, s.Refused)
 		cm.StaleRoutes += s.StaleRoutes

@@ -6,7 +6,9 @@ import (
 )
 
 // Hop is one step of a traced request: which peer handled it, as what
-// kind, at which tree level, and what it cost there.
+// kind, at which tree level, and what it cost there. A hop that ran
+// inline on the previous hop's goroutine (the target was idle) has
+// QueueWaitNs 0, and that previous hop's HandleNs includes it.
 type Hop struct {
 	Peer        int64  `json:"peer"`
 	Kind        string `json:"kind"`

@@ -30,6 +30,13 @@ func withTimeout(t *testing.T, d time.Duration, name string, fn func()) {
 	}
 }
 
+// enqueue puts req straight into p's inbox, as deliverTo's queueing lane
+// does, counting it in p.busy so "busy ≥ queued requests" holds here too.
+func enqueue(p *peer, req request) {
+	p.busy.Add(1)
+	p.inbox <- req
+}
+
 // TestKilledPeerAnswersQueuedRequests is the regression test for the
 // dead-peer request drop: a request already sitting in a peer's inbox when
 // the peer is killed must be answered with ErrOwnerDown, not silently
@@ -46,7 +53,7 @@ func TestKilledPeerAnswersQueuedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := request{kind: kindGet, key: keys[0], reply: make(chan response, 1)}
-	victim.inbox <- req
+	enqueue(victim, req)
 
 	withTimeout(t, 5*time.Second, "queued request at killed peer", func() {
 		resp := <-req.reply
@@ -69,7 +76,7 @@ func TestQueuedScatterAtKilledPeerDoesNotHang(t *testing.T) {
 	}
 	coll := &collector{reply: make(chan response, 1)}
 	coll.grow(1)
-	victim.inbox <- request{kind: kindRangeScatter, rng: victim.rng, coll: coll}
+	enqueue(victim, request{kind: kindRangeScatter, rng: victim.rng, coll: coll})
 	withTimeout(t, 5*time.Second, "scatter at killed peer", func() {
 		resp := <-coll.reply
 		if !errors.Is(resp.err, ErrOwnerDown) {

@@ -523,7 +523,7 @@ func buildState(ns core.PeerSnapshot, next map[core.PeerID]core.PeerSnapshot) *p
 }
 
 // installState adopts a peerState; called either at spawn (before the peer
-// goroutine starts) or from the peer's own goroutine (applyUpdate).
+// goroutine starts) or under the peer's token (applyUpdate).
 func (p *peer) installState(st *peerState) {
 	p.pos = st.pos
 	p.rng = st.rng
@@ -588,7 +588,7 @@ func statesEqual(a, b core.PeerSnapshot) bool {
 	return true
 }
 
-// applyUpdate runs in the peer's goroutine and executes one kindUpdate:
+// applyUpdate runs under the peer's token and executes one kindUpdate:
 // adopt the new structural state, start buffering gained regions, extract
 // and hand off moved regions, and/or become a forwarding tombstone.
 func (c *Cluster) applyUpdate(p *peer, req request) {
@@ -632,7 +632,7 @@ func (c *Cluster) applyUpdate(p *peer, req request) {
 	c.replayHeld(p)
 }
 
-// applyHandoff runs in the peer's goroutine: absorb the migrated items,
+// applyHandoff runs under the peer's token: absorb the migrated items,
 // retire the matching pending region, acknowledge to the coordinator and
 // replay everything that was buffered while the region was in flight.
 func (c *Cluster) applyHandoff(p *peer, req request) {
@@ -674,7 +674,7 @@ func (c *Cluster) replayHeld(p *peer) {
 	}
 }
 
-// snapshot exports the peer's protocol state; runs in the peer goroutine.
+// snapshot exports the peer's protocol state; runs under the peer's token.
 func (p *peer) snapshot() *core.PeerSnapshot {
 	linkID := func(l *link) core.PeerID {
 		if l == nil {

@@ -360,7 +360,8 @@ func (n *netLayer) onPeerDown(node transport.NodeID) {
 
 // handleMsg is the transport inbound dispatch. It runs on connection
 // reader goroutines and must not block; everything potentially slow is
-// queued to the ctl worker or a peer inbox.
+// queued to the ctl worker or a peer inbox. A request to an idle peer runs
+// inline on the reader (deliverTo); one whose handler might block queues.
 func (n *netLayer) handleMsg(from transport.NodeID, m *transport.Msg) {
 	switch wireKind(m.Kind) {
 	case msgRequest:
@@ -1228,6 +1229,13 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 	})
 	c.states = make(map[core.PeerID]core.PeerSnapshot)
 	n.attach(c)
+	// Know the overlay before hosting a share of it: a peer spawned into the
+	// empty topology (hop cap 0) refuses its own handoff, and the head's
+	// topology push can queue behind this node's join on its control worker.
+	if err := c.waitTopo(10 * time.Second); err != nil {
+		c.Stop()
+		return nil, err
+	}
 	if hostPeers > 0 {
 		rep, err := n.rpc(head, ctlJoin, appendU32(nil, uint32(hostPeers)))
 		if err != nil {
@@ -1239,10 +1247,6 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 			c.Stop()
 			return nil, fmt.Errorf("p2p: seed joined %d of %d requested peers", joined, hostPeers)
 		}
-	}
-	if err := c.waitTopo(10 * time.Second); err != nil {
-		c.Stop()
-		return nil, err
 	}
 	// The nodes that joined earlier have not heard of this one — their next
 	// topology broadcast may be far off — and could not dial it to hand a

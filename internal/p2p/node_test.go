@@ -113,6 +113,51 @@ func auditPair(t *testing.T, head *Cluster) {
 	}
 }
 
+// TestWireJoinRemoteServesAtOnce queries right after JoinRemote returns, as
+// batonsim's tcp scenarios do, without waiting for the daemon to converge: a
+// full-domain serial walk must return every preloaded item. A daemon that
+// hosted peers before it had any topology (hop cap 0) refused the handoff
+// of the first peer it hosted whenever the head's topology push queued
+// behind the join, losing that range's items and holding every later
+// request for it forever.
+func TestWireJoinRemoteServesAtOnce(t *testing.T) {
+	for round := int64(0); round < 10; round++ {
+		nw := core.NewNetwork(core.Config{Seed: round})
+		rng := rand.New(rand.NewSource(round))
+		for nw.Size() < 8 {
+			ids := nw.PeerIDs()
+			if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := map[keyspace.Key]bool{}
+		for len(want) < 1500 {
+			k := keyspace.Key(1 + rng.Int63n(999_999_998))
+			want[k] = true
+			if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		head, err := NewClusterListen(nw, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		daemon, err := JoinRemote(head.Addr(), 8)
+		if err != nil {
+			head.Stop()
+			t.Fatal(err)
+		}
+		withTimeout(t, 10*time.Second, "full-domain walk right after JoinRemote", func() {
+			items, _, err := head.RangeSerial(head.PeerIDs()[0], head.Domain())
+			if err != nil || len(items) != len(want) {
+				t.Errorf("round %d: walk returned %d of %d items, err %v", round, len(items), len(want), err)
+			}
+		})
+		daemon.Stop()
+		head.Stop()
+	}
+}
+
 // TestWireClusterEndToEnd drives the full data-plane API through both
 // processes of a loopback-TCP overlay: singleton gets through vias on
 // either side (routes cross the wire whenever the chain crosses a process

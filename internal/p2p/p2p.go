@@ -1,6 +1,8 @@
 // Package p2p runs a BATON overlay as a set of live, concurrently executing
 // peers: every peer is a goroutine with an inbox, requests travel between
 // peers as messages, and clients issue queries against any peer they know.
+// A message to an idle peer runs to completion on the sender's goroutine
+// instead of waking the peer's (see deliverTo); it is still one message.
 //
 // The message-counting simulator in internal/core is what reproduces the
 // paper's figures (operations there are serialised, exactly like the
@@ -95,10 +97,11 @@
 // # Concurrency contract
 //
 // Every exported method of Cluster is safe for concurrent use by any number
-// of goroutines. A peer's protocol state is touched only by that peer's own
-// goroutine — structural updates arrive as messages, like everything else —
-// so request handling needs no per-item locking. Calls never block
-// indefinitely:
+// of goroutines. A peer's protocol state is touched only by whoever holds
+// the peer's run token — its serving goroutine, or a sender that found the
+// peer idle and runs the request inline — and structural updates arrive as
+// messages, like everything else, so request handling needs no per-item
+// locking. Calls never block indefinitely:
 //
 //   - A request addressed to (or queued at) a peer that has been killed
 //     fails with ErrOwnerDown instead of hanging.
@@ -169,15 +172,15 @@
 //     block, reached through the *peer object — never by writing through
 //     a topo.Load() snapshot (topoimmutable) — and are typed atomics, so
 //     the data path takes no lock for them. deliverTo counts
-//     delivered/spilled messages and stamps the enqueue time; the serve
-//     loop's dispatch wrapper turns that stamp into queue-wait and
-//     handle-time histogram samples; refuse attributes refused messages
-//     to the peer that refused them. The spill-queue gauges are updated
-//     inside the existing spillMu critical sections — spillMu nests
-//     inside nothing, so no new lock edge appears.
+//     delivered/inline/spilled messages and stamps the enqueue time of
+//     queued ones; dispatch turns that stamp into queue-wait (0 inline)
+//     and handle-time histogram samples; refuse attributes refused
+//     messages to the peer that refused them. The spill-queue gauges are
+//     updated inside the existing spillMu critical sections — spillMu
+//     nests inside nothing, so no new lock edge appears.
 //   - Sampled request traces ride inside the request struct (a nil
 //     pointer when sampling is off, so the zero-alloc direct path is
-//     untouched); hops are appended by the serving goroutine only.
+//     untouched); hops are appended by the holder of the peer's token.
 //   - The structural-op journal is written exclusively under memberMu by
 //     the operations that already hold it (Join, Depart, Kill, Recover,
 //     LoadBalance, ForceRejoin) — journalBegin/journalEnd never lock, so
@@ -400,8 +403,8 @@ type request struct {
 	// topology epochs start at 1.
 	epoch uint64
 	// enq is stamped by deliverTo when the request is accepted into the
-	// target's inbox or spill queue; the serving goroutine's dispatch turns
-	// it into the queue-wait sample. A by-value field, so it costs no
+	// target's inbox or spill queue (zero when it runs inline); dispatch
+	// turns it into the queue-wait sample. A by-value field, so it costs no
 	// allocation on the zero-alloc direct path.
 	enq time.Time
 	// trace, when non-nil, marks a sampled request: every peer that
@@ -459,8 +462,9 @@ type link struct {
 }
 
 // peer is one live peer: a goroutine draining an inbox. All fields other
-// than the atomic alive flag are owned by the peer's goroutine once it has
-// started; membership changes reach them as kindUpdate messages.
+// than the atomics and the delivery lanes are owned by whoever holds run
+// once the peer has started; membership changes reach them as kindUpdate
+// messages.
 type peer struct {
 	id     core.PeerID
 	fanout int
@@ -475,6 +479,13 @@ type peer struct {
 	rng   keyspace.Range
 	data  *store.Store
 	inbox chan request
+
+	// run is the peer's ownership token: requests are handled only under
+	// it. busy counts requests queued or running here; a sender runs one
+	// inline only by taking busy from 0 to 1, so it never waits for run and
+	// never overtakes a queued request.
+	run  sync.Mutex
+	busy atomic.Int64
 
 	parent *link
 	// children holds the fanout child slots in tree order: slot 0 is the
@@ -504,7 +515,7 @@ type peer struct {
 	// to it — is measurable. Guarded by spillMu.
 	spillSince time.Time
 
-	// met is this peer's block of the metrics registry (delivered /
+	// met is this peer's block of the metrics registry (delivered / inline /
 	// spilled / refused counters per kind, queue-wait and handle-time
 	// histograms, spill gauges). Typed atomics throughout, written from
 	// the delivery and serve paths without locks.
@@ -513,7 +524,7 @@ type peer struct {
 	// reqs counts the data requests (singleton, range, scatter and bulk
 	// messages) this peer has handled — served or forwarded — the cheap
 	// per-peer load signal behind Cluster.Loads' request-rate EWMA. items
-	// mirrors the store's size, published by the owning goroutine after
+	// mirrors the store's size, published by the token holder after
 	// every mutation (noteItems), so the load meter reads stored-item
 	// counts without a control message per peer.
 	reqs  atomic.Int64
@@ -865,8 +876,8 @@ func (c *Cluster) Kill(id core.PeerID) (err error) {
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, id)
 	}
 	p.alive.Store(false)
-	// The wipe runs in the peer's own goroutine (its stores are owned
-	// there) and is acknowledged, so when Kill returns the data is provably
+	// The wipe runs under the peer's token (its stores are owned by the
+	// holder) and is acknowledged, so when Kill returns the data is provably
 	// gone — a recovery that cheats by reading the dead peer's store would
 	// fail the crash tests instead of silently passing.
 	ch := make(chan response, 1)
@@ -886,7 +897,8 @@ func (c *Cluster) Kill(id core.PeerID) (err error) {
 }
 
 // peerByID returns the live peer object for direct inspection (tests only;
-// a peer's non-atomic fields are owned by its goroutine while traffic runs).
+// a peer's non-atomic fields are owned by its token holder while traffic
+// runs).
 func (c *Cluster) peerByID(id core.PeerID) *peer { return c.topo.Load().peers[id] }
 
 // Alive reports whether the given peer is up.
@@ -947,9 +959,18 @@ func (c *Cluster) deliver(to core.PeerID, req request, evenDead bool) bool {
 	return c.deliverTo(p, req, evenDead)
 }
 
+// maxInlineDepth bounds how deep inline runs nest (deliverTo), far below
+// the hop cap of 8·(N+4).
+const maxInlineDepth = 64
+
 // deliverTo is deliver for callers that already hold the peer object (the
 // direct-routing fast path resolves the owner once from the ring and skips
-// the second map lookup).
+// the second map lookup). A request to an idle local peer (busy goes 0 → 1)
+// runs to completion on the calling goroutine — still one message, queue
+// wait 0, no wake-up. Every other delivery queues, and so does a request
+// maxInlineDepth hops into its walk or carrying a collector, whose handler
+// may block in the streaming sink's send: an inline runner must never
+// block, as it may hold its own peer's token or be the sink's consumer.
 func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 	if c.stopped.Load() {
 		return false
@@ -976,6 +997,15 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 		p.inflight.Add(-1)
 		return false
 	}
+	c.msgs.add(uint64(p.id))
+	p.met.Delivered(int(req.kind))
+	if req.coll == nil && req.hops < maxInlineDepth && p.busy.CompareAndSwap(0, 1) {
+		p.met.Inline(int(req.kind))
+		c.dispatch(p, req)
+		p.inflight.Add(-1)
+		return true
+	}
+	p.busy.Add(1)
 	// Deliveries to one peer are FIFO across the two lanes: once the spill
 	// queue is non-empty every delivery appends behind it (even if the inbox
 	// has drained room again), and the serving goroutine empties the inbox —
@@ -1013,8 +1043,6 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 		default:
 		}
 	}
-	c.msgs.add(uint64(p.id))
-	p.met.Delivered(int(req.kind))
 	if overflow {
 		p.met.Spilled(int(req.kind))
 	}
@@ -1023,8 +1051,8 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 }
 
 // noteItems publishes the store's current size for the lock-free load
-// meter (Cluster.Loads); called by the owning goroutine after every
-// mutation of p.data.
+// meter (Cluster.Loads); called by the token holder after every mutation
+// of p.data.
 func (p *peer) noteItems() { p.items.Store(int64(p.data.Len())) }
 
 // takeSpill detaches and returns the current spill queue, recording the
@@ -1134,7 +1162,8 @@ func (c *Cluster) issue(via core.PeerID, req request) (response, error) {
 }
 
 // serve is the peer goroutine: it drains the inbox and handles or forwards
-// each request. A killed peer keeps draining so senders never block, but
+// each queued request (one that found the peer idle ran inline on its
+// sender instead). A killed peer keeps draining so senders never block, but
 // handle refuses every data request with ErrOwnerDown — a request already
 // queued when the peer died must still be answered or its client would hang
 // forever. Control messages (structural updates, handoffs, snapshots, crash
@@ -1198,14 +1227,16 @@ func (c *Cluster) serve(p *peer) {
 	}
 }
 
-// dispatch times one request through handle: the delivery stamp becomes
-// the queue-wait sample, the handle duration (forwarding included) the
-// handle-time sample, and a sampled request gets its hop appended —
-// before handle runs, so the chain records peers in the order the
-// message actually travelled (a forwarded request cannot reach the next
-// peer before this peer's hop is on the trace). The hop's handle time is
-// back-filled once known.
+// dispatch runs one request through handle under p's token, then retires
+// it from p.busy. It times the run: the delivery stamp becomes the
+// queue-wait sample (0 inline), the handle duration (forwarding included,
+// with every hop it ran inline) the handle-time sample, and a sampled
+// request gets its hop appended — before handle runs, so the chain records
+// peers in the order the message actually travelled (a forwarded request
+// cannot reach the next peer before this peer's hop is on the trace). The
+// hop's handle time is back-filled once known.
 func (c *Cluster) dispatch(p *peer, req request) {
+	p.run.Lock()
 	start := time.Now()
 	var wait int64
 	if !req.enq.IsZero() {
@@ -1227,6 +1258,8 @@ func (c *Cluster) dispatch(p *peer, req request) {
 	if hop >= 0 {
 		req.trace.SetHandleNs(hop, took)
 	}
+	p.run.Unlock()
+	p.busy.Add(-1)
 }
 
 // refuse terminates a request with the given error, whichever completion
@@ -1480,7 +1513,8 @@ func (c *Cluster) forward(p *peer, req request) {
 		req.visited = make(map[core.PeerID]bool)
 	}
 	req.visited[p.id] = true
-	cands := c.candidates(p, req.key)
+	var buf [48]*link
+	cands := c.candidates(p, req.key, buf[:0])
 	// If the peer responsible for the key is among the candidates but is
 	// down, the data is unavailable: answer immediately instead of wandering
 	// (the simulator applies the same rule).
@@ -1526,9 +1560,9 @@ func (c *Cluster) forward(p *peer, req request) {
 // farthest non-overshooting routing-table entry first, then the child
 // subtree(s) on the key's side of the in-order chain and the adjacent link,
 // then the parent, overshooting entries and the links towards the other side
-// as fault-tolerance fallbacks.
-func (c *Cluster) candidates(p *peer, key keyspace.Key) []*link {
-	var out []*link
+// as fault-tolerance fallbacks. The list is appended to out, which callers
+// back with a stack array so a forwarding hop allocates nothing.
+func (c *Cluster) candidates(p *peer, key keyspace.Key, out []*link) []*link {
 	last := len(p.children) - 1
 	if key >= p.rng.Upper {
 		rt := p.rt[1]

@@ -3,7 +3,6 @@ package p2p
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"baton/internal/core"
@@ -258,8 +257,9 @@ func (c *Cluster) scatterAt(p *peer, rng keyspace.Range, hops int, coll *collect
 	}
 	// Scatter the remainder before scanning locally: the sub-requests are
 	// in flight while this peer walks its own tree, and the store cannot
-	// change in between — the serving goroutine owns it and handles one
-	// message at a time.
+	// change in between — the holder of the peer's token owns it and
+	// handles one message at a time. The sub-requests carry the collector,
+	// so they always queue (deliverTo): the branches run in parallel.
 	var err error
 	if !rem.IsEmpty() {
 		err = c.scatterRemainder(p, rem, hops, coll)
@@ -337,7 +337,8 @@ func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *
 	// Cut points: alive right-routing-table entries whose range starts
 	// strictly inside the remainder. Their lower bounds are valid segment
 	// boundaries because each entry owns keys from its lower bound onward.
-	var cuts []*link
+	var cutBuf [32]*link
+	cuts := cutBuf[:0]
 	for _, l := range p.rt[1] {
 		if l == nil || !c.Alive(l.id) {
 			continue
@@ -346,13 +347,14 @@ func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *
 			cuts = append(cuts, l)
 		}
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i].lower < cuts[j].lower })
+	slices.SortFunc(cuts, func(a, b *link) int { return cmp.Compare(a.lower, b.lower) })
 
 	type segment struct {
 		to core.PeerID
 		r  keyspace.Range
 	}
-	segs := make([]segment, 0, len(cuts)+1)
+	var segBuf [len(cutBuf) + 1]segment
+	segs := segBuf[:0]
 	lo := rem.Lower
 	target := next.id
 	for _, cut := range cuts {
@@ -407,7 +409,8 @@ func (c *Cluster) scatterPastDead(p *peer, dead *link, seg keyspace.Range, hops 
 	}
 	sub := request{kind: kindRangeScatter, key: rest.Lower, rng: rest, hops: hops, coll: coll}
 	coll.grow(1)
-	for _, cand := range c.candidates(p, rest.Lower) {
+	var buf [48]*link
+	for _, cand := range c.candidates(p, rest.Lower, buf[:0]) {
 		if cand == nil || cand.id == dead.id || !c.Alive(cand.id) {
 			continue
 		}

@@ -45,7 +45,7 @@ func (p *peer) replicaTarget() core.PeerID {
 }
 
 // replicaFor returns (creating if needed) the replica store this peer keeps
-// for the given source peer. Runs in the peer's goroutine.
+// for the given source peer. Runs under the peer's token.
 func (p *peer) replicaFor(src core.PeerID) *store.Store {
 	st := p.replicas[src]
 	if st == nil {
@@ -62,14 +62,14 @@ func (p *peer) replicaFor(src core.PeerID) *store.Store {
 // peer just applied to its own store) at the replica holder. It is
 // asynchronous and unacknowledged: a dead holder simply drops the message,
 // and the next structural resync re-ships the full set. Deltas from one
-// source apply in order — the source's goroutine sends them sequentially
-// and delivery to a peer is FIFO across the inbox and its spill queue
-// (deliverTo) — but a wholesale sync travels from a different goroutine
-// (the structural coordinator's resync), so a delta sent before the sync
-// was taken can still be delivered after it. Every message is therefore
-// stamped with the source's monotonically increasing sequence number;
-// without the stamp such a late delta would silently resurrect a deleted
-// key (or regress a value) in the freshly synced set.
+// source apply in order — the source sends them sequentially under its
+// token, and delivery to a peer is FIFO across inline runs, the inbox and
+// its spill queue (deliverTo) — but a wholesale sync travels from a
+// different goroutine (the structural coordinator's resync), so a delta
+// sent before the sync was taken can still be delivered after it. Every
+// message is therefore stamped with the source's monotonically increasing
+// sequence number; without the stamp such a late delta would silently
+// resurrect a deleted key (or regress a value) in the freshly synced set.
 func (c *Cluster) replicateWrite(p *peer, ups []store.Item, dels []keyspace.Key) {
 	to := p.replicaTarget()
 	if to == core.NoPeer {
@@ -82,8 +82,8 @@ func (c *Cluster) replicateWrite(p *peer, ups []store.Item, dels []keyspace.Key)
 // applyReplicate folds an incremental replica delta into the holder's set
 // for the source — unless the delta predates the last wholesale sync from
 // that source, in which case its effect is already (correctly) absent from
-// the synced set and applying it would corrupt the replica. Runs in the
-// holder's goroutine.
+// the synced set and applying it would corrupt the replica. Runs under the
+// holder's token.
 func (c *Cluster) applyReplicate(p *peer, req request) {
 	if req.seq < p.replicaMin[req.src] {
 		return // stale: delivered after a later wholesale sync was absorbed

@@ -92,6 +92,29 @@ func TestDirectGetAllocsPerOp(t *testing.T) {
 	}
 }
 
+// TestOverlayGetAllocsPerOp pins the forwarding hop: an overlay-routed Get
+// on a quiesced cluster walks ~log N hops, and none of them allocates — the
+// candidate list lives on the forwarding peer's stack. What remains is the
+// per-request visited map (its header and first group): at most 2 per op.
+func TestOverlayGetAllocsPerOp(t *testing.T) {
+	c, keys := liveCluster(t, 256, 20_000, 1)
+	via := c.PeerIDs()[0]
+	for i := 0; i < 100; i++ {
+		c.Get(via, keys[i%len(keys)])
+	}
+	i, hops := 0, 0
+	allocs := testing.AllocsPerRun(500, func() {
+		_, ok, h, err := c.Get(via, keys[i%len(keys)])
+		if err != nil || !ok {
+			t.Fatalf("get: ok=%v err=%v", ok, err)
+		}
+		i, hops = i+1, hops+h
+	})
+	if allocs > 2 {
+		t.Fatalf("overlay get allocates %.1f objects per op (%.1f hops), want ≤ 2 — a forwarding hop allocates again", allocs, float64(hops)/float64(i))
+	}
+}
+
 // TestOverlayHopsUnchangedByDirectMode asserts that the fast path leaves the
 // paper-faithful overlay untouched: the hop count of every overlay-routed
 // lookup is identical before direct mode is used, while it is the active
@@ -432,6 +455,17 @@ func TestDirectRouteChurnNoLostWrite(t *testing.T) {
 	t.Logf("stale direct routes under churn: %d (epoch %d)", c.StaleRoutes(), c.Epoch())
 }
 
+// addGhost registers a ghost peer: a valid delivery target with no serving
+// goroutine, whose inbox drains only if the test serves it.
+func addGhost(c *Cluster, id core.PeerID) *peer {
+	g := newPeer(id, 2)
+	g.alive.Store(true)
+	nt := c.topo.Load().clone()
+	nt.peers[g.id] = g
+	c.topo.Store(nt)
+	return g
+}
+
 // TestDeliverFloodBoundedGoroutines is the regression test for the
 // unbounded transient-goroutine spawn in deliver: every send that found the
 // inbox full used to launch its own goroutine, so a saturated peer's
@@ -441,14 +475,11 @@ func TestDirectRouteChurnNoLostWrite(t *testing.T) {
 // overflow lands in the spill queue with no goroutine growth at all.
 func TestDeliverFloodBoundedGoroutines(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 97)
-	// A ghost peer: a valid delivery target with no serving goroutine, so
-	// the inbox can never drain and every send past its capacity must take
-	// the overflow path deterministically.
-	ghost := newPeer(9999, 2)
-	ghost.alive.Store(true)
-	nt := c.topo.Load().clone()
-	nt.peers[ghost.id] = ghost
-	c.topo.Store(nt)
+	// The ghost's inbox can never drain, so every send past its capacity
+	// must take the overflow path deterministically. It is marked busy, as
+	// if a request were running, so no send runs inline.
+	ghost := addGhost(c, 9999)
+	ghost.busy.Store(1)
 
 	const flood = 4096
 	runtime.GC() // retire any straggler goroutines from cluster construction
@@ -478,11 +509,8 @@ func TestDeliverFloodBoundedGoroutines(t *testing.T) {
 // sender could apply out of order.
 func TestDeliverFIFOWhileSpilled(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 107)
-	ghost := newPeer(9998, 2)
-	ghost.alive.Store(true)
-	nt := c.topo.Load().clone()
-	nt.peers[ghost.id] = ghost
-	c.topo.Store(nt)
+	ghost := addGhost(c, 9998)
+	ghost.busy.Store(1) // as if a request were running: every send queues
 
 	// Fill the inbox exactly, then overflow by one.
 	for i := 0; i <= cap(ghost.inbox); i++ {
