@@ -1,6 +1,6 @@
 // Package baton is the public API of this repository: a from-scratch
 // implementation of BATON — the BAlanced Tree Overlay Network of Jagadish,
-// Ooi, Rinard and Vu (VLDB 2005) — together with the substrates its
+// Ooi and Vu (VLDB 2005) — together with the substrates its
 // evaluation depends on (a per-peer ordered storage engine, workload
 // generators, a CHORD baseline and a multiway-tree baseline) and a harness
 // that regenerates every figure of the paper.
@@ -10,7 +10,7 @@
 // and range search, insertion, deletion, restructuring and load balancing —
 // while counting every message peers would exchange, which is the metric the
 // paper reports. See the examples directory for runnable walkthroughs and
-// cmd/batonsim for the experiment driver.
+// cmd/batonsim for the Figure 8 reproduction.
 //
 //	nw := baton.NewNetwork(baton.Config{Seed: 1})
 //	for i := 0; i < 1000; i++ {

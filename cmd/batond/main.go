@@ -18,12 +18,10 @@
 //	batond -listen 127.0.0.1:7331 -peers 8 -items 10000   # coordinator
 //	batond -seed 127.0.0.1:7331 -peers 4                  # daemon
 //
-// Drive a workload through the running cluster with
-//
-//	batonsim -mode throughput -transport tcp -seedaddr 127.0.0.1:7331
-//
-// which attaches as a pure data-plane client. See examples/multiprocess
-// for the full walkthrough.
+// Any program that calls p2p.JoinRemote(addr, 0) attaches to the running
+// cluster as a pure data-plane client; main_test.go drives one through a
+// coordinator and a daemon process end to end, and examples/multiprocess
+// walks the whole surface in one process.
 package main
 
 import (
@@ -39,28 +37,39 @@ import (
 	"baton/internal/workload"
 )
 
+// options is batond's command line.
+type options struct {
+	listen, seed         string
+	peers, items, fanout int
+	rngseed              int64
+}
+
+// defineFlags binds batond's flags on fs to the fields of o.
+func defineFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.listen, "listen", "", "coordinator role: address to listen on (host:port; :0 picks a free port)")
+	fs.StringVar(&o.seed, "seed", "", "daemon role: address of a running coordinator to join")
+	fs.IntVar(&o.peers, "peers", 4, "peers hosted in this process")
+	fs.IntVar(&o.items, "items", 0, "coordinator role: items preloaded into the overlay before listening")
+	fs.IntVar(&o.fanout, "fanout", 2, "coordinator role: overlay tree fanout m (2 = binary BATON, >2 = BATON*)")
+	fs.Int64Var(&o.rngseed, "rngseed", 1, "coordinator role: random seed for the initial topology and preload")
+}
+
 func main() {
-	var (
-		listen = flag.String("listen", "", "coordinator role: address to listen on (host:port; :0 picks a free port)")
-		seed   = flag.String("seed", "", "daemon role: address of a running coordinator to join")
-		peers  = flag.Int("peers", 4, "peers hosted in this process")
-		items  = flag.Int("items", 0, "coordinator role: items preloaded into the overlay before listening")
-		fanout = flag.Int("fanout", 2, "coordinator role: overlay tree fanout m (2 = binary BATON, >2 = BATON*)")
-		rseed  = flag.Int64("rngseed", 1, "coordinator role: random seed for the initial topology and preload")
-	)
+	var o options
+	defineFlags(flag.CommandLine, &o)
 	flag.Parse()
-	if err := validateFlags(*listen, *seed); err != nil {
+	if err := validateFlags(flag.CommandLine, o); err != nil {
 		fatal(err)
 	}
 
 	var c *p2p.Cluster
 	var err error
-	if *listen != "" {
-		c, err = startCoordinator(*listen, *peers, *items, *fanout, *rseed)
+	if o.listen != "" {
+		c, err = startCoordinator(o)
 	} else {
-		c, err = p2p.JoinRemote(*seed, *peers)
+		c, err = p2p.JoinRemote(o.seed, o.peers)
 		if err == nil {
-			fmt.Printf("batond: joined overlay via %s, hosting %d peers (cluster size %d)\n", *seed, *peers, c.Size())
+			fmt.Printf("batond: joined overlay via %s, hosting %d peers (cluster size %d)\n", o.seed, o.peers, c.Size())
 		}
 	}
 	if err != nil {
@@ -83,45 +92,46 @@ func main() {
 // startCoordinator grows the initial overlay in-process, preloads it, and
 // opens the listener. The listen address is printed on stdout so scripts
 // can scrape the bound port when :0 was asked for.
-func startCoordinator(listen string, peers, items, fanout int, seed int64) (*p2p.Cluster, error) {
-	if fanout != 0 && !core.ValidFanout(fanout) {
-		return nil, fmt.Errorf("invalid -fanout %d (want 2..%d)", fanout, core.MaxFanout)
-	}
-	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < peers {
+func startCoordinator(o options) (*p2p.Cluster, error) {
+	nw := core.NewNetwork(core.Config{Seed: o.rngseed, Fanout: o.fanout})
+	rng := rand.New(rand.NewSource(o.rngseed))
+	for nw.Size() < o.peers {
 		ids := nw.PeerIDs()
 		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
 			return nil, fmt.Errorf("growing initial overlay: %w", err)
 		}
 	}
-	gen := workload.NewGenerator(workload.Config{Seed: seed + 1, Distribution: workload.Uniform})
-	for _, k := range gen.Keys(items) {
+	gen := workload.NewGenerator(workload.Config{Seed: o.rngseed + 1, Distribution: workload.Uniform})
+	for _, k := range gen.Keys(o.items) {
 		if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
 			return nil, fmt.Errorf("preloading items: %w", err)
 		}
 	}
-	c, err := p2p.NewClusterListen(nw, listen)
+	c, err := p2p.NewClusterListen(nw, o.listen)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("batond: coordinator listening on %s (%d peers, %d items, fanout %d)\n",
-		c.Addr(), peers, items, max(2, fanout))
+		c.Addr(), o.peers, o.items, o.fanout)
 	return c, nil
 }
 
-// validateFlags enforces the role split: exactly one of -listen and -seed,
-// and the coordinator-only knobs are rejected in daemon role rather than
-// silently ignored (the batonsim strict-flag convention).
-func validateFlags(listen, seed string) error {
-	if (listen == "") == (seed == "") {
+// validateFlags enforces the role split on the parsed flag set fs: exactly
+// one of -listen and -seed, a valid -fanout for a coordinator, and the
+// coordinator-only knobs rejected in daemon role rather than silently
+// ignored.
+func validateFlags(fs *flag.FlagSet, o options) error {
+	if (o.listen == "") == (o.seed == "") {
 		return fmt.Errorf("exactly one of -listen (coordinator) or -seed (daemon) is required")
 	}
-	if seed == "" {
+	if o.seed == "" {
+		if !core.ValidFanout(o.fanout) {
+			return fmt.Errorf("invalid -fanout %d (want 2..%d)", o.fanout, core.MaxFanout)
+		}
 		return nil
 	}
 	var bad []string
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "items", "fanout", "rngseed":
 			bad = append(bad, "-"+f.Name)

@@ -29,15 +29,25 @@ import (
 	"time"
 
 	"baton"
-	"baton/internal/workload/driver"
+	"baton/internal/workload"
 )
 
 func main() {
-	cluster, keys, stop, err := driver.Build(driver.Spec{Peers: 48, Items: 8_000, Seed: 11})
-	if err != nil {
-		log.Fatalf("build: %v", err)
+	// Build and load the overlay with the simulator, then animate it.
+	nw := baton.NewNetwork(baton.Config{Seed: 11})
+	for nw.Size() < 48 {
+		if _, _, err := nw.Join(nw.RandomPeer()); err != nil {
+			log.Fatalf("join: %v", err)
+		}
 	}
-	defer stop()
+	keys := workload.NewGenerator(workload.Config{Seed: 12}).Keys(8_000)
+	for _, k := range keys {
+		if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
+			log.Fatalf("insert: %v", err)
+		}
+	}
+	cluster := baton.NewCluster(nw)
+	defer cluster.Stop()
 	fmt.Printf("live cluster: %d peer goroutines, %d items, replication on\n\n", cluster.Size(), len(keys))
 
 	// --- Act 1: crash, observe the outage, repair -------------------------

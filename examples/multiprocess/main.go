@@ -13,17 +13,17 @@
 //
 // This example runs the three roles in one process for convenience — the
 // sockets, codec and correlation machinery are exactly what separate
-// processes use. For the real thing, run the same topology as three OS
-// processes:
+// processes use. For the real thing, run the coordinator and the daemon as
+// OS processes:
 //
 //	batond -listen 127.0.0.1:7331 -peers 8 -items 10000     # terminal 1
 //	batond -seed 127.0.0.1:7331 -peers 4                    # terminal 2
-//	batonsim -mode throughput -transport tcp -seedaddr 127.0.0.1:7331   # terminal 3
 //
-// The daemon exits on its own when the coordinator goes away (the seed
-// connection is its lifeline), and the workload client attaches as a pure
-// data plane — structural operations (joins, departures, crash repair,
-// balancing, audits) are the coordinator's alone.
+// and attach any program that calls p2p.JoinRemote("127.0.0.1:7331", 0) as
+// the third: a pure data-plane client, since structural operations (joins,
+// departures, crash repair, balancing, audits) are the coordinator's alone.
+// cmd/batond's main_test.go is the worked one. The daemon exits on its own
+// when the coordinator goes away (the seed connection is its lifeline).
 //
 // Run with:
 //
@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("daemon: joined, hosting 4 of %d peers\n", daemon.Size())
 
 	// 3. A pure client attaches with no hosted peers: a data-plane window
-	// onto the overlay, like batonsim -seedaddr.
+	// onto the overlay.
 	client, err := p2p.JoinRemote(head.Addr(), 0)
 	if err != nil {
 		log.Fatalf("client join: %v", err)

@@ -4,9 +4,7 @@
 // them, CHORD and the multiway tree), runs the workload the paper describes,
 // and returns the plotted series as structured data.
 //
-// The drivers are used by cmd/batonsim (which prints the series as tables)
-// and by the repository-level benchmarks in bench_test.go (one benchmark per
-// figure).
+// The drivers are used by cmd/batonsim, which prints the series as tables.
 package experiments
 
 import (

@@ -1,6 +1,6 @@
 // Package obs is the cluster's flight recorder: a dependency-free
 // observability layer the live message path reports into and every
-// higher layer (driver, batonsim, the facade) reads from.
+// higher layer (the benchmark, the tests, the facade) reads from.
 //
 // It has three pieces, designed around one constraint — the data plane
 // must never take a lock or allocate on behalf of instrumentation:

@@ -15,22 +15,7 @@ import (
 // is spun up on it.
 func liveClusterFanout(t testing.TB, peers, items int, seed int64, fanout int) (*Cluster, []keyspace.Key) {
 	t.Helper()
-	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < peers {
-		ids := nw.PeerIDs()
-		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := make([]keyspace.Key, 0, items)
-	for i := 0; i < items; i++ {
-		k := keyspace.DomainMin + keyspace.Key(rng.Int63n(int64(keyspace.DomainMax-keyspace.DomainMin)))
-		keys = append(keys, k)
-		if _, err := nw.Insert(nw.RandomPeer(), k, []byte(fmt.Sprint(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nw, keys := loadedNetwork(t, peers, items, seed, fanout)
 	c := NewCluster(nw)
 	t.Cleanup(c.Stop)
 	return c, keys
@@ -148,8 +133,8 @@ func TestTraceStaleEpochTwoHopsFanout(t *testing.T) {
 // TestClusterChurnFaultBalanceFanout is the live m-ary soak: at fanout 4 and
 // 8, the cluster survives online joins, graceful departures, crashes with
 // repair, and a balancer convergence pass, and the quiesced result passes
-// the full structural and replication audits. This is the cluster-level
-// counterpart of the batonsim churnload/faultload/skewload end-of-run gates.
+// the full structural and replication audits, sequentially where
+// TestScenarios runs the same events under concurrent traffic.
 func TestClusterChurnFaultBalanceFanout(t *testing.T) {
 	for _, m := range []int{4, 8} {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
@@ -195,7 +180,7 @@ func TestClusterChurnFaultBalanceFanout(t *testing.T) {
 				}
 			}
 
-			// Full end-of-run audits, exactly as the scenario modes run them.
+			// Full end-of-run audits, as TestScenarios runs them.
 			snaps, err := c.Snapshot()
 			if err != nil {
 				t.Fatal(err)

@@ -46,8 +46,8 @@ import (
 //
 // The reconcile itself is O(total peers) per operation — full mirror
 // snapshot, per-peer comparison, ring rebuild — though only the O(log N)
-// affected peers receive messages. At the cluster sizes the driver runs
-// this is dwarfed by the data handoff; pushing membership throughput
+// affected peers receive messages. At the cluster sizes the benchmark and
+// the tests run this is dwarfed by the data handoff; pushing membership throughput
 // further means diffing only the region the mirror knows changed.
 func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (int, error) {
 	c.reapTombstones()

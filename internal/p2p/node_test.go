@@ -15,29 +15,16 @@ import (
 )
 
 // wirePair builds a two-process overlay over loopback TCP: a coordinator
-// (head) animated from a simulated network of headPeers peers preloaded
-// with items, and a daemon that joins through the wire and hosts
-// daemonPeers additional peers. Both ends see one overlay of
-// headPeers+daemonPeers members. Cleanup stops the daemon first, then the
-// head, under the package's goroutine-leak barrier.
-func wirePair(t testing.TB, headPeers, daemonPeers, items int, seed int64) (head, daemon *Cluster, keys []keyspace.Key) {
+// (head) animated from a simulated network of headPeers peers at the given
+// fanout, preloaded with items, and a daemon that joins through the wire
+// and hosts daemonPeers additional peers. Both ends see one overlay of
+// headPeers+daemonPeers members. It returns as soon as JoinRemote does:
+// callers that route through the daemon first waitConverge. Cleanup stops
+// the daemon first, then the head, under the package's goroutine-leak
+// barrier.
+func wirePair(t testing.TB, fanout, headPeers, daemonPeers, items int, seed int64) (head, daemon *Cluster, keys []keyspace.Key) {
 	t.Helper()
-	nw := core.NewNetwork(core.Config{Seed: seed})
-	rng := rand.New(rand.NewSource(seed))
-	for nw.Size() < headPeers {
-		ids := nw.PeerIDs()
-		if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys = make([]keyspace.Key, 0, items)
-	for i := 0; i < items; i++ {
-		k := keyspace.DomainMin + keyspace.Key(rng.Int63n(int64(keyspace.DomainMax-keyspace.DomainMin)))
-		keys = append(keys, k)
-		if _, err := nw.Insert(nw.RandomPeer(), k, []byte(fmt.Sprint(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nw, keys := loadedNetwork(t, headPeers, items, seed, fanout)
 	head, err := NewClusterListen(nw, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +38,6 @@ func wirePair(t testing.TB, headPeers, daemonPeers, items int, seed int64) (head
 	if got, want := head.Size(), headPeers+daemonPeers; got != want {
 		t.Fatalf("head size = %d after join, want %d", got, want)
 	}
-	waitConverge(t, head, daemon)
 	return head, daemon, keys
 }
 
@@ -88,11 +74,11 @@ func hostedBy(c *Cluster, remote bool) []core.PeerID {
 	return out
 }
 
-// auditPair runs the full structural and replication audit at the head:
-// sync the write-path replication window closed, export snapshots and
-// replica sets over the wire from both processes, and verify tree shape
-// and replica completeness.
-func auditPair(t *testing.T, head *Cluster) {
+// auditCluster runs the full structural and replication audit at the
+// coordinator: sync the write-path replication window closed, export
+// snapshots and replica sets (over the wire from every process of a wire
+// pair), and verify tree shape and replica completeness.
+func auditCluster(t *testing.T, head *Cluster) {
 	t.Helper()
 	if err := head.SyncReplicas(); err != nil {
 		t.Fatalf("sync replicas: %v", err)
@@ -114,7 +100,7 @@ func auditPair(t *testing.T, head *Cluster) {
 }
 
 // TestWireJoinRemoteServesAtOnce queries right after JoinRemote returns, as
-// batonsim's tcp scenarios do, without waiting for the daemon to converge: a
+// TestScenarios' tcp rows do, without waiting for the daemon to converge: a
 // full-domain serial walk must return every preloaded item. A daemon that
 // hosted peers before it had any topology (hop cap 0) refused the handoff
 // of the first peer it hosted whenever the head's topology push queued
@@ -122,39 +108,16 @@ func auditPair(t *testing.T, head *Cluster) {
 // request for it forever.
 func TestWireJoinRemoteServesAtOnce(t *testing.T) {
 	for round := int64(0); round < 10; round++ {
-		nw := core.NewNetwork(core.Config{Seed: round})
-		rng := rand.New(rand.NewSource(round))
-		for nw.Size() < 8 {
-			ids := nw.PeerIDs()
-			if _, _, err := nw.Join(ids[rng.Intn(len(ids))]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := map[keyspace.Key]bool{}
-		for len(want) < 1500 {
-			k := keyspace.Key(1 + rng.Int63n(999_999_998))
-			want[k] = true
-			if _, err := nw.Insert(nw.RandomPeer(), k, []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		head, err := NewClusterListen(nw, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemon, err := JoinRemote(head.Addr(), 8)
-		if err != nil {
-			head.Stop()
-			t.Fatal(err)
-		}
-		withTimeout(t, 10*time.Second, "full-domain walk right after JoinRemote", func() {
-			items, _, err := head.RangeSerial(head.PeerIDs()[0], head.Domain())
-			if err != nil || len(items) != len(want) {
-				t.Errorf("round %d: walk returned %d of %d items, err %v", round, len(items), len(want), err)
-			}
+		t.Run(fmt.Sprint(round), func(t *testing.T) {
+			head, _, keys := wirePair(t, 2, 8, 8, 1500, round)
+			want := len(uniqueSortedKeys(keys))
+			withTimeout(t, 10*time.Second, "full-domain walk right after JoinRemote", func() {
+				items, _, err := head.RangeSerial(head.PeerIDs()[0], head.Domain())
+				if err != nil || len(items) != want {
+					t.Errorf("walk returned %d of %d items, err %v", len(items), want, err)
+				}
+			})
 		})
-		daemon.Stop()
-		head.Stop()
 	}
 }
 
@@ -165,7 +128,8 @@ func TestWireJoinRemoteServesAtOnce(t *testing.T) {
 // queries, filtered queries, bulk operations, and the streaming iterator —
 // then audits structure and replication at the head.
 func TestWireClusterEndToEnd(t *testing.T) {
-	head, daemon, keys := wirePair(t, 12, 6, 300, 1)
+	head, daemon, keys := wirePair(t, 2, 12, 6, 300, 1)
+	waitConverge(t, head, daemon)
 
 	if len(hostedBy(head, true)) != 6 {
 		t.Fatalf("head sees %d remote peers, want 6", len(hostedBy(head, true)))
@@ -222,15 +186,7 @@ func TestWireClusterEndToEnd(t *testing.T) {
 	}
 
 	// The expected sorted answer for full-domain ranges.
-	want := append([]keyspace.Key(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	dedup := want[:0]
-	for i, k := range want {
-		if i == 0 || k != dedup[len(dedup)-1] {
-			dedup = append(dedup, k)
-		}
-	}
-	want = dedup
+	want := uniqueSortedKeys(keys)
 
 	full := head.Domain()
 	checkRange := func(label string, items []store.Item, err error) {
@@ -348,7 +304,7 @@ func TestWireClusterEndToEnd(t *testing.T) {
 		t.Fatal("head sees zero requests on daemon-hosted peers after wire traffic")
 	}
 
-	auditPair(t, head)
+	auditCluster(t, head)
 
 	if head.Messages() == 0 || daemon.Messages() == 0 {
 		t.Fatalf("message counters: head %d, daemon %d", head.Messages(), daemon.Messages())
@@ -360,7 +316,8 @@ func TestWireClusterEndToEnd(t *testing.T) {
 // recovery, and the audit exports are the head's alone. The overlay must
 // keep serving data afterwards.
 func TestWireClusterCoordinatorGate(t *testing.T) {
-	_, daemon, keys := wirePair(t, 8, 4, 50, 3)
+	head, daemon, keys := wirePair(t, 2, 8, 4, 50, 3)
+	waitConverge(t, head, daemon)
 	dids := daemon.PeerIDs()
 
 	checks := []struct {
@@ -398,7 +355,8 @@ func TestWireClusterCoordinatorGate(t *testing.T) {
 // of a daemon-hosted peer (replica fetch and restore over the wire). Each
 // step re-audits structure and replication across both processes.
 func TestWireClusterStructural(t *testing.T) {
-	head, daemon, keys := wirePair(t, 10, 5, 200, 4)
+	head, daemon, keys := wirePair(t, 2, 10, 5, 200, 4)
+	waitConverge(t, head, daemon)
 
 	// Join at the head, via a daemon-hosted peer: the locate walk crosses
 	// the wire, the spawn stays local.
@@ -407,7 +365,7 @@ func TestWireClusterStructural(t *testing.T) {
 		t.Fatalf("head join via remote peer: %v", err)
 	}
 	waitConverge(t, head, daemon)
-	auditPair(t, head)
+	auditCluster(t, head)
 
 	// Depart a daemon-hosted leaf: its range and items migrate, possibly to
 	// a head-hosted neighbour — a cross-process handoff.
@@ -422,7 +380,7 @@ func TestWireClusterStructural(t *testing.T) {
 		t.Fatal("no daemon-hosted peer could depart")
 	}
 	waitConverge(t, head, daemon)
-	auditPair(t, head)
+	auditCluster(t, head)
 
 	// Crash a daemon-hosted peer and recover its range from the replica.
 	victim := core.NoPeer
@@ -453,7 +411,7 @@ func TestWireClusterStructural(t *testing.T) {
 		t.Fatalf("recover restored %d items", restored)
 	}
 	waitConverge(t, head, daemon)
-	auditPair(t, head)
+	auditCluster(t, head)
 
 	// All original keys are still served, through both sides (vias drawn
 	// from the post-churn membership — departed and recovered-away peers
@@ -479,7 +437,8 @@ func TestWireClusterStructural(t *testing.T) {
 // ErrOwnerDown rather than hanging, and the daemon still stops cleanly
 // (the leak barrier in TestMain holds it to that).
 func TestWireClusterSeedDown(t *testing.T) {
-	head, daemon, _ := wirePair(t, 6, 3, 20, 6)
+	head, daemon, _ := wirePair(t, 2, 6, 3, 20, 6)
+	waitConverge(t, head, daemon)
 
 	if head.SeedDown() != nil {
 		t.Fatal("head reports a seed lifeline")
@@ -521,7 +480,8 @@ func TestWireClusterSeedDown(t *testing.T) {
 // requests for daemon-hosted ranges fail with an error rather than
 // hanging, and head-hosted ranges keep serving.
 func TestWireClusterDaemonStop(t *testing.T) {
-	head, daemon, _ := wirePair(t, 8, 4, 100, 7)
+	head, daemon, _ := wirePair(t, 2, 8, 4, 100, 7)
+	waitConverge(t, head, daemon)
 	hids := head.PeerIDs()
 
 	// A key owned by a head-hosted peer keeps working after daemon loss.

@@ -10,11 +10,20 @@ import (
 	"baton/internal/keyspace"
 )
 
-// liveCluster builds a simulated network, loads it with data, and animates
-// it into a live cluster. It returns the cluster and the inserted keys.
+// liveCluster builds a simulated binary network, loads it with data, and
+// animates it into a live cluster. It returns the cluster and the inserted
+// keys.
 func liveCluster(t testing.TB, peers, items int, seed int64) (*Cluster, []keyspace.Key) {
 	t.Helper()
-	nw := core.NewNetwork(core.Config{Seed: seed})
+	return liveClusterFanout(t, peers, items, seed, 2)
+}
+
+// loadedNetwork grows a simulated network of the given fanout to peers
+// members by random joins and inserts items uniform keys, each valued with
+// its decimal form. It returns the network and the inserted keys.
+func loadedNetwork(t testing.TB, peers, items int, seed int64, fanout int) (*core.Network, []keyspace.Key) {
+	t.Helper()
+	nw := core.NewNetwork(core.Config{Seed: seed, Fanout: fanout})
 	rng := rand.New(rand.NewSource(seed))
 	for nw.Size() < peers {
 		ids := nw.PeerIDs()
@@ -30,9 +39,7 @@ func liveCluster(t testing.TB, peers, items int, seed int64) (*Cluster, []keyspa
 			t.Fatal(err)
 		}
 	}
-	c := NewCluster(nw)
-	t.Cleanup(c.Stop)
-	return c, keys
+	return nw, keys
 }
 
 func TestClusterGetPut(t *testing.T) {

@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,20 +16,9 @@ import (
 // uniqueSortedKeys dedups the inserted key list (the generator can collide;
 // a colliding insert overwrites) into the ground-truth key set.
 func uniqueSortedKeys(keys []keyspace.Key) []keyspace.Key {
-	seen := make(map[keyspace.Key]bool, len(keys))
-	out := make([]keyspace.Key, 0, len(keys))
-	for _, k := range keys {
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	out := slices.Clone(keys)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // keysIn returns the subset of ks that fall inside r, in key order.

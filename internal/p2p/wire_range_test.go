@@ -19,7 +19,8 @@ import (
 // the client asks for crosses a socket.
 func wireTrio(t testing.TB, headPeers, daemonPeers, items int, seed int64) (head, daemon, client *Cluster, keys []keyspace.Key) {
 	t.Helper()
-	head, daemon, keys = wirePair(t, headPeers, daemonPeers, items, seed)
+	head, daemon, keys = wirePair(t, 2, headPeers, daemonPeers, items, seed)
+	waitConverge(t, head, daemon)
 	client, err := JoinRemote(head.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +292,8 @@ func TestWireRangeConnectionDropMidQuery(t *testing.T) {
 // reports the failure on the control path — so the origin never waits for a
 // frame that was not sent.
 func TestWireRangeRefusedPartialNotCounted(t *testing.T) {
-	head, daemon, _ := wirePair(t, 4, 4, 800, 21)
+	head, daemon, _ := wirePair(t, 2, 4, 4, 800, 21)
+	waitConverge(t, head, daemon)
 	var target *peer
 	for _, id := range hostedBy(daemon, false) {
 		if p := daemon.peerByID(id); p.items.Load() > 0 {
@@ -326,7 +328,8 @@ func TestWireRangeRefusedPartialNotCounted(t *testing.T) {
 // partial count is absurd: none may disturb a collector or a single-answer
 // completion.
 func TestWireCollectorDropsStrayFrames(t *testing.T) {
-	head, daemon, _ := wirePair(t, 3, 3, 50, 4)
+	head, daemon, _ := wirePair(t, 2, 3, 3, 50, 4)
+	waitConverge(t, head, daemon)
 	n := head.net
 	chunk := func(keys ...keyspace.Key) []store.Item {
 		items := make([]store.Item, len(keys))
@@ -405,7 +408,8 @@ func TestWireCollectorDropsStrayFrames(t *testing.T) {
 // parallel query travels with its scatter sub-requests, so branches on
 // other nodes filter too.
 func TestWireFilteredScatterFiltersRemoteBranches(t *testing.T) {
-	head, daemon, keys := wirePair(t, 6, 6, 2000, 13)
+	head, daemon, keys := wirePair(t, 2, 6, 6, 2000, 13)
+	waitConverge(t, head, daemon)
 	all := uniqueSortedKeys(keys)
 	rng := rand.New(rand.NewSource(13))
 	pick := make([]keyspace.Key, 0, 200)

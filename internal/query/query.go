@@ -30,7 +30,6 @@ package query
 
 import (
 	"math/bits"
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -38,8 +37,6 @@ import (
 	"baton/internal/obs"
 	"baton/internal/store"
 )
-
-var planDebug = os.Getenv("BATON_PLAN_DEBUG") != ""
 
 // Plan is a planned execution strategy for one range query.
 type Plan int8
@@ -203,10 +200,6 @@ func (pl *Planner) commitPlan(b *planBucket, span int) Plan {
 	sn, pn := b.hist[PlanSerial].Count(), b.hist[PlanParallel].Count()
 	serial := b.hist[PlanSerial].Mean() * occupancyFactor(span)
 	parallel := b.hist[PlanParallel].Mean()
-	if planDebug {
-		println("plan-debug commit bucket", spanBucket(span), "span", span,
-			"serial n/demand", sn, int64(serial), "parallel n/demand", pn, int64(parallel))
-	}
 	if sn == 0 || pn == 0 {
 		// No measurements (the caller never fed Observe, or every trial
 		// query failed): fall back to the seeded crossover.

@@ -220,7 +220,8 @@ func (k ChurnEventKind) String() string {
 type ChurnEvent struct {
 	Kind ChurnEventKind
 	// PeerIndex selects which live peer leaves or fails; it is interpreted
-	// modulo the current network size by the driver. Unused for joins.
+	// modulo the current network size by whoever applies the sequence.
+	// Unused for joins.
 	PeerIndex int
 }
 
