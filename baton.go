@@ -143,10 +143,11 @@ var (
 // one goroutine per peer, requests as messages, and fault-tolerant routing
 // around killed peers. Every method is safe for concurrent use and never
 // blocks indefinitely — see the package documentation of internal/p2p for
-// the full concurrency contract. Beyond single-key Get/Put/Delete and the
-// two range modes (parallel fan-out via Range, sequential chain walk via
-// RangeSerial), the cluster offers batched BulkGet/BulkPut/BulkDelete that
-// group keys by responsible peer and pipeline one message per peer.
+// the full concurrency contract. Beyond single-key Get/Put/Delete and one
+// range read, Query — answered in key order by Query or streamed by
+// QueryIter, under the Plan the caller fixes or the planner picks — the
+// cluster offers batched BulkGet/BulkPut/BulkDelete that group keys by
+// responsible peer and pipeline one message per peer.
 //
 // Membership is live: Join adds a brand-new peer online (the join request
 // routes through the overlay per Section III-A, the accepting peer's range
@@ -221,32 +222,38 @@ const (
 	RouteDirect  = p2p.RouteDirect
 )
 
-// Plan is a planned execution strategy for one range query: the serial
-// adjacent-chain walk or the parallel scatter. Cluster.RangeAdaptive picks
-// one per request from the range's estimated peer-span, with the crossover
-// tuned from the latencies the cluster itself observes.
+// Query is one read of a Cluster: every item in Range that matches the
+// optional pushdown Pred, executed under Plan. Cluster.Query answers it in
+// key order; Cluster.QueryIter streams it. A filtered point read is the
+// one-key range [k, k+1).
+type Query = p2p.Query
+
+// Plan is the execution strategy of one Query: the serial adjacent-chain
+// walk, the parallel scatter, or — PlanAuto, the zero value — whichever
+// the planner picks from the range's estimated peer-span, with the
+// crossover tuned from the latencies the cluster itself observes.
 type Plan = query.Plan
 
 // Range execution plans.
 const (
+	PlanAuto     = query.PlanAuto
 	PlanSerial   = query.PlanSerial
 	PlanParallel = query.PlanParallel
 )
 
-// Pred is a pushdown predicate for Cluster.GetFiltered /
-// Cluster.RangeFiltered / Cluster.RangeIterFiltered: plain serialisable
-// data evaluated at the owning peer, so items that cannot match never
-// cross the wire. A positive Limit caps the result and terminates serial
-// walks early.
+// Pred is the pushdown predicate of a Query: plain serialisable data
+// evaluated at the owning peers, so items that cannot match never cross
+// the wire. A positive Limit caps the result and terminates serial walks
+// early.
 type Pred = query.Pred
 
-// RangeIter is a streaming range query in progress: Cluster.RangeIter
-// scatters the range and yields items in bounded batches as the covering
-// peers deliver them, never materialising the full result.
+// RangeIter is a streaming query in progress: Cluster.QueryIter scatters
+// the range and yields items in bounded batches as the covering peers
+// deliver them, never materialising the full result.
 type RangeIter = p2p.RangeIter
 
-// PlanSnapshot is the query planner's counters — adaptive range queries
-// dispatched serially and in parallel, and plan-cache hits — returned by
+// PlanSnapshot is the query planner's counters — range queries dispatched
+// serially and in parallel, and plan-cache hits — returned by
 // Cluster.PlanStats and embedded in ClusterMetrics.
 type PlanSnapshot = obs.PlanSnapshot
 
@@ -283,7 +290,7 @@ type ClusterEvent = obs.Event
 //
 //	cluster := baton.NewCluster(nw)
 //	defer cluster.Stop()
-//	items, _, err := cluster.Range(cluster.PeerIDs()[0], baton.NewRange(100, 5000))
+//	items, _, err := cluster.Query(cluster.PeerIDs()[0], baton.Query{Range: baton.NewRange(100, 5000)})
 func NewCluster(nw *Network) *Cluster { return p2p.NewCluster(nw) }
 
 // Errors re-exported from the live cluster implementation.

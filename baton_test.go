@@ -131,11 +131,11 @@ func TestPublicAPILiveCluster(t *testing.T) {
 	}
 
 	r := baton.NewRange(1, 500_000_000)
-	par, _, err := cluster.Range(via, r)
+	par, _, err := cluster.Query(via, baton.Query{Range: r, Plan: baton.PlanParallel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, _, err := cluster.RangeSerial(via, r)
+	ser, _, err := cluster.Query(via, baton.Query{Range: r, Plan: baton.PlanSerial})
 	if err != nil {
 		t.Fatal(err)
 	}

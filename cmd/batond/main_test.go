@@ -91,7 +91,7 @@ func TestTwoProcessCluster(t *testing.T) {
 				t.Fatalf("get %d: %q found=%v err=%v", k, v, found, err)
 			}
 		}
-		got, _, err := client.Range(vias[0], client.Domain())
+		got, _, err := client.Query(vias[0], p2p.Query{Range: client.Domain()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,9 +102,10 @@ func main() {
 	v, found, hops, err := daemon.Get(daemon.PeerIDs()[0], 424_242)
 	fmt.Printf("daemon reads the client's write: %q (found=%v, hops=%d, err=%v)\n", v, found, hops, err)
 
-	// A parallel range query scatters across both processes and stitches
-	// the answer in key order.
-	items, _, err := client.Range(vias[1], keyspace.Range{Lower: keyspace.DomainMin, Upper: keyspace.DomainMin + (keyspace.DomainMax-keyspace.DomainMin)/4})
+	// A parallel range query enters at the owner of its lower bound,
+	// scatters across both processes and stitches the answer in key order.
+	quarter := keyspace.Range{Lower: keyspace.DomainMin, Upper: keyspace.DomainMin + (keyspace.DomainMax-keyspace.DomainMin)/4}
+	items, _, err := client.Query(vias[1], p2p.Query{Range: quarter, Plan: baton.PlanParallel})
 	if err != nil {
 		log.Fatalf("range: %v", err)
 	}

@@ -3,8 +3,8 @@ package obs
 import "sync/atomic"
 
 // PlanCounters tallies the query layer's planning decisions: how many
-// adaptive range queries ran serially, how many in parallel, and how many
-// skipped planning entirely on a plan-cache hit. The counters are plain
+// range queries ran serially, how many in parallel, and how many skipped
+// the span estimate and owner lookup on a plan-cache hit. The counters are plain
 // atomics written on the client-side dispatch path (no peer is involved in
 // planning), so they live beside the registry rather than in any peer's
 // block.
@@ -14,10 +14,10 @@ type PlanCounters struct {
 	cacheHits atomic.Int64
 }
 
-// Serial records one adaptive query dispatched as a serial chain walk.
+// Serial records one range query dispatched as a serial chain walk.
 func (p *PlanCounters) Serial() { p.serial.Add(1) }
 
-// Parallel records one adaptive query dispatched as a parallel scatter.
+// Parallel records one range query dispatched as a parallel scatter.
 func (p *PlanCounters) Parallel() { p.parallel.Add(1) }
 
 // CacheHit records one query whose span estimate and owner lookup were

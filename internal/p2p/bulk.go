@@ -190,7 +190,7 @@ func (c *Cluster) bulkRetry(k kind, via core.PeerID, it store.Item) BulkResult {
 			}
 		}
 	}
-	resp, err := c.issue(via, request{kind: single, key: it.Key, value: it.Value})
+	resp, err := c.issue(via, nil, request{kind: single, key: it.Key, value: it.Value})
 	if err != nil {
 		return BulkResult{Key: it.Key, Err: err}
 	}

@@ -112,7 +112,7 @@ func TestStopWithConcurrentTraffic(t *testing.T) {
 					_, err = c.Put(via, keyspace.Key(1+rng.Int63n(999_999_998)), []byte("x"))
 				case 2:
 					lo := keyspace.Key(1 + rng.Int63n(900_000_000))
-					_, _, err = c.Range(via, keyspace.NewRange(lo, lo+50_000_000))
+					_, _, err = c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+50_000_000)))
 				case 3:
 					_, err = c.BulkGet([]keyspace.Key{keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]})
 				}
@@ -152,10 +152,10 @@ func TestChurnUnderLoad(t *testing.T) {
 					c.Put(via, keyspace.Key(1+rng.Int63n(999_999_998)), []byte("w"))
 				case 2:
 					lo := keyspace.Key(1 + rng.Int63n(800_000_000))
-					c.Range(via, keyspace.NewRange(lo, lo+100_000_000))
+					c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+100_000_000)))
 				case 3:
 					lo := keyspace.Key(1 + rng.Int63n(800_000_000))
-					c.RangeSerial(via, keyspace.NewRange(lo, lo+20_000_000))
+					c.Query(via, serialQuery(keyspace.NewRange(lo, lo+20_000_000)))
 				case 4:
 					batch := make([]store.Item, 8)
 					for j := range batch {
@@ -185,11 +185,11 @@ func TestRangeParallelMatchesSerial(t *testing.T) {
 	for _, w := range widths {
 		lo := keyspace.Key(1 + rng.Int63n(999_999_999-w))
 		r := keyspace.NewRange(lo, lo+keyspace.Key(w))
-		serial, serialHops, err := c.RangeSerial(ids[rng.Intn(len(ids))], r)
+		serial, serialHops, err := c.Query(ids[rng.Intn(len(ids))], serialQuery(r))
 		if err != nil {
 			t.Fatalf("serial range %v: %v", r, err)
 		}
-		par, parHops, err := c.Range(ids[rng.Intn(len(ids))], r)
+		par, parHops, err := c.Query(ids[rng.Intn(len(ids))], parallelQuery(r))
 		if err != nil {
 			t.Fatalf("parallel range %v: %v", r, err)
 		}
@@ -223,11 +223,11 @@ func TestRangeParallelShorterCriticalPath(t *testing.T) {
 	c, _ := liveCluster(t, 256, 1000, 43)
 	ids := c.PeerIDs()
 	r := keyspace.NewRange(100_000_000, 700_000_000) // ~60% of the domain
-	_, serialHops, err := c.RangeSerial(ids[0], r)
+	_, serialHops, err := c.Query(ids[0], serialQuery(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parHops, err := c.Range(ids[0], r)
+	_, parHops, err := c.Query(ids[0], parallelQuery(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestBulkAfterStop(t *testing.T) {
 	if _, err := c.BulkGet([]keyspace.Key{1, 2}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("bulk get after stop: %v, want ErrStopped", err)
 	}
-	if _, _, err := c.Range(c.PeerIDs()[0], keyspace.NewRange(1, 100)); !errors.Is(err, ErrStopped) {
+	if _, _, err := c.Query(c.PeerIDs()[0], parallelQuery(keyspace.NewRange(1, 100))); !errors.Is(err, ErrStopped) {
 		t.Fatalf("range after stop: %v, want ErrStopped", err)
 	}
 }
@@ -415,7 +415,7 @@ func TestRangeAcrossKilledPeerIsPartial(t *testing.T) {
 		}
 	}
 	withTimeout(t, 10*time.Second, "range across killed peer", func() {
-		items, _, err := c.Range(via, r)
+		items, _, err := c.Query(via, parallelQuery(r))
 		if err == nil {
 			// The coordinator may route around the dead peer entirely only if
 			// the victim owned no part of the range — it does here, so an
@@ -475,7 +475,7 @@ func TestManyClientsSmallCluster(t *testing.T) {
 					}
 				case 1:
 					lo := keyspace.Key(1 + rng.Int63n(500_000_000))
-					if _, _, err := c.Range(via, keyspace.NewRange(lo, lo+400_000_000)); err != nil {
+					if _, _, err := c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+400_000_000))); err != nil {
 						t.Errorf("range: %v", err)
 						return
 					}

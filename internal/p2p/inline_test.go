@@ -55,7 +55,7 @@ func TestInlineRangeIterDoesNotDeadlock(t *testing.T) {
 	}
 	quiesce(t, c)
 	withTimeout(t, 20*time.Second, "RangeIter over an idle cluster", func() {
-		it, err := c.RangeIter(c.PeerIDs()[0], c.Domain())
+		it, err := c.QueryIter(c.PeerIDs()[0], Query{Range: c.Domain()})
 		if err != nil {
 			t.Error(err)
 			return
@@ -151,7 +151,7 @@ func TestInlineScatterBranchesQueued(t *testing.T) {
 
 	quiesce(t, c)
 	before := c.Metrics()
-	items, _, err := c.Range(ids[0], keyspace.NewRange(100_000_000, 900_000_000))
+	items, _, err := c.Query(ids[0], parallelQuery(keyspace.NewRange(100_000_000, 900_000_000)))
 	if err != nil || len(items) == 0 {
 		t.Fatalf("range: %d items, err %v", len(items), err)
 	}
@@ -168,8 +168,8 @@ func TestInlineScatterBranchesQueued(t *testing.T) {
 // cluster is far longer than maxInlineDepth. It returns the exact answer,
 // and only deliveries among its first maxInlineDepth run inline — every
 // later one is queued, so inline calls never nest deeper than the bound.
-// (Fewer may: a chain peer that phase-1 routing already passed through
-// still holds its token up the inline stack, so the walk's visit queues.)
+// (Fewer may: entered at via, a chain peer that phase-1 routing passed
+// through still holds its token up the inline stack, so its visit queues.)
 func TestInlineDepthBound(t *testing.T) {
 	c, keys := liveCluster(t, 256, 3000, 167)
 	want := map[keyspace.Key]bool{}
@@ -178,7 +178,7 @@ func TestInlineDepthBound(t *testing.T) {
 	}
 	quiesce(t, c)
 	before := c.Metrics()
-	items, hops, err := c.RangeSerial(c.PeerIDs()[0], c.Domain())
+	items, hops, err := c.Query(c.PeerIDs()[0], serialQuery(c.Domain()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -595,7 +595,7 @@ func TestAutoBalanceChurnStress(t *testing.T) {
 				continue
 			}
 			lo := domain.Lower + keyspace.Key(rng.Int63n(domain.Size()-domain.Size()/16))
-			c.Range(via, keyspace.NewRange(lo, lo+keyspace.Key(domain.Size()/16))) //nolint:errcheck // transient churn errors expected
+			c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+keyspace.Key(domain.Size()/16)))) //nolint:errcheck // transient churn errors expected
 		}
 	}()
 

@@ -298,7 +298,7 @@ func validShuffleBoundary(boundary keyspace.Key, rng keyspace.Range) bool {
 // locateJoin routes a JOIN message into the overlay at via and returns the
 // accepting peer and the free child slot it answered with.
 func (c *Cluster) locateJoin(via core.PeerID) (core.PeerID, int, error) {
-	resp, err := c.issue(via, request{kind: kindJoinLocate})
+	resp, err := c.issue(via, nil, request{kind: kindJoinLocate})
 	if err != nil {
 		return core.NoPeer, 0, err
 	}
@@ -494,7 +494,7 @@ func (c *Cluster) locateReplacement(x core.PeerSnapshot) core.PeerID {
 	if start == core.NoPeer || !c.Alive(start) {
 		return core.NoPeer
 	}
-	resp, err := c.issue(start, request{kind: kindFindReplacement})
+	resp, err := c.issue(start, nil, request{kind: kindFindReplacement})
 	if err != nil || resp.err != nil {
 		return core.NoPeer
 	}

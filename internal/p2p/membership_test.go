@@ -271,7 +271,7 @@ func TestNoLostWritesUnderChurn(t *testing.T) {
 					}
 				default:
 					lo := domain.Lower + keyspace.Key(rng.Int63n(domain.Size()-1_000_000))
-					c.Range(via, keyspace.NewRange(lo, lo+1_000_000))
+					c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+1_000_000)))
 				}
 			}
 		}(cl)

@@ -418,7 +418,7 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 	// node's collector is the query's origin side, whatever the plan. What a
 	// serial walk collected before it got here is the first chunk.
 	fresh := false
-	if req.reply != nil && (req.kind == kindRange || req.kind == kindRangePred) {
+	if req.reply != nil && req.kind == kindRange {
 		req.coll = &collector{reply: req.reply, pred: req.pred, pending: 1}
 		if len(req.acc) > 0 {
 			req.coll.chunks = []chunk{{lo: req.acc[0].Key, items: req.acc}}

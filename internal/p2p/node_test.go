@@ -112,7 +112,7 @@ func TestWireJoinRemoteServesAtOnce(t *testing.T) {
 			head, _, keys := wirePair(t, 2, 8, 8, 1500, round)
 			want := len(uniqueSortedKeys(keys))
 			withTimeout(t, 10*time.Second, "full-domain walk right after JoinRemote", func() {
-				items, _, err := head.RangeSerial(head.PeerIDs()[0], head.Domain())
+				items, _, err := head.Query(head.PeerIDs()[0], serialQuery(head.Domain()))
 				if err != nil || len(items) != want {
 					t.Errorf("walk returned %d of %d items, err %v", len(items), want, err)
 				}
@@ -203,18 +203,18 @@ func TestWireClusterEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	items, _, err := head.Range(hids[0], full)
+	items, _, err := head.Query(hids[0], parallelQuery(full))
 	checkRange("head parallel range", items, err)
-	items, _, err = daemon.Range(dids[0], full)
+	items, _, err = daemon.Query(dids[0], parallelQuery(full))
 	checkRange("daemon parallel range", items, err)
-	items, _, err = daemon.RangeSerial(dids[1], full)
+	items, _, err = daemon.Query(dids[1], serialQuery(full))
 	checkRange("daemon serial range", items, err)
-	items, _, err = head.RangeSerial(hids[1], full)
+	items, _, err = head.Query(hids[1], serialQuery(full))
 	checkRange("head serial range", items, err)
 
 	// Filtered query with a limit, coordinated across the wire.
 	limit := 25
-	items, _, err = daemon.RangeFiltered(dids[2], full, &query.Pred{Limit: limit})
+	items, _, err = daemon.Query(dids[2], Query{Range: full, Pred: &query.Pred{Limit: limit}})
 	if err != nil {
 		t.Fatalf("daemon filtered range: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestWireClusterEndToEnd(t *testing.T) {
 	}
 
 	// Streaming iterator from the daemon: same answer, delivered in batches.
-	it, err := daemon.RangeIter(dids[3], full)
+	it, err := daemon.QueryIter(dids[3], Query{Range: full})
 	if err != nil {
 		t.Fatalf("daemon range iter: %v", err)
 	}

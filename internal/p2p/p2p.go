@@ -44,7 +44,7 @@
 // Structural operations (Join, Depart, LoadBalance, ForceRejoin, Kill,
 // Recover, Snapshot) serialise with each other on a membership lock,
 // mirroring how the paper's protocol serialises structural changes around
-// the affected region, while Get/Put/Delete/Range/Bulk traffic keeps
+// the affected region, while Get/Put/Delete/Query/Bulk traffic keeps
 // flowing throughout — data requests never take the membership lock.
 // LoadBalance performs the adjacent-peer data shuffle of Section V: the
 // peer measures its own and its adjacent peers' loads and moves the
@@ -132,12 +132,16 @@
 // which re-enters the overlay path and its usual fail-over rules. See
 // routecache.go.
 //
-// Range queries come in two flavours: RangeSerial walks the right-adjacent
-// chain one peer at a time exactly as Section IV-B describes, while Range
-// (the default) scatters the uncovered remainder of the query across the
-// chain and the sideways routing tables in parallel and gathers the partial
-// answers in a per-query collector, turning O(peers-covered) sequential
-// hops into a logarithmic-depth fan-out. Bulk operations (BulkGet, BulkPut,
+// Every read is one Query (query.go): a key range, an optional pushdown
+// predicate and a plan. Like the range query of Section IV-B it starts at
+// the peer owning the range's lower bound — the owner the published ring
+// names, or routed there from via when that owner is dead or unknown — and
+// covers the range from there: PlanSerial walks the right-adjacent chain
+// one peer at a time exactly as the paper describes, while PlanParallel
+// scatters the uncovered remainder across the chain and the sideways
+// routing tables in parallel and gathers the partial answers in a
+// per-query collector, turning O(peers-covered) sequential hops into a
+// logarithmic-depth fan-out. Bulk operations (BulkGet, BulkPut,
 // BulkDelete) group keys by responsible peer and pipeline one batched
 // message per peer, amortising routing hops across the whole batch; keys
 // whose owner changed under a concurrent membership operation are retried
@@ -145,22 +149,22 @@
 //
 // # Query layer
 //
-// On top of the two fixed range flavours sits a thin adaptive planner
-// (query.go, internal/query). RangeAdaptive estimates a range's peer-span
-// from the published ring — two binary searches against state the client
-// already holds, no messages, no locks — and dispatches the serial walk
-// for narrow ranges and the scatter for wide ones, with the crossover
-// tuned per span bucket from the latencies the cluster itself observes
-// rather than hard-coded. A small (range bucket, epoch)-keyed plan cache
-// short-circuits the estimate and the entry-point lookup for repeated
-// ranges and is invalidated implicitly by every epoch bump. RangeIter
-// streams a range answer: scatter branches push bounded batches through a
-// channel-backed sink as they land, so wide queries allocate O(batch)
-// rather than O(result). GetFiltered / RangeFiltered push a serialisable
-// predicate (internal/query.Pred: value-length bounds, key-set
-// membership, item limit) down to the owning peers, so items that cannot
-// match never cross the wire, and a limited serial walk terminates the
-// adjacent chain the moment the limit is satisfied.
+// A thin adaptive planner (query.go, internal/query) picks the plan of a
+// PlanAuto query: it estimates the range's peer-span from the published
+// ring — two binary searches against state the client already holds, no
+// messages, no locks — and dispatches the serial walk for narrow ranges
+// and the scatter for wide ones, with the crossover tuned per span bucket
+// from the latencies the cluster itself observes rather than hard-coded. A
+// small (range bucket, epoch)-keyed plan cache short-circuits the estimate
+// and the entry-point lookup for repeated ranges and is invalidated
+// implicitly by every epoch bump. QueryIter streams an answer: scatter
+// branches push bounded batches through a channel-backed sink as they land,
+// so wide queries allocate O(batch) rather than O(result). A query's
+// predicate (internal/query.Pred: value-length bounds, key-set membership,
+// item limit) is evaluated at the owning peers, so items that cannot match
+// never cross the wire, and a limited serial walk terminates the adjacent
+// chain the moment the limit is satisfied. A filtered point read is the
+// one-key range [k, k+1).
 //
 // # Observability
 //
@@ -258,18 +262,10 @@ const (
 	kindReplicaResync // instruct a peer to full-sync to its current holder
 	kindReplicaFetch  // return the replica set held for one source
 	kindReplicaDump   // export every replica set this peer holds
-
-	// Query-layer messages (query.go): predicate-pushdown variants of the
-	// singleton get and the range query. They carry a serialisable
-	// query.Pred evaluated at the owning peer, so items that cannot match
-	// never cross the wire; a kindRangePred with a limit stops the serial
-	// chain walk as soon as the limit is satisfied.
-	kindGetPred   // singleton get answered through the pushdown predicate
-	kindRangePred // range query carrying a pushdown predicate
 )
 
 // numKinds sizes per-kind metric arrays; it must track the enum above.
-const numKinds = int(kindRangePred) + 1
+const numKinds = int(kindReplicaDump) + 1
 
 // String names the kind for metrics and traces. The switch is exhaustive
 // (kindexhaustive) so a new kind cannot ship without a display name.
@@ -319,10 +315,6 @@ func (k kind) String() string {
 		return "REPLICA_FETCH"
 	case kindReplicaDump:
 		return "REPLICA_DUMP"
-	case kindGetPred:
-		return "GET_PRED"
-	case kindRangePred:
-		return "RANGE_PRED"
 	default:
 		return fmt.Sprintf("KIND_%d", int(k))
 	}
@@ -366,10 +358,11 @@ type request struct {
 	// and on streaming queries, whose client builds the collector itself so
 	// the channel-backed sink travels with the request (see query.go).
 	coll *collector
-	// pred is the pushdown predicate of a kindGetPred / kindRangePred
-	// request, evaluated at the owning peer. Plain serialisable data —
-	// see query.Pred. Parallel scatter branches read it from coll instead,
-	// so one query evaluates one predicate wherever its branches run.
+	// pred is the pushdown predicate of a kindRange request, evaluated at
+	// the owning peers so items that cannot match never cross the wire.
+	// Plain serialisable data — see query.Pred. Parallel scatter branches
+	// read it from coll instead, so one query evaluates one predicate
+	// wherever its branches run.
 	pred *query.Pred
 	// bulk carries the keys/items of a batched operation or a data handoff.
 	bulk []store.Item
@@ -1102,62 +1095,61 @@ func (c *Cluster) Delete(via core.PeerID, key keyspace.Key) (bool, int, error) {
 	return resp.found, resp.hops, resp.err
 }
 
-// Range returns every stored item with a key in r, starting at peer via.
-// The query is routed to the peer owning r.Lower (phase 1) and from there
-// fans out over the covering peers in parallel; the reported hop count is
-// the longest message chain of the fan-out, i.e. the latency-determining
-// path. Items are returned in key order. A dead peer inside the range
-// yields the partial result together with ErrOwnerDown.
-func (c *Cluster) Range(via core.PeerID, r keyspace.Range) ([]store.Item, int, error) {
-	resp, err := c.issue(via, request{kind: kindRange, key: r.Lower, rng: r, par: true})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.items, resp.hops, resp.err
-}
-
-// RangeSerial answers the range query by walking the right-adjacent chain
-// one peer at a time, exactly as Section IV-B of the paper describes. It is
-// kept as the baseline the parallel fan-out is benchmarked against; its
-// latency grows linearly with the number of peers covering the range.
-func (c *Cluster) RangeSerial(via core.PeerID, r keyspace.Range) ([]store.Item, int, error) {
-	resp, err := c.issue(via, request{kind: kindRange, key: r.Lower, rng: r})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.items, resp.hops, resp.err
-}
-
-// issue sends the request into the overlay via the given peer and waits for
-// the answer. The wait also watches the cluster's done channel so a client
-// can never block across Stop. Reply channels come from a pool: every
-// request is answered exactly once, so a channel whose answer has been
-// consumed is clean for reuse; a wait abandoned at Stop leaves its channel
-// to the garbage collector instead of returning it, so a late answer can
-// never surface under a later request.
-func (c *Cluster) issue(via core.PeerID, req request) (response, error) {
+// issue enters the request into the overlay at entry — the owner a route
+// cache or plan cache names, nil for none — and waits for the answer. When
+// entry is nil, dead or retired it enters at via instead, untagged (a
+// direct-routed request degrades to a plain overlay request), and via's
+// usual fail-over rules apply. via is validated either way, so the entry
+// point changes message counts, never call semantics.
+func (c *Cluster) issue(via core.PeerID, entry *peer, req request) (response, error) {
 	if c.stopped.Load() {
 		return response{}, ErrStopped
 	}
-	if _, ok := c.topo.Load().peers[via]; !ok {
+	vp, ok := c.topo.Load().peers[via]
+	if !ok {
 		return response{}, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
 	}
-	req.reply = getReply()
-	if !c.send(via, req) {
-		putReply(req.reply)
-		if c.stopped.Load() {
-			return response{}, ErrStopped
+	if entry != nil {
+		if resp, sent, err := c.await(entry, &req); sent {
+			return resp, err
 		}
-		c.suspect(via)
-		return response{}, fmt.Errorf("%w: %d", ErrOwnerDown, via)
+		req.epoch = 0
+	}
+	if resp, sent, err := c.await(vp, &req); sent {
+		return resp, err
+	}
+	if c.stopped.Load() {
+		return response{}, ErrStopped
+	}
+	c.suspect(via)
+	return response{}, fmt.Errorf("%w: %d", ErrOwnerDown, via)
+}
+
+// await delivers the request to p and waits for the answer; sent is false
+// when nothing was delivered (p is dead or retired, or the cluster is
+// stopping). A streaming query answers through its collector's sink, so it
+// returns once delivered. The wait also watches the cluster's done channel
+// so a client can never block across Stop. Reply channels come from a pool:
+// every request is answered exactly once, so a channel whose answer has been
+// consumed — or that was never sent — is clean for reuse; a wait abandoned
+// at Stop leaves its channel to the garbage collector instead, so a late
+// answer can never surface under a later request.
+func (c *Cluster) await(p *peer, req *request) (resp response, sent bool, err error) {
+	if req.coll != nil {
+		return response{}, c.deliverTo(p, *req, false), nil
+	}
+	req.reply = getReply()
+	if !c.deliverTo(p, *req, false) {
+		putReply(req.reply)
+		return response{}, false, nil
 	}
 	select {
-	case resp := <-req.reply:
+	case resp = <-req.reply:
 		putReply(req.reply)
-		return resp, nil
+		return resp, true, nil
 	case <-c.done:
 		//batonvet:ignore replypool abandoned on Stop by design: the late answer must not reach the pool (see the doc comment above)
-		return response{}, ErrStopped
+		return response{}, true, ErrStopped
 	}
 }
 
@@ -1348,7 +1340,7 @@ func (c *Cluster) handle(p *peer, req request) {
 	//batonvet:ignore kindexhaustive partial filter by design: only data kinds feed the load meter
 	switch req.kind {
 	case kindGet, kindPut, kindDelete, kindRange, kindRangeScatter,
-		kindBulkGet, kindBulkPut, kindBulkDelete, kindGetPred, kindRangePred:
+		kindBulkGet, kindBulkPut, kindBulkDelete:
 		p.reqs.Add(1)
 	}
 	//batonvet:ignore kindexhaustive partial dispatch by design: control kinds returned above, singleton data kinds fall through to the owned-key switch below
@@ -1384,7 +1376,7 @@ func (c *Cluster) handle(p *peer, req request) {
 		k, ok := p.data.KeyAtFraction(req.frac)
 		c.respond(req, response{splitKey: k, found: ok, hops: req.hops})
 		return
-	case kindRange, kindRangePred:
+	case kindRange:
 		c.handleRange(p, req)
 		return
 	case kindRangeScatter:
@@ -1405,15 +1397,6 @@ func (c *Cluster) handle(p *peer, req request) {
 		switch req.kind {
 		case kindGet:
 			v, ok := p.data.Get(req.key)
-			c.respond(req, response{value: v, found: ok, hops: req.hops})
-		case kindGetPred:
-			// Pushdown: the predicate is evaluated here at the owner, so a
-			// non-matching value never crosses the wire. Found reports
-			// "present and matching" — the client asked a filtered question.
-			v, ok := p.data.Get(req.key)
-			if ok && !req.pred.Match(req.key, v) {
-				v, ok = nil, false
-			}
 			c.respond(req, response{value: v, found: ok, hops: req.hops})
 		case kindPut:
 			p.data.Put(req.key, req.value)
@@ -1469,13 +1452,13 @@ func (p *peer) touchesPending(req request) bool {
 	}
 	//batonvet:ignore kindexhaustive partial filter by design: only key- and range-addressed kinds can touch a pending region
 	switch req.kind {
-	case kindGet, kindPut, kindDelete, kindGetPred:
+	case kindGet, kindPut, kindDelete:
 		for _, r := range p.pending {
 			if r.Contains(req.key) {
 				return true
 			}
 		}
-	case kindRange, kindRangeScatter, kindRangePred:
+	case kindRange, kindRangeScatter:
 		for _, r := range p.pending {
 			if r.Intersects(req.rng) {
 				return true
@@ -1624,7 +1607,7 @@ func (c *Cluster) handleRange(p *peer, req request) {
 	}
 	if req.par {
 		// Phase 2, parallel: become the fan-out coordinator. A streaming
-		// query (Cluster.RangeIter) built its collector client-side so the
+		// query (Cluster.QueryIter) built its collector client-side so the
 		// channel-backed sink and the pushdown predicate travel with the
 		// request; a materialising query's collector is created here.
 		coll := req.coll

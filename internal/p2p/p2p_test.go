@@ -88,7 +88,7 @@ func TestClusterRange(t *testing.T) {
 	c, keys := liveCluster(t, 60, 800, 3)
 	ids := c.PeerIDs()
 	r := keyspace.NewRange(200_000_000, 500_000_000)
-	items, hops, err := c.Range(ids[0], r)
+	items, hops, err := c.Query(ids[0], parallelQuery(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestClusterConcurrentTraffic(t *testing.T) {
 					}
 				case 2:
 					lo := keyspace.Key(1 + rng.Int63n(900_000_000))
-					if _, _, err := c.Range(via, keyspace.NewRange(lo, lo+1_000_000)); err != nil {
+					if _, _, err := c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+1_000_000))); err != nil {
 						errs <- fmt.Errorf("worker %d range: %v", w, err)
 						return
 					}

@@ -1,5 +1,6 @@
-// The adaptive query layer: selectivity-aware range planning, streaming
-// range iterators and predicate pushdown over the live cluster.
+// The query layer: one read spec, Query, answered materialised
+// (Cluster.Query) or streamed (Cluster.QueryIter), with selectivity-aware
+// planning and predicate pushdown.
 //
 // BATON makes range selectivity visible for free. The published topology
 // snapshot carries the key-ordered ring — every member's range lower bound
@@ -8,19 +9,21 @@
 // no locks, no statistics machinery. This is the same lock-free pre-check
 // discipline as the balancer's balanceLikely.
 //
-// RangeAdaptive plans per request: it estimates the range's peer-span from
-// the ring, asks the query.Planner whether the serial adjacent-chain walk
-// or the parallel scatter wins at that span (the crossover is tuned from
-// the latencies the cluster itself observes, not a hard-coded constant),
-// and dispatches the request straight to the cached owner of the range's
-// lower bound. A (range bucket, epoch)-keyed query.Cache short-circuits
-// the span estimate and the owner lookup for repeated ranges; every
-// ownership publication bumps the epoch, which invalidates the cache
-// implicitly. A stale cache entry — the bucket was shared, or ownership
-// moved before the epoch bumped — costs forwarding hops (phase-1 routing
-// re-aims the request), never correctness.
+// Every query takes the same steps. planRange estimates the range's
+// peer-span from the ring and looks up the slot owning its lower bound,
+// fixes the plan — the caller's, or under query.PlanAuto the
+// query.Planner's choice between the serial adjacent-chain walk and the
+// parallel scatter (the crossover is tuned from the latencies the cluster
+// itself observes, not a hard-coded constant) — and issue delivers the
+// request straight to that owner, falling back to via when it is dead or
+// unknown. A (range bucket, epoch)-keyed query.Cache short-circuits the
+// span estimate and the owner lookup for repeated ranges; every ownership
+// publication bumps the epoch, which invalidates the cache implicitly. A
+// stale cache entry — the bucket was shared, or ownership moved before the
+// epoch bumped — costs forwarding hops (phase-1 routing re-aims the
+// request), never correctness.
 //
-// RangeIter streams: the scatter branches push bounded batches into a
+// QueryIter streams: the scatter branches push bounded batches into a
 // channel-backed sink as they land instead of materialising one giant
 // slice, so a wide range query allocates O(batch), not O(result), on the
 // serving peers. Batches arrive in segment-arrival order — each batch is
@@ -31,7 +34,7 @@
 package p2p
 
 import (
-	"fmt"
+	"errors"
 	"sort"
 	"time"
 
@@ -41,6 +44,23 @@ import (
 	"baton/internal/query"
 	"baton/internal/store"
 )
+
+// Query is one read of the live cluster: every stored item with a key in
+// Range that matches Pred, executed under Plan. A nil Pred matches
+// everything, and a positive Pred.Limit caps the answer (Cluster.Query
+// returns the lowest Limit matching keys). The zero Plan, query.PlanAuto,
+// lets the planner choose. A filtered point read is the one-key range
+// [k, k+1).
+type Query struct {
+	Range keyspace.Range
+	Pred  *query.Pred
+	Plan  query.Plan
+}
+
+// request is the range request that runs q under plan.
+func (q Query) request(plan query.Plan) request {
+	return request{kind: kindRange, key: q.Range.Lower, rng: q.Range, par: plan == query.PlanParallel, pred: q.Pred}
+}
 
 // entryIdx returns the ring index of the member owning key under this
 // topology (the slot entryOf resolves, as an index so it can be cached),
@@ -84,33 +104,40 @@ func (c *Cluster) EstimateSpan(r keyspace.Range) int {
 	return c.topo.Load().spanOf(r)
 }
 
-// PlanStats returns the query layer's planning counters: adaptive range
-// queries dispatched serially and in parallel, and plan-cache hits.
+// PlanStats returns the query layer's planning counters: range queries —
+// every Query and QueryIter, whatever its plan — dispatched serially and in
+// parallel, and plan-cache hits.
 func (c *Cluster) PlanStats() obs.PlanSnapshot { return c.plans.Snapshot() }
 
-// planRange resolves the plan for a range query under topology t: span and
-// owner slot from the plan cache when current, recomputed and cached
-// otherwise. The plan itself is always re-chosen — query.Planner.Choose is
-// a handful of atomic operations — so the trial schedule keeps tuning even
-// on all-hit workloads. A query with a pushdown limit is always served
-// serially: the
-// chain stops the moment the limit is reached, while a scatter would fan
-// work out to peers whose items are then thrown away.
-func (c *Cluster) planRange(t *topology, r keyspace.Range, pred *query.Pred) (query.Plan, int, int) {
-	var span, ownerIdx int
-	bucket := query.BucketOf(r)
+// planRange resolves q under the current topology: its plan, the range's
+// peer-span, and the peer owning q.Range.Lower (nil for an empty ring).
+// Span and owner slot come from the plan cache when current and are
+// recomputed and cached otherwise. An explicit q.Plan stands. PlanAuto with
+// a limit is served serially: the chain stops the moment the limit is
+// reached, while a scatter would fan work out to peers whose items are then
+// thrown away. Otherwise query.Planner.Choose picks — re-chosen per query (a
+// handful of atomic operations), so the trial schedule keeps tuning even on
+// all-hit workloads.
+func (c *Cluster) planRange(q Query) (plan query.Plan, span int, entry *peer) {
+	t := c.topo.Load()
+	var ownerIdx int
+	bucket := query.BucketOf(q.Range)
 	if e, ok := c.planCache.Get(bucket, t.epoch); ok {
 		c.plans.CacheHit()
 		span, ownerIdx = e.Span, e.OwnerIdx
 	} else {
-		span = t.spanOf(r)
-		ownerIdx = t.entryIdx(r.Lower)
+		span = t.spanOf(q.Range)
+		ownerIdx = t.entryIdx(q.Range.Lower)
 		c.planCache.Put(bucket, t.epoch, span, ownerIdx)
 	}
-	var plan query.Plan
-	if pred.LimitOrZero() > 0 {
+	if ownerIdx >= 0 && ownerIdx < len(t.ring) {
+		entry = t.ring[ownerIdx].p
+	}
+	switch plan = q.Plan; {
+	case plan != query.PlanAuto:
+	case q.Pred.LimitOrZero() > 0:
 		plan = query.PlanSerial
-	} else {
+	default:
 		plan = c.planner.Choose(span)
 	}
 	if plan == query.PlanSerial {
@@ -118,97 +145,32 @@ func (c *Cluster) planRange(t *topology, r keyspace.Range, pred *query.Pred) (qu
 	} else {
 		c.plans.Parallel()
 	}
-	return plan, span, ownerIdx
+	return plan, span, entry
 }
 
-// RangeAdaptive answers the range query like Range / RangeSerial, but
-// picks the execution per request: the peer-span of the range is estimated
-// from the published ring and the self-tuned planner dispatches the serial
-// chain walk for narrow ranges and the parallel scatter for wide ones.
-// The request enters the overlay at the cached owner of r.Lower (falling
-// back to via when the slot is dead or unknown), so repeated ranges skip
-// phase-1 routing too. Items are returned in key order.
-func (c *Cluster) RangeAdaptive(via core.PeerID, r keyspace.Range) ([]store.Item, int, error) {
-	return c.rangePlanned(via, r, nil)
-}
-
-// RangeFiltered is RangeAdaptive with predicate pushdown: pred is
-// evaluated at each owning peer, so items that cannot match never cross
-// the wire, and a positive pred.Limit caps the result — served by a
-// serial walk that terminates the chain as soon as the limit is satisfied.
-func (c *Cluster) RangeFiltered(via core.PeerID, r keyspace.Range, pred *query.Pred) ([]store.Item, int, error) {
-	pred.Normalize()
-	return c.rangePlanned(via, r, pred)
-}
-
-func (c *Cluster) rangePlanned(via core.PeerID, r keyspace.Range, pred *query.Pred) ([]store.Item, int, error) {
-	if c.stopped.Load() {
-		return nil, 0, ErrStopped
-	}
-	t := c.topo.Load()
-	if _, ok := t.peers[via]; !ok {
-		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
-	}
-	plan, span, ownerIdx := c.planRange(t, r, pred)
-	req := request{kind: kindRange, key: r.Lower, rng: r, par: plan == query.PlanParallel}
-	if pred != nil {
-		req.kind = kindRangePred
-		req.pred = pred
-	}
+// Query answers q starting at peer via: the matching items in key order,
+// and the longest message chain that produced them. The request enters at
+// the cached owner of q.Range.Lower, or at via when that owner is dead or
+// unknown. A dead peer inside the range yields the partial answer together
+// with ErrOwnerDown. The planner learns only from the queries it planned
+// itself — PlanAuto without a limit — that answered cleanly.
+func (c *Cluster) Query(via core.PeerID, q Query) ([]store.Item, int, error) {
+	q.Pred.Normalize()
+	plan, span, entry := c.planRange(q)
 	start := time.Now()
-	resp, err := c.issueToEntry(via, t, ownerIdx, req)
+	resp, err := c.issue(via, entry, q.request(plan))
 	if err != nil {
 		return nil, 0, err
 	}
-	if resp.err == nil && pred.LimitOrZero() == 0 {
-		// Feed the tuner with clean, comparable measurements only: no
-		// failed-over queries, no limit-truncated walks.
+	if q.Plan == query.PlanAuto && q.Pred.LimitOrZero() == 0 && resp.err == nil {
 		c.planner.Observe(plan, span, time.Since(start).Nanoseconds())
 	}
 	return resp.items, resp.hops, resp.err
 }
 
-// GetFiltered is Get with predicate pushdown: the predicate is evaluated
-// at the owning peer, so a non-matching value never crosses the wire.
-// Found reports whether the key is present AND matches. Routed like Get
-// (owner-direct under RouteDirect).
-func (c *Cluster) GetFiltered(via core.PeerID, key keyspace.Key, pred *query.Pred) ([]byte, bool, int, error) {
-	pred.Normalize()
-	resp, err := c.route(via, request{kind: kindGetPred, key: key, pred: pred})
-	if err != nil {
-		return nil, false, 0, err
-	}
-	return resp.value, resp.found, resp.hops, resp.err
-}
-
-// issueToEntry issues the request straight to the ring slot idx of
-// topology t when that member is alive, falling back to the overlay path
-// entered at via otherwise — the same degradation issueDirect applies. A
-// misaimed direct send (the cached slot no longer owns the range's lower
-// bound) is re-routed by phase-1 forwarding at the receiver.
-func (c *Cluster) issueToEntry(via core.PeerID, t *topology, idx int, req request) (response, error) {
-	if idx >= 0 && idx < len(t.ring) {
-		e := &t.ring[idx]
-		if e.p.alive.Load() {
-			req.reply = getReply()
-			if c.deliverTo(e.p, req, false) {
-				select {
-				case resp := <-req.reply:
-					putReply(req.reply)
-					return resp, nil
-				case <-c.done:
-					//batonvet:ignore replypool abandoned on Stop by design: the late answer must not reach the pool (see replyPool's doc comment)
-					return response{}, ErrStopped
-				}
-			}
-			// The slot died (or a tombstone was retired) between the
-			// topology load and the delivery: nothing was sent, so the
-			// channel is clean.
-			putReply(req.reply)
-			req.reply = nil
-		}
-	}
-	return c.issue(via, req)
+// RangeAdaptive is Query over r with the planner choosing the plan.
+func (c *Cluster) RangeAdaptive(via core.PeerID, r keyspace.Range) ([]store.Item, int, error) {
+	return c.Query(via, Query{Range: r})
 }
 
 // iterBatchSize bounds how many items one streaming batch carries: big
@@ -268,7 +230,7 @@ func (s *rangeSink) close(hops int, err error) {
 
 // RangeIter is a streaming range query in progress. Use it like:
 //
-//	it, err := c.RangeIter(via, r)
+//	it, err := c.QueryIter(via, p2p.Query{Range: r})
 //	if err != nil { ... }
 //	defer it.Close()
 //	for it.Next() {
@@ -304,80 +266,29 @@ type RangeIter struct {
 	closed  bool
 }
 
-// RangeIter starts a streaming range query: the parallel scatter runs as
-// in Range, but branches stream their contributions through a bounded
-// sink as they land and the iterator yields them without ever
-// materialising the full result.
-func (c *Cluster) RangeIter(via core.PeerID, r keyspace.Range) (*RangeIter, error) {
-	return c.rangeIter(via, r, nil)
-}
-
-// RangeIterFiltered is RangeIter with predicate pushdown: pred is
-// evaluated at each producing peer, and a positive pred.Limit stops the
-// iterator after that many items (remaining branches are cancelled).
-func (c *Cluster) RangeIterFiltered(via core.PeerID, r keyspace.Range, pred *query.Pred) (*RangeIter, error) {
-	pred.Normalize()
-	return c.rangeIter(via, r, pred)
-}
-
-func (c *Cluster) rangeIter(via core.PeerID, r keyspace.Range, pred *query.Pred) (*RangeIter, error) {
-	if c.stopped.Load() {
-		return nil, ErrStopped
+// QueryIter starts q as a streaming query: the range is scattered as under
+// PlanParallel, but the branches stream their contributions through a
+// bounded sink as they land and the iterator yields them without ever
+// materialising the whole answer; a positive Pred.Limit stops it after that
+// many items. PlanSerial is refused without sending anything — a chain walk
+// yields nothing until it ends.
+func (c *Cluster) QueryIter(via core.PeerID, q Query) (*RangeIter, error) {
+	if q.Plan == query.PlanSerial {
+		return nil, errors.New("p2p: a serial walk cannot stream; use Query")
 	}
-	t := c.topo.Load()
-	if _, ok := t.peers[via]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
+	q.Pred.Normalize()
+	q.Plan = query.PlanParallel
+	_, _, entry := c.planRange(q)
+	sink := &rangeSink{ch: make(chan iterBatch, sinkBuffer), cancel: make(chan struct{}), done: c.done}
+	// The collector is built here so the sink and predicate travel with the
+	// request; the coordinating peer seeds no collector of its own (see
+	// handleRange). Its one pending unit is the coordinator's branch.
+	req := q.request(q.Plan)
+	req.coll = &collector{pred: q.Pred, sink: sink, pending: 1}
+	if _, err := c.issue(via, entry, req); err != nil {
+		return nil, err
 	}
-	// Streaming is always the parallel scatter — a serial chain cannot
-	// yield anything before the walk completes — so only the owner slot is
-	// interesting; the cache still skips the lookup for repeated ranges.
-	var ownerIdx int
-	bucket := query.BucketOf(r)
-	if e, ok := c.planCache.Get(bucket, t.epoch); ok {
-		c.plans.CacheHit()
-		ownerIdx = e.OwnerIdx
-	} else {
-		ownerIdx = t.entryIdx(r.Lower)
-		c.planCache.Put(bucket, t.epoch, t.spanOf(r), ownerIdx)
-	}
-	c.plans.Parallel()
-	sink := &rangeSink{
-		ch:     make(chan iterBatch, sinkBuffer),
-		cancel: make(chan struct{}),
-		done:   c.done,
-	}
-	// The collector is built client-side so the sink and predicate travel
-	// with the request; the coordinating peer seeds no collector of its
-	// own (see handleRange). One pending unit covers the coordinator's
-	// branch, exactly as handleRange would grow it.
-	coll := &collector{pred: pred, sink: sink}
-	coll.grow(1)
-	req := request{kind: kindRange, key: r.Lower, rng: r, par: true, coll: coll}
-	if pred != nil {
-		req.kind = kindRangePred
-		req.pred = pred
-	}
-	if !c.sendToEntry(t, ownerIdx, req) && !c.send(via, req) {
-		if c.stopped.Load() {
-			return nil, ErrStopped
-		}
-		c.suspect(via)
-		return nil, fmt.Errorf("%w: %d", ErrOwnerDown, via)
-	}
-	return &RangeIter{sink: sink, limit: pred.LimitOrZero()}, nil
-}
-
-// sendToEntry delivers the request to the ring slot idx of topology t,
-// reporting false when the slot is out of range, dead or unreachable.
-func (c *Cluster) sendToEntry(t *topology, idx int, req request) bool {
-	if idx < 0 || idx >= len(t.ring) {
-		return false
-	}
-	e := &t.ring[idx]
-	if !e.p.alive.Load() {
-		return false
-	}
-	return c.deliverTo(e.p, req, false)
+	return &RangeIter{sink: sink, limit: q.Pred.LimitOrZero()}, nil
 }
 
 // Next advances to the next item, blocking until one is available, and
@@ -429,7 +340,7 @@ func (it *RangeIter) Item() store.Item { return it.cur[it.idx] }
 func (it *RangeIter) Err() error { return it.err }
 
 // Hops returns the longest message chain across the scatter's branches,
-// like Range's hop count. Valid after Next returned false with a complete
+// like Query's hop count. Valid after Next returned false with a complete
 // answer.
 func (it *RangeIter) Hops() int { return it.hops }
 

@@ -97,26 +97,22 @@ func TestEstimateSpanMatchesCore(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRangeMatchesFixedPlans checks the planned path returns the
-// same answer as both fixed flavours across widths, and that the plan
-// cache serves repeats: the second identical query must hit.
+// TestAdaptiveRangeMatchesFixedPlans checks that the plan cache serves
+// repeats across widths: the second identical query must hit. (The answers
+// themselves, under every plan, are TestQueryMatchesModel's.)
 func TestAdaptiveRangeMatchesFixedPlans(t *testing.T) {
-	c, keys := liveCluster(t, 60, 600, 41)
+	c, _ := liveCluster(t, 60, 600, 41)
 	ids := c.PeerIDs()
-	uniq := uniqueSortedKeys(keys)
 	rng := rand.New(rand.NewSource(42))
 	for _, width := range []keyspace.Key{5_000_000, 80_000_000, 400_000_000, 999_000_000} {
 		lo := keyspace.DomainMin + keyspace.Key(rng.Int63n(int64(keyspace.DomainMax-width)))
 		r := keyspace.NewRange(lo, lo+width)
 		via := ids[rng.Intn(len(ids))]
 		before := c.PlanStats()
-		items, _, err := c.RangeAdaptive(via, r)
-		if err != nil {
-			t.Fatalf("adaptive range %v: %v", r, err)
-		}
-		checkExactItems(t, items, keysIn(uniq, r), fmt.Sprintf("adaptive width %d", width))
-		if _, _, err := c.RangeAdaptive(via, r); err != nil {
-			t.Fatal(err)
+		for range 2 {
+			if _, _, err := c.RangeAdaptive(via, r); err != nil {
+				t.Fatalf("adaptive range %v: %v", r, err)
+			}
 		}
 		after := c.PlanStats()
 		if after.CacheHits <= before.CacheHits {
@@ -161,60 +157,92 @@ func TestPlanCacheNotServedAcrossEpochBump(t *testing.T) {
 	}
 }
 
-// TestGetFilteredPushdown pins the single-key pushdown contract: found
-// reports present AND matching, and a non-matching value stays put.
-func TestGetFilteredPushdown(t *testing.T) {
-	c, keys := liveCluster(t, 30, 200, 44)
-	ids := c.PeerIDs()
-	k := uniqueSortedKeys(keys)[10]
-	v, found, _, err := c.GetFiltered(ids[0], k, &query.Pred{MinValueLen: 1})
-	if err != nil || !found || string(v) != fmt.Sprint(k) {
-		t.Fatalf("matching pred: %q %v %v", v, found, err)
-	}
-	if _, found, _, err = c.GetFiltered(ids[1], k, &query.Pred{MinValueLen: 100}); err != nil || found {
-		t.Fatalf("min-len pred should filter the value out: found=%v err=%v", found, err)
-	}
-	if _, found, _, err = c.GetFiltered(ids[2], k, &query.Pred{Keys: []keyspace.Key{k}}); err != nil || !found {
-		t.Fatalf("key-set pred naming the key should match: found=%v err=%v", found, err)
-	}
-	if _, found, _, err = c.GetFiltered(ids[3], k, &query.Pred{Keys: []keyspace.Key{k + 1}}); err != nil || found {
-		t.Fatalf("key-set pred naming another key should not match: found=%v err=%v", found, err)
+// parallelQuery and serialQuery read r under a fixed plan.
+func parallelQuery(r keyspace.Range) Query { return Query{Range: r, Plan: query.PlanParallel} }
+func serialQuery(r keyspace.Range) Query   { return Query{Range: r, Plan: query.PlanSerial} }
+
+// TestQueryMatchesModel is the read contract as one table: every plan ×
+// every predicate × both entry points, over a wide range and two one-key
+// ranges, in process and from a zero-peer wire client. Query returns
+// exactly the model — the range's loaded keys that match, the lowest Limit
+// of them under a limit — in key order; QueryIter yields the same set in
+// arrival order, and under a limit stops after Limit of the range's keys,
+// whichever arrive first. QueryIter refuses PlanSerial and sends nothing.
+func TestQueryMatchesModel(t *testing.T) {
+	local, localKeys := liveCluster(t, 60, 800, 45)
+	_, _, client, wireKeys := wireTrio(t, 6, 6, 800, 45)
+	for _, tc := range []struct {
+		name string
+		c    *Cluster
+		keys []keyspace.Key
+	}{{"local", local, localKeys}, {"wire", client, wireKeys}} {
+		uniq := uniqueSortedKeys(tc.keys)
+		wide := keyspace.NewRange(100_000_000, 900_000_000)
+		in := keysIn(uniq, wide)
+		preds := []*query.Pred{nil, {MinValueLen: 100}, {Keys: []keyspace.Key{in[3], in[7], in[11]}}, {Limit: 5}}
+		model := func(r keyspace.Range, pred *query.Pred) (want []keyspace.Key) {
+			for _, k := range keysIn(uniq, r) {
+				if pred.Match(k, []byte(fmt.Sprint(k))) && (pred.LimitOrZero() == 0 || len(want) < pred.Limit) {
+					want = append(want, k)
+				}
+			}
+			return want
+		}
+		via := tc.c.PeerIDs()[0]
+		for _, plan := range []query.Plan{query.PlanAuto, query.PlanSerial, query.PlanParallel} {
+			for i, pred := range preds {
+				for _, r := range []keyspace.Range{wide, keyspace.NewRange(in[3], in[3]+1), keyspace.NewRange(in[4], in[4]+1)} {
+					q, want := Query{Range: r, Pred: pred, Plan: plan}, model(r, pred)
+					label := fmt.Sprintf("%s: %v plan, pred %d, %v", tc.name, plan, i, r)
+					items, _, err := tc.c.Query(via, q)
+					if got := itemKeys(items); err != nil || !slices.Equal(got, want) {
+						t.Fatalf("%s: Query = %v, %v; want %v", label, got, err, want)
+					}
+					sent := tc.c.Messages()
+					it, err := tc.c.QueryIter(via, q)
+					if plan == query.PlanSerial {
+						if err == nil || tc.c.Messages() != sent {
+							t.Fatalf("%s: QueryIter = %v after %d messages, want an error and none", label, err, tc.c.Messages()-sent)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: QueryIter: %v", label, err)
+					}
+					var got []keyspace.Key
+					for it.Next() {
+						got = append(got, it.Item().Key)
+					}
+					slices.Sort(got)
+					eligible := want
+					if pred.LimitOrZero() > 0 {
+						eligible = keysIn(uniq, r) // the limit filters nothing else
+					}
+					ok := it.Err() == nil && len(got) == len(want)
+					for j, k := range got {
+						ok = ok && (j == 0 || got[j-1] < k) && slices.Contains(eligible, k)
+					}
+					if !ok {
+						t.Fatalf("%s: QueryIter = %v, %v; want %v", label, got, it.Err(), want)
+					}
+				}
+			}
+		}
 	}
 }
 
-// TestRangeFilteredPushdown pins the range pushdown: predicate fields
-// filter at the owning peers, a limit returns the lowest matching keys
-// (the serial walk runs left to right), and the limited walk terminates
-// the chain early — measurably fewer hops than the full walk.
+// TestRangeFilteredPushdown pins what a limit saves: the limited walk
+// terminates the chain early — measurably fewer hops than the full walk.
+// (What each predicate returns is TestQueryMatchesModel's.)
 func TestRangeFilteredPushdown(t *testing.T) {
-	c, keys := liveCluster(t, 60, 800, 45)
+	c, _ := liveCluster(t, 60, 800, 45)
 	ids := c.PeerIDs()
-	uniq := uniqueSortedKeys(keys)
 	r := keyspace.NewRange(100_000_000, 900_000_000)
-	inRange := keysIn(uniq, r)
-	if len(inRange) < 20 {
-		t.Fatalf("test needs a populated range, got %d keys", len(inRange))
-	}
-
-	items, _, err := c.RangeFiltered(ids[0], r, &query.Pred{MinValueLen: 100})
-	if err != nil || len(items) != 0 {
-		t.Fatalf("min-len pred should filter everything: %d items, err %v", len(items), err)
-	}
-
-	want := []keyspace.Key{inRange[3], inRange[7], inRange[11]}
-	items, _, err = c.RangeFiltered(ids[1], r, &query.Pred{Keys: want})
+	_, limHops, err := c.Query(ids[2], Query{Range: r, Pred: &query.Pred{Limit: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactItems(t, items, want, "key-set pushdown")
-
-	const limit = 5
-	items, limHops, err := c.RangeFiltered(ids[2], r, &query.Pred{Limit: limit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExactItems(t, items, inRange[:limit], "limited walk")
-	_, fullHops, err := c.RangeSerial(ids[2], r)
+	_, fullHops, err := c.Query(ids[2], serialQuery(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +253,15 @@ func TestRangeFilteredPushdown(t *testing.T) {
 
 // TestRangeIterStreams pins the iterator contract on a healthy cluster:
 // the full item set arrives (in segment-arrival order, so compared as a
-// set), Err is nil, Hops is populated, and a filtered iterator with a
-// limit yields exactly limit items then stops.
+// set), Err is nil and Hops is populated. (Predicates and limits are
+// TestQueryMatchesModel's.)
 func TestRangeIterStreams(t *testing.T) {
 	c, keys := liveCluster(t, 60, 800, 46)
 	ids := c.PeerIDs()
 	uniq := uniqueSortedKeys(keys)
 	r := keyspace.NewRange(200_000_000, 800_000_000)
 
-	it, err := c.RangeIter(ids[0], r)
+	it, err := c.QueryIter(ids[0], Query{Range: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,26 +277,6 @@ func TestRangeIterStreams(t *testing.T) {
 	if it.Hops() == 0 {
 		t.Fatal("iterator reported no hops")
 	}
-
-	const limit = 7
-	lit, err := c.RangeIterFiltered(ids[1], r, &query.Pred{Limit: limit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lit.Close()
-	n := 0
-	for lit.Next() {
-		if !r.Contains(lit.Item().Key) {
-			t.Fatalf("limited iterator yielded %d outside the range", lit.Item().Key)
-		}
-		n++
-	}
-	if n != limit {
-		t.Fatalf("limited iterator yielded %d items, want %d", n, limit)
-	}
-	if lit.Err() != nil {
-		t.Fatalf("limited iterator ended with %v", lit.Err())
-	}
 }
 
 // TestRangeIterEpochBumpMidIteration is the red/green churn case: an
@@ -280,7 +288,7 @@ func TestRangeIterEpochBumpMidIteration(t *testing.T) {
 	uniq := uniqueSortedKeys(keys)
 	r := keyspace.NewRange(100_000_000, 950_000_000)
 
-	it, err := c.RangeIter(ids[0], r)
+	it, err := c.QueryIter(ids[0], Query{Range: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,18 +323,20 @@ func TestRangeIterEpochBumpMidIteration(t *testing.T) {
 	checkExactItems(t, items, keysIn(uniq, r), "iterator across join+depart")
 }
 
-// TestQueryLayerChurnStress interleaves every query-layer entry point with
+// TestQueryLayerChurnStress interleaves every kind of read — Query under
+// each plan, QueryIter, a one-key filtered Query and a limited Query — with
 // joins, departures, crashes and recoveries under the race detector. The
-// exactness contract: a query that reports success returns the complete
-// item set for its range with no duplicates — churn may fail a query
-// (ErrOwnerDown) but must never silently lose or duplicate items. The data
-// set is static (no writes), so ground truth never moves.
+// exactness contract: a read that reports success returns exactly its model
+// (the range's complete item set with no duplicates, the one key, the
+// range's lowest ten keys); churn may fail a read (ErrOwnerDown) but must
+// never silently lose or duplicate items. The data set is static (no
+// writes), so ground truth never moves.
 func TestQueryLayerChurnStress(t *testing.T) {
 	c, keys := liveCluster(t, 80, 800, 48)
 	ids := c.PeerIDs()
 	uniq := uniqueSortedKeys(keys)
 	const workers = 8
-	const perWorker = 40
+	const perWorker = 42
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -337,35 +347,36 @@ func TestQueryLayerChurnStress(t *testing.T) {
 				via := ids[rng.Intn(len(ids))]
 				lo := keyspace.DomainMin + keyspace.Key(rng.Int63n(700_000_000))
 				r := keyspace.NewRange(lo, lo+keyspace.Key(1+rng.Int63n(250_000_000)))
-				switch i % 4 {
-				case 0:
-					items, _, err := c.RangeAdaptive(via, r)
-					if err == nil {
-						checkExactItems(t, items, keysIn(uniq, r), "adaptive under churn")
+				want := keysIn(uniq, r)
+				switch i % 6 {
+				case 0, 1, 2: // PlanAuto, PlanSerial, PlanParallel
+					items, _, err := c.Query(via, Query{Range: r, Plan: query.Plan(i % 6)})
+					if err == nil && !slices.Equal(itemKeys(items), want) {
+						t.Errorf("%v query over %v under churn: %d keys, want exactly the %d loaded", query.Plan(i%6), r, len(items), len(want))
 					}
-				case 1:
-					it, err := c.RangeIter(via, r)
+				case 3:
+					it, err := c.QueryIter(via, Query{Range: r})
 					if err != nil {
 						continue
 					}
-					var items []store.Item
+					var got []keyspace.Key
 					for it.Next() {
-						items = append(items, it.Item())
+						got = append(got, it.Item().Key)
 					}
-					if it.Err() == nil {
-						checkExactItems(t, items, keysIn(uniq, r), "iterator under churn")
+					if slices.Sort(got); it.Err() == nil && !slices.Equal(got, want) {
+						t.Errorf("iterator over %v under churn: %d keys, want exactly the %d loaded", r, len(got), len(want))
 					}
 					it.Close()
-				case 2:
+				case 4:
 					k := uniq[rng.Intn(len(uniq))]
-					v, found, _, err := c.GetFiltered(via, k, &query.Pred{MinValueLen: 1})
-					if err == nil && found && string(v) != fmt.Sprint(k) {
-						t.Errorf("filtered get of %d returned %q", k, v)
+					items, _, err := c.Query(via, Query{Range: keyspace.NewRange(k, k+1), Pred: &query.Pred{MinValueLen: 1}})
+					if err == nil && (len(items) != 1 || items[0].Key != k || string(items[0].Value) != fmt.Sprint(k)) {
+						t.Errorf("filtered read of %d returned %v", k, items)
 					}
-				case 3:
-					items, _, err := c.RangeFiltered(via, r, &query.Pred{Limit: 10})
-					if err == nil && len(items) > 10 {
-						t.Errorf("limited range returned %d items", len(items))
+				case 5:
+					items, _, err := c.Query(via, Query{Range: r, Pred: &query.Pred{Limit: 10}})
+					if want = want[:min(10, len(want))]; err == nil && !slices.Equal(itemKeys(items), want) {
+						t.Errorf("limited query over %v returned %v, want the lowest ten keys %v", r, itemKeys(items), want)
 					}
 				}
 			}
@@ -402,7 +413,7 @@ func BenchmarkRangeMaterialised(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items, _, err := c.Range(ids[i%len(ids)], benchRange)
+		items, _, err := c.Query(ids[i%len(ids)], parallelQuery(benchRange))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -422,7 +433,7 @@ func BenchmarkRangeIterStreaming(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, err := c.RangeIter(ids[i%len(ids)], benchRange)
+		it, err := c.QueryIter(ids[i%len(ids)], Query{Range: benchRange})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,7 +53,7 @@ type collector struct {
 	// predicate per segment. Nil for unfiltered queries.
 	pred *query.Pred
 	// sink, when non-nil, switches the collector to streaming mode
-	// (Cluster.RangeIter): branches push their contributions to the
+	// (Cluster.QueryIter): branches push their contributions to the
 	// bounded channel-backed sink as they land instead of accumulating
 	// chunks, and the last branch closes the sink with the query's hop
 	// count and error. See query.go.

@@ -303,7 +303,7 @@ func TestRangeScattersPastDeadAdjacent(t *testing.T) {
 		}
 		via := ring[0].id // owns the domain's lower bound, stays alive
 		r := c.Domain()
-		items, _, err := c.Range(via, r)
+		items, _, err := c.Query(via, parallelQuery(r))
 		dead := 0
 		for _, k := range keys {
 			if victim.rng.Contains(k) {
@@ -329,7 +329,7 @@ func TestRangeScattersPastDeadAdjacent(t *testing.T) {
 		if _, err := c.Recover(victim.id); err != nil {
 			t.Fatalf("victim #%d: recover: %v", victimIdx, err)
 		}
-		items, _, err = c.Range(via, r)
+		items, _, err = c.Query(via, parallelQuery(r))
 		if err != nil {
 			t.Fatalf("victim #%d: range after recovery: %v", victimIdx, err)
 		}
@@ -422,7 +422,7 @@ func TestCrashStormNoReplicatedWriteLost(t *testing.T) {
 					c.Get(via, keys[rng.Intn(len(keys))])
 				} else {
 					lo := keyspace.Key(1 + rng.Int63n(900_000_000))
-					c.Range(via, keyspace.NewRange(lo, lo+5_000_000))
+					c.Query(via, parallelQuery(keyspace.NewRange(lo, lo+5_000_000)))
 				}
 			}
 		}(r)

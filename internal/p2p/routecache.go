@@ -29,7 +29,6 @@
 package p2p
 
 import (
-	"fmt"
 	"sync"
 
 	"baton/internal/core"
@@ -85,57 +84,24 @@ func (c *Cluster) StaleRoutes() int64 {
 func (c *Cluster) Epoch() uint64 { return c.topo.Load().epoch }
 
 // route dispatches a singleton request according to the cluster's routing
-// mode. It is also where sampled requests pick up their trace context:
-// with sampling off the check is one atomic load and the request is
-// untouched, which is what keeps the direct path allocation-free.
+// mode: under RouteDirect it enters at the key's owner under the current
+// topology, tagged with that topology's epoch; otherwise, or when the ring
+// has no entry, at via. It is also where sampled requests pick up their
+// trace context: with sampling off the check is one atomic load and the
+// request is untouched, which is what keeps the direct path
+// allocation-free.
 func (c *Cluster) route(via core.PeerID, req request) (response, error) {
 	c.sampleTrace(&req)
-	var resp response
-	var err error
+	var entry *peer
 	if RouteMode(c.routeMode.Load()) == RouteDirect {
-		resp, err = c.issueDirect(via, req)
-	} else {
-		resp, err = c.issue(via, req)
+		t := c.topo.Load()
+		if e := t.entryOf(req.key); e != nil {
+			entry, req.epoch = e.p, t.epoch
+		}
 	}
+	resp, err := c.issue(via, entry, req)
 	c.finishTrace(req)
 	return resp, err
-}
-
-// issueDirect is the fast path: deliver the request straight to the key's
-// owner under the current topology, tagged with that topology's epoch. When
-// the ring has no entry or the cached owner is dead or retired, it degrades
-// to the overlay path entered at via, which applies the usual fail-over
-// rules (and reports ErrOwnerDown when the responsible peer really is down).
-// via is validated exactly as the overlay path validates it, so the two
-// modes differ only in message count, never in call semantics.
-func (c *Cluster) issueDirect(via core.PeerID, req request) (response, error) {
-	if c.stopped.Load() {
-		return response{}, ErrStopped
-	}
-	t := c.topo.Load()
-	if _, ok := t.peers[via]; !ok {
-		return response{}, fmt.Errorf("%w: %d", ErrUnknownPeer, via)
-	}
-	if e := t.entryOf(req.key); e != nil && e.p.alive.Load() {
-		req.epoch = t.epoch
-		req.reply = getReply()
-		if c.deliverTo(e.p, req, false) {
-			select {
-			case resp := <-req.reply:
-				putReply(req.reply)
-				return resp, nil
-			case <-c.done:
-				//batonvet:ignore replypool abandoned on Stop by design: the late answer must not reach the pool (see replyPool's doc comment)
-				return response{}, ErrStopped
-			}
-		}
-		// The owner died (or a tombstone was retired) between the topology
-		// load and the delivery: nothing was sent, so the channel is clean.
-		putReply(req.reply)
-		req.reply = nil
-		req.epoch = 0
-	}
-	return c.issue(via, req)
 }
 
 // replyPool recycles the buffered reply channels of the request path. A

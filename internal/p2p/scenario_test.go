@@ -11,6 +11,7 @@ import (
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
+	"baton/internal/query"
 	"baton/internal/store"
 	"baton/internal/workload"
 )
@@ -23,7 +24,7 @@ const scenarioEvents = 6
 // skew, range} × {local, tcp} × fanout {2, 4}. Each row grows a 24-peer
 // cluster, in process or as a loopback coordinator + daemon pair that serves
 // traffic the moment JoinRemote returns, and runs concurrent clients doing
-// gets, puts and ranges (every plan: Range, RangeSerial, RangeAdaptive)
+// gets, puts and ranges (every plan: auto, serial, parallel)
 // while its structural events fire:
 //   - churn: online joins and graceful departures;
 //   - fault: kills and crash repairs, under RouteDirect;
@@ -104,7 +105,6 @@ func TestScenarios(t *testing.T) {
 					for j, k := range keys {
 						want[j] = fmt.Sprint(k)
 					}
-					plans := []func(core.PeerID, keyspace.Range) ([]store.Item, int, error){c.Range, c.RangeSerial, c.RangeAdaptive}
 					var wg sync.WaitGroup
 					for cl := 0; cl < clients; cl++ {
 						wg.Add(1)
@@ -123,9 +123,10 @@ func TestScenarios(t *testing.T) {
 								switch roll := rng.Float64(); {
 								case roll < row.rangeShare:
 									r := scenarioRange(c.Domain(), keys, rng)
-									got, _, err := plans[i%len(plans)](via, r)
+									plan := query.Plan(i % 3) // auto, serial, parallel in turn
+									got, _, err := c.Query(via, Query{Range: r, Plan: plan})
 									if err == nil && row.exact && !slices.Equal(itemKeys(got), keysIn(keys, r)) {
-										t.Errorf("range %v (plan %d): %d keys, want exactly the %d loaded", r, i%len(plans), len(got), len(keysIn(keys, r)))
+										t.Errorf("range %v (%v plan): %d keys, want exactly the %d loaded", r, plan, len(got), len(keysIn(keys, r)))
 									}
 								case roll < (1+row.rangeShare)/2:
 									k := keys[rng.Intn(len(keys))]

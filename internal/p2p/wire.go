@@ -580,7 +580,7 @@ func (r *wreader) anErr() error {
 
 // Request flag bits (byte 1 of the payload).
 const (
-	reqFlagPar = 1 << iota // kindRange/kindRangePred: parallel fan-out
+	reqFlagPar = 1 << iota // kindRange: parallel fan-out
 )
 
 // reqFixed bounds the fixed-width part of any kind's encoding: the range
@@ -620,17 +620,12 @@ func encodeRequest(b []byte, req *request) []byte {
 		b = appendKey(b, req.key)
 		b = appendU64(b, req.epoch)
 		b = appendVisited(b, req.visited)
-	case kindGetPred:
-		b = appendKey(b, req.key)
-		b = appendU64(b, req.epoch)
-		b = appendVisited(b, req.visited)
-		b = appendPred(b, req.pred)
 	case kindPut:
 		b = appendKey(b, req.key)
 		b = appendBytes(b, req.value)
 		b = appendU64(b, req.epoch)
 		b = appendVisited(b, req.visited)
-	case kindRange, kindRangeScatter, kindRangePred:
+	case kindRange, kindRangeScatter:
 		b = appendKey(b, req.key)
 		b = appendRange(b, req.rng)
 		b = appendVisited(b, req.visited)
@@ -691,17 +686,12 @@ func decodeRequest(payload []byte) (request, error) {
 		req.key = r.key()
 		req.epoch = r.u64()
 		req.visited = r.visited()
-	case kindGetPred:
-		req.key = r.key()
-		req.epoch = r.u64()
-		req.visited = r.visited()
-		req.pred = r.pred()
 	case kindPut:
 		req.key = r.key()
 		req.value = r.bytes()
 		req.epoch = r.u64()
 		req.visited = r.visited()
-	case kindRange, kindRangeScatter, kindRangePred:
+	case kindRange, kindRangeScatter:
 		req.key = r.key()
 		req.rng = r.rng()
 		req.visited = r.visited()

@@ -81,20 +81,20 @@ func TestWireRangeItemsCrossOnce(t *testing.T) {
 
 	r := head.Domain()
 	r.Lower += (r.Upper - r.Lower) / 16
-	want, _, err := local.Range(local.PeerIDs()[0], r)
+	want, _, err := local.Query(local.PeerIDs()[0], parallelQuery(r))
 	if err != nil || len(want) < 20000 {
 		t.Fatalf("reference answer: %d items, err %v", len(want), err)
 	}
 	const limit = 5000
 	pred := func() *query.Pred { return &query.Pred{Limit: limit} }
-	wantLimited, _, err := local.RangeFiltered(local.PeerIDs()[0], r, pred())
+	wantLimited, _, err := local.Query(local.PeerIDs()[0], Query{Range: r, Pred: pred()})
 	if err != nil || len(wantLimited) != limit {
 		t.Fatalf("reference limited answer: %d items, err %v", len(wantLimited), err)
 	}
 	span := head.EstimateSpan(r)
 
 	iter := func(c *Cluster, via core.PeerID) ([]store.Item, error) {
-		it, err := c.RangeIter(via, r)
+		it, err := c.QueryIter(via, Query{Range: r})
 		if err != nil {
 			return nil, err
 		}
@@ -107,28 +107,22 @@ func TestWireRangeItemsCrossOnce(t *testing.T) {
 		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 		return got, it.Err()
 	}
+	read := func(q Query) func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+		return func(c *Cluster, via core.PeerID) ([]store.Item, error) {
+			items, _, err := c.Query(via, q)
+			return items, err
+		}
+	}
 	plans := []struct {
 		name string
 		want []store.Item
 		run  func(c *Cluster, via core.PeerID) ([]store.Item, error)
 	}{
-		{"RangeSerial", want, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
-			items, _, err := c.RangeSerial(via, r)
-			return items, err
-		}},
-		{"Range", want, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
-			items, _, err := c.Range(via, r)
-			return items, err
-		}},
-		{"RangeAdaptive", want, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
-			items, _, err := c.RangeAdaptive(via, r)
-			return items, err
-		}},
-		{"RangeIter", want, iter},
-		{"RangeFiltered+Limit", wantLimited, func(c *Cluster, via core.PeerID) ([]store.Item, error) {
-			items, _, err := c.RangeFiltered(via, r, pred())
-			return items, err
-		}},
+		{"serial", want, read(serialQuery(r))},
+		{"parallel", want, read(parallelQuery(r))},
+		{"auto", want, read(Query{Range: r})},
+		{"iterator", want, iter},
+		{"limit", wantLimited, read(Query{Range: r, Pred: pred()})},
 	}
 	origins := []struct {
 		name string
@@ -137,7 +131,7 @@ func TestWireRangeItemsCrossOnce(t *testing.T) {
 	for _, o := range origins {
 		// One throw-away query opens every socket the origin needs, so the
 		// measured ones count no handshakes.
-		if _, _, err := o.c.Range(o.c.PeerIDs()[0], r); err != nil {
+		if _, _, err := o.c.Query(o.c.PeerIDs()[0], parallelQuery(r)); err != nil {
 			t.Fatalf("%s: opening sockets: %v", o.name, err)
 		}
 		ids := o.c.PeerIDs()
@@ -203,12 +197,12 @@ func TestWireRangeMidChainKill(t *testing.T) {
 	}
 	for _, c := range []*Cluster{client, daemon} {
 		via := c.PeerIDs()[0]
-		items, _, err := c.RangeSerial(via, r)
+		items, _, err := c.Query(via, serialQuery(r))
 		if !errors.Is(err, ErrOwnerDown) {
 			t.Fatalf("serial over a dead peer: err = %v, want ErrOwnerDown", err)
 		}
 		checkExactItems(t, items, before, "serial walk up to the dead peer")
-		items, _, err = c.Range(via, r)
+		items, _, err = c.Query(via, parallelQuery(r))
 		if !errors.Is(err, ErrOwnerDown) {
 			t.Fatalf("scatter over a dead peer: err = %v, want ErrOwnerDown", err)
 		}
@@ -251,7 +245,7 @@ func TestWireRangeConnectionDropMidQuery(t *testing.T) {
 	// and then a node goes away. Whether its chunks had all arrived is up to
 	// the scheduler: the query ends complete, or with ErrOwnerDown and what
 	// made it, but it ends, and leaves nothing in the table.
-	it, err := client.RangeIter(client.PeerIDs()[0], head.Domain())
+	it, err := client.QueryIter(client.PeerIDs()[0], Query{Range: head.Domain()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +412,7 @@ func TestWireFilteredScatterFiltersRemoteBranches(t *testing.T) {
 	}
 	sort.Slice(pick, func(i, j int) bool { return pick[i] < pick[j] })
 	for _, c := range []*Cluster{head, daemon} {
-		it, err := c.RangeIterFiltered(c.PeerIDs()[0], c.Domain(), &query.Pred{Keys: pick})
+		it, err := c.QueryIter(c.PeerIDs()[0], Query{Range: c.Domain(), Pred: &query.Pred{Keys: pick}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func goldenRequests() map[kind]request {
 		kindPut:    {kind: kindPut, key: 43, value: []byte("v"), hops: 1, epoch: 9},
 		kindDelete: {kind: kindDelete, key: 44, hops: 2, visited: map[core.PeerID]bool{1: true}},
 		kindRange: {kind: kindRange, key: 50, rng: keyspace.Range{Lower: 50, Upper: 99},
-			hops: 4, par: true, visited: visited, onode: 3, ocorr: 77, parts: 5, shipped: 1200},
+			hops: 4, par: true, visited: visited, onode: 3, ocorr: 77, parts: 5, shipped: 1200, pred: pred},
 		kindRangeScatter: {kind: kindRangeScatter, key: 60, rng: keyspace.Range{Lower: 60, Upper: 80}, hops: 5,
 			onode: 1, ocorr: 78, pred: pred},
 		kindBulkGet:    {kind: kindBulkGet, bulk: items, hops: 1},
@@ -59,9 +59,6 @@ func goldenRequests() map[kind]request {
 		kindReplicaResync: {kind: kindReplicaResync, hops: 1},
 		kindReplicaFetch:  {kind: kindReplicaFetch, src: 7, hops: 1},
 		kindReplicaDump:   {kind: kindReplicaDump, hops: 1},
-		kindGetPred:       {kind: kindGetPred, key: 45, hops: 1, epoch: 3, pred: pred, visited: visited},
-		kindRangePred: {kind: kindRangePred, key: 51, rng: keyspace.Range{Lower: 51, Upper: 90},
-			hops: 2, pred: pred, onode: 2, ocorr: 79, parts: 1, shipped: 7},
 	}
 }
 
@@ -252,11 +249,19 @@ func TestWireErrorMappingSurvivesWrapping(t *testing.T) {
 	}
 }
 
+// TestWireDecodeRejectsUnknownKind: a kind byte past the enum — 22 and 23
+// among them, the retired predicate variants of get and range — is a
+// malformed frame. A get frame carries no predicate byte.
 func TestWireDecodeRejectsUnknownKind(t *testing.T) {
-	payload := encodeRequest(nil, &request{kind: kindGet, key: 1})
-	payload[0] = byte(numKinds + 5)
-	if _, err := decodeRequest(payload); err == nil {
-		t.Fatal("unknown kind decoded successfully")
+	get := encodeRequest(nil, &request{kind: kindGet, key: 42, hops: 3, epoch: 7})
+	if got := fmt.Sprintf("%x", get); got != "0000030000002a00000000000000070000000000000000000000" {
+		t.Fatalf("get frame = %s", got)
+	}
+	for _, k := range []byte{22, 23, 255} {
+		get[0] = k
+		if _, err := decodeRequest(get); err == nil {
+			t.Fatalf("request kind %d decoded successfully", k)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@
 //   - Planner picks serial vs parallel execution per request from the
 //     estimated peer-span, with the crossover self-tuned from the latencies
 //     the cluster itself observes (per span-bucket obs.Histogram pairs fed
-//     by every adaptive query and compared by mean, with a slow exploration
+//     by every query it planned and compared by mean, with a slow exploration
 //     schedule so both plans keep fresh data) instead of a hard-coded
 //     constant.
 //   - Pred is the serialisable predicate of the pushdown path: plain data
@@ -42,10 +42,13 @@ import (
 type Plan int8
 
 const (
+	// PlanAuto, the zero Plan, leaves the choice to the planner: Choose
+	// picks from the range's peer-span, and a limited query walks serially.
+	PlanAuto Plan = iota
 	// PlanSerial walks the right-adjacent chain one peer at a time
 	// (Section IV-B): minimal fan-out, minimal tail latency on narrow
 	// ranges, linear latency in the peer-span.
-	PlanSerial Plan = iota
+	PlanSerial
 	// PlanParallel scatters the range across the covering peers and
 	// gathers the partial answers: logarithmic message depth, wins on
 	// wide ranges, loses on narrow ones where the scatter overhead
@@ -55,10 +58,14 @@ const (
 
 // String names the plan for reports and flags.
 func (p Plan) String() string {
-	if p == PlanParallel {
+	switch p {
+	case PlanSerial:
+		return "serial"
+	case PlanParallel:
 		return "parallel"
+	default:
+		return "auto"
 	}
-	return "serial"
 }
 
 // spanBuckets is the number of log2 span buckets the planner tunes over;
@@ -137,9 +144,9 @@ func occupancyFactor(span int) float64 {
 // stragglers), and a typical-sample statistic keeps voting for a plan
 // whose tail is eating the throughput.
 type planBucket struct {
-	hist      [2]obs.Histogram // observed latency per plan, nanoseconds
-	seq       atomic.Int64     // decision counter driving the trial schedule
-	committed atomic.Int32     // 1+Plan committed this cycle, 0 before any commit
+	hist      [PlanParallel + 1]obs.Histogram // observed latency per plan (PlanAuto's stays empty), nanoseconds
+	seq       atomic.Int64                    // decision counter driving the trial schedule
+	committed atomic.Int32                    // Plan committed this cycle, PlanAuto before any commit
 }
 
 // Planner picks serial vs parallel execution per range request and tunes
@@ -181,11 +188,11 @@ func (pl *Planner) Choose(span int) Plan {
 		// the committed plan's accruing samples drift its mean up against
 		// the loser's frozen trial mean and flip-flop into a blended mix.
 		p := pl.commitPlan(b, span)
-		b.committed.Store(int32(p) + 1)
+		b.committed.Store(int32(p))
 		return p
 	}
-	if c := b.committed.Load(); c != 0 {
-		return Plan(c - 1)
+	if c := Plan(b.committed.Load()); c != PlanAuto {
+		return c
 	}
 	// A commit-phase decision raced ahead of the committing one (or the
 	// counter started mid-cycle): fall back to the seeded crossover.
@@ -215,6 +222,7 @@ func (pl *Planner) commitPlan(b *planBucket, span int) Plan {
 }
 
 // Observe feeds one measured query latency back into the tuning state.
+// Only the plans Choose returns are recorded; PlanAuto is ignored.
 func (pl *Planner) Observe(p Plan, span int, ns int64) {
 	if p != PlanSerial && p != PlanParallel {
 		return

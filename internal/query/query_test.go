@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -20,6 +21,27 @@ func TestPlannerTrialSchedule(t *testing.T) {
 	for i := 0; i < trialLen; i++ {
 		if got := pl.Choose(64); got != PlanSerial {
 			t.Fatalf("decision %d: got %v, want the serial trial burst", trialLen+i, got)
+		}
+	}
+}
+
+// TestPlanAuto pins the zero Plan: it is PlanAuto, each plan prints its own
+// name, Choose never returns it, and Observe records nothing for it.
+func TestPlanAuto(t *testing.T) {
+	if got := fmt.Sprint(Plan(0), PlanSerial, PlanParallel); got != "auto serial parallel" {
+		t.Fatalf("plan names = %q, want auto serial parallel", got)
+	}
+	pl := NewPlanner()
+	pl.Observe(PlanAuto, 64, 1000)
+	b := &pl.buckets[spanBucket(64)]
+	for p := range b.hist {
+		if b.hist[p].Count() != 0 {
+			t.Fatal("Observe(PlanAuto) recorded a sample")
+		}
+	}
+	for i := 0; i <= cycleLen; i++ {
+		if got := pl.Choose(64); got == PlanAuto {
+			t.Fatalf("decision %d: Choose returned PlanAuto", i)
 		}
 	}
 }
@@ -57,12 +79,16 @@ func TestPlannerLearnsCrossover(t *testing.T) {
 	// decision with a latency that inverts the seeded prior.
 	for i := 0; i < 2*trialLen+1; i++ {
 		switch pl.Choose(64) {
+		case PlanAuto:
+			t.Fatal("Choose returned PlanAuto")
 		case PlanSerial:
 			pl.Observe(PlanSerial, 64, 10_000) // serial very fast on wide spans
 		case PlanParallel:
 			pl.Observe(PlanParallel, 64, 900_000) // parallel slow there
 		}
 		switch pl.Choose(2) {
+		case PlanAuto:
+			t.Fatal("Choose returned PlanAuto")
 		case PlanSerial:
 			pl.Observe(PlanSerial, 2, 800_000) // serial slow on narrow spans
 		case PlanParallel:
@@ -88,6 +114,8 @@ func TestPlannerOccupancyGuard(t *testing.T) {
 	pl := NewPlanner()
 	for i := 0; i < 2*trialLen+1; i++ {
 		switch pl.Choose(16) {
+		case PlanAuto:
+			t.Fatal("Choose returned PlanAuto")
 		case PlanSerial:
 			pl.Observe(PlanSerial, 16, 200_000) // burst-fast, demand 1.6ms
 		case PlanParallel:
