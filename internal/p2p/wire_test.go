@@ -280,6 +280,13 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range goldenRequests() {
 		f.Add(encodeRequest(nil, &req))
 	}
+	// The golden range frame carries a predicate; seed the two other shapes a
+	// read takes on the wire: a filtered one-key range (a filtered point read)
+	// and an unfiltered range with no predicate byte set.
+	f.Add(encodeRequest(nil, &request{kind: kindRange, key: 45, rng: keyspace.Range{Lower: 45, Upper: 46},
+		hops: 1, visited: map[core.PeerID]bool{3: true}, onode: 2, ocorr: 79, parts: 1, shipped: 7,
+		pred: &query.Pred{MinValueLen: 2, Keys: []keyspace.Key{45}}}))
+	f.Add(encodeRequest(nil, &request{kind: kindRange, key: 51, rng: keyspace.Range{Lower: 51, Upper: 90}, hops: 2}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
