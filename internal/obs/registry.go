@@ -50,8 +50,9 @@ func NewPeerMetrics(nkinds int) *PeerMetrics {
 
 // Delivered counts one message of the given kind accepted by the peer:
 // run inline on the sender's goroutine, or queued in its inbox or spill
-// queue. delivered = inline + queued.
-func (m *PeerMetrics) Delivered(kind int) { m.delivered[kind].n.Add(1) }
+// queue. delivered = inline + queued. It returns the new count, from which
+// the p2p layer picks the 1 delivery in 64 per kind it times.
+func (m *PeerMetrics) Delivered(kind int) int64 { return m.delivered[kind].n.Add(1) }
 
 // Inline counts one message of the given kind that found the peer idle
 // and ran to completion on the delivering goroutine (it is also counted
@@ -84,12 +85,12 @@ func (m *PeerMetrics) SetSpillDepth(n int64) {
 	}
 }
 
-// ObserveQueueWait records how long one message sat queued (inbox or
-// spill) before handling began, in nanoseconds; 0 for a message run
-// inline.
+// ObserveQueueWait records how long one timed message — 1 delivery in 64
+// per peer and kind, plus every traced one — sat queued (inbox or spill)
+// before handling began, in nanoseconds; 0 for a message run inline.
 func (m *PeerMetrics) ObserveQueueWait(ns int64) { m.queueWait.Observe(ns) }
 
-// ObserveHandle records how long handling one message took, in
+// ObserveHandle records how long handling one timed message took, in
 // nanoseconds (forwarding included — it is work this peer performed —
 // and so is every later hop the forward ran inline).
 func (m *PeerMetrics) ObserveHandle(ns int64) { m.handleTime.Observe(ns) }
@@ -197,7 +198,8 @@ func countMap(counts []atomic.Int64, kindName func(int) string) map[string]int64
 // ClusterMetrics aggregates every peer's snapshot plus the totals of
 // peers already retired from the topology. The convenience percentile
 // fields are in microseconds, precomputed so a JSON dump is readable
-// without post-processing.
+// without post-processing, and are taken over timed hops: 1 delivery in
+// 64 per peer and kind, plus every traced hop.
 type ClusterMetrics struct {
 	Peers []PeerSnapshot `json:"peers"`
 

@@ -3,7 +3,10 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"baton/internal/core"
 	"baton/internal/obs"
@@ -199,8 +202,10 @@ func TestJournalRecordsStructuralOps(t *testing.T) {
 
 // TestMetricsCountersTrackTraffic checks the registry against known traffic:
 // delivered GET counts at least the issued gets, the queue-wait and
-// handle-time histograms saw every dispatch, and the totals survive a
-// depart + tombstone reap (the retired aggregate keeps them monotonic).
+// handle-time histograms sampled the same hops and no more than one
+// delivery in hopClockEvery (TestHopClockSampling pins the exact count),
+// and the totals survive a depart + tombstone reap (the retired aggregate
+// keeps them monotonic).
 func TestMetricsCountersTrackTraffic(t *testing.T) {
 	c, keys := liveCluster(t, 24, 200, 457)
 	ids := c.PeerIDs()
@@ -216,9 +221,10 @@ func TestMetricsCountersTrackTraffic(t *testing.T) {
 	if m.Delivered["GET"] < gets {
 		t.Fatalf("delivered GET = %d, want >= %d", m.Delivered["GET"], gets)
 	}
-	if m.QueueWait.Count < gets || m.HandleTime.Count < gets {
-		t.Fatalf("histograms saw %d waits / %d handles, want >= %d each",
-			m.QueueWait.Count, m.HandleTime.Count, gets)
+	delivered := sumCounts(m.Delivered)
+	if m.QueueWait.Count != m.HandleTime.Count || m.HandleTime.Count > delivered/hopClockEvery {
+		t.Fatalf("histograms saw %d waits / %d handles, want equal and <= %d (1 in %d of %d deliveries)",
+			m.QueueWait.Count, m.HandleTime.Count, delivered/hopClockEvery, hopClockEvery, delivered)
 	}
 	var perPeer int64
 	for _, s := range m.Peers {
@@ -245,5 +251,118 @@ func TestMetricsCountersTrackTraffic(t *testing.T) {
 	}
 	if after := c.Metrics().Delivered["GET"]; after < before {
 		t.Fatalf("delivered GET total went backwards across reap: %d -> %d", before, after)
+	}
+}
+
+// TestHopClockSampling pins the hop-timing contract. Untraced, a peer times
+// one delivery in hopClockEvery of each kind, inline or queued: once the
+// cluster is quiet, each peer's queue-wait and handle-time histograms hold
+// exactly Σ over kinds of ⌊delivered/hopClockEvery⌋ samples. Traced, every
+// hop is timed: each has a positive handle time, and no inline hop reports
+// a queue wait.
+func TestHopClockSampling(t *testing.T) {
+	c, keys := liveCluster(t, 16, 200, 463)
+	ids := c.PeerIDs()
+	getAll := func(clients, gets int) {
+		var wg sync.WaitGroup
+		for w := 0; w < clients; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < gets; i++ {
+					k := keys[rng.Intn(len(keys))]
+					if _, found, _, err := c.Get(ids[rng.Intn(len(ids))], k); err != nil || !found {
+						t.Errorf("get %d: found=%v err=%v", k, found, err)
+						return
+					}
+				}
+			}(int64(467 + w))
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		quiesce(t, c)
+	}
+
+	getAll(4, 500)
+	m := c.Metrics()
+	if m.HandleTime.Count == 0 {
+		t.Fatalf("no peer timed a hop in %d deliveries", sumCounts(m.Delivered))
+	}
+	for _, s := range m.Peers {
+		var want int64
+		for _, n := range s.Delivered {
+			want += n / hopClockEvery
+		}
+		if s.QueueWait.Count != want || s.HandleTime.Count != want {
+			t.Fatalf("peer %d: %d waits / %d handles sampled from deliveries %v, want %d each",
+				s.Peer, s.QueueWait.Count, s.HandleTime.Count, s.Delivered, want)
+		}
+	}
+
+	// 200 traced gets fit the trace ring (traceRingSize), so every hop of
+	// the phase is on record.
+	c.SetTraceSampling(1)
+	before := c.Metrics()
+	getAll(4, 50)
+	after := c.Metrics()
+	delivered := after.Delivered["GET"] - before.Delivered["GET"]
+	inline := after.Inline["GET"] - before.Inline["GET"]
+	var hops, waited int64
+	for _, tr := range c.Traces() {
+		for _, h := range tr {
+			hops++
+			if h.HandleNs <= 0 {
+				t.Fatalf("traced hop at peer %d has handle time %d, want > 0", h.Peer, h.HandleNs)
+			}
+			if h.QueueWaitNs != 0 {
+				waited++
+			}
+		}
+	}
+	if hops != delivered {
+		t.Fatalf("traces hold %d hops, the traced gets made %d deliveries", hops, delivered)
+	}
+	if waited > delivered-inline {
+		t.Fatalf("%d traced hops report a queue wait, but only %d of %d were queued", waited, delivered-inline, delivered)
+	}
+}
+
+// TestSpillDrainLatencyObserved floods a busy ghost peer past its inbox and
+// drains the spill queue. The request that opens the queue is untimed (its
+// delivery count is not a multiple of hopClockEvery) and carries no stamp,
+// so the drain latency must come from the spill queue's own clock: it
+// cannot exceed the time the test took.
+func TestSpillDrainLatencyObserved(t *testing.T) {
+	c, _ := liveCluster(t, 4, 0, 479)
+	ghost := addGhost(c, 9995)
+	ghost.busy.Store(1)
+	start := time.Now()
+	for i := 0; i < cap(ghost.inbox)+hopClockEvery; i++ {
+		if !c.send(ghost.id, request{kind: kindGet, key: 1, reply: make(chan response, 1)}) {
+			t.Fatalf("send %d refused", i)
+		}
+	}
+	if n := len(ghost.takeSpill()); n != hopClockEvery {
+		t.Fatalf("drained %d spilled requests, want %d", n, hopClockEvery)
+	}
+	elapsed := time.Since(start).Nanoseconds()
+	d := ghost.met.Snapshot(int64(ghost.id), kindName).SpillDrain
+	if d.Count < 1 {
+		t.Fatal("draining the spill queue observed no drain latency")
+	}
+	if top := d.Percentile(100); top >= int64(10*time.Second) || d.Sum > d.Count*elapsed {
+		t.Fatalf("spill drain: max ≈ %d ns, sum %d ns over %d drains; the test took %d ns", top, d.Sum, d.Count, elapsed)
+	}
+}
+
+// TestRequestSizeBounded pins the size of request: every peer's inbox is a
+// chan request of cap(inbox) slots, so each byte added here costs every
+// peer cap(inbox) bytes of heap.
+func TestRequestSizeBounded(t *testing.T) {
+	if got := unsafe.Sizeof(request{}); got > 352 {
+		t.Fatalf("unsafe.Sizeof(request{}) = %d, want <= 352", got)
 	}
 }

@@ -175,13 +175,14 @@
 //   - Per-peer counters and histograms live in each peer's PeerMetrics
 //     block, reached through the *peer object — never by writing through
 //     a topo.Load() snapshot (topoimmutable) — and are typed atomics, so
-//     the data path takes no lock for them. deliverTo counts
-//     delivered/inline/spilled messages and stamps the enqueue time of
-//     queued ones; dispatch turns that stamp into queue-wait (0 inline)
-//     and handle-time histogram samples; refuse attributes refused
-//     messages to the peer that refused them. The spill-queue gauges are
-//     updated inside the existing spillMu critical sections — spillMu
-//     nests inside nothing, so no new lock edge appears.
+//     the data path takes no lock for them. deliverTo counts every
+//     delivered/inline/spilled message and stamps the enqueue time of
+//     queued *timed* ones — 1 in 64 per kind plus traced ones
+//     (hopClockEvery); dispatch turns that stamp into queue-wait (0
+//     inline) and handle-time histogram samples; refuse attributes
+//     refused messages to the peer that refused them. The spill-queue
+//     gauges are updated inside the existing spillMu critical sections —
+//     spillMu nests inside nothing, so no new lock edge appears.
 //   - Sampled request traces ride inside the request struct (a nil
 //     pointer when sampling is off, so the zero-alloc direct path is
 //     untouched); hops are appended by the holder of the peer's token.
@@ -395,11 +396,10 @@ type request struct {
 	// extra hops, never correctness. Zero is reserved to mean "not direct";
 	// topology epochs start at 1.
 	epoch uint64
-	// enq is stamped by deliverTo when the request is accepted into the
-	// target's inbox or spill queue (zero when it runs inline); dispatch
-	// turns it into the queue-wait sample. A by-value field, so it costs no
-	// allocation on the zero-alloc direct path.
-	enq time.Time
+	// enq is the hop-timing mark deliverTo sets on every delivery (see
+	// hopClockEvery): 0 when untimed. An int64, not a time.Time, keeps
+	// request — and so every peer's inbox buffer — from growing.
+	enq int64
 	// trace, when non-nil, marks a sampled request: every peer that
 	// handles it appends a hop record (see dispatch). Nil with sampling
 	// off, which is what keeps instrumentation off the allocation budget.
@@ -505,7 +505,8 @@ type peer struct {
 	spillWake chan struct{}
 	// spillSince marks when the spill queue last went non-empty, so the
 	// drain latency — how long the overflow sat before the goroutine got
-	// to it — is measurable. Guarded by spillMu.
+	// to it — is measurable. Its own clock: the request that opened the
+	// queue is most likely untimed. Guarded by spillMu.
 	spillSince time.Time
 
 	// met is this peer's block of the metrics registry (delivered / inline /
@@ -956,6 +957,20 @@ func (c *Cluster) deliver(to core.PeerID, req request, evenDead bool) bool {
 // the hop cap of 8·(N+4).
 const maxInlineDepth = 64
 
+// Hop timing: a peer times 1 delivery in hopClockEvery of each kind, plus
+// every traced one — a clock read and two histograms per hop cost more than
+// the routing-table lookup. A timed request's enq is enqInline (a stamp in
+// the future, so its wait clamps to 0) or the hopClock reading when it
+// queued; hopEpoch sits a second back, so a reading is never 0 (untimed).
+const (
+	hopClockEvery = 64
+	enqInline     = 1<<63 - 1
+)
+
+var hopEpoch = time.Now().Add(-time.Second)
+
+func hopClock() int64 { return int64(time.Since(hopEpoch)) }
+
 // deliverTo is deliver for callers that already hold the peer object (the
 // direct-routing fast path resolves the owner once from the ring and skips
 // the second map lookup). A request to an idle local peer (busy goes 0 → 1)
@@ -964,6 +979,7 @@ const maxInlineDepth = 64
 // maxInlineDepth hops into its walk or carrying a collector, whose handler
 // may block in the streaming sink's send: an inline runner must never
 // block, as it may hold its own peer's token or be the sink's consumer.
+// Only a timed delivery (hopClockEvery) reads the clock, here or in dispatch.
 func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 	if c.stopped.Load() {
 		return false
@@ -991,7 +1007,10 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 		return false
 	}
 	c.msgs.add(uint64(p.id))
-	p.met.Delivered(int(req.kind))
+	req.enq = 0
+	if n := p.met.Delivered(int(req.kind)); n%hopClockEvery == 0 || req.trace != nil {
+		req.enq = enqInline
+	}
 	if req.coll == nil && req.hops < maxInlineDepth && p.busy.CompareAndSwap(0, 1) {
 		p.met.Inline(int(req.kind))
 		c.dispatch(p, req)
@@ -1005,7 +1024,9 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 	// which then only holds older messages — before each spill batch. The
 	// ordering matters beyond tidiness: replica deltas from one source rely
 	// on it to apply in the order they were acknowledged (replication.go).
-	req.enq = time.Now()
+	if req.enq != 0 {
+		req.enq = hopClock()
+	}
 	overflow := false
 	p.spillMu.Lock()
 	if len(p.spill) > 0 {
@@ -1023,7 +1044,7 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 		// Gauge updates ride the spillMu section already paid for the
 		// append; a queue going non-empty starts the drain-latency clock.
 		if len(p.spill) == 1 {
-			p.spillSince = req.enq
+			p.spillSince = time.Now()
 		}
 		p.met.SetSpillDepth(int64(len(p.spill)))
 	}
@@ -1220,35 +1241,37 @@ func (c *Cluster) serve(p *peer) {
 }
 
 // dispatch runs one request through handle under p's token, then retires
-// it from p.busy. It times the run: the delivery stamp becomes the
-// queue-wait sample (0 inline), the handle duration (forwarding included,
-// with every hop it ran inline) the handle-time sample, and a sampled
-// request gets its hop appended — before handle runs, so the chain records
-// peers in the order the message actually travelled (a forwarded request
-// cannot reach the next peer before this peer's hop is on the trace). The
-// hop's handle time is back-filled once known.
+// it from p.busy. It times a timed delivery's run (hopClockEvery): the
+// delivery stamp becomes the queue-wait sample (0 inline), the handle
+// duration (forwarding included, with every hop it ran inline) the
+// handle-time sample, and a traced request gets its hop appended — before
+// handle runs, so the chain records peers in the order the message actually
+// travelled (a forwarded request cannot reach the next peer before this
+// peer's hop is on the trace). The hop's handle time is back-filled.
 func (c *Cluster) dispatch(p *peer, req request) {
 	p.run.Lock()
-	start := time.Now()
-	var wait int64
-	if !req.enq.IsZero() {
-		wait = start.Sub(req.enq).Nanoseconds()
-	}
-	p.met.ObserveQueueWait(wait)
+	var start int64
 	hop := -1
-	if req.trace != nil {
-		hop = req.trace.Append(obs.Hop{
-			Peer:        int64(p.id),
-			Kind:        req.kind.String(),
-			Level:       p.pos.Level,
-			QueueWaitNs: wait,
-		})
+	if req.enq != 0 {
+		start = hopClock()
+		wait := max(start-req.enq, 0)
+		p.met.ObserveQueueWait(wait)
+		if req.trace != nil {
+			hop = req.trace.Append(obs.Hop{
+				Peer:        int64(p.id),
+				Kind:        req.kind.String(),
+				Level:       p.pos.Level,
+				QueueWaitNs: wait,
+			})
+		}
 	}
 	c.handle(p, req)
-	took := time.Since(start).Nanoseconds()
-	p.met.ObserveHandle(took)
-	if hop >= 0 {
-		req.trace.SetHandleNs(hop, took)
+	if req.enq != 0 {
+		took := hopClock() - start
+		p.met.ObserveHandle(took)
+		if hop >= 0 {
+			req.trace.SetHandleNs(hop, took)
+		}
 	}
 	p.run.Unlock()
 	p.busy.Add(-1)
