@@ -56,8 +56,7 @@ func (m *PeerMetrics) Delivered(kind int) int64 { return m.delivered[kind].n.Add
 
 // Inline counts one message of the given kind that found the peer idle
 // and ran to completion on the delivering goroutine (it is also counted
-// as delivered). Its queue wait is recorded as 0, and the handle time of
-// the hop that delivered it includes its own.
+// as delivered). Its queue wait is recorded as 0.
 func (m *PeerMetrics) Inline(kind int) { m.inline[kind].Add(1) }
 
 // Spilled counts one message of the given kind that overflowed the inbox
@@ -90,9 +89,9 @@ func (m *PeerMetrics) SetSpillDepth(n int64) {
 // before handling began, in nanoseconds; 0 for a message run inline.
 func (m *PeerMetrics) ObserveQueueWait(ns int64) { m.queueWait.Observe(ns) }
 
-// ObserveHandle records how long handling one timed message took, in
-// nanoseconds (forwarding included — it is work this peer performed —
-// and so is every later hop the forward ran inline).
+// ObserveHandle records how long handling one timed message took at this
+// peer, in nanoseconds: choosing the next hop is included, running it is
+// not (the request is handed on once this peer is done).
 func (m *PeerMetrics) ObserveHandle(ns int64) { m.handleTime.Observe(ns) }
 
 // ObserveSpillDrain records how long a spill batch waited between the

@@ -8,7 +8,9 @@ import (
 // Hop is one step of a traced request: which peer handled it, as what
 // kind, at which tree level, and what it cost there. A hop that ran
 // inline on the previous hop's goroutine (the target was idle) has
-// QueueWaitNs 0, and that previous hop's HandleNs includes it.
+// QueueWaitNs 0. HandleNs is the peer's own time: a forwarding hop hands
+// the request on after it finishes, so the hops of one walk sum to no more
+// than the walk took.
 type Hop struct {
 	Peer        int64  `json:"peer"`
 	Kind        string `json:"kind"`
@@ -21,8 +23,9 @@ type Hop struct {
 // Hops are appended in handling order: a peer records its hop before it
 // forwards the request, so the chain reads exactly as the message
 // travelled. The mutex exists for the one unavoidable overlap — a peer
-// back-filling its hop's handle time while the next peer appends — and
-// is only ever touched for sampled requests.
+// back-filling its hop's handle time while a next peer that queued, or
+// that it sent to before finishing, appends — and is only ever touched
+// for sampled requests.
 type Trace struct {
 	mu   sync.Mutex
 	hops []Hop
@@ -41,7 +44,7 @@ func (t *Trace) Append(h Hop) int {
 }
 
 // SetHandleNs back-fills the handle time of the hop at index i, which is
-// only known once handling (forwarding included) has finished. A hop
+// only known once the peer's handling has finished. A hop
 // whose request was answered just before the recorder got to write may
 // be read with HandleNs still zero; readers tolerate that.
 func (t *Trace) SetHandleNs(i int, ns int64) {

@@ -662,15 +662,19 @@ func (c *Cluster) applyHandoff(p *peer, req request) {
 }
 
 // replayHeld re-handles every buffered request; those still touching a
-// pending region are buffered again by handle.
+// pending region are buffered again by handle. Replays are sent on under
+// p's token; one whose target died is handled again (the hop cap bounds it).
 func (c *Cluster) replayHeld(p *peer) {
 	if len(p.held) == 0 {
 		return
 	}
 	held := p.held
 	p.held = nil
-	for _, h := range held {
-		c.handle(p, h)
+	for i := range held {
+		h := &held[i]
+		for next := c.handle(p, h); next != nil && !c.deliverTo(next, *h, false); next = c.handle(p, h) {
+			h.visited.add(next.id)
+		}
 	}
 }
 

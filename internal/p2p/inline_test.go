@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"baton/internal/core"
 	"baton/internal/keyspace"
 	"baton/internal/store"
 )
@@ -164,12 +165,63 @@ func TestInlineScatterBranchesQueued(t *testing.T) {
 	}
 }
 
+// TestHandOnReleasesToken: a forwarding hop passes the request on after
+// releasing its token, so an inline walk holds one peer at a time. The
+// reply channel is unbuffered, so the owner's respond blocks inside its
+// handler, on the walking goroutine, until the test reads it; while it is
+// blocked, every earlier peer on the route must already be idle.
+func TestHandOnReleasesToken(t *testing.T) {
+	c, keys := liveCluster(t, 64, 2000, 173)
+	snaps, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectNW, err := core.FromSnapshot(c.Domain(), snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.PeerIDs()
+	var route []core.PeerID
+	var key keyspace.Key
+	for i := 0; len(route) < 4; i++ {
+		if i == len(keys) {
+			t.Fatal("no route of 4 or more hops")
+		}
+		key = keys[i]
+		if route, err = expectNW.RoutePath(ids[i%len(ids)], key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiesce(t, c)
+	ch := make(chan response)
+	go c.deliverTo(c.peerByID(route[0]), request{kind: kindGet, key: key, reply: ch}, false)
+
+	owner := c.peerByID(route[len(route)-1])
+	for deadline := time.Now().Add(5 * time.Second); owner.busy.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the get never reached owner %d", owner.id)
+		}
+	}
+	for _, id := range route[:len(route)-1] {
+		if n := c.peerByID(id).busy.Load(); n != 0 {
+			t.Errorf("peer %d on route %v has busy %d while the owner answers, want 0", id, route, n)
+		}
+	}
+	select {
+	case resp := <-ch:
+		if resp.err != nil || !resp.found || resp.hops != len(route) {
+			t.Fatalf("get %d: found=%v hops=%d err=%v; want found in %d hops", key, resp.found, resp.hops, resp.err, len(route))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no reply")
+	}
+}
+
 // TestInlineDepthBound: a serial walk over the whole domain of a 256-peer
 // cluster is far longer than maxInlineDepth. It returns the exact answer,
 // and only deliveries among its first maxInlineDepth run inline — every
 // later one is queued, so inline calls never nest deeper than the bound.
-// (Fewer may: entered at via, a chain peer that phase-1 routing passed
-// through still holds its token up the inline stack, so its visit queues.)
+// (Fewer may: a visit to a chain peer that is still busy queues.)
 func TestInlineDepthBound(t *testing.T) {
 	c, keys := liveCluster(t, 256, 3000, 167)
 	want := map[keyspace.Key]bool{}

@@ -320,10 +320,7 @@ func (c *Cluster) handleJoinLocate(p *peer, req request) {
 		c.respond(req, response{peerID: p.id, slot: slot, hops: req.hops})
 		return
 	}
-	if req.visited == nil {
-		req.visited = make(map[core.PeerID]bool)
-	}
-	req.visited[p.id] = true
+	req.visited.add(p.id)
 	var cands []*link
 	if !p.routingTablesFull() {
 		// Rule 2: an incomplete routing table means the parent of a missing
@@ -338,7 +335,7 @@ func (c *Cluster) handleJoinLocate(p *peer, req request) {
 	// Rule 4: the adjacent peers, then the parent as a last resort.
 	cands = append(cands, p.adjacent[0], p.adjacent[1], p.parent)
 	for _, l := range cands {
-		if l == nil || req.visited[l.id] || !c.Alive(l.id) {
+		if l == nil || req.visited.has(l.id) || !c.Alive(l.id) {
 			continue
 		}
 		if c.send(l.id, req) {

@@ -328,6 +328,28 @@ func TestHopClockSampling(t *testing.T) {
 	if waited > delivered-inline {
 		t.Fatalf("%d traced hops report a queue wait, but only %d of %d were queued", waited, delivered-inline, delivered)
 	}
+
+	// A hop's handle time is its own: a forwarding hop hands the request on
+	// after releasing its token, so its time excludes the hops after it, and
+	// the hops of one get sum to no more than the get took.
+	for i, k := range keys[:20] {
+		quiesce(t, c)
+		start := time.Now()
+		_, _, hops, err := c.Get(ids[i%len(ids)], k)
+		wall := time.Since(start).Nanoseconds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := c.Traces()
+		tr := traces[len(traces)-1]
+		var sum int64
+		for _, h := range tr {
+			sum += h.HandleNs
+		}
+		if len(tr) != hops || sum > wall {
+			t.Fatalf("get %d: %d traced hops (want %d) handled for %d ns in total, the call took %d ns", k, len(tr), hops, sum, wall)
+		}
+	}
 }
 
 // TestSpillDrainLatencyObserved floods a busy ghost peer past its inbox and

@@ -101,7 +101,8 @@
 // the peer's run token — its serving goroutine, or a sender that found the
 // peer idle and runs the request inline — and structural updates arrive as
 // messages, like everything else, so request handling needs no per-item
-// locking. Calls never block indefinitely:
+// locking; a walk holds one token at a time (see walk). Calls never block
+// indefinitely:
 //
 //   - A request addressed to (or queued at) a peer that has been killed
 //     fails with ErrOwnerDown instead of hanging.
@@ -175,11 +176,11 @@
 //   - Per-peer counters and histograms live in each peer's PeerMetrics
 //     block, reached through the *peer object — never by writing through
 //     a topo.Load() snapshot (topoimmutable) — and are typed atomics, so
-//     the data path takes no lock for them. deliverTo counts every
+//     the data path takes no lock for them. admit counts every
 //     delivered/inline/spilled message and stamps the enqueue time of
 //     queued *timed* ones — 1 in 64 per kind plus traced ones
 //     (hopClockEvery); dispatch turns that stamp into queue-wait (0
-//     inline) and handle-time histogram samples; refuse attributes
+//     inline) and handle-time (own work only) samples; refuse attributes
 //     refused messages to the peer that refused them. The spill-queue
 //     gauges are updated inside the existing spillMu critical sections —
 //     spillMu nests inside nothing, so no new lock edge appears.
@@ -199,7 +200,9 @@ package p2p
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -234,7 +237,7 @@ var (
 var errMoved = errors.New("p2p: key moved to another peer")
 
 // kind enumerates request kinds.
-type kind int
+type kind uint8
 
 const (
 	kindGet kind = iota
@@ -340,7 +343,6 @@ func isControl(k kind) bool {
 // delivered on the embedded channel so a client blocks only on its own
 // request.
 type request struct {
-	kind  kind
 	key   keyspace.Key
 	value []byte
 	rng   keyspace.Range
@@ -351,8 +353,10 @@ type request struct {
 	// (see handleRange).
 	acc []store.Item
 	// par marks a kindRange request that should fan out in parallel once
-	// phase-1 routing reaches the peer owning the range's lower bound.
-	par bool
+	// phase-1 routing reaches the peer owning the range's lower bound; kind
+	// and par share a word.
+	kind kind
+	par  bool
 	// coll is the shared gather state of a parallel range query; set on
 	// kindRangeScatter sub-requests (which carry no reply channel of their
 	// own — the collector answers the client when the last branch finishes)
@@ -385,8 +389,8 @@ type request struct {
 	seq  int64
 	// visited records the peers this request has already passed through so
 	// fail-over never loops; only one copy of the request is in flight at a
-	// time, so the map is never accessed concurrently.
-	visited map[core.PeerID]bool
+	// time, so its spill map is never accessed concurrently.
+	visited peerSet
 	// epoch, when non-zero, marks a direct-routed request (RouteDirect fast
 	// path): the sender believed the target owned key under the tagged
 	// topology epoch. A receiver that does not own the key counts the miss
@@ -396,7 +400,7 @@ type request struct {
 	// extra hops, never correctness. Zero is reserved to mean "not direct";
 	// topology epochs start at 1.
 	epoch uint64
-	// enq is the hop-timing mark deliverTo sets on every delivery (see
+	// enq is the hop-timing mark admit sets on every delivery (see
 	// hopClockEvery): 0 when untimed. An int64, not a time.Time, keeps
 	// request — and so every peer's inbox buffer — from growing.
 	enq int64
@@ -405,12 +409,11 @@ type request struct {
 	// off, which is what keeps instrumentation off the allocation budget.
 	trace *obs.Trace
 	reply chan response
-	// rnode and rcorr identify the origin-node correlation of a request
-	// that crossed the wire (set from the frame header by inboundRequest,
-	// never encoded in the payload): the completion c.respond answers when
-	// reply is nil. Zero on in-process requests and fire-and-forget wire
-	// messages.
-	rnode transport.NodeID
+	// rnode (declared beside onode, so the two share a word) and rcorr
+	// identify the origin-node correlation of a request that crossed the
+	// wire (set from the frame header by inboundRequest, never encoded in
+	// the payload): the completion c.respond answers when reply is nil. Zero
+	// on in-process requests and fire-and-forget wire messages.
 	rcorr uint64
 	// onode and ocorr name the origin entry of a range query that left its
 	// origin node: where every contributing peer ships its chunk as a
@@ -419,10 +422,50 @@ type request struct {
 	// so far, which the final response announces, and the items in them,
 	// which a pushdown limit needs. All four are payload fields of the range
 	// kinds and zero on in-process requests.
+	rnode   transport.NodeID
 	onode   transport.NodeID
 	ocorr   uint64
 	parts   int
 	shipped int
+}
+
+// peerSet is a request's visited set. Its first eight members live inline
+// as 32-bit slots, so an overlay walk allocates nothing for it; only a walk
+// backing out of a dead region spills into the map, as does an id past
+// 32 bits. Peer IDs are assigned from 1 upwards, so a zero slot is free.
+type peerSet struct {
+	few  [8]uint32
+	more map[core.PeerID]bool
+}
+
+func (s *peerSet) has(id core.PeerID) bool {
+	return id > 0 && id <= math.MaxUint32 && slices.Contains(s.few[:], uint32(id)) || s.more[id]
+}
+
+func (s *peerSet) add(id core.PeerID) {
+	switch n := slices.Index(s.few[:], 0); {
+	case id == core.NoPeer || s.has(id):
+	case n >= 0 && id > 0 && id <= math.MaxUint32:
+		s.few[n] = uint32(id)
+	case s.more == nil:
+		s.more = map[core.PeerID]bool{id: true}
+	default:
+		s.more[id] = true
+	}
+}
+
+// ids appends the members to out in ascending order, the wire form.
+func (s *peerSet) ids(out []core.PeerID) []core.PeerID {
+	for _, v := range s.few {
+		if v != 0 {
+			out = append(out, core.PeerID(v))
+		}
+	}
+	for id := range s.more {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // response is the terminal answer to a request.
@@ -498,7 +541,7 @@ type peer struct {
 	// transient goroutine per blocked send (unbounded when a peer is hot),
 	// the overflow queues here and the serving goroutine drains it after
 	// the older inbox entries, preserving per-peer FIFO delivery (see
-	// deliverTo). spillWake (buffered 1) nudges the goroutine when the
+	// admit). spillWake (buffered 1) nudges the goroutine when the
 	// queue goes non-empty.
 	spillMu   sync.Mutex
 	spill     []request
@@ -947,14 +990,11 @@ func (c *Cluster) sendAny(to core.PeerID, req request) bool {
 
 func (c *Cluster) deliver(to core.PeerID, req request, evenDead bool) bool {
 	p, ok := c.topo.Load().peers[to]
-	if !ok {
-		return false
-	}
-	return c.deliverTo(p, req, evenDead)
+	return ok && c.deliverTo(p, req, evenDead)
 }
 
-// maxInlineDepth bounds how deep inline runs nest (deliverTo), far below
-// the hop cap of 8·(N+4).
+// maxInlineDepth bounds how deep inline runs nest (sends made under a
+// token; a hand-on does not nest), far below the hop cap of 8·(N+4).
 const maxInlineDepth = 64
 
 // Hop timing: a peer times 1 delivery in hopClockEvery of each kind, plus
@@ -972,20 +1012,54 @@ var hopEpoch = time.Now().Add(-time.Second)
 func hopClock() int64 { return int64(time.Since(hopEpoch)) }
 
 // deliverTo is deliver for callers that already hold the peer object (the
-// direct-routing fast path resolves the owner once from the ring and skips
-// the second map lookup). A request to an idle local peer (busy goes 0 → 1)
-// runs to completion on the calling goroutine — still one message, queue
-// wait 0, no wake-up. Every other delivery queues, and so does a request
-// maxInlineDepth hops into its walk or carrying a collector, whose handler
-// may block in the streaming sink's send: an inline runner must never
-// block, as it may hold its own peer's token or be the sink's consumer.
-// Only a timed delivery (hopClockEvery) reads the clock, here or in dispatch.
+// direct-routing fast path resolves the owner from the ring). A request to
+// an idle local peer runs on the calling goroutine — still one message,
+// queue wait 0, no wake-up — and so does each hop it is handed on to.
 func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
+	ok, inline := c.admit(p, &req, evenDead)
+	if inline {
+		next := c.dispatch(p, &req)
+		p.inflight.Add(-1)
+		c.walk(p, next, &req)
+	}
+	return ok
+}
+
+// walk hands req on from p, whose handler has released p's token, to next
+// and on, one hop at a time, until a handler is done or a hop queues. If
+// admit refuses next (it died or was retired since p chose it), p gets the
+// request again and re-chooses; each re-run charges a hop, capping the loop.
+func (c *Cluster) walk(p, next *peer, req *request) {
+	for next != nil {
+		ok, inline := c.admit(next, req, false)
+		if !ok {
+			req.visited.add(next.id)
+			next = p
+			if ok, inline = c.admit(p, req, false); !ok {
+				c.refuse(p, *req, ErrOwnerDown)
+				return
+			}
+		}
+		if !inline {
+			return
+		}
+		p, next = next, c.dispatch(next, req)
+		p.inflight.Add(-1)
+	}
+}
+
+// admit counts and stamps a delivery to p (ok is false if p is dead or
+// retired, or the cluster is stopping) and decides where it runs: inline
+// when p is local and idle (busy 0 → 1) — the caller dispatches it, then
+// drops p.inflight — else queued, as is a request maxInlineDepth hops in or
+// carrying a collector, whose handler may block in the sink's send while
+// the runner holds another token or is the sink's consumer.
+func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) {
 	if c.stopped.Load() {
-		return false
+		return false, false
 	}
 	if !evenDead && !p.alive.Load() {
-		return false
+		return false, false
 	}
 	if p.node != 0 {
 		// A stub for a peer hosted on another node: hand the request to the
@@ -993,18 +1067,18 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 		// the reply channel). gone gates retired remote tombstones exactly
 		// like local ones.
 		if c.net == nil || p.gone.Load() {
-			return false
+			return false, false
 		}
-		return c.net.deliver(p, req, evenDead)
+		return c.net.deliver(p, *req, evenDead), false
 	}
-	// The inflight count brackets the whole delivery so a tombstone is only
-	// retired once provably no send can still land in its inbox or spill
-	// queue; a delivery beginning after gone is set backs out, and its
-	// caller fails over as if the peer were dead.
+	// The inflight count brackets the whole delivery, an inline run too, so
+	// a tombstone is only retired once provably no send can still land in
+	// its inbox or spill queue; a delivery beginning after gone is set backs
+	// out, and its caller fails over as if the peer were dead.
 	p.inflight.Add(1)
 	if p.gone.Load() {
 		p.inflight.Add(-1)
-		return false
+		return false, false
 	}
 	c.msgs.add(uint64(p.id))
 	req.enq = 0
@@ -1013,9 +1087,7 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 	}
 	if req.coll == nil && req.hops < maxInlineDepth && p.busy.CompareAndSwap(0, 1) {
 		p.met.Inline(int(req.kind))
-		c.dispatch(p, req)
-		p.inflight.Add(-1)
-		return true
+		return true, true
 	}
 	p.busy.Add(1)
 	// Deliveries to one peer are FIFO across the two lanes: once the spill
@@ -1030,13 +1102,13 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 	overflow := false
 	p.spillMu.Lock()
 	if len(p.spill) > 0 {
-		p.spill = append(p.spill, req)
+		p.spill = append(p.spill, *req)
 		overflow = true
 	} else {
 		select {
-		case p.inbox <- req:
+		case p.inbox <- *req:
 		default:
-			p.spill = append(p.spill, req)
+			p.spill = append(p.spill, *req)
 			overflow = true
 		}
 	}
@@ -1056,12 +1128,10 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 		case p.spillWake <- struct{}{}:
 		default:
 		}
-	}
-	if overflow {
 		p.met.Spilled(int(req.kind))
 	}
 	p.inflight.Add(-1)
-	return true
+	return true, false
 }
 
 // noteItems publishes the store's current size for the lock-free load
@@ -1174,9 +1244,9 @@ func (c *Cluster) await(p *peer, req *request) (resp response, sent bool, err er
 	}
 }
 
-// serve is the peer goroutine: it drains the inbox and handles or forwards
-// each queued request (one that found the peer idle ran inline on its
-// sender instead). A killed peer keeps draining so senders never block, but
+// serve is the peer goroutine: it drains the inbox and walks each queued
+// request (one that found the peer idle ran inline on its sender
+// instead). A killed peer keeps draining so senders never block, but
 // handle refuses every data request with ErrOwnerDown — a request already
 // queued when the peer died must still be answered or its client would hang
 // forever. Control messages (structural updates, handoffs, snapshots, crash
@@ -1193,62 +1263,51 @@ func (c *Cluster) serve(p *peer) {
 			// the in-flight count drained to zero before quit was closed),
 			// so forward whatever is still queued — inbox and spill — and
 			// exit.
-			for {
-				select {
-				case req := <-p.inbox:
-					if !c.send(p.departTo, req) {
-						c.refuse(p, req, ErrOwnerDown)
-					}
-					continue
-				default:
+			p.drain(func(req request) {
+				if !c.send(p.departTo, req) {
+					c.refuse(p, req, ErrOwnerDown)
 				}
-				q := p.takeSpill()
-				if len(q) == 0 {
-					return
-				}
-				for _, req := range q {
-					if !c.send(p.departTo, req) {
-						c.refuse(p, req, ErrOwnerDown)
-					}
-				}
-			}
+			})
+			return
 		case req := <-p.inbox:
-			c.dispatch(p, req)
+			c.walk(p, c.dispatch(p, &req), &req)
 		case <-p.spillWake:
-			// Drain in FIFO order: everything in the inbox predates the
-			// spill overflow (deliveries bypass the inbox while the spill
-			// queue is non-empty), so empty the inbox before each spill
-			// batch. The loop runs until the spill queue is observed empty;
-			// a delivery that appends mid-drain leaves another wake pending,
-			// so nothing is stranded.
-			for {
-				select {
-				case req := <-p.inbox:
-					c.dispatch(p, req)
-					continue
-				default:
-				}
-				q := p.takeSpill()
-				if len(q) == 0 {
-					break
-				}
-				for _, req := range q {
-					c.dispatch(p, req)
-				}
-			}
+			p.drain(func(req request) { c.walk(p, c.dispatch(p, &req), &req) })
 		}
 	}
 }
 
-// dispatch runs one request through handle under p's token, then retires
-// it from p.busy. It times a timed delivery's run (hopClockEvery): the
-// delivery stamp becomes the queue-wait sample (0 inline), the handle
-// duration (forwarding included, with every hop it ran inline) the
-// handle-time sample, and a traced request gets its hop appended — before
-// handle runs, so the chain records peers in the order the message actually
-// travelled (a forwarded request cannot reach the next peer before this
-// peer's hop is on the trace). The hop's handle time is back-filled.
-func (c *Cluster) dispatch(p *peer, req request) {
+// drain passes every queued request to fn in FIFO order: everything in the
+// inbox predates the spill overflow (deliveries bypass the inbox while the
+// spill queue is non-empty), so the inbox is emptied before each spill
+// batch, until the spill queue is observed empty. A delivery that appends
+// mid-drain leaves another wake pending, so nothing is stranded.
+func (p *peer) drain(fn func(request)) {
+	for {
+		select {
+		case req := <-p.inbox:
+			fn(req)
+			continue
+		default:
+		}
+		q := p.takeSpill()
+		if len(q) == 0 {
+			return
+		}
+		for _, req := range q {
+			fn(req)
+		}
+	}
+}
+
+// dispatch runs one request through handle under p's token, retires it
+// from p.busy and returns handle's next hop. It times a timed delivery's
+// run (hopClockEvery): the delivery stamp becomes the queue-wait sample (0
+// inline), the handle duration — p's own work, not the hops after it — the
+// handle-time sample, and a traced request gets its hop appended before
+// handle runs, so the chain records peers in the order the message
+// travelled. The hop's handle time is back-filled.
+func (c *Cluster) dispatch(p *peer, req *request) *peer {
 	p.run.Lock()
 	var start int64
 	hop := -1
@@ -1265,7 +1324,7 @@ func (c *Cluster) dispatch(p *peer, req request) {
 			})
 		}
 	}
-	c.handle(p, req)
+	next := c.handle(p, req)
 	if req.enq != 0 {
 		took := hopClock() - start
 		p.met.ObserveHandle(took)
@@ -1275,6 +1334,7 @@ func (c *Cluster) dispatch(p *peer, req request) {
 	}
 	p.run.Unlock()
 	p.busy.Add(-1)
+	return next
 }
 
 // refuse terminates a request with the given error, whichever completion
@@ -1301,28 +1361,30 @@ func (c *Cluster) refuse(p *peer, req request, err error) {
 	c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops, err: err})
 }
 
-func (c *Cluster) handle(p *peer, req request) {
+// handle runs req at p under p's token and returns the local peer to hand
+// it on to, or nil when p has answered, buffered or sent it itself.
+func (c *Cluster) handle(p *peer, req *request) *peer {
 	req.hops++
 	if req.hops > c.topo.Load().hopCap {
-		c.refuse(p, req, ErrUnreachable)
-		return
+		c.refuse(p, *req, ErrUnreachable)
+		return nil
 	}
 	// Membership control first: these are addressed to this exact peer and
 	// apply regardless of departure, death or pending handoffs.
 	//batonvet:ignore kindexhaustive partial filter by design: every other kind falls through to the tombstone/aliveness checks below
 	switch req.kind {
 	case kindUpdate:
-		c.applyUpdate(p, req)
-		return
+		c.applyUpdate(p, *req)
+		return nil
 	case kindHandoff:
-		c.applyHandoff(p, req)
-		return
+		c.applyHandoff(p, *req)
+		return nil
 	case kindSnapshot:
-		c.respond(req, response{snap: p.snapshot(), hops: req.hops})
-		return
+		c.respond(*req, response{snap: p.snapshot(), hops: req.hops})
+		return nil
 	case kindCrash:
-		c.applyCrash(p, req)
-		return
+		c.applyCrash(p, *req)
+		return nil
 	}
 	// A departed peer is a tombstone: stale routing state may still address
 	// it, and everything it receives belongs to the peer that absorbed its
@@ -1335,25 +1397,27 @@ func (c *Cluster) handle(p *peer, req request) {
 			// only surviving copy — the peer that absorbed the tombstone's
 			// range never held them, so forwarding the fetch would answer
 			// with an empty set and the dead range's data would be lost.
-			c.respond(req, response{items: p.replicaFor(req.src).Items(), hops: req.hops})
-			return
+			c.respond(*req, response{items: p.replicaFor(req.src).Items(), hops: req.hops})
+			return nil
 		}
-		if !c.send(p.departTo, req) {
-			c.refuse(p, req, ErrOwnerDown)
+		// Forwarded under the token, not handed on: replica deltas passing
+		// through a tombstone keep their per-peer FIFO order.
+		if !c.send(p.departTo, *req) {
+			c.refuse(p, *req, ErrOwnerDown)
 		}
-		return
+		return nil
 	}
 	// A killed peer refuses everything else: its data is gone, and replicas
 	// it pretended to accept would be silently lost.
 	if !p.alive.Load() {
-		c.refuse(p, req, ErrOwnerDown)
-		return
+		c.refuse(p, *req, ErrOwnerDown)
+		return nil
 	}
 	// Requests touching a region whose items are still in flight are held
 	// until the handoff lands; applyHandoff replays them.
 	if p.touchesPending(req) {
-		p.held = append(p.held, req)
-		return
+		p.held = append(p.held, *req)
+		return nil
 	}
 	// Count data requests for the load meter: everything this peer serves
 	// or forwards is work it performs (routing load included), which is
@@ -1369,78 +1433,76 @@ func (c *Cluster) handle(p *peer, req request) {
 	//batonvet:ignore kindexhaustive partial dispatch by design: control kinds returned above, singleton data kinds fall through to the owned-key switch below
 	switch req.kind {
 	case kindReplicate:
-		c.applyReplicate(p, req)
-		return
+		c.applyReplicate(p, *req)
+		return nil
 	case kindReplicaSync:
-		c.applyReplicaSync(p, req)
-		return
+		c.applyReplicaSync(p, *req)
+		return nil
 	case kindReplicaDrop:
 		delete(p.replicas, req.src)
-		return
+		return nil
 	case kindReplicaResync:
-		c.handleReplicaResync(p, req)
-		return
+		c.handleReplicaResync(p, *req)
+		return nil
 	case kindReplicaFetch:
-		c.respond(req, response{items: p.replicaFor(req.src).Items(), hops: req.hops})
-		return
+		c.respond(*req, response{items: p.replicaFor(req.src).Items(), hops: req.hops})
+		return nil
 	case kindReplicaDump:
-		c.handleReplicaDump(p, req)
-		return
+		c.handleReplicaDump(p, *req)
+		return nil
 	case kindJoinLocate:
-		c.handleJoinLocate(p, req)
-		return
+		c.handleJoinLocate(p, *req)
+		return nil
 	case kindFindReplacement:
-		c.handleFindReplacement(p, req)
-		return
+		c.handleFindReplacement(p, *req)
+		return nil
 	case kindStats:
-		c.respond(req, response{count: p.data.Len(), hops: req.hops})
-		return
+		c.respond(*req, response{count: p.data.Len(), hops: req.hops})
+		return nil
 	case kindSplitKey:
 		k, ok := p.data.KeyAtFraction(req.frac)
-		c.respond(req, response{splitKey: k, found: ok, hops: req.hops})
-		return
+		c.respond(*req, response{splitKey: k, found: ok, hops: req.hops})
+		return nil
 	case kindRange:
-		c.handleRange(p, req)
-		return
+		return c.handleRange(p, req)
 	case kindRangeScatter:
 		if p.rng.Contains(req.rng.Lower) || c.ownsExtreme(p, req.rng.Lower) {
 			c.scatterAt(p, req.rng, req.hops, req.coll)
-		} else {
-			// The scatter was addressed with routing state that went stale
-			// across a membership change: re-route it to the segment's
-			// current owner like any exact query.
-			c.forward(p, req)
+			return nil
 		}
-		return
+		// The scatter was addressed with routing state that went stale
+		// across a membership change: re-route it to the segment's current
+		// owner like any exact query.
+		return c.forward(p, req)
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
-		c.handleBulk(p, req)
-		return
+		c.handleBulk(p, *req)
+		return nil
 	}
 	if p.rng.Contains(req.key) || c.ownsExtreme(p, req.key) {
 		switch req.kind {
 		case kindGet:
 			v, ok := p.data.Get(req.key)
-			c.respond(req, response{value: v, found: ok, hops: req.hops})
+			c.respond(*req, response{value: v, found: ok, hops: req.hops})
 		case kindPut:
 			p.data.Put(req.key, req.value)
 			p.noteItems()
 			c.replicateWrite(p, []store.Item{{Key: req.key, Value: req.value}}, nil)
-			c.respond(req, response{hops: req.hops})
+			c.respond(*req, response{hops: req.hops})
 		case kindDelete:
 			ok := p.data.Delete(req.key)
 			if ok {
 				p.noteItems()
 				c.replicateWrite(p, nil, []keyspace.Key{req.key})
 			}
-			c.respond(req, response{found: ok, hops: req.hops})
+			c.respond(*req, response{found: ok, hops: req.hops})
 		default:
 			// Every kind that can reach the owner must answer here: a silent
 			// return would leave the client blocked on its reply channel
 			// forever. A kind added to the dispatch above but not to this
 			// switch lands on this arm and fails loudly instead.
-			c.refuse(p, req, fmt.Errorf("p2p: unhandled request kind %d at owning peer", req.kind))
+			c.refuse(p, *req, fmt.Errorf("p2p: unhandled request kind %d at owning peer", req.kind))
 		}
-		return
+		return nil
 	}
 	if req.epoch != 0 {
 		// A direct-routed request reached a peer that does not own its key.
@@ -1458,18 +1520,18 @@ func (c *Cluster) handle(p *peer, req request) {
 		stale := req.epoch != t.epoch
 		req.epoch = 0
 		p.met.StaleRoute()
-		if stale {
-			if e := t.entryOf(req.key); e != nil && e.p != p && e.p.alive.Load() && c.deliverTo(e.p, req, false) {
-				return
+		if e := t.entryOf(req.key); stale && e != nil && e.p != p {
+			if next, ok := c.handTo(e.id, req); ok {
+				return next
 			}
 		}
 	}
-	c.forward(p, req)
+	return c.forward(p, req)
 }
 
 // touchesPending reports whether the request reads or writes a key region
 // this peer owns but has not yet received the items for.
-func (p *peer) touchesPending(req request) bool {
+func (p *peer) touchesPending(req *request) bool {
 	if len(p.pending) == 0 {
 		return false
 	}
@@ -1513,12 +1575,9 @@ func (c *Cluster) ownsExtreme(p *peer, key keyspace.Key) bool {
 
 // forward applies the search_exact forwarding rule and fails over across the
 // candidate list when targets are dead, avoiding peers the request has
-// already visited unless no other alternative remains.
-func (c *Cluster) forward(p *peer, req request) {
-	if req.visited == nil {
-		req.visited = make(map[core.PeerID]bool)
-	}
-	req.visited[p.id] = true
+// already visited unless no other alternative remains; see handTo.
+func (c *Cluster) forward(p *peer, req *request) *peer {
+	req.visited.add(p.id)
 	var buf [48]*link
 	cands := c.candidates(p, req.key, buf[:0])
 	// If the peer responsible for the key is among the candidates but is
@@ -1527,16 +1586,16 @@ func (c *Cluster) forward(p *peer, req request) {
 	for _, cand := range cands {
 		if cand != nil && cand.lower <= req.key && req.key < cand.upper && !c.Alive(cand.id) {
 			c.suspect(cand.id)
-			c.refuse(p, req, ErrOwnerDown)
-			return
+			c.refuse(p, *req, ErrOwnerDown)
+			return nil
 		}
 	}
 	for _, cand := range cands {
-		if cand == nil || req.visited[cand.id] {
+		if cand == nil || req.visited.has(cand.id) {
 			continue
 		}
-		if c.send(cand.id, req) {
-			return
+		if next, ok := c.handTo(cand.id, req); ok {
+			return next
 		}
 	}
 	// Every unvisited candidate is dead: back out of the dead region through
@@ -1552,11 +1611,21 @@ func (c *Cluster) forward(p *peer, req request) {
 		}
 	}
 	for _, i := range rand.Perm(len(alive)) {
-		if c.send(alive[i].id, req) {
-			return
+		if next, ok := c.handTo(alive[i].id, req); ok {
+			return next
 		}
 	}
-	c.refuse(p, req, ErrUnreachable)
+	c.refuse(p, *req, ErrUnreachable)
+	return nil
+}
+
+// handTo passes req on to id: it returns a local peer admit would accept,
+// for the walk, and sends to anything else under the token (ok: passed on).
+func (c *Cluster) handTo(id core.PeerID, req *request) (next *peer, ok bool) {
+	if q := c.topo.Load().peers[id]; q != nil && q.node == 0 && !c.stopped.Load() && q.alive.Load() && !q.gone.Load() {
+		return q, true
+	}
+	return nil, c.send(id, *req)
 }
 
 // candidates lists forwarding targets for key at p, best first. The ordering
@@ -1618,15 +1687,14 @@ func (c *Cluster) candidates(p *peer, key keyspace.Key, out []*link) []*link {
 // bound; once a peer responsible for it is reached, the range is answered
 // either by the serial adjacent-chain walk below or by the parallel fan-out
 // in range_fanout.go, depending on req.par.
-func (c *Cluster) handleRange(p *peer, req request) {
+func (c *Cluster) handleRange(p *peer, req *request) *peer {
 	r := req.rng
 	owns := p.rng.Contains(r.Lower) || c.ownsExtreme(p, r.Lower)
 	if !owns {
 		// Phase 1: still locating the peer responsible for the range's lower
 		// bound (req.key == r.Lower). Stopping at any merely-intersecting
 		// peer would skip the beginning of the range.
-		c.forward(p, req)
-		return
+		return c.forward(p, req)
 	}
 	if req.par {
 		// Phase 2, parallel: become the fan-out coordinator. A streaming
@@ -1638,14 +1706,14 @@ func (c *Cluster) handleRange(p *peer, req request) {
 			if req.reply == nil && req.rcorr != 0 && c.net != nil {
 				// The client sits on another node: a proxy counts what this
 				// branch ships there and reports the counts to its correlation.
-				coll = c.net.proxyFor(&req)
+				coll = c.net.proxyFor(req)
 			} else {
 				coll = &collector{reply: req.reply, pred: req.pred}
 			}
 			coll.grow(1)
 		}
 		c.scatterAt(p, r, req.hops, coll)
-		return
+		return nil
 	}
 	// Phase 2, serial: collect locally and continue rightwards. The
 	// accumulator is grown once per peer with a CountRange pre-pass
@@ -1663,13 +1731,13 @@ func (c *Cluster) handleRange(p *peer, req request) {
 		// Limit-aware early termination: the pushdown limit is satisfied,
 		// so answer now instead of walking the rest of the chain. (shipped
 		// came off the wire: a count past the limit must not index.)
-		c.respond(req, response{items: req.acc[:max(lim-req.shipped, 0)], parts: req.parts, hops: req.hops})
-		return
+		c.respond(*req, response{items: req.acc[:max(lim-req.shipped, 0)], parts: req.parts, hops: req.hops})
+		return nil
 	}
 	next := p.adjacent[1]
 	if next == nil || next.lower >= r.Upper {
-		c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops})
-		return
+		c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops})
+		return nil
 	}
 	// Trim the still-uncovered part of the range so the next peer (whose
 	// range starts exactly where this one ends) recognises itself as
@@ -1684,18 +1752,19 @@ func (c *Cluster) handleRange(p *peer, req request) {
 		// transport refuses is not counted — the origin must not wait for a
 		// frame that was never sent — and ends the walk.
 		if !c.net.partial(req.onode, req.ocorr, req.acc) {
-			c.respond(req, response{parts: req.parts, hops: req.hops, err: ErrOwnerDown})
-			return
+			c.respond(*req, response{parts: req.parts, hops: req.hops, err: ErrOwnerDown})
+			return nil
 		}
 		req.parts++
 		req.shipped += len(req.acc)
 		req.acc = nil
 	}
-	if c.send(next.id, req) {
-		return
+	if c.send(next.id, *req) {
+		return nil
 	}
 	// The right adjacent peer is dead: answer with what has been collected
 	// so far and flag the dead link to the background repairer if one runs.
 	c.suspect(next.id)
-	c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops, err: ErrOwnerDown})
+	c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops, err: ErrOwnerDown})
+	return nil
 }

@@ -259,7 +259,7 @@ func (c *Cluster) scatterAt(p *peer, rng keyspace.Range, hops int, coll *collect
 	// in flight while this peer walks its own tree, and the store cannot
 	// change in between — the holder of the peer's token owns it and
 	// handles one message at a time. The sub-requests carry the collector,
-	// so they always queue (deliverTo): the branches run in parallel.
+	// so they always queue (admit): the branches run in parallel.
 	var err error
 	if !rem.IsEmpty() {
 		err = c.scatterRemainder(p, rem, hops, coll)

@@ -246,29 +246,18 @@ func (r *wreader) keys() []keyspace.Key {
 // visited travels as a sorted id list so encodings are deterministic. The
 // ids are sorted on the stack: a request that has wandered past 16 peers is
 // rare enough to pay for its slice.
-func appendVisited(b []byte, visited map[core.PeerID]bool) []byte {
+func appendVisited(b []byte, visited *peerSet) []byte {
 	var few [16]core.PeerID
-	ids := few[:0]
-	for id, v := range visited {
-		if v {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	return appendPeerIDs(b, ids)
+	return appendPeerIDs(b, visited.ids(few[:0]))
 }
 
-func (r *wreader) visited() map[core.PeerID]bool {
-	n := r.count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make(map[core.PeerID]bool, n)
-	for i := 0; i < n; i++ {
-		out[r.peerID()] = true
+func (r *wreader) visited() peerSet {
+	var out peerSet
+	for n := r.count(8); n > 0; n-- {
+		out.add(r.peerID())
 	}
 	if r.fail {
-		return nil
+		return peerSet{}
 	}
 	return out
 }
@@ -592,7 +581,8 @@ const reqFixed = 88
 // nothing — which is why no third per-kind switch sits beside the encoder's
 // and the decoder's.
 func requestSize(req *request) int {
-	n := reqFixed + len(req.value) + 8*len(req.visited) + itemsSize(req.bulk) +
+	var few [16]core.PeerID
+	n := reqFixed + len(req.value) + 8*len(req.visited.ids(few[:0])) + itemsSize(req.bulk) +
 		8*len(req.dels) + 16*len(req.gains) + 40*len(req.moves)
 	if req.pred != nil {
 		n += 8 * len(req.pred.Keys)
@@ -619,16 +609,16 @@ func encodeRequest(b []byte, req *request) []byte {
 	case kindGet, kindDelete:
 		b = appendKey(b, req.key)
 		b = appendU64(b, req.epoch)
-		b = appendVisited(b, req.visited)
+		b = appendVisited(b, &req.visited)
 	case kindPut:
 		b = appendKey(b, req.key)
 		b = appendBytes(b, req.value)
 		b = appendU64(b, req.epoch)
-		b = appendVisited(b, req.visited)
+		b = appendVisited(b, &req.visited)
 	case kindRange, kindRangeScatter:
 		b = appendKey(b, req.key)
 		b = appendRange(b, req.rng)
-		b = appendVisited(b, req.visited)
+		b = appendVisited(b, &req.visited)
 		b = appendU32(b, uint32(req.onode))
 		b = appendU64(b, req.ocorr)
 		b = appendU32(b, uint32(req.parts))
@@ -638,7 +628,7 @@ func encodeRequest(b []byte, req *request) []byte {
 		b = appendItems(b, req.bulk)
 	case kindJoinLocate, kindFindReplacement:
 		b = appendKey(b, req.key)
-		b = appendVisited(b, req.visited)
+		b = appendVisited(b, &req.visited)
 	case kindUpdate:
 		b = appendState(b, req.state)
 		b = appendRanges(b, req.gains)

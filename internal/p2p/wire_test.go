@@ -13,12 +13,52 @@ import (
 	"baton/internal/transport"
 )
 
+// visitedOf builds a visited set holding ids, in the order decode adds
+// them (ascending).
+func visitedOf(ids ...core.PeerID) peerSet {
+	var s peerSet
+	for _, id := range ids {
+		s.add(id)
+	}
+	return s
+}
+
+// TestVisitedSetSpills: past eight members, and for an id too large for a
+// 32-bit slot, the visited set spills into its map. Where a member lives
+// changes neither membership nor the sorted wire form.
+func TestVisitedSetSpills(t *testing.T) {
+	var s peerSet
+	for _, id := range []core.PeerID{5, 1 << 40, 3, 9, 12, 7, 30, 2, 11, 4, 3} {
+		s.add(id)
+	}
+	want := []core.PeerID{2, 3, 4, 5, 7, 9, 11, 12, 30, 1 << 40}
+	if got := s.ids(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ids = %v, want %v", got, want)
+	}
+	for _, id := range want {
+		if !s.has(id) {
+			t.Fatalf("member %d missing", id)
+		}
+	}
+	if s.has(1) || s.has(core.NoPeer) || s.has(1<<40+1) {
+		t.Fatal("set reports a peer it never added")
+	}
+	req := request{kind: kindGet, key: 1, visited: s}
+	got, err := decodeRequest(encodeRequest(nil, &req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := got.visited.ids(nil); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("decoded ids = %v, want %v", ids, want)
+	}
+}
+
 // goldenRequests builds one representative request per kind — every field
 // that kind puts on the wire populated with non-default values — so the
 // round-trip test fails if an encoder or decoder forgets a field.
 func goldenRequests() map[kind]request {
 	items := []store.Item{{Key: 10, Value: []byte("ten")}, {Key: 20, Value: nil}, {Key: 30, Value: []byte{}}}
-	visited := map[core.PeerID]bool{3: true, 9: true, 27: true}
+	visited := visitedOf(3, 9, 27)
 	pred := &query.Pred{MinValueLen: 1, MaxValueLen: 64, Keys: []keyspace.Key{5, 7}, Limit: 12}
 	st := &peerState{
 		pos:      core.Position{Level: 3, Number: 5},
@@ -34,7 +74,7 @@ func goldenRequests() map[kind]request {
 	return map[kind]request{
 		kindGet:    {kind: kindGet, key: 42, hops: 3, epoch: 7, visited: visited},
 		kindPut:    {kind: kindPut, key: 43, value: []byte("v"), hops: 1, epoch: 9},
-		kindDelete: {kind: kindDelete, key: 44, hops: 2, visited: map[core.PeerID]bool{1: true}},
+		kindDelete: {kind: kindDelete, key: 44, hops: 2, visited: visitedOf(1)},
 		kindRange: {kind: kindRange, key: 50, rng: keyspace.Range{Lower: 50, Upper: 99},
 			hops: 4, par: true, visited: visited, onode: 3, ocorr: 77, parts: 5, shipped: 1200, pred: pred},
 		kindRangeScatter: {kind: kindRangeScatter, key: 60, rng: keyspace.Range{Lower: 60, Upper: 80}, hops: 5,
@@ -44,7 +84,7 @@ func goldenRequests() map[kind]request {
 		kindBulkDelete: {kind: kindBulkDelete, bulk: []store.Item{{Key: 77}}, hops: 2},
 		kindJoinLocate: {kind: kindJoinLocate, key: 3, hops: 6, visited: visited},
 		kindFindReplacement: {kind: kindFindReplacement, key: 4, hops: 7,
-			visited: map[core.PeerID]bool{12: true}},
+			visited: visitedOf(12)},
 		kindUpdate: {kind: kindUpdate, state: st, gains: []keyspace.Range{{Lower: 1, Upper: 2}},
 			moves: []handoffMove{{region: keyspace.Range{Lower: 5, Upper: 9}, dst: 31,
 				dstNode: 2, ackCorr: 99, ackNode: 1}}, departTo: 8, hops: 1},
@@ -77,13 +117,8 @@ func TestWireRequestRoundTripEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: decode: %v", kind(k), err)
 		}
-		// Normalise: decode never materialises empty containers.
-		want := req
-		if len(want.visited) == 0 {
-			want.visited = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: round-trip mismatch\n got %+v\nwant %+v", kind(k), got, want)
+		if !reflect.DeepEqual(got, req) {
+			t.Errorf("%v: round-trip mismatch\n got %+v\nwant %+v", kind(k), got, req)
 		}
 	}
 }
@@ -284,7 +319,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	// read takes on the wire: a filtered one-key range (a filtered point read)
 	// and an unfiltered range with no predicate byte set.
 	f.Add(encodeRequest(nil, &request{kind: kindRange, key: 45, rng: keyspace.Range{Lower: 45, Upper: 46},
-		hops: 1, visited: map[core.PeerID]bool{3: true}, onode: 2, ocorr: 79, parts: 1, shipped: 7,
+		hops: 1, visited: visitedOf(3), onode: 2, ocorr: 79, parts: 1, shipped: 7,
 		pred: &query.Pred{MinValueLen: 2, Keys: []keyspace.Key{45}}}))
 	f.Add(encodeRequest(nil, &request{kind: kindRange, key: 51, rng: keyspace.Range{Lower: 51, Upper: 90}, hops: 2}))
 	f.Add([]byte{})
