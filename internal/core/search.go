@@ -369,7 +369,7 @@ func (nw *Network) SearchRange(via PeerID, r keyspace.Range) (RangeResult, stats
 			break
 		}
 		if n.alive && n.nodeRange.Intersects(r) {
-			res.Items = append(res.Items, n.data.Scan(r)...)
+			res.Items = n.data.ScanAppend(res.Items, r)
 			res.Peers = append(res.Peers, n.id)
 			// The contributing peer returns its partial answer.
 			nw.send(start, stats.MsgReply, catOther)

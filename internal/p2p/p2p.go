@@ -1686,7 +1686,10 @@ func (c *Cluster) candidates(p *peer, key keyspace.Key, out []*link) []*link {
 // the request is first routed like an exact query towards the range's lower
 // bound; once a peer responsible for it is reached, the range is answered
 // either by the serial adjacent-chain walk below or by the parallel fan-out
-// in range_fanout.go, depending on req.par.
+// in range_fanout.go, depending on req.par. A materialising parallel query
+// whose range this peer covers alone has nothing to scatter: it takes the
+// serial branch, which answers in one copy of the items — no collector, no
+// chunk, no stitch — and, over the wire, in the final response alone.
 func (c *Cluster) handleRange(p *peer, req *request) *peer {
 	r := req.rng
 	owns := p.rng.Contains(r.Lower) || c.ownsExtreme(p, r.Lower)
@@ -1696,7 +1699,7 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		// peer would skip the beginning of the range.
 		return c.forward(p, req)
 	}
-	if req.par {
+	if req.par && (req.coll != nil || r.Upper > p.rng.Upper && p.adjacent[1] != nil) {
 		// Phase 2, parallel: become the fan-out coordinator. A streaming
 		// query (Cluster.QueryIter) built its collector client-side so the
 		// channel-backed sink and the pushdown predicate travel with the
@@ -1715,17 +1718,17 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		c.scatterAt(p, r, req.hops, coll)
 		return nil
 	}
-	// Phase 2, serial: collect locally and continue rightwards. The
-	// accumulator is grown once per peer with a CountRange pre-pass
-	// (store.ScanAppend) instead of appending an unsized Scan result; a
-	// pushdown predicate is evaluated here so filtered-out items never
-	// travel down the chain.
-	if p.rng.Intersects(r) {
-		if req.pred == nil {
-			req.acc = p.data.ScanAppend(req.acc, r)
-		} else {
-			req.acc = scanFiltered(p.data, req.acc, r, req.pred)
-		}
+	// Phase 2, serial: collect locally and continue rightwards. Each peer
+	// copies its leaf runs straight onto the travelling accumulator
+	// (store.ScanAppend grows it amortised, not to the exact size per hop);
+	// a pushdown predicate is evaluated here so filtered-out items never
+	// travel down the chain. The store holds only what this peer owns, so
+	// r needs no clipping — and an extreme peer's range need not even
+	// intersect r for it to hold keys there, outside the domain.
+	if req.pred == nil {
+		req.acc = p.data.ScanAppend(req.acc, r)
+	} else {
+		req.acc = scanFiltered(p.data, req.acc, r, req.pred)
 	}
 	if lim := req.pred.LimitOrZero(); lim > 0 && req.shipped+len(req.acc) >= lim {
 		// Limit-aware early termination: the pushdown limit is satisfied,

@@ -447,3 +447,66 @@ func BenchmarkRangeIterStreaming(b *testing.B) {
 		it.Close()
 	}
 }
+
+// onePeerRange returns the lower half of the range of a peer holding at
+// least minKeys of keys, in the cluster's published ring, and the keys it
+// holds.
+func onePeerRange(t *testing.T, c *Cluster, keys []keyspace.Key, minKeys int) (keyspace.Range, []keyspace.Key) {
+	t.Helper()
+	uniq := uniqueSortedKeys(keys)
+	ring := c.topo.Load().ring
+	for i := 1; i+1 < len(ring); i++ {
+		lo, hi := ring[i].lower, ring[i+1].lower
+		r := keyspace.Range{Lower: lo, Upper: lo + (hi-lo)/2}
+		if want := keysIn(uniq, r); len(want) >= minKeys {
+			return r, want
+		}
+	}
+	t.Fatalf("no peer holds %d keys in the lower half of its range", minKeys)
+	return keyspace.Range{}, nil
+}
+
+// TestOnePeerQueryAllocs: a materialising parallel query whose range one
+// peer covers has nothing to scatter, so it is answered like a serial one —
+// the same hops, and one allocation, the answer itself: no collector, no
+// chunk, no stitched copy.
+func TestOnePeerQueryAllocs(t *testing.T) {
+	c, keys := liveCluster(t, 64, 100_000, 181)
+	r, want := onePeerRange(t, c, keys, 200)
+	via := c.PeerIDs()[0]
+	quiesce(t, c)
+	items, hops, err := c.Query(via, parallelQuery(r))
+	if got := itemKeys(items); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("parallel query over one peer: %d items, err %v; want %d", len(got), err, len(want))
+	}
+	if _, serialHops, err := c.Query(via, serialQuery(r)); err != nil || hops != serialHops {
+		t.Fatalf("parallel query took %d hops, serial %d (err %v); want equal", hops, serialHops, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if items, _, err := c.Query(via, parallelQuery(r)); err != nil || len(items) != len(want) {
+			t.Fatalf("parallel query: %d items, err %v", len(items), err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a one-peer parallel query allocates %.1f objects, want 1 (the answer)", allocs)
+	}
+}
+
+// TestQueryOutsideDomain: the extreme peers store the keys outside the
+// domain, and every plan reads them back through a one-key range that lies
+// wholly outside the domain, which the extreme peer answers alone.
+func TestQueryOutsideDomain(t *testing.T) {
+	c, _ := liveCluster(t, 16, 200, 191)
+	via := c.PeerIDs()[0]
+	for _, k := range []keyspace.Key{keyspace.DomainMin - 10, keyspace.DomainMax + 10} {
+		if _, err := c.Put(via, k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []query.Plan{query.PlanAuto, query.PlanSerial, query.PlanParallel} {
+			items, _, err := c.Query(via, Query{Range: keyspace.NewRange(k, k+1), Plan: plan})
+			if got := itemKeys(items); err != nil || !slices.Equal(got, []keyspace.Key{k}) {
+				t.Fatalf("%v plan over [%d, %d): %v, err %v; want the one key", plan, k, k+1, got, err)
+			}
+		}
+	}
+}

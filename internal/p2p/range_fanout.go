@@ -85,18 +85,13 @@ func (g *collector) proxy() bool { return g.wire.corr != 0 }
 // grow registers n additional outstanding branches. It must be called
 // before the corresponding sub-requests are sent so a fast child cannot
 // drive pending to zero while its parent is still scattering. It also
-// pre-sizes the chunk slice: every outstanding branch contributes at most
-// one chunk, so growing capacity here (one reallocation per scatter level
-// at worst) replaces append's repeated grow-and-copy inside the gather —
-// the CountRange pre-pass discipline of the singleton path, applied to the
-// collector.
+// makes room in the chunk slice for every outstanding branch, each of
+// which contributes at most one chunk, so the gather itself never grows it.
 func (g *collector) grow(n int) {
 	g.mu.Lock()
 	g.pending += n
-	if g.sink == nil && !g.proxy() && cap(g.chunks)-len(g.chunks) < g.pending {
-		grown := make([]chunk, len(g.chunks), len(g.chunks)+g.pending)
-		copy(grown, g.chunks)
-		g.chunks = grown
+	if g.sink == nil && !g.proxy() {
+		g.chunks = slices.Grow(g.chunks, g.pending)
 	}
 	g.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -426,5 +427,29 @@ func TestWireFilteredScatterFiltersRemoteBranches(t *testing.T) {
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 		checkExactItems(t, got, pick, "filtered scatter")
+	}
+}
+
+// TestWireOnePeerQueryOneFrame: a parallel query whose range one peer covers
+// comes back to a zero-peer client in one response frame — the items ride
+// the final response, as at the end of a serial walk, instead of a partial
+// followed by a final.
+func TestWireOnePeerQueryOneFrame(t *testing.T) {
+	_, _, client, keys := wireTrio(t, 6, 6, 6000, 23)
+	r, want := onePeerRange(t, client, keys, 50)
+	via := client.PeerIDs()[0]
+	if _, _, err := client.Query(via, parallelQuery(r)); err != nil { // opens the sockets
+		t.Fatal(err)
+	}
+	const queries = 20
+	before := client.Metrics().Transport.FramesIn
+	for range queries {
+		items, _, err := client.Query(via, parallelQuery(r))
+		if got := itemKeys(items); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("parallel query over one peer: %d items, err %v; want %d", len(got), err, len(want))
+		}
+	}
+	if frames := client.Metrics().Transport.FramesIn - before; frames != queries {
+		t.Fatalf("%d queries received %d response frames, want one each", queries, frames)
 	}
 }

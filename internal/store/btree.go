@@ -7,7 +7,8 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"baton/internal/keyspace"
 )
@@ -30,6 +31,7 @@ type Store struct {
 	degree int
 	root   *node
 	size   int
+	leaves int // leaves in the chain, empty ones included
 }
 
 // node is a B+-tree node. Leaf nodes carry values and are linked through
@@ -51,7 +53,7 @@ func NewWithDegree(degree int) *Store {
 	if degree < 2 {
 		panic(fmt.Sprintf("store: degree %d < 2", degree))
 	}
-	return &Store{degree: degree, root: &node{leaf: true}}
+	return &Store{degree: degree, root: &node{leaf: true}, leaves: 1}
 }
 
 // Len returns the number of items in the store.
@@ -63,9 +65,6 @@ func (s *Store) maxKeys() int { return 2*s.degree - 1 }
 // Put inserts or replaces the value for key. It reports whether the key was
 // newly inserted (true) or replaced (false).
 func (s *Store) Put(key keyspace.Key, value []byte) bool {
-	if s.root == nil {
-		s.root = &node{leaf: true}
-	}
 	if len(s.root.keys) >= s.maxKeys() {
 		old := s.root
 		s.root = &node{children: []*node{old}}
@@ -81,8 +80,8 @@ func (s *Store) Put(key keyspace.Key, value []byte) bool {
 func (s *Store) insertNonFull(n *node, key keyspace.Key, value []byte) bool {
 	for {
 		if n.leaf {
-			i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-			if i < len(n.keys) && n.keys[i] == key {
+			i, found := search(n.keys, key)
+			if found {
 				n.values[i] = value
 				return false
 			}
@@ -94,7 +93,7 @@ func (s *Store) insertNonFull(n *node, key keyspace.Key, value []byte) bool {
 			n.values[i] = value
 			return true
 		}
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
+		i := childIndex(n, key)
 		if len(n.children[i].keys) >= s.maxKeys() {
 			s.splitChild(n, i)
 			if key >= n.keys[i] {
@@ -120,6 +119,7 @@ func (s *Store) splitChild(parent *node, i int) {
 		right.next = child.next
 		child.next = right
 		sep = right.keys[0]
+		s.leaves++
 	} else {
 		sep = child.keys[mid]
 		right.keys = append(right.keys, child.keys[mid+1:]...)
@@ -135,19 +135,50 @@ func (s *Store) splitChild(parent *node, i int) {
 	parent.children[i+1] = right
 }
 
-// Get returns the value stored under key and whether it exists.
+// search returns the index of the first of the sorted keys not below key,
+// and whether it is key itself: slices.BinarySearch's contract, as a plain
+// loop, which measured up to twice as fast on a node's few dozen keys.
+func search(keys []keyspace.Key, key keyspace.Key) (int, bool) {
+	i, j := 0, len(keys)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if keys[h] < key {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(keys) && keys[i] == key
+}
+
+// childIndex returns the slot of internal node n whose subtree holds key.
+func childIndex(n *node, key keyspace.Key) int {
+	i, found := search(n.keys, key)
+	if found {
+		i++
+	}
+	return i
+}
+
+// seek descends once from the root to the leaf that holds key, or would.
+func (s *Store) seek(key keyspace.Key) *node {
+	n := s.root
+	for !n.leaf {
+		n = n.children[childIndex(n, key)]
+	}
+	return n
+}
+
+// Get returns the value stored under key and whether it exists. (It
+// descends in place: through a call to seek, a lookup in one peer's share
+// measured up to twice as slow.)
 func (s *Store) Get(key keyspace.Key) ([]byte, bool) {
 	n := s.root
-	for n != nil {
-		if n.leaf {
-			i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-			if i < len(n.keys) && n.keys[i] == key {
-				return n.values[i], true
-			}
-			return nil, false
-		}
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-		n = n.children[i]
+	for !n.leaf {
+		n = n.children[childIndex(n, key)]
+	}
+	if i, found := search(n.keys, key); found {
+		return n.values[i], true
 	}
 	return nil, false
 }
@@ -164,18 +195,12 @@ func (s *Store) Contains(key keyspace.Key) bool {
 // leaf, and the tree is rebuilt when it becomes grossly underfull. This keeps
 // the implementation compact while preserving O(log n) amortised behaviour
 // for the workloads the overlay generates (deletes are far rarer than
-// lookups).
+// lookups). The sparsity check reads the tracked leaf count, so a delete
+// that does not rebuild costs one descent.
 func (s *Store) Delete(key keyspace.Key) bool {
-	n := s.root
-	for n != nil && !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > key })
-		n = n.children[i]
-	}
-	if n == nil {
-		return false
-	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i >= len(n.keys) || n.keys[i] != key {
+	n := s.seek(key)
+	i, found := search(n.keys, key)
+	if !found {
 		return false
 	}
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
@@ -183,147 +208,110 @@ func (s *Store) Delete(key keyspace.Key) bool {
 	s.size--
 	// Rebuild if the tree has become sparse: more than 4 leaves on average
 	// emptier than a quarter full.
-	if s.size > 0 && s.leafCount() > 4 && s.size < s.leafCount()*(s.degree/2) {
+	if s.size > 0 && s.leaves > 4 && s.size < s.leaves*(s.degree/2) {
 		s.rebuild()
 	} else if s.size == 0 {
-		s.root = &node{leaf: true}
+		s.Clear()
 	}
 	return true
 }
 
-func (s *Store) leafCount() int {
-	n := s.root
-	for n != nil && !n.leaf {
-		n = n.children[0]
-	}
-	count := 0
-	for n != nil {
-		count++
-		n = n.next
-	}
-	return count
-}
-
 // rebuild recreates the tree by bulk-loading all current items.
 func (s *Store) rebuild() {
-	items := s.Items()
 	fresh := NewWithDegree(s.degree)
-	for _, it := range items {
-		fresh.Put(it.Key, it.Value)
-	}
-	s.root = fresh.root
-	s.size = fresh.size
+	fresh.Absorb(s.Items())
+	*s = *fresh
 }
 
 // Min returns the smallest key in the store.
 func (s *Store) Min() (keyspace.Key, bool) {
-	n := s.root
-	if n == nil || s.size == 0 {
-		return 0, false
-	}
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for n != nil {
+	for n := s.seek(math.MinInt64); n != nil; n = n.next {
 		if len(n.keys) > 0 {
 			return n.keys[0], true
 		}
-		n = n.next
 	}
 	return 0, false
 }
 
 // Max returns the largest key in the store.
 func (s *Store) Max() (keyspace.Key, bool) {
-	if s.size == 0 {
-		return 0, false
-	}
-	n := s.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	// The rightmost leaf cannot be empty unless the whole tree is empty,
-	// but lazy deletion may leave empty leaves elsewhere; walk back via a
-	// full scan only in that unlikely case.
-	if len(n.keys) > 0 {
+	if n := s.seek(math.MaxInt64); len(n.keys) > 0 {
 		return n.keys[len(n.keys)-1], true
 	}
+	// Lazy deletion left the rightmost leaf empty: walk the leaves.
 	var last keyspace.Key
-	found := false
-	s.Ascend(func(it Item) bool {
-		last = it.Key
-		found = true
-		return true
-	})
-	return last, found
+	for n := s.seek(math.MinInt64); n != nil; n = n.next {
+		if len(n.keys) > 0 {
+			last = n.keys[len(n.keys)-1]
+		}
+	}
+	return last, s.size > 0
 }
 
 // Ascend calls fn for every item in ascending key order until fn returns
 // false.
 func (s *Store) Ascend(fn func(Item) bool) {
-	n := s.root
-	if n == nil {
-		return
-	}
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for n != nil {
-		for i := range n.keys {
-			if !fn(Item{Key: n.keys[i], Value: n.values[i]}) {
+	for n := s.seek(math.MinInt64); n != nil; n = n.next {
+		for i, k := range n.keys {
+			if !fn(Item{Key: k, Value: n.values[i]}) {
 				return
 			}
 		}
-		n = n.next
 	}
+}
+
+// leafSpans is the one walk behind every range scan. It descends once to
+// the leaf holding r.Lower and passes fn, leaf by leaf in ascending order,
+// the run of keys and the parallel run of values that fall inside r, until
+// fn returns false. Leaves that lazy deletes emptied are skipped; only the
+// first leaf is searched for r.Lower and only the last for r.Upper.
+func (s *Store) leafSpans(r keyspace.Range, fn func(keys []keyspace.Key, values [][]byte) bool) {
+	if r.IsEmpty() || s.size == 0 {
+		return
+	}
+	n := s.seek(r.Lower)
+	i, _ := search(n.keys, r.Lower)
+	for ; n != nil; n, i = n.next, 0 {
+		j := len(n.keys)
+		if i >= j {
+			continue
+		}
+		last := n.keys[j-1] >= r.Upper
+		if last {
+			j, _ = search(n.keys, r.Upper)
+		}
+		if i < j && !fn(n.keys[i:j], n.values[i:j]) || last {
+			return
+		}
+	}
+}
+
+// appendRun appends one leaf run to dst, which must have room for it.
+func appendRun(dst []Item, keys []keyspace.Key, values [][]byte) []Item {
+	base := len(dst)
+	dst = dst[:base+len(keys)]
+	for i, k := range keys {
+		dst[base+i] = Item{Key: k, Value: values[i]}
+	}
+	return dst
 }
 
 // AscendRange calls fn for every item with key in [r.Lower, r.Upper) in
 // ascending order until fn returns false.
 func (s *Store) AscendRange(r keyspace.Range, fn func(Item) bool) {
-	if r.IsEmpty() || s.size == 0 {
-		return
-	}
-	// Descend to the leaf that would contain r.Lower.
-	n := s.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > r.Lower })
-		n = n.children[i]
-	}
-	for n != nil {
-		for i := range n.keys {
-			k := n.keys[i]
-			if k < r.Lower {
-				continue
-			}
-			if k >= r.Upper {
-				return
-			}
-			if !fn(Item{Key: k, Value: n.values[i]}) {
-				return
+	s.leafSpans(r, func(keys []keyspace.Key, values [][]byte) bool {
+		for i, k := range keys {
+			if !fn(Item{Key: k, Value: values[i]}) {
+				return false
 			}
 		}
-		n = n.next
-	}
-}
-
-// Scan returns all items with keys in r, in ascending order. The result is
-// sized exactly with a counting pre-pass (CountRange): the second leaf walk
-// costs no allocation, whereas appending into an unsized slice pays a
-// grow-and-copy reallocation per doubling — the dominant allocation of a
-// wide range query.
-func (s *Store) Scan(r keyspace.Range) []Item {
-	n := s.CountRange(r)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Item, 0, n)
-	s.AscendRange(r, func(it Item) bool {
-		out = append(out, it)
 		return true
 	})
-	return out
 }
+
+// Scan returns all items with keys in r, in ascending order, in one
+// allocation of exactly their number (nil when there are none).
+func (s *Store) Scan(r keyspace.Range) []Item { return s.ScanAppend(nil, r) }
 
 // ScanBatches calls fn with successive batches of at most batchSize items
 // with keys in r, in ascending order, until the range is exhausted or fn
@@ -331,66 +319,63 @@ func (s *Store) Scan(r keyspace.Range) []Item {
 // the store never materialises the whole result, only one batch at a time,
 // so a scan's peak allocation is O(batchSize) instead of O(result). Each
 // batch is freshly allocated and handed off to fn (the store keeps no
-// reference), so fn may retain or send it. Batches sized for the items
-// that remain, never over-allocated.
+// reference), so fn may retain or send it. Batches are sized for the items
+// that remain (CountRange), never over-allocated, and filled run by run.
 func (s *Store) ScanBatches(r keyspace.Range, batchSize int, fn func([]Item) bool) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
 	remaining := s.CountRange(r)
-	if remaining == 0 {
-		return
-	}
 	var batch []Item
-	s.AscendRange(r, func(it Item) bool {
-		if batch == nil {
-			n := batchSize
-			if remaining < n {
-				n = remaining
+	s.leafSpans(r, func(keys []keyspace.Key, values [][]byte) bool {
+		for len(keys) > 0 {
+			if batch == nil {
+				batch = make([]Item, 0, min(batchSize, remaining))
 			}
-			batch = make([]Item, 0, n)
-		}
-		batch = append(batch, it)
-		if len(batch) == cap(batch) {
-			remaining -= len(batch)
-			out := batch
-			batch = nil
-			return fn(out)
+			take := min(len(keys), cap(batch)-len(batch))
+			batch = appendRun(batch, keys[:take], values[:take])
+			keys, values = keys[take:], values[take:]
+			if len(batch) == cap(batch) {
+				remaining -= len(batch)
+				out := batch
+				batch = nil
+				if !fn(out) {
+					return false
+				}
+			}
 		}
 		return true
 	})
-	if len(batch) > 0 {
-		fn(batch)
-	}
 }
 
 // ScanAppend appends all items with keys in r to dst and returns the
-// extended slice. Like Scan it pre-sizes with a CountRange pass, but it
-// grows the caller's accumulator in place — one reallocation at most, no
-// intermediate slice — which is what the serial range walk wants when it
-// folds each peer's contribution into the travelling result.
+// extended slice, copying leaf run by leaf run. It makes room once, for
+// CountRange's count: a nil dst gets exactly that, and any other grows with
+// slices.Grow — amortised, so the serial range walk folding each peer's
+// contribution into its travelling accumulator does not reallocate at
+// every hop.
 func (s *Store) ScanAppend(dst []Item, r keyspace.Range) []Item {
-	n := s.CountRange(r)
-	if n == 0 {
+	switch n := s.CountRange(r); {
+	case n == 0:
 		return dst
+	case dst == nil:
+		dst = make([]Item, 0, n)
+	default:
+		dst = slices.Grow(dst, n)
 	}
-	if cap(dst)-len(dst) < n {
-		grown := make([]Item, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	s.AscendRange(r, func(it Item) bool {
-		dst = append(dst, it)
+	s.leafSpans(r, func(keys []keyspace.Key, values [][]byte) bool {
+		dst = appendRun(dst, keys, values)
 		return true
 	})
 	return dst
 }
 
-// CountRange returns the number of items with keys in r.
+// CountRange returns the number of items with keys in r: a sum of leaf
+// run lengths, O(log n + leaves) and no per-item work.
 func (s *Store) CountRange(r keyspace.Range) int {
 	count := 0
-	s.AscendRange(r, func(Item) bool {
-		count++
+	s.leafSpans(r, func(keys []keyspace.Key, _ [][]byte) bool {
+		count += len(keys)
 		return true
 	})
 	return count
@@ -447,6 +432,7 @@ func (s *Store) Absorb(items []Item) {
 func (s *Store) Clear() {
 	s.root = &node{leaf: true}
 	s.size = 0
+	s.leaves = 1
 }
 
 // KeyAtFraction returns the key located at the given fraction (0..1) of the
@@ -463,23 +449,14 @@ func (s *Store) KeyAtFraction(frac float64) (keyspace.Key, bool) {
 	if frac > 1 {
 		frac = 1
 	}
-	target := int(frac * float64(s.size))
-	if target >= s.size {
-		target = s.size - 1
-	}
-	var result keyspace.Key
-	idx := 0
-	found := false
-	s.Ascend(func(it Item) bool {
-		if idx == target {
-			result = it.Key
-			found = true
-			return false
+	target := min(int(frac*float64(s.size)), s.size-1)
+	for n := s.seek(math.MinInt64); n != nil; n = n.next {
+		if target < len(n.keys) {
+			return n.keys[target], true
 		}
-		idx++
-		return true
-	})
-	return result, found
+		target -= len(n.keys)
+	}
+	return 0, false
 }
 
 // checkInvariants verifies structural invariants of the B+-tree and panics
@@ -509,6 +486,13 @@ func (s *Store) checkInvariants() error {
 	}
 	if count != s.size {
 		return fmt.Errorf("store: size %d but iterated %d items", s.size, count)
+	}
+	leaves := 0
+	for n := s.seek(math.MinInt64); n != nil; n = n.next {
+		leaves++
+	}
+	if leaves != s.leaves {
+		return fmt.Errorf("store: %d leaves tracked but %d chained", s.leaves, leaves)
 	}
 	return s.checkNode(s.root)
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -363,42 +366,262 @@ func TestStoreMatchesModel(t *testing.T) {
 	}
 }
 
-// Property: scanning any range returns exactly the model's keys in that
-// range.
+// checkScans checks every scan form over r against the model: Scan,
+// CountRange and ScanBatches return exactly the model's items in r in key
+// order, ScanAppend lands them behind a prefix whether dst has spare
+// capacity (then it must not reallocate) or not, and AscendRange stops where
+// its visitor says.
+func checkScans(t testing.TB, s *Store, model map[keyspace.Key][]byte, r keyspace.Range) {
+	t.Helper()
+	var want []Item
+	for _, k := range slices.Sorted(maps.Keys(model)) {
+		if r.Contains(k) {
+			want = append(want, Item{Key: k, Value: model[k]})
+		}
+	}
+	same := func(form string, got []Item) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s(%v): %d items, want %d", form, r, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("%s(%v): item %d = %d %v, want %d %v", form, r, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+			}
+		}
+	}
+	same("Scan", s.Scan(r))
+	if got := s.CountRange(r); got != len(want) {
+		t.Fatalf("CountRange(%v) = %d, want %d", r, got, len(want))
+	}
+	var batched []Item
+	s.ScanBatches(r, 3, func(b []Item) bool {
+		if len(b) == 0 || len(b) > 3 {
+			t.Fatalf("ScanBatches(%v): batch of %d items, want 1 to 3", r, len(b))
+		}
+		batched = append(batched, b...)
+		return true
+	})
+	same("ScanBatches", batched)
+	for _, spare := range []int{0, len(want)} {
+		dst := make([]Item, 1, 1+spare)
+		dst[0] = Item{Key: -1}
+		got := s.ScanAppend(dst, r)
+		if got[0].Key != -1 {
+			t.Fatalf("ScanAppend(%v) lost its prefix", r)
+		}
+		if spare > 0 && &got[0] != &dst[0] {
+			t.Fatalf("ScanAppend(%v) reallocated a dst with room for %d items", r, spare)
+		}
+		same("ScanAppend", got[1:])
+	}
+	stop := len(want) / 2
+	var seen []Item
+	s.AscendRange(r, func(it Item) bool {
+		seen = append(seen, it)
+		return len(seen) < stop
+	})
+	if len(want) > 0 {
+		want = want[:max(stop, 1)]
+	}
+	same("AscendRange with an early stop", seen)
+}
+
+// checkOrderStats checks Min, Max and KeyAtFraction against the model.
+func checkOrderStats(t testing.TB, s *Store, model map[keyspace.Key][]byte) {
+	t.Helper()
+	keys := slices.Sorted(maps.Keys(model))
+	mn, okMin := s.Min()
+	mx, okMax := s.Max()
+	if len(keys) == 0 {
+		if okMin || okMax {
+			t.Fatal("Min or Max found a key in an empty store")
+		}
+		return
+	}
+	if !okMin || !okMax || mn != keys[0] || mx != keys[len(keys)-1] {
+		t.Fatalf("Min, Max = %d, %d; want %d, %d", mn, mx, keys[0], keys[len(keys)-1])
+	}
+	for _, f := range []float64{0, 0.3, 0.5, 0.99, 1} {
+		want := keys[min(int(f*float64(len(keys))), len(keys)-1)]
+		if got, ok := s.KeyAtFraction(f); !ok || got != want {
+			t.Fatalf("KeyAtFraction(%v) = %d, want %d", f, got, want)
+		}
+	}
+}
+
+// Property: after puts interleaved with deletes, every scan form over any
+// range returns exactly the model's items in that range.
 func TestScanMatchesModelProperty(t *testing.T) {
 	f := func(seed int64, loRaw, hiRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := New()
-		model := map[keyspace.Key]bool{}
-		for i := 0; i < 500; i++ {
+		s := NewWithDegree(2 + rng.Intn(6))
+		model := map[keyspace.Key][]byte{}
+		for i := 0; i < 800; i++ {
 			k := keyspace.Key(rng.Intn(1000))
-			s.Put(k, nil)
-			model[k] = true
+			if rng.Intn(3) == 0 {
+				s.Delete(k)
+				delete(model, k)
+				continue
+			}
+			s.Put(k, []byte{byte(i)})
+			model[k] = []byte{byte(i)}
 		}
 		lo, hi := keyspace.Key(loRaw%1000), keyspace.Key(hiRaw%1000)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		r := keyspace.NewRange(lo, hi)
-		got := s.Scan(r)
-		want := 0
-		for k := range model {
-			if r.Contains(k) {
-				want++
-			}
-		}
-		if len(got) != want {
-			return false
-		}
-		for _, it := range got {
-			if !r.Contains(it.Key) || !model[it.Key] {
-				return false
-			}
-		}
-		return true
+		checkScans(t, s, model, keyspace.NewRange(min(lo, hi), max(lo, hi)))
+		return s.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScanAcrossEmptyLeaves deletes whole key blocks and every seventh key
+// elsewhere, leaving empty and underfull leaves that lazy deletion keeps
+// (the tree is not sparse enough to rebuild), then checks every scan form
+// over ranges whose bounds fall on leaf edges, next to them, inside the
+// emptied blocks and across them.
+func TestScanAcrossEmptyLeaves(t *testing.T) {
+	for _, degree := range []int{2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("degree=%d", degree), func(t *testing.T) {
+			s := NewWithDegree(degree)
+			model := map[keyspace.Key][]byte{}
+			// Random insertion order: ascending inserts leave one key per
+			// degree-2 leaf, so sparse that the first deletes rebuild the tree.
+			for _, i := range rand.New(rand.NewSource(int64(degree))).Perm(600) {
+				k := keyspace.Key(i)
+				s.Put(k, []byte(fmt.Sprint(k)))
+				model[k] = []byte(fmt.Sprint(k))
+			}
+			leaves := s.LeafKeys()
+			top := leaves[len(leaves)-1][0] // empty the rightmost leaf too
+			for k := range model {
+				if k >= 100 && k < 160 || k >= 400 && k < 430 || k >= top || k%7 == 0 {
+					s.Delete(k)
+					delete(model, k)
+				}
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			var edges []keyspace.Key
+			leaves = s.LeafKeys()
+			for _, keys := range leaves {
+				if len(keys) > 0 {
+					edges = append(edges, keys[0], keys[len(keys)-1]+1)
+				}
+			}
+			if last := leaves[len(leaves)-1]; len(last) != 0 {
+				t.Fatalf("the rightmost of %d leaves kept %d keys: the deletes rebuilt the tree", len(leaves), len(last))
+			}
+			checkOrderStats(t, s, model)
+			bounds := []keyspace.Key{-5, 0, 99, 100, 130, 160, 161, 415, 430, 599, 600, 700}
+			for _, e := range edges {
+				bounds = append(bounds, e-1, e, e+1)
+			}
+			for _, b := range bounds {
+				for _, w := range []keyspace.Key{0, 1, 25, 200, 800} {
+					checkScans(t, s, model, keyspace.NewRange(b, b+w))
+					checkScans(t, s, model, keyspace.NewRange(b-w, b))
+				}
+			}
+		})
+	}
+}
+
+// FuzzStoreMatchesModel decodes a degree, a range and a sequence of puts
+// and deletes over one-byte keys, applies them to a store and a map, and
+// checks the tree's invariants and every scan form over the range.
+func FuzzStoreMatchesModel(f *testing.F) {
+	seq := func(degree, lo, hi byte, ops ...byte) []byte { return append([]byte{degree, lo, hi}, ops...) }
+	var ascending, emptied []byte
+	for k := byte(0); k < 200; k++ {
+		ascending = append(ascending, 0, k)
+		emptied = append(emptied, 1, k)
+	}
+	for k := byte(40); k < 120; k++ {
+		emptied = append(emptied, 2, k)
+	}
+	f.Add(seq(0, 10, 150, ascending...))
+	f.Add(seq(2, 30, 130, emptied...))
+	f.Add(seq(5, 0, 255, 0, 7, 0, 3, 2, 7, 0, 9, 2, 3))
+	f.Add(seq(0, 5, 5, 0, 5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		s := NewWithDegree(2 + int(data[0]%6))
+		model := map[keyspace.Key][]byte{}
+		for i := 3; i+1 < len(data); i += 2 {
+			k := keyspace.Key(data[i+1])
+			if data[i]%3 == 2 {
+				_, had := model[k]
+				if s.Delete(k) != had {
+					t.Fatalf("op %d: Delete(%d) disagrees with the model (present: %v)", i/2, k, had)
+				}
+				delete(model, k)
+				continue
+			}
+			s.Put(k, []byte{data[i]})
+			model[k] = []byte{data[i]}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		checkOrderStats(t, s, model)
+		lo, hi := keyspace.Key(data[1]), keyspace.Key(data[2])
+		checkScans(t, s, model, keyspace.NewRange(min(lo, hi), max(lo, hi)))
+	})
+}
+
+// TestScanAllocs pins the scans' allocations: counting allocates nothing,
+// appending into a dst with room allocates nothing, and Scan allocates its
+// answer once.
+func TestScanAllocs(t *testing.T) {
+	s := New()
+	for i := 0; i < 10_000; i++ {
+		s.Put(keyspace.Key(i), nil)
+	}
+	r := keyspace.NewRange(1000, 5000)
+	dst := make([]Item, 0, 4000)
+	for _, tc := range []struct {
+		form string
+		fn   func()
+		want float64
+	}{
+		{"CountRange", func() { s.CountRange(r) }, 0},
+		{"ScanAppend into enough capacity", func() { dst = s.ScanAppend(dst[:0], r) }, 0},
+		{"Scan", func() { s.Scan(r) }, 1},
+	} {
+		if got := testing.AllocsPerRun(50, tc.fn); got != tc.want {
+			t.Errorf("%s: %v allocations, want %v", tc.form, got, tc.want)
+		}
+	}
+}
+
+// scanBenchStore is a 100 000-item store and a range of 1 000 of them.
+func scanBenchStore() (*Store, keyspace.Range) {
+	s := New()
+	for i := 0; i < 100_000; i++ {
+		s.Put(keyspace.Key(i), nil)
+	}
+	return s, keyspace.NewRange(40_000, 41_000)
+}
+
+func BenchmarkStoreScanAppend(b *testing.B) {
+	s, r := scanBenchStore()
+	var dst []Item
+	b.ReportAllocs()
+	for b.Loop() {
+		dst = s.ScanAppend(dst[:0], r)
+	}
+}
+
+func BenchmarkStoreCountRange(b *testing.B) {
+	s, r := scanBenchStore()
+	b.ReportAllocs()
+	for b.Loop() {
+		s.CountRange(r)
 	}
 }
 
