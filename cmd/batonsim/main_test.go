@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -38,5 +39,32 @@ func TestRunFigures(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.String(), "Figure 8d — ") || strings.Count(out.String(), "\n") < 5 {
 		t.Fatalf("unexpected figures output:\n%s", out.String())
+	}
+}
+
+// TestFigure8SmokeGolden pins the simulator's Figure 8 tables on a small
+// run byte for byte, so a refactor that moves a routing, join or departure
+// decision, a message charge or a draw from the random stream shows up as a
+// diff. When a change is meant to move the figures, regenerate the file
+// with
+//
+//	go run ./cmd/batonsim -sizes 40,80 -queries 100 -data 10 -runs 1 > cmd/batonsim/testdata/figure8_smoke.golden
+func TestFigure8SmokeGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/figure8_smoke.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(&out, strings.Fields("-sizes 40,80 -queries 100 -data 10 -runs 1")); err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("line %d differs:\n got %q\nwant %q", i+1, got[i], wantLines[i])
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("output has %d lines, golden has %d", len(got), len(wantLines))
 	}
 }

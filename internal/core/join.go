@@ -81,13 +81,16 @@ func (nw *Network) locateJoinNode(start *Node) (*Node, int, error) {
 	nw.send(n, stats.MsgJoinRequest, catLocate)
 	limit := nw.hopLimit()
 	visited := make(map[PeerID]int)
+	var vb viewBuf
 	for hops := 0; hops < limit; hops++ {
 		nw.chargeIfInflight(n)
-		if slot, free := n.freeChildSlot(); n.alive && free && n.bothRoutingTablesFull() {
+		v := vb.fill(n)
+		full := v.RoutingTablesFull(n.pos)
+		if slot, free := v.FreeChildSlot(); n.alive && free && full {
 			return n, slot, nil
 		}
 		visited[n.id]++
-		next := nw.joinForwardTarget(n, visited)
+		next := nw.joinForwardTarget(n, full, visited)
 		if next == nil {
 			// No outgoing link makes progress (can only happen in tiny or
 			// corrupted networks); fall back to a direct scan, charging one
@@ -100,11 +103,12 @@ func (nw *Network) locateJoinNode(start *Node) (*Node, int, error) {
 	return nil, 0, fmt.Errorf("locating join node starting at peer %d: %w", start.id, ErrHopLimit)
 }
 
-// joinForwardTarget applies the forwarding rules of Algorithm 1 at node n.
-func (nw *Network) joinForwardTarget(n *Node, visited map[PeerID]int) *Node {
+// joinForwardTarget applies the forwarding rules of Algorithm 1 at node n;
+// full tells whether n's routing tables are full.
+func (nw *Network) joinForwardTarget(n *Node, full bool, visited map[PeerID]int) *Node {
 	// Rule 2: a node with an incomplete routing table forwards the request
 	// to its parent (the parent of a missing neighbour can accept).
-	if !n.bothRoutingTablesFull() {
+	if !full {
 		if n.parent != nil && n.parent.alive && visited[n.parent.id] < 2 {
 			return n.parent
 		}
@@ -146,11 +150,13 @@ func (nw *Network) joinForwardTarget(n *Node, visited map[PeerID]int) *Node {
 // exists so a Join can never fail on a healthy network even if forwarding
 // paints itself into a corner; each inspected node costs one message.
 func (nw *Network) joinFallback(from *Node) (*Node, int, error) {
+	var vb viewBuf
 	for _, n := range nw.inOrderNodes() {
 		if !n.alive {
 			continue
 		}
-		if slot, free := n.freeChildSlot(); free && n.bothRoutingTablesFull() {
+		v := vb.fill(n)
+		if slot, free := v.FreeChildSlot(); free && v.RoutingTablesFull(n.pos) {
 			nw.send(n, stats.MsgJoinRequest, catLocate)
 			return n, slot, nil
 		}

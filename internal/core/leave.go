@@ -220,46 +220,51 @@ func (n *Node) IsLeftChildOfParent() bool {
 	return !n.pos.IsRoot() && n.pos.SlotIn(n.fanout) == 0
 }
 
+// ReplacementStart returns the peer at which Algorithm 2's FINDREPLACEMENT
+// walk for departing peer x begins, as the paper prescribes: a leaf starts
+// at a child of its first routing-table neighbour that has children; any
+// other peer starts at the deeper of its adjacent peers (which is a leaf or
+// as deep as possible). It returns NoPeer when there is no such peer or x
+// is unknown.
+func (nw *Network) ReplacementStart(x PeerID) PeerID {
+	n, ok := nw.nodes[x]
+	if !ok {
+		return NoPeer
+	}
+	if !n.IsLeaf() {
+		la, ra := n.leftAdj, n.rightAdj
+		switch {
+		case la != nil && (ra == nil || la.pos.Level >= ra.pos.Level):
+			return la.id
+		case ra != nil:
+			return ra.id
+		}
+		return NoPeer
+	}
+	for _, side := range []Side{Left, Right} {
+		for _, m := range n.RoutingTable(side) {
+			if m == nil || m.IsLeaf() {
+				continue
+			}
+			for _, c := range m.children {
+				if c != nil {
+					return c.id
+				}
+			}
+		}
+	}
+	return NoPeer
+}
+
 // findReplacement runs Algorithm 2: starting from a node near x, the request
 // travels downwards (to a child, or to a child of a routing-table neighbour)
 // until it reaches a leaf that has no children and none of whose neighbours
 // have children. That leaf can vacate its position without unbalancing the
 // tree and will take over x's position.
 func (nw *Network) findReplacement(x *Node) (*Node, error) {
-	// Choose the starting point as the paper prescribes: a leaf node should
-	// start at a child of a routing-table neighbour that has children; a
-	// non-leaf node starts at one of its adjacent nodes (which is a leaf or
-	// as deep as possible).
-	var start *Node
-	if x.IsLeaf() {
-		for _, side := range []Side{Left, Right} {
-			for _, m := range x.RoutingTable(side) {
-				if m == nil || m.IsLeaf() {
-					continue
-				}
-				for _, c := range m.children {
-					if c != nil {
-						start = c
-						break
-					}
-				}
-				break
-			}
-			if start != nil {
-				break
-			}
-		}
-	} else {
-		// Prefer the adjacent node that lies deeper in the tree.
-		la, ra := x.leftAdj, x.rightAdj
-		switch {
-		case la != nil && (ra == nil || la.pos.Level >= ra.pos.Level):
-			start = la
-		case ra != nil:
-			start = ra
-		}
-	}
+	start := nw.nodes[nw.ReplacementStart(x.id)]
 	if start == nil {
+		// No start point: the walk begins at x itself.
 		start = x
 	}
 	if nw.cfg.NoSidewaysRouting {
@@ -350,28 +355,42 @@ func (nw *Network) childOfNeighbourWithChildren(n *Node) *Node {
 	return nil
 }
 
-// replacementFallback scans for the deepest leaf whose removal keeps the
-// tree balanced. It only runs in degenerate configurations where Algorithm 2
+// replacementFallback picks the deepest leaf whose removal keeps the tree
+// balanced. It only runs in degenerate configurations where Algorithm 2
 // terminated at the departing node itself.
 func (nw *Network) replacementFallback(x *Node) (*Node, error) {
-	var best *Node
-	for _, n := range nw.nodes {
-		if n == x || !n.alive || !n.IsLeaf() {
-			continue
-		}
-		if !nw.balancedWithChange(nil, []Position{n.pos}) {
-			continue
-		}
-		if best == nil || n.pos.Level > best.pos.Level ||
-			(n.pos.Level == best.pos.Level && n.id < best.id) {
-			best = n
-		}
-	}
-	if best == nil {
+	leaves := nw.ReplacementLeaves(x.id, func(id PeerID) bool { return nw.nodes[id].alive })
+	if len(leaves) == 0 {
 		return nil, fmt.Errorf("no replacement leaf available for peer %d: %w", x.id, ErrHopLimit)
 	}
+	best := nw.nodes[leaves[0]]
 	nw.send(best, stats.MsgFindReplacement, catLocate)
 	return best, nil
+}
+
+// ReplacementLeaves lists the leaves that can replace departing peer x when
+// Algorithm 2's walk does not yield one: every leaf other than x whose
+// removal keeps the tree balanced and that viable accepts, deepest first and
+// then by ID.
+func (nw *Network) ReplacementLeaves(x PeerID, viable func(PeerID) bool) []PeerID {
+	var leaves []*Node
+	for _, n := range nw.nodes {
+		if n.id == x || !n.IsLeaf() || !viable(n.id) || !nw.balancedWithChange(nil, []Position{n.pos}) {
+			continue
+		}
+		leaves = append(leaves, n)
+	}
+	sort.Slice(leaves, func(i, j int) bool {
+		if leaves[i].pos.Level != leaves[j].pos.Level {
+			return leaves[i].pos.Level > leaves[j].pos.Level
+		}
+		return leaves[i].id < leaves[j].id
+	})
+	ids := make([]PeerID, len(leaves))
+	for i, n := range leaves {
+		ids[i] = n.id
+	}
+	return ids
 }
 
 // replace removes x from the network and installs y (a safe leaf found by

@@ -225,8 +225,9 @@ func TestPeerAccessors(t *testing.T) {
 func TestRoutingTableFullPredicate(t *testing.T) {
 	nw := buildNetwork(t, 7, 31) // complete tree of 7 nodes
 	// In a complete 7-node tree every peer has full routing tables.
+	var vb viewBuf
 	for _, n := range nw.nodes {
-		if !n.bothRoutingTablesFull() {
+		if !vb.fill(n).RoutingTablesFull(n.pos) {
 			t.Fatalf("peer at %v should have full routing tables in a complete tree", n.pos)
 		}
 	}
@@ -235,7 +236,7 @@ func TestRoutingTableFullPredicate(t *testing.T) {
 	nw = buildNetwork(t, 8, 31)
 	nonFull := 0
 	for _, n := range nw.nodes {
-		if !n.bothRoutingTablesFull() {
+		if !vb.fill(n).RoutingTablesFull(n.pos) {
 			nonFull++
 		}
 	}

@@ -139,29 +139,6 @@ func (n *Node) RoutingTable(side Side) []*Node {
 	return n.rightRT
 }
 
-// routingTableFull reports whether every entry of the side's routing table
-// that corresponds to a valid position (within 1..m^level) is non-nil. This
-// is the "Full(RoutingTable)" predicate of Algorithm 1 and Theorem 1.
-func (n *Node) routingTableFull(side Side) bool {
-	rt := n.RoutingTable(side)
-	for i := range rt {
-		if _, ok := n.pos.NeighbourIn(n.fanout, side, RTDistance(n.fanout, i)); !ok {
-			continue // position outside the level: entry is always "valid"
-		}
-		if rt[i] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// bothRoutingTablesFull reports whether both sideways routing tables are
-// full — the Theorem 1 precondition for accepting a child or for a leaf's
-// neighbours when it wants to depart.
-func (n *Node) bothRoutingTablesFull() bool {
-	return n.routingTableFull(Left) && n.routingTableFull(Right)
-}
-
 // hasFreeChildSlot reports whether any of the node's child slots is empty.
 func (n *Node) hasFreeChildSlot() bool {
 	for _, c := range n.children {
@@ -170,18 +147,6 @@ func (n *Node) hasFreeChildSlot() bool {
 		}
 	}
 	return false
-}
-
-// freeChildSlot returns the lowest empty child slot (the leftmost — for
-// fanout 2 this is the paper's "prefer the left child"), and whether any
-// slot is free.
-func (n *Node) freeChildSlot() (int, bool) {
-	for s, c := range n.children {
-		if c == nil {
-			return s, true
-		}
-	}
-	return 0, false
 }
 
 // freeChildSide returns the side on which a forced insert next to the node

@@ -61,12 +61,19 @@ func (nw *Network) routeToKey(start *Node, key keyspace.Key) (*Node, error) {
 	n := start
 	limit := nw.hopLimit() + 4*len(nw.failed)
 	visited := map[PeerID]bool{start.id: true}
+	var vb viewBuf
 	for hops := 0; hops < limit; hops++ {
 		nw.chargeIfInflight(n)
 		if nw.ownsKey(n, key) {
 			return n, nil
 		}
-		next := nw.nextHop(n, key, visited)
+		if nw.cfg.NoSidewaysRouting {
+			// The multiway baseline asks its children one at a time whether
+			// their subtree covers the key; each probe is a request/reply pair
+			// on top of the forwarding message pickHop charges.
+			nw.chargeMultiwayProbes(n, key)
+		}
+		next := nw.pickHop(n, key, nw.hopCandidates(n, key, &vb), &vb, visited, true)
 		if next == nil {
 			return nil, fmt.Errorf("routing key %d from peer %d: no route at %v: %w", key, start.id, n.pos, ErrHopLimit)
 		}
@@ -93,65 +100,50 @@ func (nw *Network) ownsKey(n *Node, key keyspace.Key) bool {
 	return false
 }
 
-// nextHop selects the next peer on the path towards key from n, applying the
-// search_exact forwarding rules and skipping failed peers. Every attempted
-// hop costs one message; an attempt that hits a failed peer costs one extra
-// message and the next candidate is tried (fault-tolerant routing,
-// Section III-D). Peers already visited by this request are avoided unless
-// no other alternative remains.
-func (nw *Network) nextHop(n *Node, key keyspace.Key, visited map[PeerID]bool) *Node {
-	if nw.cfg.NoSidewaysRouting {
-		// The multiway baseline asks its children one at a time whether
-		// their subtree covers the key; each probe is a request/reply pair
-		// on top of the forwarding message charged below.
-		nw.chargeMultiwayProbes(n, key)
-	}
-	primary, fallback := nw.hopCandidates(n, key)
-	try := func(candidates []*Node, allowVisited bool) *Node {
-		for _, candidate := range candidates {
-			if candidate == nil {
+// pickHop returns the node a search_exact request at n moves to next,
+// taking the candidates in order: the first one whose range contains key,
+// even when it is down (routing stops there and the caller reports the data
+// unavailable rather than wandering), or else the first alive one. Peers
+// the request has visited are passed over while any other candidate
+// remains; when everything unvisited is down, the request retraces through
+// a visited peer in the same fixed order rather than give up. With charge,
+// every attempt costs one message and an attempt that hits a failed peer
+// one more (fault-tolerant routing, Section III-D).
+func (nw *Network) pickHop(n *Node, key keyspace.Key, cands []*Link, vb *viewBuf, visited map[PeerID]bool, charge bool) *Node {
+	for _, allowVisited := range [2]bool{false, true} {
+		for _, l := range cands {
+			if l == nil || !allowVisited && visited[l.ID] {
 				continue
 			}
-			if !allowVisited && visited[candidate.id] {
-				continue
+			c := vb.node(l)
+			if charge {
+				nw.send(c, stats.MsgSearchExact, catLocate)
 			}
-			nw.send(candidate, stats.MsgSearchExact, catLocate)
-			if candidate.nodeRange.Contains(key) {
-				// The responsible peer has been located; routing stops here
-				// even if that peer is down (the caller then reports the data
-				// as unavailable rather than wandering).
-				return candidate
+			if l.owns(key) {
+				return c
 			}
-			if !candidate.alive {
+			if !c.alive {
 				// The sender discovers the address is unreachable and falls
 				// back to the next alternative.
-				nw.send(n, stats.MsgRedirect, catExtra)
+				if charge {
+					nw.send(n, stats.MsgRedirect, catExtra)
+				}
 				continue
 			}
-			return candidate
+			return c
 		}
-		return nil
 	}
-	if next := try(primary, false); next != nil {
-		return next
-	}
-	if next := try(fallback, false); next != nil {
-		return next
-	}
-	// Everything unvisited is down: retrace through an already visited peer
-	// rather than give up (it may have other alternatives).
-	return try(append(primary, fallback...), true)
+	return nil
 }
 
 // RoutePath predicts the sequence of peers a search_exact query for key
 // issued at via visits, starting with via itself and ending at the peer
-// responsible for key. It applies the same forwarding rules as routeToKey
-// (hopCandidates order, visited-peer avoidance, dead-peer skipping) but
-// charges no messages and touches no statistics, so callers can compare a
-// route observed on a live deployment hop-for-hop against the structure's
-// expectation. On a network with failed peers the prediction is only one
-// of the valid routes — live fail-over may race repairs — so it is most
-// useful on a quiesced, fully-alive network, where the path is unique.
+// responsible for key. It makes routeToKey's choices (pickHop over the same
+// candidates) but charges no messages and touches no statistics, so callers
+// can compare a route observed on a live deployment hop-for-hop against the
+// structure's expectation. On a network with failed peers the prediction is
+// only one of the valid routes — live fail-over may race repairs — so it is
+// most useful on a quiesced, fully-alive network, where the path is unique.
 func (nw *Network) RoutePath(via PeerID, key keyspace.Key) ([]PeerID, error) {
 	n, err := nw.node(via)
 	if err != nil {
@@ -160,36 +152,12 @@ func (nw *Network) RoutePath(via PeerID, key keyspace.Key) ([]PeerID, error) {
 	path := []PeerID{n.id}
 	visited := map[PeerID]bool{n.id: true}
 	limit := nw.hopLimit() + 4*len(nw.failed)
+	var vb viewBuf
 	for hops := 0; hops < limit; hops++ {
 		if nw.ownsKey(n, key) {
 			return path, nil
 		}
-		primary, fallback := nw.hopCandidates(n, key)
-		pick := func(candidates []*Node, allowVisited bool) *Node {
-			for _, candidate := range candidates {
-				if candidate == nil {
-					continue
-				}
-				if !allowVisited && visited[candidate.id] {
-					continue
-				}
-				if candidate.nodeRange.Contains(key) {
-					return candidate
-				}
-				if !candidate.alive {
-					continue
-				}
-				return candidate
-			}
-			return nil
-		}
-		next := pick(primary, false)
-		if next == nil {
-			next = pick(fallback, false)
-		}
-		if next == nil {
-			next = pick(append(primary, fallback...), true)
-		}
+		next := nw.pickHop(n, key, nw.hopCandidates(n, key, &vb), &vb, visited, false)
 		if next == nil {
 			return nil, fmt.Errorf("predicting route for key %d from peer %d: no route at %v: %w", key, via, n.pos, ErrHopLimit)
 		}
@@ -200,66 +168,17 @@ func (nw *Network) RoutePath(via PeerID, key keyspace.Key) ([]PeerID, error) {
 	return nil, fmt.Errorf("predicting route for key %d from peer %d: %w", key, via, ErrHopLimit)
 }
 
-// hopCandidates returns the forwarding candidates at n for key. The primary
-// list follows the search_exact algorithm (best first); the fallback list
-// contains every other link the peer holds and is only used to route around
-// failures.
-func (nw *Network) hopCandidates(n *Node, key keyspace.Key) (primary, fallback []*Node) {
+// hopCandidates lists n's forwarding candidates for key, best first, over
+// n's view filled into vb: ForwardCandidates, or the multiway rule on a
+// network without sideways links.
+func (nw *Network) hopCandidates(n *Node, key keyspace.Key, vb *viewBuf) []*Link {
+	v := vb.fill(n)
 	if nw.cfg.NoSidewaysRouting {
-		return nw.multiwayCandidates(n, key)
-	}
-	towardRight := key >= n.nodeRange.Upper
-	last := n.fanout - 1
-	if towardRight {
-		// Farthest right routing-table entry whose lower bound does not
-		// exceed the key, then nearer ones, then the last child (the only
-		// child subtree above n in the in-order chain), then the right
-		// adjacent node.
-		rt := n.RoutingTable(Right)
-		for i := len(rt) - 1; i >= 0; i-- {
-			m := rt[i]
-			if m != nil && m.nodeRange.Lower <= key {
-				primary = append(primary, m)
-			}
-		}
-		primary = append(primary, n.children[last], n.rightAdj)
-		// Fault-tolerance fallbacks: the parent, any other right-table
-		// entry (overshooting is recoverable), then links towards the left.
-		fallback = append(fallback, n.parent)
-		for i := len(rt) - 1; i >= 0; i-- {
-			if m := rt[i]; m != nil && m.nodeRange.Lower > key {
-				fallback = append(fallback, m)
-			}
-		}
-		for s := last - 1; s >= 0; s-- {
-			fallback = append(fallback, n.children[s])
-		}
-		fallback = append(fallback, n.leftAdj)
-		fallback = append(fallback, n.RoutingTable(Left)...)
+		vb.cands = nw.multiwayCandidates(n, v, key, vb.cands[:0])
 	} else {
-		// The child subtrees in slots 0..m-2 all lie below n in the in-order
-		// chain, nearest (highest slot) first.
-		rt := n.RoutingTable(Left)
-		for i := len(rt) - 1; i >= 0; i-- {
-			m := rt[i]
-			if m != nil && m.nodeRange.Upper > key {
-				primary = append(primary, m)
-			}
-		}
-		for s := last - 1; s >= 0; s-- {
-			primary = append(primary, n.children[s])
-		}
-		primary = append(primary, n.leftAdj)
-		fallback = append(fallback, n.parent)
-		for i := len(rt) - 1; i >= 0; i-- {
-			if m := rt[i]; m != nil && m.nodeRange.Upper <= key {
-				fallback = append(fallback, m)
-			}
-		}
-		fallback = append(fallback, n.children[last], n.rightAdj)
-		fallback = append(fallback, n.RoutingTable(Right)...)
+		vb.cands = ForwardCandidates(v, n.nodeRange, key, vb.cands[:0])
 	}
-	return primary, fallback
+	return vb.cands
 }
 
 // clampToDomain maps out-of-domain keys to the nearest in-domain key, so the
@@ -283,33 +202,29 @@ func (nw *Network) subtreeRange(n *Node) keyspace.Range {
 	return keyspace.NewRange(lo, hi)
 }
 
-// multiwayCandidates is the no-sideways-links forwarding rule (Liau et al.):
-// if n's subtree covers the key, descend into the unique child subtree that
-// holds it; otherwise climb to the parent. Adjacent nodes and the remaining
-// links are fault-tolerance fallbacks only.
-func (nw *Network) multiwayCandidates(n *Node, key keyspace.Key) (primary, fallback []*Node) {
+// multiwayCandidates is the no-sideways-links forwarding rule (Liau et al.)
+// over n's view v: if n's subtree covers the key, descend into the unique
+// child subtree that holds it; otherwise climb to the parent. Adjacent nodes
+// and the remaining links follow as fault-tolerance fallbacks only.
+func (nw *Network) multiwayCandidates(n *Node, v *View, key keyspace.Key, out []*Link) []*Link {
 	k := nw.clampToDomain(key)
 	if nw.subtreeRange(n).Contains(k) {
-		for s := 0; s < n.fanout; s++ {
-			c := n.children[s]
+		for s, c := range n.children {
 			if c != nil && nw.subtreeRange(c).Contains(k) {
-				primary = append(primary, c)
+				out = append(out, v.Children[s])
 				break
 			}
 		}
-	} else if n.parent != nil {
-		primary = append(primary, n.parent)
+	} else {
+		out = append(out, v.Parent)
 	}
 	if key >= n.nodeRange.Upper {
-		fallback = append(fallback, n.rightAdj, n.leftAdj)
+		out = append(out, v.Adj[Right], v.Adj[Left])
 	} else {
-		fallback = append(fallback, n.leftAdj, n.rightAdj)
+		out = append(out, v.Adj[Left], v.Adj[Right])
 	}
-	for s := 0; s < n.fanout; s++ {
-		fallback = append(fallback, n.children[s])
-	}
-	fallback = append(fallback, n.parent)
-	return primary, fallback
+	out = append(out, v.Children...)
+	return append(out, v.Parent)
 }
 
 // chargeMultiwayProbes counts the child probes a multiway peer performs

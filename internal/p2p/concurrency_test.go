@@ -365,10 +365,10 @@ func TestOwnerOf(t *testing.T) {
 			t.Fatalf("ownerOf(%d) = %v", k, p)
 		}
 	}
-	if p := c.ownerOf(keyspace.DomainMin - 5); p == nil || p.adjacent[0] != nil {
+	if p := c.ownerOf(keyspace.DomainMin - 5); p == nil || p.view.Adj[core.Left] != nil {
 		t.Fatal("ownerOf below the domain should be the leftmost peer")
 	}
-	if p := c.ownerOf(keyspace.DomainMax + 5); p == nil || p.adjacent[1] != nil {
+	if p := c.ownerOf(keyspace.DomainMax + 5); p == nil || p.view.Adj[core.Right] != nil {
 		t.Fatal("ownerOf above the domain should be the rightmost peer")
 	}
 }

@@ -491,47 +491,31 @@ func subtract(r, s keyspace.Range) []keyspace.Range {
 // buildState assembles the peerState a kindUpdate installs, resolving every
 // link against the post-operation structure.
 func buildState(ns core.PeerSnapshot, next map[core.PeerID]core.PeerSnapshot) *peerState {
-	tl := func(id core.PeerID) *link {
-		if id == core.NoPeer {
-			return nil
-		}
+	tl := func(id core.PeerID) *core.Link {
 		t, ok := next[id]
-		if !ok {
+		if id == core.NoPeer || !ok {
 			return nil
 		}
-		return &link{id: id, lower: t.Range.Lower, upper: t.Range.Upper}
+		return &core.Link{ID: id, Lower: t.Range.Lower, Upper: t.Range.Upper}
 	}
-	slots := ns.ChildSlots()
-	children := make([]*link, len(slots))
-	for s, id := range slots {
-		children[s] = tl(id)
+	st := &peerState{pos: ns.Position, rng: ns.Range}
+	v := &st.view
+	v.Parent = tl(ns.Parent)
+	for _, id := range ns.ChildSlots() {
+		v.Children = append(v.Children, tl(id))
 	}
-	st := &peerState{
-		pos:      ns.Position,
-		rng:      ns.Range,
-		parent:   tl(ns.Parent),
-		children: children,
-		adjacent: [2]*link{tl(ns.LeftAdjacent), tl(ns.RightAdjacent)},
-	}
-	for _, id := range ns.LeftRouting {
-		st.rt[0] = append(st.rt[0], tl(id))
-	}
-	for _, id := range ns.RightRouting {
-		st.rt[1] = append(st.rt[1], tl(id))
+	v.Adj = [2]*core.Link{tl(ns.LeftAdjacent), tl(ns.RightAdjacent)}
+	for s, ids := range [2][]core.PeerID{ns.LeftRouting, ns.RightRouting} {
+		for _, id := range ids {
+			v.RT[s] = append(v.RT[s], tl(id))
+		}
 	}
 	return st
 }
 
 // installState adopts a peerState; called either at spawn (before the peer
 // goroutine starts) or under the peer's token (applyUpdate).
-func (p *peer) installState(st *peerState) {
-	p.pos = st.pos
-	p.rng = st.rng
-	p.parent = st.parent
-	p.children = st.children
-	p.adjacent = st.adjacent
-	p.rt = st.rt
-}
+func (p *peer) installState(st *peerState) { p.peerState = *st }
 
 // linksAny reports whether the snapshot links to any of the given peers.
 func linksAny(ns core.PeerSnapshot, ids map[core.PeerID]bool) bool {
@@ -680,31 +664,32 @@ func (c *Cluster) replayHeld(p *peer) {
 
 // snapshot exports the peer's protocol state; runs under the peer's token.
 func (p *peer) snapshot() *core.PeerSnapshot {
-	linkID := func(l *link) core.PeerID {
+	linkID := func(l *core.Link) core.PeerID {
 		if l == nil {
 			return core.NoPeer
 		}
-		return l.id
+		return l.ID
 	}
-	last := len(p.children) - 1
+	v := &p.view
+	last := len(v.Children) - 1
 	ps := &core.PeerSnapshot{
 		ID:            p.id,
 		Position:      p.pos,
 		Range:         p.rng,
 		Items:         p.data.Items(),
-		Parent:        linkID(p.parent),
-		LeftChild:     linkID(p.children[0]),
-		RightChild:    linkID(p.children[last]),
-		LeftAdjacent:  linkID(p.adjacent[0]),
-		RightAdjacent: linkID(p.adjacent[1]),
+		Parent:        linkID(v.Parent),
+		LeftChild:     linkID(v.Children[0]),
+		RightChild:    linkID(v.Children[last]),
+		LeftAdjacent:  linkID(v.Adj[core.Left]),
+		RightAdjacent: linkID(v.Adj[core.Right]),
 	}
 	for s := 1; s < last; s++ {
-		ps.MidChildren = append(ps.MidChildren, linkID(p.children[s]))
+		ps.MidChildren = append(ps.MidChildren, linkID(v.Children[s]))
 	}
-	for _, l := range p.rt[0] {
+	for _, l := range v.RT[core.Left] {
 		ps.LeftRouting = append(ps.LeftRouting, linkID(l))
 	}
-	for _, l := range p.rt[1] {
+	for _, l := range v.RT[core.Right] {
 		ps.RightRouting = append(ps.RightRouting, linkID(l))
 	}
 	return ps

@@ -18,18 +18,16 @@ import (
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
+	"baton/internal/stats"
 	"baton/internal/transport"
 )
 
 // peerState is the structural state a kindUpdate message installs at a
 // peer: its position, range and full link set, all derived from the mirror.
 type peerState struct {
-	pos      core.Position
-	rng      keyspace.Range
-	parent   *link
-	children []*link // one entry per child slot, slot 0 leftmost
-	adjacent [2]*link
-	rt       [2][]*link
+	pos  core.Position
+	rng  keyspace.Range
+	view core.View
 }
 
 // handoffMove instructs a source peer to extract the items of region and
@@ -144,41 +142,46 @@ func (c *Cluster) departLocked(id core.PeerID) error {
 	if len(t.ids) == 1 {
 		return core.ErrLastPeer
 	}
-	ps := c.states[id]
-
-	done := false
-	// Safe-leaf departure: the parent absorbs the range, so it must be
-	// alive to receive the data.
-	if !ps.HasChildren() && ps.Parent != core.NoPeer && c.Alive(ps.Parent) {
-		if _, err := c.mirror.LeaveWith(id, core.NoPeer); err == nil {
-			done = true
-		} else if errors.Is(err, core.ErrLastPeer) {
-			return err
-		}
-	}
-	if !done {
-		// Algorithm 2 over live messages, then validated by the mirror; on
-		// any failure fall back to a deterministic scan for the deepest
-		// viable leaf.
-		if y := c.locateReplacement(ps); y != core.NoPeer && c.viableReplacement(id, y) {
-			if _, err := c.mirror.LeaveWith(id, y); err == nil {
-				done = true
-			}
-		}
-	}
-	if !done {
-		for _, y := range c.replacementCandidates(id) {
-			if _, err := c.mirror.LeaveWith(id, y); err == nil {
-				done = true
-				break
-			}
-		}
+	done, err := c.leaveMirror(id, c.mirror.LeaveWith)
+	if err != nil {
+		return err
 	}
 	if !done {
 		return fmt.Errorf("p2p: no viable replacement leaf for peer %d: %w", id, ErrUnreachable)
 	}
-	_, err := c.applyMirrorDiffLocked(nil)
+	_, err = c.applyMirrorDiffLocked(nil)
 	return err
+}
+
+// leaveMirror removes departing peer id from the mirror with leave
+// (LeaveWith for a graceful departure, CrashLeaveWith for a crash repair),
+// trying three ways in turn: a safe-leaf departure, whose absorbing parent
+// must be alive to receive the data; Algorithm 2's walk over live messages;
+// then the mirror's deepest viable leaves. It reports whether one
+// succeeded; the error is ErrLastPeer's, which no other way can avoid.
+func (c *Cluster) leaveMirror(id core.PeerID, leave func(x, y core.PeerID) (stats.OpCost, error)) (bool, error) {
+	ps := c.states[id]
+	if !ps.HasChildren() && ps.Parent != core.NoPeer && c.Alive(ps.Parent) {
+		_, err := leave(id, core.NoPeer)
+		if err == nil {
+			return true, nil
+		}
+		if errors.Is(err, core.ErrLastPeer) {
+			return false, err
+		}
+	}
+	viable := func(y core.PeerID) bool { return c.viableReplacement(id, y) }
+	if y := c.locateReplacement(id); viable(y) {
+		if _, err := leave(id, y); err == nil {
+			return true, nil
+		}
+	}
+	for _, y := range c.mirror.ReplacementLeaves(id, viable) {
+		if _, err := leave(id, y); err == nil {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // LoadBalance performs the adjacent-peer data shuffle of Section V on
@@ -316,63 +319,34 @@ func (c *Cluster) locateJoin(via core.PeerID) (core.PeerID, int, error) {
 // forward — to the parent when a routing table is incomplete, sideways to a
 // routing-table neighbour, or to an adjacent peer.
 func (c *Cluster) handleJoinLocate(p *peer, req request) {
-	if slot, free := p.freeChildSlot(); free && p.routingTablesFull() {
+	v := &p.view
+	full := v.RoutingTablesFull(p.pos)
+	if slot, free := v.FreeChildSlot(); free && full {
 		c.respond(req, response{peerID: p.id, slot: slot, hops: req.hops})
 		return
 	}
 	req.visited.add(p.id)
-	var cands []*link
-	if !p.routingTablesFull() {
+	var cands []*core.Link
+	if !full {
 		// Rule 2: an incomplete routing table means the parent of a missing
 		// neighbour can accept; climb.
-		cands = append(cands, p.parent)
+		cands = append(cands, v.Parent)
 	}
 	// Rule 3: sideways to routing-table neighbours (each checks its own
 	// child slots on receipt — links do not carry child occupancy).
-	for _, side := range [2]int{0, 1} {
-		cands = append(cands, p.rt[side]...)
-	}
+	cands = append(cands, v.RT[core.Left]...)
+	cands = append(cands, v.RT[core.Right]...)
 	// Rule 4: the adjacent peers, then the parent as a last resort.
-	cands = append(cands, p.adjacent[0], p.adjacent[1], p.parent)
+	cands = append(cands, v.Adj[core.Left], v.Adj[core.Right], v.Parent)
 	for _, l := range cands {
-		if l == nil || req.visited.has(l.id) || !c.Alive(l.id) {
+		if l == nil || req.visited.has(l.ID) || !c.Alive(l.ID) {
 			continue
 		}
-		if c.send(l.id, req) {
+		if c.send(l.ID, req) {
 			return
 		}
 	}
 	c.refuse(p, req, ErrUnreachable)
-}
-
-// freeChildSlot returns the lowest empty child slot (the leftmost — the
-// binary protocol's "prefer the left child"), and whether any slot is free.
-func (p *peer) freeChildSlot() (int, bool) {
-	for s, l := range p.children {
-		if l == nil {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// routingTablesFull reports whether every routing-table entry that
-// corresponds to a valid same-level position is filled — the
-// Full(RoutingTable) predicate of Algorithm 1 and Theorem 1. Entries
-// pointing at killed peers count as filled: a dead peer remains part of the
-// structure until Recover repairs it out of the overlay.
-func (p *peer) routingTablesFull() bool {
-	for si, side := range [2]core.Side{core.Left, core.Right} {
-		for i, l := range p.rt[si] {
-			if l != nil {
-				continue
-			}
-			if _, ok := p.pos.NeighbourIn(p.fanout, side, core.RTDistance(p.fanout, i)); ok {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // joinAcceptors scans the structural snapshot for alive peers that could
@@ -396,17 +370,12 @@ func (c *Cluster) joinAcceptors() []struct {
 		if !c.Alive(id) {
 			continue
 		}
-		slot, free := -1, false
-		for s, cid := range ps.ChildSlots() {
-			if cid == core.NoPeer {
-				slot, free = s, true
-				break
-			}
-		}
+		v := &buildState(ps, c.states).view
+		slot, free := v.FreeChildSlot()
 		if !free {
 			continue
 		}
-		cands = append(cands, cand{id: id, slot: slot, full: snapshotRTFull(ps), level: ps.Position.Level})
+		cands = append(cands, cand{id: id, slot: slot, full: v.RoutingTablesFull(ps.Position), level: ps.Position.Level})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].full != cands[j].full {
@@ -427,67 +396,13 @@ func (c *Cluster) joinAcceptors() []struct {
 	return out
 }
 
-// snapshotRTFull is routingTablesFull computed from a structural snapshot.
-func snapshotRTFull(ps core.PeerSnapshot) bool {
-	m := ps.Fanout()
-	for si, rt := range [2][]core.PeerID{ps.LeftRouting, ps.RightRouting} {
-		side := core.Left
-		if si == 1 {
-			side = core.Right
-		}
-		for i, id := range rt {
-			if id != core.NoPeer {
-				continue
-			}
-			if _, ok := ps.Position.NeighbourIn(m, side, core.RTDistance(m, i)); ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // locateReplacement walks a FINDREPLACEMENT message down the live tree from
-// a starting point near the departing peer (Algorithm 2) and returns the
-// leaf it ended at, or NoPeer when the walk dead-ended.
-func (c *Cluster) locateReplacement(x core.PeerSnapshot) core.PeerID {
-	// Starting point, as the paper prescribes: a leaf starts at a child of
-	// a routing-table neighbour that has children; a non-leaf starts at one
-	// of its adjacent peers (which lies as deep as possible in its subtree).
-	start := core.NoPeer
-	if !x.HasChildren() {
-		for _, rt := range [2][]core.PeerID{x.LeftRouting, x.RightRouting} {
-			for _, id := range rt {
-				if id == core.NoPeer {
-					continue
-				}
-				nbr, ok := c.states[id]
-				if !ok {
-					continue
-				}
-				for _, cid := range nbr.ChildSlots() {
-					if cid != core.NoPeer {
-						start = cid
-						break
-					}
-				}
-				if start != core.NoPeer {
-					break
-				}
-			}
-			if start != core.NoPeer {
-				break
-			}
-		}
-	} else {
-		la, ra := c.states[x.LeftAdjacent], c.states[x.RightAdjacent]
-		switch {
-		case x.LeftAdjacent != core.NoPeer && (x.RightAdjacent == core.NoPeer || la.Position.Level >= ra.Position.Level):
-			start = x.LeftAdjacent
-		case x.RightAdjacent != core.NoPeer:
-			start = x.RightAdjacent
-		}
-	}
+// the mirror's start point for departing peer x (Algorithm 2) and returns
+// the leaf it ended at, or NoPeer when the walk dead-ended. Where the
+// simulator starts at x itself for want of a start point, the live walk
+// does not run at all: the coordinator goes on to the structure scan.
+func (c *Cluster) locateReplacement(x core.PeerID) core.PeerID {
+	start := c.mirror.ReplacementStart(x)
 	if start == core.NoPeer || !c.Alive(start) {
 		return core.NoPeer
 	}
@@ -504,12 +419,12 @@ func (c *Cluster) locateReplacement(x core.PeerSnapshot) core.PeerID {
 // (the coordinator falls back to a structure scan).
 func (c *Cluster) handleFindReplacement(p *peer, req request) {
 	leaf := true
-	for _, l := range p.children {
+	for _, l := range p.view.Children {
 		if l == nil {
 			continue
 		}
 		leaf = false
-		if c.Alive(l.id) && c.send(l.id, req) {
+		if c.Alive(l.ID) && c.send(l.ID, req) {
 			return
 		}
 	}
@@ -534,37 +449,6 @@ func (c *Cluster) viableReplacement(x, y core.PeerID) bool {
 		return false
 	}
 	return ps.Parent != core.NoPeer && (ps.Parent == x || c.Alive(ps.Parent))
-}
-
-// replacementCandidates scans the structural snapshot for viable
-// replacement leaves for the departing peer, deepest first so vacating them
-// cannot unbalance the tree.
-func (c *Cluster) replacementCandidates(x core.PeerID) []core.PeerID {
-	type cand struct {
-		id    core.PeerID
-		level int
-	}
-	var cands []cand
-	for id, ps := range c.states {
-		if ps.HasChildren() {
-			continue
-		}
-		if !c.viableReplacement(x, id) {
-			continue
-		}
-		cands = append(cands, cand{id: id, level: ps.Position.Level})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].level != cands[j].level {
-			return cands[i].level > cands[j].level
-		}
-		return cands[i].id < cands[j].id
-	})
-	out := make([]core.PeerID, len(cands))
-	for i, cn := range cands {
-		out[i] = cn.id
-	}
-	return out
 }
 
 // --- control-message helpers ----------------------------------------------

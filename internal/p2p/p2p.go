@@ -489,30 +489,22 @@ type response struct {
 	err         error
 }
 
-// link is the information a peer keeps about another peer: enough to decide
-// where to forward a request (the paper's links carry the target's range).
-type link struct {
-	id    core.PeerID
-	lower keyspace.Key
-	upper keyspace.Key
-}
-
 // peer is one live peer: a goroutine draining an inbox. All fields other
 // than the atomics and the delivery lanes are owned by whoever holds run
 // once the peer has started; membership changes reach them as kindUpdate
 // messages.
 type peer struct {
-	id     core.PeerID
-	fanout int
+	id core.PeerID
 	// node is the transport node hosting this peer: 0 for peers served by
 	// this process (the overwhelmingly common case — and the only case in
 	// a single-process cluster), nonzero for a *stub* standing in for a
 	// peer hosted elsewhere. A stub has no goroutine; deliveries to it
 	// detour through netLayer.deliver onto the wire (see node.go).
 	// Immutable after construction.
-	node  transport.NodeID
-	pos   core.Position
-	rng   keyspace.Range
+	node transport.NodeID
+	// peerState is the peer's position, range and links, replaced whole by
+	// each kindUpdate (installState).
+	peerState
 	data  *store.Store
 	inbox chan request
 
@@ -522,13 +514,6 @@ type peer struct {
 	// never overtakes a queued request.
 	run  sync.Mutex
 	busy atomic.Int64
-
-	parent *link
-	// children holds the fanout child slots in tree order: slot 0 is the
-	// leftmost child, slot fanout-1 the rightmost.
-	children []*link
-	adjacent [2]*link
-	rt       [2][]*link // sideways routing tables, [Left|Right]
 
 	// pending lists key regions this peer now owns but whose items are
 	// still in flight from the previous owner; requests touching them are
@@ -734,44 +719,6 @@ func NewCluster(nw *core.Network) *Cluster {
 		planCache: query.NewCache(),
 	}
 	snapshot := core.Snapshot(nw)
-	t := &topology{
-		peers:   make(map[core.PeerID]*peer),
-		members: make(map[core.PeerID]bool),
-	}
-	t.epoch = 1
-	for _, ps := range snapshot {
-		p := newPeer(ps.ID, c.fanout)
-		p.pos = ps.Position
-		p.rng = ps.Range
-		p.data.Absorb(ps.Items)
-		p.noteItems()
-		p.alive.Store(true)
-		t.peers[p.id] = p
-		t.members[p.id] = true
-		t.ring = append(t.ring, ringEntry{id: p.id, lower: p.rng.Lower, p: p})
-		t.ids = append(t.ids, p.id)
-	}
-	sort.Slice(t.ring, func(i, j int) bool { return t.ring[i].lower < t.ring[j].lower })
-	sort.Slice(t.ids, func(i, j int) bool { return t.ids[i] < t.ids[j] })
-	// Wire the links after all peers exist.
-	for _, ps := range snapshot {
-		p := t.peers[ps.ID]
-		p.parent = toLink(t.peers, ps.Parent)
-		for s, cid := range ps.ChildSlots() {
-			p.children[s] = toLink(t.peers, cid)
-		}
-		p.adjacent[0] = toLink(t.peers, ps.LeftAdjacent)
-		p.adjacent[1] = toLink(t.peers, ps.RightAdjacent)
-		for _, id := range ps.LeftRouting {
-			p.rt[0] = append(p.rt[0], toLink(t.peers, id))
-		}
-		for _, id := range ps.RightRouting {
-			p.rt[1] = append(p.rt[1], toLink(t.peers, id))
-		}
-	}
-	t.hopCap = 8 * (len(snapshot) + 4)
-	c.topo.Store(t)
-
 	// The structural mirror keeps positions, ranges and links but no data:
 	// the live peers own the items, and migrations move the real thing.
 	mirrorSnaps := make([]core.PeerSnapshot, len(snapshot))
@@ -785,6 +732,27 @@ func NewCluster(nw *core.Network) *Cluster {
 	}
 	c.mirror = mirror
 	c.states = snapshotMap(mirrorSnaps)
+
+	t := &topology{
+		peers:   make(map[core.PeerID]*peer),
+		members: make(map[core.PeerID]bool),
+	}
+	t.epoch = 1
+	for _, ps := range snapshot {
+		p := newPeer(ps.ID, c.fanout)
+		p.installState(buildState(ps, c.states))
+		p.data.Absorb(ps.Items)
+		p.noteItems()
+		p.alive.Store(true)
+		t.peers[p.id] = p
+		t.members[p.id] = true
+		t.ring = append(t.ring, ringEntry{id: p.id, lower: p.rng.Lower, p: p})
+		t.ids = append(t.ids, p.id)
+	}
+	sort.Slice(t.ring, func(i, j int) bool { return t.ring[i].lower < t.ring[j].lower })
+	sort.Slice(t.ids, func(i, j int) bool { return t.ids[i] < t.ids[j] })
+	t.hopCap = 8 * (len(snapshot) + 4)
+	c.topo.Store(t)
 
 	for _, p := range t.peers {
 		c.wg.Add(1)
@@ -813,27 +781,13 @@ const (
 func newPeer(id core.PeerID, fanout int) *peer {
 	return &peer{
 		id:        id,
-		fanout:    fanout,
-		children:  make([]*link, fanout),
+		peerState: peerState{view: core.View{Children: make([]*core.Link, fanout)}},
 		data:      store.New(),
 		inbox:     make(chan request, 256),
 		spillWake: make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		met:       obs.NewPeerMetrics(numKinds),
 	}
-}
-
-// toLink builds a link to the peer with the given ID using its current
-// range, or nil for NoPeer / unknown IDs.
-func toLink(peers map[core.PeerID]*peer, id core.PeerID) *link {
-	if id == core.NoPeer {
-		return nil
-	}
-	t, ok := peers[id]
-	if !ok {
-		return nil
-	}
-	return &link{id: id, lower: t.rng.Lower, upper: t.rng.Upper}
 }
 
 // snapshotMap indexes per-peer snapshots by peer ID.
@@ -1564,54 +1518,56 @@ func (p *peer) touchesPending(req *request) bool {
 // ownsExtreme mirrors the simulator's rule that the leftmost and rightmost
 // peers are responsible for keys outside the domain.
 func (c *Cluster) ownsExtreme(p *peer, key keyspace.Key) bool {
-	if key < p.rng.Lower && p.adjacent[0] == nil {
+	if key < p.rng.Lower && p.view.Adj[core.Left] == nil {
 		return true
 	}
-	if key >= p.rng.Upper && p.adjacent[1] == nil {
+	if key >= p.rng.Upper && p.view.Adj[core.Right] == nil {
 		return true
 	}
 	return false
 }
 
-// forward applies the search_exact forwarding rule and fails over across the
-// candidate list when targets are dead, avoiding peers the request has
-// already visited unless no other alternative remains; see handTo.
+// forward applies the search_exact forwarding rule (core.ForwardCandidates)
+// and fails over across the candidate list when targets are dead, avoiding
+// peers the request has already visited unless no other alternative
+// remains; see handTo.
 func (c *Cluster) forward(p *peer, req *request) *peer {
 	req.visited.add(p.id)
-	var buf [48]*link
-	cands := c.candidates(p, req.key, buf[:0])
+	var buf [48]*core.Link
+	cands := core.ForwardCandidates(&p.view, p.rng, req.key, buf[:0])
 	// If the peer responsible for the key is among the candidates but is
-	// down, the data is unavailable: answer immediately instead of wandering
-	// (the simulator applies the same rule).
+	// down, the data is unavailable: refuse at once, before trying any
+	// other candidate. (The simulator stops there too, but only when it
+	// reaches that candidate in order.)
 	for _, cand := range cands {
-		if cand != nil && cand.lower <= req.key && req.key < cand.upper && !c.Alive(cand.id) {
-			c.suspect(cand.id)
+		if cand.Lower <= req.key && req.key < cand.Upper && !c.Alive(cand.ID) {
+			c.suspect(cand.ID)
 			c.refuse(p, *req, ErrOwnerDown)
 			return nil
 		}
 	}
 	for _, cand := range cands {
-		if cand == nil || req.visited.has(cand.id) {
+		if req.visited.has(cand.ID) {
 			continue
 		}
-		if next, ok := c.handTo(cand.id, req); ok {
+		if next, ok := c.handTo(cand.ID, req); ok {
 			return next
 		}
 	}
 	// Every unvisited candidate is dead: back out of the dead region through
-	// an already-visited peer, chosen at random. A deterministic choice here
-	// can bounce the request around the same closed orbit until the hop cap
-	// even though a detour exists; randomising the escape makes the walk
-	// ergodic, so with the generous hop cap the request finds any alive
-	// route that exists.
+	// an already-visited peer, chosen at random where the simulator retraces
+	// in candidate order. A deterministic choice here can bounce a live
+	// request around the same closed orbit until the hop cap even though a
+	// detour exists; randomising the escape makes the walk ergodic, so with
+	// the generous hop cap the request finds any alive route that exists.
 	alive := cands[:0]
 	for _, cand := range cands {
-		if cand != nil && c.Alive(cand.id) {
+		if c.Alive(cand.ID) {
 			alive = append(alive, cand)
 		}
 	}
 	for _, i := range rand.Perm(len(alive)) {
-		if next, ok := c.handTo(alive[i].id, req); ok {
+		if next, ok := c.handTo(alive[i].ID, req); ok {
 			return next
 		}
 	}
@@ -1626,60 +1582,6 @@ func (c *Cluster) handTo(id core.PeerID, req *request) (next *peer, ok bool) {
 		return q, true
 	}
 	return nil, c.send(id, *req)
-}
-
-// candidates lists forwarding targets for key at p, best first. The ordering
-// mirrors core's hopCandidates exactly — the deterministic trace tests pin
-// the live hop sequence against core.RoutePath at every fanout, so the two
-// implementations must make identical choices on a healthy cluster: the
-// farthest non-overshooting routing-table entry first, then the child
-// subtree(s) on the key's side of the in-order chain and the adjacent link,
-// then the parent, overshooting entries and the links towards the other side
-// as fault-tolerance fallbacks. The list is appended to out, which callers
-// back with a stack array so a forwarding hop allocates nothing.
-func (c *Cluster) candidates(p *peer, key keyspace.Key, out []*link) []*link {
-	last := len(p.children) - 1
-	if key >= p.rng.Upper {
-		rt := p.rt[1]
-		for i := len(rt) - 1; i >= 0; i-- {
-			if rt[i] != nil && rt[i].lower <= key {
-				out = append(out, rt[i])
-			}
-		}
-		// Only the last child subtree lies above p in the in-order chain.
-		out = append(out, p.children[last], p.adjacent[1], p.parent)
-		for i := len(rt) - 1; i >= 0; i-- {
-			if rt[i] != nil && rt[i].lower > key {
-				out = append(out, rt[i])
-			}
-		}
-		for s := last - 1; s >= 0; s-- {
-			out = append(out, p.children[s])
-		}
-		out = append(out, p.adjacent[0])
-		out = append(out, p.rt[0]...)
-	} else {
-		rt := p.rt[0]
-		for i := len(rt) - 1; i >= 0; i-- {
-			if rt[i] != nil && rt[i].upper > key {
-				out = append(out, rt[i])
-			}
-		}
-		// Child subtrees in slots 0..last-1 all lie below p in the in-order
-		// chain, nearest (highest slot) first.
-		for s := last - 1; s >= 0; s-- {
-			out = append(out, p.children[s])
-		}
-		out = append(out, p.adjacent[0], p.parent)
-		for i := len(rt) - 1; i >= 0; i-- {
-			if rt[i] != nil && rt[i].upper <= key {
-				out = append(out, rt[i])
-			}
-		}
-		out = append(out, p.children[last], p.adjacent[1])
-		out = append(out, p.rt[1]...)
-	}
-	return out
 }
 
 // handleRange implements the two phases of a range query (Section IV-B):
@@ -1699,7 +1601,7 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		// peer would skip the beginning of the range.
 		return c.forward(p, req)
 	}
-	if req.par && (req.coll != nil || r.Upper > p.rng.Upper && p.adjacent[1] != nil) {
+	if req.par && (req.coll != nil || r.Upper > p.rng.Upper && p.view.Adj[core.Right] != nil) {
 		// Phase 2, parallel: become the fan-out coordinator. A streaming
 		// query (Cluster.QueryIter) built its collector client-side so the
 		// channel-backed sink and the pushdown predicate travel with the
@@ -1737,8 +1639,8 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		c.respond(*req, response{items: req.acc[:max(lim-req.shipped, 0)], parts: req.parts, hops: req.hops})
 		return nil
 	}
-	next := p.adjacent[1]
-	if next == nil || next.lower >= r.Upper {
+	next := p.view.Adj[core.Right]
+	if next == nil || next.Lower >= r.Upper {
 		c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops})
 		return nil
 	}
@@ -1762,12 +1664,12 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		req.shipped += len(req.acc)
 		req.acc = nil
 	}
-	if c.send(next.id, *req) {
+	if c.send(next.ID, *req) {
 		return nil
 	}
 	// The right adjacent peer is dead: answer with what has been collected
 	// so far and flag the dead link to the background repairer if one runs.
-	c.suspect(next.id)
+	c.suspect(next.ID)
 	c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops, err: ErrOwnerDown})
 	return nil
 }

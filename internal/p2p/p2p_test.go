@@ -284,16 +284,17 @@ func aliveComponent(c *Cluster, killed map[core.PeerID]bool) map[core.PeerID]int
 		for len(queue) > 0 {
 			p := c.peerByID(queue[0])
 			queue = queue[1:]
-			links := []*link{p.parent, p.children[0], p.children[1], p.adjacent[0], p.adjacent[1]}
-			links = append(links, p.rt[0]...)
-			links = append(links, p.rt[1]...)
+			v := &p.view
+			links := append([]*core.Link{v.Parent, v.Adj[core.Left], v.Adj[core.Right]}, v.Children...)
+			links = append(links, v.RT[core.Left]...)
+			links = append(links, v.RT[core.Right]...)
 			for _, l := range links {
-				if l == nil || killed[l.id] {
+				if l == nil || killed[l.ID] {
 					continue
 				}
-				if _, seen := comp[l.id]; !seen {
-					comp[l.id] = next
-					queue = append(queue, l.id)
+				if _, seen := comp[l.ID]; !seen {
+					comp[l.ID] = next
+					queue = append(queue, l.ID)
 				}
 			}
 		}

@@ -323,7 +323,7 @@ func filterInPlace(batch []store.Item, pred *query.Pred) []store.Item {
 // which case the query completes with the partial answer, mirroring the
 // serial walk's behaviour at a dead chain link.
 func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *collector) error {
-	next := p.adjacent[1]
+	next := p.view.Adj[core.Right]
 	if next == nil {
 		// p is the rightmost peer: the remainder lies beyond the domain and
 		// holds no data.
@@ -332,17 +332,17 @@ func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *
 	// Cut points: alive right-routing-table entries whose range starts
 	// strictly inside the remainder. Their lower bounds are valid segment
 	// boundaries because each entry owns keys from its lower bound onward.
-	var cutBuf [32]*link
+	var cutBuf [32]*core.Link
 	cuts := cutBuf[:0]
-	for _, l := range p.rt[1] {
-		if l == nil || !c.Alive(l.id) {
+	for _, l := range p.view.RT[core.Right] {
+		if l == nil || !c.Alive(l.ID) {
 			continue
 		}
-		if l.lower > rem.Lower && l.lower < rem.Upper {
+		if l.Lower > rem.Lower && l.Lower < rem.Upper {
 			cuts = append(cuts, l)
 		}
 	}
-	slices.SortFunc(cuts, func(a, b *link) int { return cmp.Compare(a.lower, b.lower) })
+	slices.SortFunc(cuts, func(a, b *core.Link) int { return cmp.Compare(a.Lower, b.Lower) })
 
 	type segment struct {
 		to core.PeerID
@@ -351,16 +351,16 @@ func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *
 	var segBuf [len(cutBuf) + 1]segment
 	segs := segBuf[:0]
 	lo := rem.Lower
-	target := next.id
+	target := next.ID
 	for _, cut := range cuts {
-		segs = append(segs, segment{to: target, r: keyspace.Range{Lower: lo, Upper: cut.lower}})
-		lo, target = cut.lower, cut.id
+		segs = append(segs, segment{to: target, r: keyspace.Range{Lower: lo, Upper: cut.Lower}})
+		lo, target = cut.Lower, cut.ID
 	}
 	segs = append(segs, segment{to: target, r: keyspace.Range{Lower: lo, Upper: rem.Upper}})
 
 	var firstErr error
 	for i, s := range segs {
-		if i == 0 && !c.Alive(next.id) {
+		if i == 0 && !c.Alive(next.ID) {
 			// The leading segment is aimed at the dead right adjacent, but
 			// only the dead peer's own slice is unavailable — everything
 			// past its upper bound belongs to alive peers an alive route
@@ -393,23 +393,23 @@ func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *
 // scatter addressed with stale routing state would be. Without this, a
 // single mid-chain crash silently truncated every range answer at the dead
 // peer even when the rest of the chain was alive and reachable sideways.
-func (c *Cluster) scatterPastDead(p *peer, dead *link, seg keyspace.Range, hops int, coll *collector) error {
+func (c *Cluster) scatterPastDead(p *peer, dead *core.Link, seg keyspace.Range, hops int, coll *collector) error {
 	// The dead peer's slice: always a failed branch (its data is down until
 	// recovery restores the range under a new owner).
 	coll.grow(1)
 	coll.finish(seg.Lower, nil, hops, ErrOwnerDown)
-	rest := keyspace.Range{Lower: dead.upper, Upper: seg.Upper}
+	rest := keyspace.Range{Lower: dead.Upper, Upper: seg.Upper}
 	if rest.IsEmpty() {
 		return ErrOwnerDown
 	}
 	sub := request{kind: kindRangeScatter, key: rest.Lower, rng: rest, hops: hops, coll: coll}
 	coll.grow(1)
-	var buf [48]*link
-	for _, cand := range c.candidates(p, rest.Lower, buf[:0]) {
-		if cand == nil || cand.id == dead.id || !c.Alive(cand.id) {
+	var buf [48]*core.Link
+	for _, cand := range core.ForwardCandidates(&p.view, p.rng, rest.Lower, buf[:0]) {
+		if cand.ID == dead.ID || !c.Alive(cand.ID) {
 			continue
 		}
-		if c.send(cand.id, sub) {
+		if c.send(cand.ID, sub) {
 			return ErrOwnerDown
 		}
 	}

@@ -91,32 +91,11 @@ func (c *Cluster) recoverLocked(id core.PeerID) (int, error) {
 		salvaged = itemsWithin(resp.items, c.widen(ps.Range))
 	}
 
-	// Structural repair on the mirror: safe-leaf first, then the live
-	// replacement walk, then the deterministic scan — the same ladder as
-	// Depart, but with the crash-leave variant (no data to extract).
-	done := false
-	if !ps.HasChildren() &&
-		ps.Parent != core.NoPeer && c.Alive(ps.Parent) {
-		if _, err := c.mirror.CrashLeaveWith(id, core.NoPeer); err == nil {
-			done = true
-		} else if errors.Is(err, core.ErrLastPeer) {
-			return 0, err
-		}
-	}
-	if !done {
-		if y := c.locateReplacement(ps); y != core.NoPeer && c.viableReplacement(id, y) {
-			if _, err := c.mirror.CrashLeaveWith(id, y); err == nil {
-				done = true
-			}
-		}
-	}
-	if !done {
-		for _, y := range c.replacementCandidates(id) {
-			if _, err := c.mirror.CrashLeaveWith(id, y); err == nil {
-				done = true
-				break
-			}
-		}
+	// Structural repair on the mirror: Depart's ladder, with the crash-leave
+	// variant (no data to extract).
+	done, err := c.leaveMirror(id, c.mirror.CrashLeaveWith)
+	if err != nil {
+		return 0, err
 	}
 	if !done {
 		return 0, fmt.Errorf("p2p: no viable replacement leaf to repair crashed peer %d: %w", id, ErrUnreachable)

@@ -35,11 +35,11 @@ import (
 // left adjacent, else nobody (single-peer overlay). It is the live-link
 // counterpart of core.ReplicaHolderOf.
 func (p *peer) replicaTarget() core.PeerID {
-	if p.adjacent[1] != nil {
-		return p.adjacent[1].id
+	if r := p.view.Adj[core.Right]; r != nil {
+		return r.ID
 	}
-	if p.adjacent[0] != nil {
-		return p.adjacent[0].id
+	if l := p.view.Adj[core.Left]; l != nil {
+		return l.ID
 	}
 	return core.NoPeer
 }

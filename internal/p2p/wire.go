@@ -287,27 +287,27 @@ func (r *wreader) pred() *query.Pred {
 }
 
 // Links are encoded by value: id plus the range the link caches.
-func appendLink(b []byte, l *link) []byte {
+func appendLink(b []byte, l *core.Link) []byte {
 	if l == nil {
 		return appendBool(b, false)
 	}
 	b = appendBool(b, true)
-	b = appendPeerID(b, l.id)
-	return appendKey(appendKey(b, l.lower), l.upper)
+	b = appendPeerID(b, l.ID)
+	return appendKey(appendKey(b, l.Lower), l.Upper)
 }
 
-func (r *wreader) link() *link {
+func (r *wreader) link() *core.Link {
 	if !r.bool() {
 		return nil
 	}
-	l := &link{id: r.peerID(), lower: r.key(), upper: r.key()}
+	l := &core.Link{ID: r.peerID(), Lower: r.key(), Upper: r.key()}
 	if r.fail {
 		return nil
 	}
 	return l
 }
 
-func appendLinks(b []byte, ls []*link) []byte {
+func appendLinks(b []byte, ls []*core.Link) []byte {
 	b = appendU32(b, uint32(len(ls)))
 	for _, l := range ls {
 		b = appendLink(b, l)
@@ -315,12 +315,12 @@ func appendLinks(b []byte, ls []*link) []byte {
 	return b
 }
 
-func (r *wreader) links() []*link {
+func (r *wreader) links() []*core.Link {
 	n := r.count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]*link, 0, n)
+	out := make([]*core.Link, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, r.link())
 	}
@@ -338,12 +338,13 @@ func appendState(b []byte, st *peerState) []byte {
 	b = appendI64(b, int64(st.pos.Level))
 	b = appendI64(b, st.pos.Number)
 	b = appendRange(b, st.rng)
-	b = appendLink(b, st.parent)
-	b = appendLinks(b, st.children)
-	b = appendLink(b, st.adjacent[0])
-	b = appendLink(b, st.adjacent[1])
-	b = appendLinks(b, st.rt[0])
-	return appendLinks(b, st.rt[1])
+	v := &st.view
+	b = appendLink(b, v.Parent)
+	b = appendLinks(b, v.Children)
+	b = appendLink(b, v.Adj[core.Left])
+	b = appendLink(b, v.Adj[core.Right])
+	b = appendLinks(b, v.RT[core.Left])
+	return appendLinks(b, v.RT[core.Right])
 }
 
 func (r *wreader) state() *peerState {
@@ -354,12 +355,13 @@ func (r *wreader) state() *peerState {
 	st.pos.Level = int(r.i64())
 	st.pos.Number = r.i64()
 	st.rng = r.rng()
-	st.parent = r.link()
-	st.children = r.links()
-	st.adjacent[0] = r.link()
-	st.adjacent[1] = r.link()
-	st.rt[0] = r.links()
-	st.rt[1] = r.links()
+	v := &st.view
+	v.Parent = r.link()
+	v.Children = r.links()
+	v.Adj[core.Left] = r.link()
+	v.Adj[core.Right] = r.link()
+	v.RT[core.Left] = r.links()
+	v.RT[core.Right] = r.links()
 	if r.fail {
 		return nil
 	}
@@ -588,7 +590,7 @@ func requestSize(req *request) int {
 		n += 8 * len(req.pred.Keys)
 	}
 	if st := req.state; st != nil {
-		n += 25 * (3 + len(st.children) + len(st.rt[0]) + len(st.rt[1])) // every link present
+		n += 25 * (3 + len(st.view.Children) + len(st.view.RT[0]) + len(st.view.RT[1])) // every link present
 	}
 	return n
 }

@@ -61,14 +61,16 @@ func goldenRequests() map[kind]request {
 	visited := visitedOf(3, 9, 27)
 	pred := &query.Pred{MinValueLen: 1, MaxValueLen: 64, Keys: []keyspace.Key{5, 7}, Limit: 12}
 	st := &peerState{
-		pos:      core.Position{Level: 3, Number: 5},
-		rng:      keyspace.Range{Lower: 100, Upper: 200},
-		parent:   &link{id: 1, lower: 0, upper: 1000},
-		children: []*link{{id: 4, lower: 100, upper: 150}, nil},
-		adjacent: [2]*link{{id: 2, lower: 50, upper: 100}, nil},
-		rt: [2][]*link{
-			{nil, {id: 8, lower: 10, upper: 50}},
-			{{id: 16, lower: 200, upper: 400}},
+		pos: core.Position{Level: 3, Number: 5},
+		rng: keyspace.Range{Lower: 100, Upper: 200},
+		view: core.View{
+			Parent:   &core.Link{ID: 1, Lower: 0, Upper: 1000},
+			Children: []*core.Link{{ID: 4, Lower: 100, Upper: 150}, nil},
+			Adj:      [2]*core.Link{{ID: 2, Lower: 50, Upper: 100}, nil},
+			RT: [2][]*core.Link{
+				{nil, {ID: 8, Lower: 10, Upper: 50}},
+				{{ID: 16, Lower: 200, Upper: 400}},
+			},
 		},
 	}
 	return map[kind]request{
