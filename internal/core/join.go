@@ -81,10 +81,9 @@ func (nw *Network) locateJoinNode(start *Node) (*Node, int, error) {
 	nw.send(n, stats.MsgJoinRequest, catLocate)
 	limit := nw.hopLimit()
 	visited := make(map[PeerID]int)
-	var vb viewBuf
 	for hops := 0; hops < limit; hops++ {
 		nw.chargeIfInflight(n)
-		v := vb.fill(n)
+		v := nw.walk.fill(n)
 		full := v.RoutingTablesFull(n.pos)
 		if slot, free := v.FreeChildSlot(); n.alive && free && full {
 			return n, slot, nil
@@ -150,12 +149,11 @@ func (nw *Network) joinForwardTarget(n *Node, full bool, visited map[PeerID]int)
 // exists so a Join can never fail on a healthy network even if forwarding
 // paints itself into a corner; each inspected node costs one message.
 func (nw *Network) joinFallback(from *Node) (*Node, int, error) {
-	var vb viewBuf
 	for _, n := range nw.inOrderNodes() {
 		if !n.alive {
 			continue
 		}
-		v := vb.fill(n)
+		v := nw.walk.fill(n)
 		if slot, free := v.FreeChildSlot(); free && v.RoutingTablesFull(n.pos) {
 			nw.send(n, stats.MsgJoinRequest, catLocate)
 			return n, slot, nil

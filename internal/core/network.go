@@ -92,6 +92,10 @@ type Network struct {
 	// through them cost an extra redirect.
 	inflight map[PeerID]bool
 
+	// walk is the view scratch of the charged walks (routeToKey, join
+	// locate), reused across operations; RoutePath keeps its own.
+	walk viewBuf
+
 	// curOp accumulates the cost of the operation in progress.
 	curOp *stats.OpCost
 	// curOpKind is the operation kind attributed to per-level access load.

@@ -61,7 +61,6 @@ func (nw *Network) routeToKey(start *Node, key keyspace.Key) (*Node, error) {
 	n := start
 	limit := nw.hopLimit() + 4*len(nw.failed)
 	visited := map[PeerID]bool{start.id: true}
-	var vb viewBuf
 	for hops := 0; hops < limit; hops++ {
 		nw.chargeIfInflight(n)
 		if nw.ownsKey(n, key) {
@@ -73,7 +72,7 @@ func (nw *Network) routeToKey(start *Node, key keyspace.Key) (*Node, error) {
 			// on top of the forwarding message pickHop charges.
 			nw.chargeMultiwayProbes(n, key)
 		}
-		next := nw.pickHop(n, key, nw.hopCandidates(n, key, &vb), &vb, visited, true)
+		next := nw.pickHop(n, key, nw.hopCandidates(n, key, &nw.walk), &nw.walk, visited, true)
 		if next == nil {
 			return nil, fmt.Errorf("routing key %d from peer %d: no route at %v: %w", key, start.id, n.pos, ErrHopLimit)
 		}
@@ -119,7 +118,7 @@ func (nw *Network) pickHop(n *Node, key keyspace.Key, cands []*Link, vb *viewBuf
 			if charge {
 				nw.send(c, stats.MsgSearchExact, catLocate)
 			}
-			if l.owns(key) {
+			if l.Owns(key) {
 				return c
 			}
 			if !c.alive {

@@ -11,8 +11,8 @@ type Link struct {
 	Upper keyspace.Key
 }
 
-// owns reports whether the linked peer's range contains key.
-func (l *Link) owns(key keyspace.Key) bool { return l.Lower <= key && key < l.Upper }
+// Owns reports whether the linked peer's range contains key.
+func (l *Link) Owns(key keyspace.Key) bool { return l.Lower <= key && key < l.Upper }
 
 // View is one peer's local view of the overlay: the links it holds, nil
 // where a slot or table entry is empty. The per-peer rules of the protocol
@@ -30,8 +30,8 @@ type View struct {
 
 // ForwardCandidates appends to out the links along which a peer whose range
 // is self forwards a search_exact request for key (Section IV-A), best
-// first, and returns the extended slice. Nil links are left out. For a key
-// at or right of self.Upper the order is:
+// first, and returns the extended slice. For a key at or right of
+// self.Upper the order is:
 //
 //  1. the right routing-table entries whose lower bound does not pass key,
 //     farthest first;
@@ -46,13 +46,11 @@ type View struct {
 // in slots m-2 down to 0 (all left of the peer, nearest first); the left
 // adjacent peer; then the parent, the left entries with upper bound at or
 // below key, the last child, the right adjacent peer and the right routing
-// table. Callers back out with a stack array, so a hop allocates nothing.
+// table. The filtered routing-table entries are never nil; the other links
+// are appended as they are, nil for an empty slot or entry, and callers
+// skip those. Callers back out with a stack array, so a hop allocates
+// nothing.
 func ForwardCandidates(v *View, self keyspace.Range, key keyspace.Key, out []*Link) []*Link {
-	add := func(l *Link) {
-		if l != nil {
-			out = append(out, l)
-		}
-	}
 	last := len(v.Children) - 1
 	if key >= self.Upper {
 		rt := v.RT[Right]
@@ -61,22 +59,17 @@ func ForwardCandidates(v *View, self keyspace.Range, key keyspace.Key, out []*Li
 				out = append(out, rt[i])
 			}
 		}
-		add(v.Children[last])
-		add(v.Adj[Right])
-		add(v.Parent)
+		out = append(out, v.Children[last], v.Adj[Right], v.Parent)
 		for i := len(rt) - 1; i >= 0; i-- {
 			if rt[i] != nil && rt[i].Lower > key {
 				out = append(out, rt[i])
 			}
 		}
 		for s := last - 1; s >= 0; s-- {
-			add(v.Children[s])
+			out = append(out, v.Children[s])
 		}
-		add(v.Adj[Left])
-		for _, l := range v.RT[Left] {
-			add(l)
-		}
-		return out
+		out = append(out, v.Adj[Left])
+		return append(out, v.RT[Left]...)
 	}
 	rt := v.RT[Left]
 	for i := len(rt) - 1; i >= 0; i-- {
@@ -85,21 +78,16 @@ func ForwardCandidates(v *View, self keyspace.Range, key keyspace.Key, out []*Li
 		}
 	}
 	for s := last - 1; s >= 0; s-- {
-		add(v.Children[s])
+		out = append(out, v.Children[s])
 	}
-	add(v.Adj[Left])
-	add(v.Parent)
+	out = append(out, v.Adj[Left], v.Parent)
 	for i := len(rt) - 1; i >= 0; i-- {
 		if rt[i] != nil && rt[i].Upper <= key {
 			out = append(out, rt[i])
 		}
 	}
-	add(v.Children[last])
-	add(v.Adj[Right])
-	for _, l := range v.RT[Right] {
-		add(l)
-	}
-	return out
+	out = append(out, v.Children[last], v.Adj[Right])
+	return append(out, v.RT[Right]...)
 }
 
 // RoutingTablesFull reports whether every routing-table entry that stands

@@ -21,53 +21,6 @@ func liveClusterFanout(t testing.TB, peers, items int, seed int64, fanout int) (
 	return c, keys
 }
 
-// TestTraceOverlayMatchesExpectedRouteFanout extends the flight recorder's
-// ground-truth test to the m-ary overlay: at fanout 4 and 8 on a quiesced
-// 64-peer cluster, every traced overlay Get must match the structural
-// mirror's predicted route hop for hop. This is the deterministic proof that
-// the live BATON* forwarding rules and core.RoutePath are the same
-// algorithm at every fanout, not just at 2.
-func TestTraceOverlayMatchesExpectedRouteFanout(t *testing.T) {
-	for _, m := range []int{4, 8} {
-		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
-			c, keys := liveClusterFanout(t, 64, 300, 431, m)
-			snaps, err := c.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			expectNW, err := core.FromSnapshot(c.Domain(), snaps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := expectNW.Fanout(); got != m {
-				t.Fatalf("snapshot round-trip inferred fanout %d, want %d", got, m)
-			}
-			c.SetTraceSampling(1)
-			ids := c.PeerIDs()
-			rng := rand.New(rand.NewSource(433))
-			for i := 0; i < 40; i++ {
-				via := ids[rng.Intn(len(ids))]
-				key := keys[rng.Intn(len(keys))]
-				if _, found, _, err := c.Get(via, key); err != nil || !found {
-					t.Fatalf("get %d via %d: found=%v err=%v", key, via, found, err)
-				}
-				traces := c.Traces()
-				if len(traces) == 0 {
-					t.Fatal("1-in-1 sampling recorded no trace")
-				}
-				got := tracePeers(traces[len(traces)-1])
-				want, err := expectNW.RoutePath(via, key)
-				if err != nil {
-					t.Fatalf("predicting route for %d from %d: %v", key, via, err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("get %d via %d: traced route %v, structural expectation %v", key, via, got, want)
-				}
-			}
-		})
-	}
-}
-
 // TestTraceDirectGetOneHopFanout pins the fast path at every fanout: a
 // direct-routed Get on a quiesced m-ary cluster is exactly one hop, at the
 // key's owner — the route cache must not care about the tree's shape.

@@ -158,7 +158,7 @@ func (c *Cluster) departLocked(id core.PeerID) error {
 // trying three ways in turn: a safe-leaf departure, whose absorbing parent
 // must be alive to receive the data; Algorithm 2's walk over live messages;
 // then the mirror's deepest viable leaves. It reports whether one
-// succeeded; the error is ErrLastPeer's, which no other way can avoid.
+// succeeded, or returns the mirror's ErrLastPeer, which no way avoids.
 func (c *Cluster) leaveMirror(id core.PeerID, leave func(x, y core.PeerID) (stats.OpCost, error)) (bool, error) {
 	ps := c.states[id]
 	if !ps.HasChildren() && ps.Parent != core.NoPeer && c.Alive(ps.Parent) {

@@ -1540,14 +1540,14 @@ func (c *Cluster) forward(p *peer, req *request) *peer {
 	// other candidate. (The simulator stops there too, but only when it
 	// reaches that candidate in order.)
 	for _, cand := range cands {
-		if cand.Lower <= req.key && req.key < cand.Upper && !c.Alive(cand.ID) {
+		if cand != nil && cand.Owns(req.key) && !c.Alive(cand.ID) {
 			c.suspect(cand.ID)
 			c.refuse(p, *req, ErrOwnerDown)
 			return nil
 		}
 	}
 	for _, cand := range cands {
-		if req.visited.has(cand.ID) {
+		if cand == nil || req.visited.has(cand.ID) {
 			continue
 		}
 		if next, ok := c.handTo(cand.ID, req); ok {
@@ -1562,7 +1562,7 @@ func (c *Cluster) forward(p *peer, req *request) *peer {
 	// the generous hop cap the request finds any alive route that exists.
 	alive := cands[:0]
 	for _, cand := range cands {
-		if c.Alive(cand.ID) {
+		if cand != nil && c.Alive(cand.ID) {
 			alive = append(alive, cand)
 		}
 	}

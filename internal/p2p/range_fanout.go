@@ -406,7 +406,7 @@ func (c *Cluster) scatterPastDead(p *peer, dead *core.Link, seg keyspace.Range, 
 	coll.grow(1)
 	var buf [48]*core.Link
 	for _, cand := range core.ForwardCandidates(&p.view, p.rng, rest.Lower, buf[:0]) {
-		if cand.ID == dead.ID || !c.Alive(cand.ID) {
+		if cand == nil || cand.ID == dead.ID || !c.Alive(cand.ID) {
 			continue
 		}
 		if c.send(cand.ID, sub) {
