@@ -21,6 +21,19 @@ func liveClusterFanout(t testing.TB, peers, items int, seed int64, fanout int) (
 	return c, keys
 }
 
+// TestTraceOverlayMatchesExpectedRouteFanout extends the flight recorder's
+// ground-truth test to the m-ary overlay: at fanout 4 and 8, every traced
+// overlay Get must match the structural mirror's predicted route hop for
+// hop, so the live BATON* forwarding and core.RoutePath are the same
+// algorithm at every fanout, not just at 2.
+func TestTraceOverlayMatchesExpectedRouteFanout(t *testing.T) {
+	for _, m := range []int{4, 8} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			checkTracedRoutes(t, m)
+		})
+	}
+}
+
 // TestTraceDirectGetOneHopFanout pins the fast path at every fanout: a
 // direct-routed Get on a quiesced m-ary cluster is exactly one hop, at the
 // key's owner — the route cache must not care about the tree's shape.

@@ -22,60 +22,65 @@ func tracePeers(hops []obs.Hop) []core.PeerID {
 }
 
 // TestTraceOverlayMatchesExpectedRoute is the flight recorder's ground-truth
-// test: on a quiesced 64-peer cluster with 1-in-1 sampling, at fanout 2, 4
-// and 8, the hop chain a traced overlay Get records must match — hop for
-// hop, peer for peer — the route the structural mirror predicts for the
-// same (via, key) pair (core.RoutePath applies the search_exact forwarding
-// rules without charging messages). Both executors call
-// core.ForwardCandidates, so a divergence means they drifted apart around
-// it (visited-peer avoidance, fail-over, ownership), or the recorder
-// attributes hops to the wrong peer.
+// test: on a quiesced 64-peer binary cluster with 1-in-1 sampling, the hop
+// chain a traced overlay Get records must match — hop for hop, peer for
+// peer — the route the structural mirror predicts for the same (via, key)
+// pair (core.RoutePath applies the search_exact forwarding rules without
+// charging messages). Both executors call core.ForwardCandidates, so a
+// divergence means they drifted apart around it (visited-peer avoidance,
+// fail-over, ownership), or the recorder attributes hops to the wrong peer.
+// TestTraceOverlayMatchesExpectedRouteFanout runs the same check at fanout
+// 4 and 8.
 func TestTraceOverlayMatchesExpectedRoute(t *testing.T) {
-	for _, m := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
-			c, keys := liveClusterFanout(t, 64, 300, 431, m)
-			snaps, err := c.Snapshot()
-			if err != nil {
-				t.Fatal(err)
+	checkTracedRoutes(t, 2)
+}
+
+// checkTracedRoutes traces 400 overlay Gets on a quiesced 64-peer cluster
+// of the given fanout and fails unless each traced route equals the one the
+// structural mirror predicts.
+func checkTracedRoutes(t *testing.T, m int) {
+	t.Helper()
+	c, keys := liveClusterFanout(t, 64, 300, 431, m)
+	snaps, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectNW, err := core.FromSnapshot(c.Domain(), snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := expectNW.Fanout(); got != m {
+		t.Fatalf("snapshot round-trip inferred fanout %d, want %d", got, m)
+	}
+	c.SetTraceSampling(1)
+	ids := c.PeerIDs()
+	rng := rand.New(rand.NewSource(433))
+	for i := 0; i < 400; i++ {
+		via := ids[rng.Intn(len(ids))]
+		key := keys[rng.Intn(len(keys))]
+		if _, found, _, err := c.Get(via, key); err != nil || !found {
+			t.Fatalf("get %d via %d: found=%v err=%v", key, via, found, err)
+		}
+		traces := c.Traces()
+		if len(traces) == 0 {
+			t.Fatal("1-in-1 sampling recorded no trace")
+		}
+		got := tracePeers(traces[len(traces)-1])
+		want, err := expectNW.RoutePath(via, key)
+		if err != nil {
+			t.Fatalf("predicting route for %d from %d: %v", key, via, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("get %d via %d: traced route %v, structural expectation %v", key, via, got, want)
+		}
+		for _, h := range traces[len(traces)-1] {
+			if h.Kind != "GET" {
+				t.Fatalf("traced hop kind %q, want GET", h.Kind)
 			}
-			expectNW, err := core.FromSnapshot(c.Domain(), snaps)
-			if err != nil {
-				t.Fatal(err)
+			if h.QueueWaitNs < 0 {
+				t.Fatalf("negative queue wait %d", h.QueueWaitNs)
 			}
-			if got := expectNW.Fanout(); got != m {
-				t.Fatalf("snapshot round-trip inferred fanout %d, want %d", got, m)
-			}
-			c.SetTraceSampling(1)
-			ids := c.PeerIDs()
-			rng := rand.New(rand.NewSource(433))
-			for i := 0; i < 400; i++ {
-				via := ids[rng.Intn(len(ids))]
-				key := keys[rng.Intn(len(keys))]
-				if _, found, _, err := c.Get(via, key); err != nil || !found {
-					t.Fatalf("get %d via %d: found=%v err=%v", key, via, found, err)
-				}
-				traces := c.Traces()
-				if len(traces) == 0 {
-					t.Fatal("1-in-1 sampling recorded no trace")
-				}
-				got := tracePeers(traces[len(traces)-1])
-				want, err := expectNW.RoutePath(via, key)
-				if err != nil {
-					t.Fatalf("predicting route for %d from %d: %v", key, via, err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("get %d via %d: traced route %v, structural expectation %v", key, via, got, want)
-				}
-				for _, h := range traces[len(traces)-1] {
-					if h.Kind != "GET" {
-						t.Fatalf("traced hop kind %q, want GET", h.Kind)
-					}
-					if h.QueueWaitNs < 0 {
-						t.Fatalf("negative queue wait %d", h.QueueWaitNs)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
