@@ -259,8 +259,8 @@ type PlanSnapshot = obs.PlanSnapshot
 
 // ClusterMetrics is the lock-free snapshot of the cluster's metrics
 // registry returned by Cluster.Metrics: per-peer delivered / spilled /
-// refused message counts, stale-route attribution, inbox and spill-queue
-// gauges, and queue-wait / handle-time histograms with cluster-wide
+// refused message counts, stale-route attribution, queue depth and
+// high-water gauges, and queue-wait / handle-time histograms with cluster-wide
 // percentiles. Taking it never stops traffic.
 type ClusterMetrics = obs.ClusterMetrics
 

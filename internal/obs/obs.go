@@ -7,12 +7,12 @@
 //
 //   - The metrics registry (registry.go). Each peer owns a PeerMetrics
 //     block of per-message-kind counters (delivered / spilled / refused),
-//     spill-queue gauges, and streaming histograms for queue wait and
-//     handle time. The blocks are the shards: writes are sharded by peer
-//     and kind exactly as the inbox already shards deliveries, every hot
-//     counter sits on its own cache line so two peers' blocks never
-//     false-share, and a snapshot is a plain atomic sweep — no locks,
-//     no stop-the-world.
+//     queue depth and high-water gauges, and streaming histograms for
+//     queue wait and handle time. The blocks are the shards: writes are
+//     sharded by peer and kind exactly as the peer queues already shard
+//     deliveries, every hot counter sits on its own cache line so two
+//     peers' blocks never false-share, and a snapshot is a plain atomic
+//     sweep — no locks, no stop-the-world.
 //
 //   - Request tracing (trace.go). A Trace is an optional context a
 //     sampled request carries through the overlay; each hop appends

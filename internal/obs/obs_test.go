@@ -161,11 +161,10 @@ func TestPeerMetricsSnapshotAndAbsorb(t *testing.T) {
 	m.Spilled(1)
 	m.Refused(0)
 	m.StaleRoute()
-	m.SetSpillDepth(5)
-	m.SetSpillDepth(2)
+	m.SetQueueDepth(5)
+	m.SetQueueDepth(2)
 	m.ObserveQueueWait(100)
 	m.ObserveHandle(200)
-	m.ObserveSpillDrain(300)
 
 	s := m.Snapshot(7, name)
 	if s.Peer != 7 || s.Delivered["GET"] != 2 || s.Delivered["PUT"] != 1 {
@@ -174,10 +173,10 @@ func TestPeerMetricsSnapshotAndAbsorb(t *testing.T) {
 	if s.Spilled["PUT"] != 1 || s.Refused["GET"] != 1 || s.StaleRoutes != 1 {
 		t.Fatalf("spilled/refused/stale wrong: %+v", s)
 	}
-	if s.SpillDepth != 2 || s.SpillHighWater != 5 {
-		t.Fatalf("spill gauges wrong: %+v", s)
+	if s.QueueDepth != 2 || s.QueueHighWater != 5 {
+		t.Fatalf("queue gauges wrong: %+v", s)
 	}
-	if s.QueueWait.Count != 1 || s.HandleTime.Count != 1 || s.SpillDrain.Count != 1 {
+	if s.QueueWait.Count != 1 || s.HandleTime.Count != 1 {
 		t.Fatalf("histograms wrong: %+v", s)
 	}
 

@@ -17,11 +17,11 @@ type counterLine struct {
 // is sharded the way the overlay itself is: each peer owns a block, the
 // hot per-kind delivery counters inside it are cache-line padded, and
 // writers touch only their own peer's block — the same contention the
-// peer's inbox already imposes. Everything is a typed atomic, so a
+// peer's queue already imposes. Everything is a typed atomic, so a
 // snapshot is a plain sweep with no locks and writers are never blocked.
 //
-// The spill gauges (SetSpillDepth) are written under the owning peer's
-// spill lock, which makes the high-water max race-free; every other
+// The queue gauges (SetQueueDepth) are written under the owning peer's
+// queue lock, which makes the high-water max race-free; every other
 // method is safe for concurrent use by any goroutine.
 type PeerMetrics struct {
 	delivered []counterLine // one padded counter per message kind
@@ -30,12 +30,11 @@ type PeerMetrics struct {
 	refused   []atomic.Int64
 
 	stale          atomic.Int64
-	spillDepth     atomic.Int64
-	spillHighWater atomic.Int64
+	queueDepth     atomic.Int64
+	queueHighWater atomic.Int64
 
 	queueWait  Histogram
 	handleTime Histogram
-	spillDrain Histogram
 }
 
 // NewPeerMetrics returns a block with counters for nkinds message kinds.
@@ -49,9 +48,9 @@ func NewPeerMetrics(nkinds int) *PeerMetrics {
 }
 
 // Delivered counts one message of the given kind accepted by the peer:
-// run inline on the sender's goroutine, or queued in its inbox or spill
-// queue. delivered = inline + queued. It returns the new count, from which
-// the p2p layer picks the 1 delivery in 64 per kind it times.
+// run inline on the sender's goroutine, or queued. delivered = inline +
+// queued. It returns the new count, from which the p2p layer picks the 1
+// delivery in 64 per kind it times.
 func (m *PeerMetrics) Delivered(kind int) int64 { return m.delivered[kind].n.Add(1) }
 
 // Inline counts one message of the given kind that found the peer idle
@@ -59,8 +58,9 @@ func (m *PeerMetrics) Delivered(kind int) int64 { return m.delivered[kind].n.Add
 // as delivered). Its queue wait is recorded as 0.
 func (m *PeerMetrics) Inline(kind int) { m.inline[kind].Add(1) }
 
-// Spilled counts one message of the given kind that overflowed the inbox
-// into the spill queue (it is also counted as delivered).
+// Spilled counts one message of the given kind delivered while the peer's
+// queue was already non-empty, i.e. queued behind other waiting messages
+// (it is also counted as delivered).
 func (m *PeerMetrics) Spilled(kind int) { m.spilled[kind].Add(1) }
 
 // Refused counts one message of the given kind terminated with an error
@@ -74,29 +74,26 @@ func (m *PeerMetrics) StaleRoute() { m.stale.Add(1) }
 // StaleRoutes returns the stale-route count.
 func (m *PeerMetrics) StaleRoutes() int64 { return m.stale.Load() }
 
-// SetSpillDepth publishes the spill queue's current length and advances
-// the high-water mark. Callers must serialise calls per block (the p2p
-// layer calls it under the peer's spill lock).
-func (m *PeerMetrics) SetSpillDepth(n int64) {
-	m.spillDepth.Store(n)
-	if n > m.spillHighWater.Load() {
-		m.spillHighWater.Store(n)
+// SetQueueDepth publishes the queue's current length — messages waiting
+// for the peer's goroutine to take them — and advances the high-water
+// mark. Callers must serialise calls per block (the p2p layer calls it
+// under the peer's queue lock).
+func (m *PeerMetrics) SetQueueDepth(n int64) {
+	m.queueDepth.Store(n)
+	if n > m.queueHighWater.Load() {
+		m.queueHighWater.Store(n)
 	}
 }
 
 // ObserveQueueWait records how long one timed message — 1 delivery in 64
-// per peer and kind, plus every traced one — sat queued (inbox or spill)
-// before handling began, in nanoseconds; 0 for a message run inline.
+// per peer and kind, plus every traced one — sat queued before handling
+// began, in nanoseconds; 0 for a message run inline.
 func (m *PeerMetrics) ObserveQueueWait(ns int64) { m.queueWait.Observe(ns) }
 
 // ObserveHandle records how long handling one timed message took at this
 // peer, in nanoseconds: choosing the next hop is included, running it is
 // not (the request is handed on once this peer is done).
 func (m *PeerMetrics) ObserveHandle(ns int64) { m.handleTime.Observe(ns) }
-
-// ObserveSpillDrain records how long a spill batch waited between the
-// queue going non-empty and the serving goroutine starting to drain it.
-func (m *PeerMetrics) ObserveSpillDrain(ns int64) { m.spillDrain.Observe(ns) }
 
 // Absorb folds another block's totals into this one. It is used to
 // preserve a retired peer's counts in the cluster aggregate after the
@@ -114,7 +111,6 @@ func (m *PeerMetrics) Absorb(o *PeerMetrics) {
 	m.stale.Add(o.stale.Load())
 	absorbHist(&m.queueWait, &o.queueWait)
 	absorbHist(&m.handleTime, &o.handleTime)
-	absorbHist(&m.spillDrain, &o.spillDrain)
 }
 
 func absorbCounts(dst, src []atomic.Int64) {
@@ -144,13 +140,11 @@ type PeerSnapshot struct {
 	Spilled        map[string]int64 `json:"spilled,omitempty"`
 	Refused        map[string]int64 `json:"refused,omitempty"`
 	StaleRoutes    int64            `json:"stale_routes,omitempty"`
-	InboxDepth     int              `json:"inbox_depth"`
-	SpillDepth     int64            `json:"spill_depth"`
-	SpillHighWater int64            `json:"spill_high_water"`
+	QueueDepth     int64            `json:"queue_depth"`
+	QueueHighWater int64            `json:"queue_high_water"`
 
 	QueueWait  HistogramSnapshot `json:"queue_wait_ns"`
 	HandleTime HistogramSnapshot `json:"handle_ns"`
-	SpillDrain HistogramSnapshot `json:"spill_drain_ns"`
 }
 
 // Snapshot reads the block without locking. kindName maps a kind index
@@ -159,11 +153,10 @@ func (m *PeerMetrics) Snapshot(peer int64, kindName func(int) string) PeerSnapsh
 	s := PeerSnapshot{
 		Peer:           peer,
 		StaleRoutes:    m.stale.Load(),
-		SpillDepth:     m.spillDepth.Load(),
-		SpillHighWater: m.spillHighWater.Load(),
+		QueueDepth:     m.queueDepth.Load(),
+		QueueHighWater: m.queueHighWater.Load(),
 		QueueWait:      m.queueWait.Snapshot(),
 		HandleTime:     m.handleTime.Snapshot(),
-		SpillDrain:     m.spillDrain.Snapshot(),
 		Inline:         countMap(m.inline, kindName),
 		Spilled:        countMap(m.spilled, kindName),
 		Refused:        countMap(m.refused, kindName),
@@ -210,7 +203,6 @@ type ClusterMetrics struct {
 
 	QueueWait  HistogramSnapshot `json:"queue_wait_ns"`
 	HandleTime HistogramSnapshot `json:"handle_ns"`
-	SpillDrain HistogramSnapshot `json:"spill_drain_ns"`
 
 	QueueWaitP50us  float64 `json:"queue_wait_p50_us"`
 	QueueWaitP99us  float64 `json:"queue_wait_p99_us"`
@@ -257,7 +249,6 @@ func BuildClusterMetrics(peers []PeerSnapshot, retired PeerSnapshot) ClusterMetr
 		cm.StaleRoutes += s.StaleRoutes
 		cm.QueueWait = cm.QueueWait.Merge(s.QueueWait)
 		cm.HandleTime = cm.HandleTime.Merge(s.HandleTime)
-		cm.SpillDrain = cm.SpillDrain.Merge(s.SpillDrain)
 	}
 	for _, s := range peers {
 		fold(s)

@@ -30,15 +30,22 @@ func withTimeout(t *testing.T, d time.Duration, name string, fn func()) {
 	}
 }
 
-// enqueue puts req straight into p's inbox, as deliverTo's queueing lane
-// does, counting it in p.busy so "busy ≥ queued requests" holds here too.
+// enqueue queues req at p, as admit does for a busy peer, counting it in
+// p.busy so "busy ≥ queued requests" holds here too.
 func enqueue(p *peer, req request) {
 	p.busy.Add(1)
-	p.inbox <- req
+	p.push(&req)
+}
+
+// queued returns how many requests wait in p's queue.
+func queued(p *peer) int {
+	p.qMu.Lock()
+	defer p.qMu.Unlock()
+	return len(p.queue)
 }
 
 // TestKilledPeerAnswersQueuedRequests is the regression test for the
-// dead-peer request drop: a request already sitting in a peer's inbox when
+// dead-peer request drop: a request already sitting in a peer's queue when
 // the peer is killed must be answered with ErrOwnerDown, not silently
 // discarded (which left the client blocked on req.reply forever).
 func TestKilledPeerAnswersQueuedRequests(t *testing.T) {
@@ -46,7 +53,7 @@ func TestKilledPeerAnswersQueuedRequests(t *testing.T) {
 	ids := c.PeerIDs()
 	victim := c.peerByID(ids[0])
 
-	// Kill the victim first, then deliver a request straight into its inbox,
+	// Kill the victim first, then deliver a request straight into its queue,
 	// bypassing send's aliveness check — exactly the state a request is in
 	// when it was queued a moment before Kill.
 	if err := c.Kill(victim.id); err != nil {
@@ -123,7 +130,7 @@ func TestStopWithConcurrentTraffic(t *testing.T) {
 		}(w)
 	}
 	close(start)
-	time.Sleep(2 * time.Millisecond) // let traffic build up in the inboxes
+	time.Sleep(2 * time.Millisecond) // let traffic build up in the queues
 	c.Stop()
 	withTimeout(t, 10*time.Second, "clients racing Stop", wg.Wait)
 }
@@ -452,8 +459,8 @@ func TestRangeAcrossKilledPeerIsPartial(t *testing.T) {
 }
 
 // TestManyClientsSmallCluster floods a tiny cluster with far more
-// concurrent clients than any inbox can hold. Peer-originated sends must
-// never block on a neighbour's full inbox (that cycle deadlocks the whole
+// concurrent clients than a fixed-size inbox could hold. Peer-originated
+// sends must never block on a busy neighbour (that cycle deadlocks the whole
 // overlay), so every client has to finish.
 func TestManyClientsSmallCluster(t *testing.T) {
 	c, keys := liveCluster(t, 6, 200, 79)

@@ -42,7 +42,9 @@ import (
 //
 // Only then is the new composition published to clients (ring, member IDs).
 // The whole sequence runs under memberMu; data traffic flows throughout.
-// It returns the number of items that migrated.
+// It returns the number of items that migrated. An acknowledgement carrying
+// an error does not stop the sequence (there is no rollback): the change
+// is still published, and the first such error is returned at the end.
 //
 // The reconcile itself is O(total peers) per operation — full mirror
 // snapshot, per-peer comparison, ring rebuild — though only the O(log N)
@@ -150,6 +152,10 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		}
 	}
 
+	// refused keeps the first error an acknowledgement carried: the
+	// operation still runs to the end and publishes, then reports it.
+	var refused error
+
 	// Phase 2: prepare the existing absorbers. They must be buffering their
 	// gained regions before any source stops serving those keys.
 	sentState := make(map[core.PeerID]bool)
@@ -165,7 +171,7 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		sentState[id] = true
 		acks = append(acks, ch)
 	}
-	if err := c.waitAcks(acks); err != nil {
+	if err := c.waitAcks(acks, &refused); err != nil {
 		return 0, err
 	}
 	acks = acks[:0]
@@ -215,7 +221,7 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		}
 		acks = append(acks, req.reply)
 	}
-	if err := c.waitAcks(acks); err != nil {
+	if err := c.waitAcks(acks, &refused); err != nil {
 		return 0, err
 	}
 	acks = acks[:0]
@@ -247,7 +253,7 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		}
 		acks = append(acks, ch)
 	}
-	if err := c.waitAcks(acks); err != nil {
+	if err := c.waitAcks(acks, &refused); err != nil {
 		return 0, err
 	}
 	c.journalPhase("link-update", phaseStart)
@@ -261,6 +267,9 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		select {
 		case resp := <-handoffAck:
 			migrated += resp.count
+			if refused == nil {
+				refused = resp.err
+			}
 		case <-c.done:
 			return migrated, ErrStopped
 		}
@@ -359,7 +368,7 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		if !c.send(newHolder, request{kind: kindReplicaSync, src: ns.ID, bulk: moved, reply: ch}) {
 			continue
 		}
-		if err := c.waitAcks([]chan response{ch}); err != nil {
+		if err := c.waitAcks([]chan response{ch}, &refused); err != nil {
 			return migrated, err
 		}
 		if _, stillMember := next[oldHolder]; stillMember {
@@ -370,6 +379,9 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 		if err := c.resyncReplicas(resync); err != nil {
 			return migrated, err
 		}
+	}
+	if refused != nil {
+		return migrated, fmt.Errorf("p2p: structural change published, but a peer refused its part: %w", refused)
 	}
 	return migrated, nil
 }
@@ -383,7 +395,7 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 // zero (it can no longer grow), the tombstone's goroutine is told to
 // forward its remaining queue and exit, and the peer is dropped from the
 // delivery map. Without this, a long-lived cluster under steady churn would
-// accumulate one goroutine and inbox per departure forever.
+// accumulate one goroutine and queue per departure forever.
 func (c *Cluster) reapTombstones() {
 	if len(c.tombstones) == 0 {
 		return
@@ -418,11 +430,16 @@ func (c *Cluster) reapTombstones() {
 	c.topo.Store(nt)
 }
 
-// waitAcks waits for one reply per channel, bailing out at cluster stop.
-func (c *Cluster) waitAcks(chs []chan response) error {
+// waitAcks waits for one reply per channel, bailing out at cluster stop. A
+// reply's error does not cut the wait short: the first one is stored in
+// *first unless *first already holds one.
+func (c *Cluster) waitAcks(chs []chan response, first *error) error {
 	for _, ch := range chs {
 		select {
-		case <-ch:
+		case resp := <-ch:
+			if *first == nil {
+				*first = resp.err
+			}
 		case <-c.done:
 			return ErrStopped
 		}

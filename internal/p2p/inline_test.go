@@ -109,8 +109,8 @@ func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 	if !c.send(h.id, delta(4)) {
 		t.Fatal("delta 4 refused")
 	}
-	if got := len(h.inbox); got != 4 {
-		t.Fatalf("inbox holds %d deltas, want 4: the fourth ran inline ahead of queued work", got)
+	if got := queued(h); got != 4 {
+		t.Fatalf("queue holds %d deltas, want 4: the fourth ran inline ahead of queued work", got)
 	}
 	c.wg.Add(1)
 	go c.serve(h)

@@ -140,6 +140,37 @@ func TestClusterDepartKilledPeerRefused(t *testing.T) {
 	}
 }
 
+// TestDepartReportsRefusedHandoff: a handoff its destination refuses must
+// come back as the structural call's error — after the operation has run to
+// the end and published — and be journalled. In a two-peer cluster the
+// child's range goes to its parent on departure; the parent is made to
+// refuse the handoff by marking it a tombstone whose successor does not
+// exist, so it forwards the items nowhere and answers with ErrOwnerDown.
+func TestDepartReportsRefusedHandoff(t *testing.T) {
+	c, _ := liveCluster(t, 2, 50, 31)
+	var leaver, absorber *peer
+	for _, id := range c.PeerIDs() {
+		if parent := c.states[id].Parent; parent != core.NoPeer {
+			leaver, absorber = c.peerByID(id), c.peerByID(parent)
+		}
+	}
+	absorber.run.Lock()
+	absorber.departed, absorber.departTo = true, 424242
+	absorber.run.Unlock()
+
+	err := c.Depart(leaver.id)
+	if !errors.Is(err, ErrOwnerDown) {
+		t.Fatalf("Depart with a refused handoff returned %v, want ErrOwnerDown", err)
+	}
+	if got := c.PeerIDs(); len(got) != 1 || got[0] != absorber.id {
+		t.Fatalf("members after the refused handoff = %v, want [%d]: the change must still publish", got, absorber.id)
+	}
+	evs := c.Events()
+	if ev := evs[len(evs)-1]; ev.Op != "depart" || ev.Outcome != "error" || ev.Err != err.Error() {
+		t.Fatalf("journal entry %+v, want the depart recorded with error %q", ev, err)
+	}
+}
+
 // TestClusterLoadBalance: the adjacent-peer shuffle of Section V moves
 // about half the imbalance to the lighter neighbour while every key stays
 // readable and the structure stays valid.

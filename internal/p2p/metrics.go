@@ -13,19 +13,16 @@ import (
 )
 
 // Metrics snapshots the whole registry without locks or stopping
-// traffic: the peer set comes from the atomically published topology,
-// every counter and histogram is a typed atomic, and the inbox-depth
-// gauge is the channel's own length. Peers are reported in id order;
-// counts of peers already reaped from the topology survive in the
-// cluster totals (the retired aggregate), so totals are monotonic across
-// membership churn.
+// traffic: the peer set comes from the atomically published topology, and
+// every counter, gauge and histogram is a typed atomic. Peers are reported
+// in id order; counts of peers already reaped from the topology survive in
+// the cluster totals (the retired aggregate), so totals are monotonic
+// across membership churn.
 func (c *Cluster) Metrics() obs.ClusterMetrics {
 	t := c.topo.Load()
 	peers := make([]obs.PeerSnapshot, 0, len(t.peers))
 	for _, p := range t.peers {
-		s := p.met.Snapshot(int64(p.id), kindName)
-		s.InboxDepth = len(p.inbox)
-		peers = append(peers, s)
+		peers = append(peers, p.met.Snapshot(int64(p.id), kindName))
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Peer < peers[j].Peer })
 	cm := obs.BuildClusterMetrics(peers, c.retired.Snapshot(-1, kindName))

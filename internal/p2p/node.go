@@ -1,7 +1,7 @@
 // The multi-process face of the cluster: netLayer carries the p2p protocol
 // over a transport.Transport so one overlay can span several OS processes
 // ("nodes"). Peers hosted by this process are served exactly as before —
-// the channel/spill fast path never builds a frame — while peers hosted
+// the in-process queue fast path never builds a frame — while peers hosted
 // elsewhere appear locally as *stubs*: peer objects with node != 0 and no
 // goroutine, whose deliveries detour through netLayer.deliver onto the
 // wire.
@@ -360,7 +360,7 @@ func (n *netLayer) onPeerDown(node transport.NodeID) {
 
 // handleMsg is the transport inbound dispatch. It runs on connection
 // reader goroutines and must not block; everything potentially slow is
-// queued to the ctl worker or a peer inbox. A request to an idle peer runs
+// queued to the ctl worker or a peer's queue. A request to an idle peer runs
 // inline on the reader (deliverTo); one whose handler might block queues.
 func (n *netLayer) handleMsg(from transport.NodeID, m *transport.Msg) {
 	switch wireKind(m.Kind) {

@@ -1,5 +1,5 @@
 // Package p2p runs a BATON overlay as a set of live, concurrently executing
-// peers: every peer is a goroutine with an inbox, requests travel between
+// peers: every peer is a goroutine with a queue, requests travel between
 // peers as messages, and clients issue queries against any peer they know.
 // A message to an idle peer runs to completion on the sender's goroutine
 // instead of waking the peer's (see deliverTo); it is still one message.
@@ -109,9 +109,9 @@
 //   - Stop may be called at any time, including with requests and
 //     membership changes in flight; in-flight calls complete or return
 //     ErrStopped, and shutdown never panics. Peers are never signalled by
-//     closing their inboxes — shutdown is broadcast on a separate done
-//     channel precisely so that concurrent senders cannot hit a closed
-//     channel.
+//     closing a channel senders use — shutdown is broadcast on a separate
+//     done channel precisely so that concurrent senders cannot hit a
+//     closed channel.
 //
 // # Routing modes
 //
@@ -181,9 +181,9 @@
 //     queued *timed* ones — 1 in 64 per kind plus traced ones
 //     (hopClockEvery); dispatch turns that stamp into queue-wait (0
 //     inline) and handle-time (own work only) samples; refuse attributes
-//     refused messages to the peer that refused them. The spill-queue
-//     gauges are updated inside the existing spillMu critical sections —
-//     spillMu nests inside nothing, so no new lock edge appears.
+//     refused messages to the peer that refused them. The queue gauges
+//     are updated inside the existing qMu critical sections — qMu nests
+//     inside nothing, so no new lock edge appears.
 //   - Sampled request traces ride inside the request struct (a nil
 //     pointer when sampling is off, so the zero-alloc direct path is
 //     untouched); hops are appended by the holder of the peer's token.
@@ -191,7 +191,7 @@
 //     the operations that already hold it (Join, Depart, Kill, Recover,
 //     LoadBalance, ForceRejoin) — journalBegin/journalEnd never lock, so
 //     they are safe from *Locked helpers (lockedsuffix still holds) and
-//     cannot invert the memberMu-before-spillMu order.
+//     cannot invert the memberMu-before-qMu order.
 //
 // Cluster.Metrics, Cluster.Events and Cluster.Traces read it all back
 // without stopping traffic — see metrics.go.
@@ -402,7 +402,7 @@ type request struct {
 	epoch uint64
 	// enq is the hop-timing mark admit sets on every delivery (see
 	// hopClockEvery): 0 when untimed. An int64, not a time.Time, keeps
-	// request — and so every peer's inbox buffer — from growing.
+	// request — and so every queued message — from growing.
 	enq int64
 	// trace, when non-nil, marks a sampled request: every peer that
 	// handles it appends a hop record (see dispatch). Nil with sampling
@@ -489,8 +489,8 @@ type response struct {
 	err         error
 }
 
-// peer is one live peer: a goroutine draining an inbox. All fields other
-// than the atomics and the delivery lanes are owned by whoever holds run
+// peer is one live peer: a goroutine serving a FIFO queue. All fields
+// other than the atomics and the queue are owned by whoever holds run
 // once the peer has started; membership changes reach them as kindUpdate
 // messages.
 type peer struct {
@@ -505,8 +505,17 @@ type peer struct {
 	// peerState is the peer's position, range and links, replaced whole by
 	// each kindUpdate (installState).
 	peerState
-	data  *store.Store
-	inbox chan request
+	data *store.Store
+
+	// queue holds the requests delivered while the peer was busy, oldest
+	// first; qMu guards it. admit appends and wakes the serving goroutine
+	// (wake is buffered 1) when the queue goes non-empty; serve detaches the
+	// whole queue and walks it. The slice grows on demand, and an emptied
+	// batch becomes the queue's buffer again only while it is small
+	// (queueKeep), so a burst's memory goes back to the GC.
+	qMu   sync.Mutex
+	queue []request
+	wake  chan struct{}
 
 	// run is the peer's ownership token: requests are handled only under
 	// it. busy counts requests queued or running here; a sender runs one
@@ -522,24 +531,9 @@ type peer struct {
 	pending []keyspace.Range
 	held    []request
 
-	// spill absorbs deliveries that find the inbox full: instead of one
-	// transient goroutine per blocked send (unbounded when a peer is hot),
-	// the overflow queues here and the serving goroutine drains it after
-	// the older inbox entries, preserving per-peer FIFO delivery (see
-	// admit). spillWake (buffered 1) nudges the goroutine when the
-	// queue goes non-empty.
-	spillMu   sync.Mutex
-	spill     []request
-	spillWake chan struct{}
-	// spillSince marks when the spill queue last went non-empty, so the
-	// drain latency — how long the overflow sat before the goroutine got
-	// to it — is measurable. Its own clock: the request that opened the
-	// queue is most likely untimed. Guarded by spillMu.
-	spillSince time.Time
-
 	// met is this peer's block of the metrics registry (delivered / inline /
 	// spilled / refused counters per kind, queue-wait and handle-time
-	// histograms, spill gauges). Typed atomics throughout, written from
+	// histograms, queue gauges). Typed atomics throughout, written from
 	// the delivery and serve paths without locks.
 	met *obs.PeerMetrics
 
@@ -783,8 +777,7 @@ func newPeer(id core.PeerID, fanout int) *peer {
 		id:        id,
 		peerState: peerState{view: core.View{Children: make([]*core.Link, fanout)}},
 		data:      store.New(),
-		inbox:     make(chan request, 256),
-		spillWake: make(chan struct{}, 1),
+		wake:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		met:       obs.NewPeerMetrics(numKinds),
 	}
@@ -810,7 +803,7 @@ func (c *Cluster) Messages() int64 { return c.msgs.total() }
 // that concurrent deliveries to different peers do not all serialise on one
 // atomic word — with hundreds of client goroutines the single cluster-wide
 // counter is a measurable contention hot spot. Deliveries to the same peer
-// hash to the same shard, which is the contention the inbox already imposes.
+// hash to the same shard, which is the contention the queue already imposes.
 type msgCounter struct {
 	shards [msgShardCount]struct {
 		n atomic.Int64
@@ -841,8 +834,8 @@ func (c *Cluster) PeerIDs() []core.PeerID {
 	return out
 }
 
-// Kill stops the given peer abruptly: its goroutine keeps draining the
-// inbox (so senders never block) but answers every queued or future data
+// Kill stops the given peer abruptly: its goroutine keeps serving its
+// queue (so senders never block) but answers every queued or future data
 // request with ErrOwnerDown, and every new request addressed to it fails
 // over to an alternative path at the sender, exactly like an unreachable
 // address. The crashed process's stores — its own items and any replicas it
@@ -900,9 +893,9 @@ func (c *Cluster) Alive(id core.PeerID) bool {
 
 // Stop shuts the cluster down and waits for every peer goroutine to exit.
 // It is safe to call concurrently with in-flight requests and membership
-// changes (they complete or return ErrStopped) and is idempotent. Inboxes
-// are never closed — shutdown is broadcast on c.done — so a concurrent send
-// can never panic.
+// changes (they complete or return ErrStopped) and is idempotent. No
+// channel a sender uses is ever closed — shutdown is broadcast on c.done —
+// so a concurrent send can never panic.
 func (c *Cluster) Stop() {
 	c.memberMu.Lock()
 	already := c.stopped.Swap(true)
@@ -924,14 +917,13 @@ func (c *Cluster) Stop() {
 }
 
 // send delivers a request to the peer with the given ID. It reports false
-// when the target is dead or the cluster is stopped. A full inbox never
-// blocks the caller: the overflow is appended to the target's spill queue,
-// which the serving goroutine drains alongside the inbox, so a peer
-// goroutine can never block on another peer's inbox — a cycle of such sends
-// is the classic message-system deadlock, and avoiding it is what keeps the
-// "calls never block indefinitely" contract true under any client count.
-// The spill append is a short critical section on the target's own lock, so
-// delivery costs no goroutine spawn however saturated the peer is.
+// when the target is dead or the cluster is stopped. A busy target never
+// blocks the caller: the request is appended to the target's unbounded
+// queue, so a peer goroutine can never block on another peer — a cycle of
+// such sends is the classic message-system deadlock, and avoiding it is
+// what keeps the "calls never block indefinitely" contract true under any
+// client count. The append is a short critical section on the target's own
+// lock, so delivery costs no goroutine spawn however saturated the peer is.
 func (c *Cluster) send(to core.PeerID, req request) bool {
 	return c.deliver(to, req, false)
 }
@@ -1027,8 +1019,8 @@ func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) 
 	}
 	// The inflight count brackets the whole delivery, an inline run too, so
 	// a tombstone is only retired once provably no send can still land in
-	// its inbox or spill queue; a delivery beginning after gone is set backs
-	// out, and its caller fails over as if the peer were dead.
+	// its queue; a delivery beginning after gone is set backs out, and its
+	// caller fails over as if the peer were dead.
 	p.inflight.Add(1)
 	if p.gone.Load() {
 		p.inflight.Add(-1)
@@ -1044,70 +1036,68 @@ func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) 
 		return true, true
 	}
 	p.busy.Add(1)
-	// Deliveries to one peer are FIFO across the two lanes: once the spill
-	// queue is non-empty every delivery appends behind it (even if the inbox
-	// has drained room again), and the serving goroutine empties the inbox —
-	// which then only holds older messages — before each spill batch. The
-	// ordering matters beyond tidiness: replica deltas from one source rely
-	// on it to apply in the order they were acknowledged (replication.go).
 	if req.enq != 0 {
 		req.enq = hopClock()
 	}
-	overflow := false
-	p.spillMu.Lock()
-	if len(p.spill) > 0 {
-		p.spill = append(p.spill, *req)
-		overflow = true
-	} else {
-		select {
-		case p.inbox <- *req:
-		default:
-			p.spill = append(p.spill, *req)
-			overflow = true
-		}
-	}
-	if overflow {
-		// Gauge updates ride the spillMu section already paid for the
-		// append; a queue going non-empty starts the drain-latency clock.
-		if len(p.spill) == 1 {
-			p.spillSince = time.Now()
-		}
-		p.met.SetSpillDepth(int64(len(p.spill)))
-	}
-	p.spillMu.Unlock()
-	if overflow {
-		// Nudge the serving goroutine; spillWake is buffered, so the nudge
-		// never blocks and a wake already pending covers this append too.
-		select {
-		case p.spillWake <- struct{}{}:
-		default:
-		}
-		p.met.Spilled(int(req.kind))
-	}
+	p.push(req)
 	p.inflight.Add(-1)
 	return true, false
+}
+
+// queueKeep caps, in requests, the buffer an emptied queue keeps for reuse
+// (≤ 4 KB at request's pinned size): a larger one, left by a burst, goes
+// back to the GC.
+const queueKeep = 8
+
+// push appends req to p's queue and wakes the serving goroutine when the
+// queue goes non-empty; wake is buffered, so the wake never blocks, and one
+// already pending covers this append too. Deliveries to one peer run in
+// the order they are pushed. The ordering matters beyond tidiness: replica
+// deltas from one source rely on it to apply in the order they were
+// acknowledged (replication.go).
+func (p *peer) push(req *request) {
+	p.qMu.Lock()
+	backlog := len(p.queue)
+	p.queue = append(p.queue, *req)
+	// The gauge rides the critical section already paid for the append,
+	// which keeps its high-water mark race-free.
+	p.met.SetQueueDepth(int64(backlog + 1))
+	p.qMu.Unlock()
+	if backlog > 0 {
+		p.met.Spilled(int(req.kind))
+		return
+	}
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// nextBatch detaches and returns everything queued at p, nil if nothing
+// is. done is the batch walked last, or nil: it is cleared, so it pins no
+// reply channels or items, and becomes the queue's buffer if it is small.
+func (p *peer) nextBatch(done []request) []request {
+	clear(done)
+	if cap(done) > queueKeep {
+		done = nil
+	}
+	p.qMu.Lock()
+	q := p.queue
+	if len(q) > 0 || done != nil {
+		p.queue = done[:0]
+	}
+	p.met.SetQueueDepth(0)
+	p.qMu.Unlock()
+	if len(q) == 0 {
+		return nil
+	}
+	return q
 }
 
 // noteItems publishes the store's current size for the lock-free load
 // meter (Cluster.Loads); called by the token holder after every mutation
 // of p.data.
 func (p *peer) noteItems() { p.items.Store(int64(p.data.Len())) }
-
-// takeSpill detaches and returns the current spill queue, recording the
-// drain latency — how long the overflow sat queued before the serving
-// goroutine picked it up — and resetting the spill-depth gauge.
-func (p *peer) takeSpill() []request {
-	p.spillMu.Lock()
-	q := p.spill
-	p.spill = nil
-	if len(q) > 0 {
-		p.met.ObserveSpillDrain(time.Since(p.spillSince).Nanoseconds())
-		p.spillSince = time.Time{}
-		p.met.SetSpillDepth(0)
-	}
-	p.spillMu.Unlock()
-	return q
-}
 
 // Get looks up key starting at peer via. Under RouteDirect the request is
 // sent straight to the key's owner instead (via is the fallback entry point
@@ -1198,14 +1188,14 @@ func (c *Cluster) await(p *peer, req *request) (resp response, sent bool, err er
 	}
 }
 
-// serve is the peer goroutine: it drains the inbox and walks each queued
-// request (one that found the peer idle ran inline on its sender
-// instead). A killed peer keeps draining so senders never block, but
-// handle refuses every data request with ErrOwnerDown — a request already
-// queued when the peer died must still be answered or its client would hang
-// forever. Control messages (structural updates, handoffs, snapshots, crash
-// wipes) are handled even when dead, because a killed peer remains part of
-// the overlay structure until recovery removes it.
+// serve is the peer goroutine: it walks each queued request in turn (one
+// that found the peer idle ran inline on its sender instead). A killed
+// peer keeps serving so senders never block, but handle refuses every
+// data request with ErrOwnerDown — a request already queued when the peer
+// died must still be answered or its client would hang forever. Control
+// messages (structural updates, handoffs, snapshots, crash wipes) are
+// handled even when dead, because a killed peer remains part of the
+// overlay structure until recovery removes it.
 func (c *Cluster) serve(p *peer) {
 	defer c.wg.Done()
 	for {
@@ -1215,41 +1205,20 @@ func (c *Cluster) serve(p *peer) {
 		case <-p.quit:
 			// Retired tombstone: no new delivery can land (gone is set and
 			// the in-flight count drained to zero before quit was closed),
-			// so forward whatever is still queued — inbox and spill — and
-			// exit.
-			p.drain(func(req request) {
+			// so forward whatever is still queued and exit.
+			for _, req := range p.nextBatch(nil) {
 				if !c.send(p.departTo, req) {
 					c.refuse(p, req, ErrOwnerDown)
 				}
-			})
+			}
 			return
-		case req := <-p.inbox:
-			c.walk(p, c.dispatch(p, &req), &req)
-		case <-p.spillWake:
-			p.drain(func(req request) { c.walk(p, c.dispatch(p, &req), &req) })
-		}
-	}
-}
-
-// drain passes every queued request to fn in FIFO order: everything in the
-// inbox predates the spill overflow (deliveries bypass the inbox while the
-// spill queue is non-empty), so the inbox is emptied before each spill
-// batch, until the spill queue is observed empty. A delivery that appends
-// mid-drain leaves another wake pending, so nothing is stranded.
-func (p *peer) drain(fn func(request)) {
-	for {
-		select {
-		case req := <-p.inbox:
-			fn(req)
-			continue
-		default:
-		}
-		q := p.takeSpill()
-		if len(q) == 0 {
-			return
-		}
-		for _, req := range q {
-			fn(req)
+		case <-p.wake:
+			// A delivery landing mid-walk queues behind this batch.
+			for q := p.nextBatch(nil); q != nil; q = p.nextBatch(q) {
+				for i := range q {
+					c.walk(p, c.dispatch(p, &q[i]), &q[i])
+				}
+			}
 		}
 	}
 }

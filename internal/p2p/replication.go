@@ -63,10 +63,10 @@ func (p *peer) replicaFor(src core.PeerID) *store.Store {
 // asynchronous and unacknowledged: a dead holder simply drops the message,
 // and the next structural resync re-ships the full set. Deltas from one
 // source apply in order — the source sends them sequentially under its
-// token, and delivery to a peer is FIFO across inline runs, the inbox and
-// its spill queue (deliverTo) — but a wholesale sync travels from a
-// different goroutine (the structural coordinator's resync), so a delta
-// sent before the sync was taken can still be delivered after it. Every
+// token, and delivery to a peer is FIFO across inline runs and its queue
+// (deliverTo) — but a wholesale sync travels from a different goroutine
+// (the structural coordinator's resync), so a delta sent before the sync
+// was taken can still be delivered after it. Every
 // message is therefore stamped with the source's monotonically increasing
 // sequence number; without the stamp such a late delta would silently
 // resurrect a deleted key (or regress a value) in the freshly synced set.
@@ -201,7 +201,11 @@ func (c *Cluster) resyncReplicas(ids []core.PeerID) error {
 		}
 		acks = append(acks, ch)
 	}
-	return c.waitAcks(acks)
+	// An ack's error names a dead holder, which leaves its source
+	// unprotected until a structural change re-seats it (see
+	// handleReplicaResync) — not a failed resync.
+	var deadHolder error
+	return c.waitAcks(acks, &deadHolder)
 }
 
 // SyncReplicas forces every alive peer to re-ship its full item set to its

@@ -9,9 +9,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
+	"baton/internal/store"
 )
 
 // TestDirectRouteQuiescedOneHop checks the point of the fast path: on a
@@ -456,7 +458,7 @@ func TestDirectRouteChurnNoLostWrite(t *testing.T) {
 }
 
 // addGhost registers a ghost peer: a valid delivery target with no serving
-// goroutine, whose inbox drains only if the test serves it.
+// goroutine, whose queue is walked only if the test serves it.
 func addGhost(c *Cluster, id core.PeerID) *peer {
 	g := newPeer(id, 2)
 	g.alive.Store(true)
@@ -467,72 +469,125 @@ func addGhost(c *Cluster, id core.PeerID) *peer {
 }
 
 // TestDeliverFloodBoundedGoroutines is the regression test for the
-// unbounded transient-goroutine spawn in deliver: every send that found the
-// inbox full used to launch its own goroutine, so a saturated peer's
-// overflow depth became the process's goroutine count. The test floods a
-// peer whose goroutine is guaranteed not to drain — one registered for
-// delivery but never served — far past its inbox capacity and asserts the
-// overflow lands in the spill queue with no goroutine growth at all.
+// unbounded transient-goroutine spawn in deliver: every send that found a
+// peer's inbox full used to launch its own goroutine, so a saturated peer's
+// backlog became the process's goroutine count. The test floods a peer
+// whose goroutine is guaranteed not to run — one registered for delivery
+// but never served — and asserts the flood queues with no goroutine growth
+// at all, comes out in send order, and leaves no more than queueKeep
+// requests of buffer behind once walked.
 func TestDeliverFloodBoundedGoroutines(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 97)
-	// The ghost's inbox can never drain, so every send past its capacity
-	// must take the overflow path deterministically. It is marked busy, as
-	// if a request were running, so no send runs inline.
+	// Marked busy, as if a request were running, so no send runs inline.
 	ghost := addGhost(c, 9999)
 	ghost.busy.Store(1)
 
-	const flood = 4096
+	const flood = 10_000
+	reply := make(chan response, 1)
 	runtime.GC() // retire any straggler goroutines from cluster construction
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < flood; i++ {
-		if !c.send(ghost.id, request{kind: kindGet, key: 1, reply: make(chan response, 1)}) {
+		if !c.send(ghost.id, request{kind: kindGet, key: keyspace.Key(i), reply: reply}) {
 			t.Fatalf("send %d refused", i)
 		}
 	}
 	if grew := runtime.NumGoroutine() - baseline; grew > 8 {
 		t.Fatalf("flooding a saturated peer grew the goroutine count by %d: deliver is spawning per-send goroutines again", grew)
 	}
-	spilled := len(ghost.takeSpill())
-	if want := flood - cap(ghost.inbox); spilled != want {
-		t.Fatalf("spill queue holds %d requests, want %d (flood %d past inbox capacity %d)",
-			spilled, want, flood, cap(ghost.inbox))
-	}
 	if got := int64(flood); c.Messages() < got {
 		t.Fatalf("delivered-message counter %d below flood size %d", c.Messages(), got)
 	}
-}
 
-// TestDeliverFIFOWhileSpilled pins the per-peer delivery order the replica
-// protocol relies on: while the spill queue is non-empty, a new delivery
-// must append behind it even if the inbox has drained room again —
-// otherwise the newer message would jump the queue and messages from one
-// sender could apply out of order.
-func TestDeliverFIFOWhileSpilled(t *testing.T) {
-	c, _ := liveCluster(t, 4, 0, 107)
-	ghost := addGhost(c, 9998)
-	ghost.busy.Store(1) // as if a request were running: every send queues
-
-	// Fill the inbox exactly, then overflow by one.
-	for i := 0; i <= cap(ghost.inbox); i++ {
-		if !c.send(ghost.id, request{kind: kindGet, key: keyspace.Key(i)}) {
-			t.Fatalf("send %d refused", i)
+	// Walk the queue as serve does. A second, small burst shows a walked
+	// batch kept for reuse only while it is under the cap.
+	walk := func(want int) {
+		n := 0
+		for q := ghost.nextBatch(nil); q != nil; q = ghost.nextBatch(q) {
+			for i := range q {
+				if q[i].key != keyspace.Key(n) {
+					t.Fatalf("request %d of the burst has key %d: the queue is not FIFO", n, q[i].key)
+				}
+				n++
+			}
+		}
+		if n != want {
+			t.Fatalf("walked %d queued requests, want %d", n, want)
 		}
 	}
-	// Simulate the serving goroutine draining one inbox slot, then deliver
-	// again: the newcomer must join the spill queue behind the earlier
-	// overflow, not slip into the freed inbox slot ahead of it.
-	<-ghost.inbox
-	if !c.send(ghost.id, request{kind: kindGet, key: 9_000_001}) {
-		t.Fatal("send refused")
+	walk(flood)
+	if kept := cap(ghost.queue); kept != 0 {
+		t.Fatalf("the queue kept %d slots after the flood, want 0: a burst's buffer must go back to the GC", kept)
 	}
-	if got := len(ghost.inbox); got != cap(ghost.inbox)-1 {
-		t.Fatalf("inbox holds %d messages, want %d: a delivery jumped the spill queue", got, cap(ghost.inbox)-1)
+	for i := 0; i < 3; i++ {
+		c.send(ghost.id, request{kind: kindGet, key: keyspace.Key(i), reply: reply})
 	}
-	q := ghost.takeSpill()
-	if len(q) != 2 {
-		t.Fatalf("spill queue holds %d messages, want 2", len(q))
+	walk(3)
+	kept := ghost.queue[:cap(ghost.queue)]
+	if len(kept) == 0 || len(kept) > queueKeep || uintptr(len(kept))*unsafe.Sizeof(request{}) > 4096 {
+		t.Fatalf("the queue kept %d slots after a 3-request burst, want 1..%d (<= 4 KB)", len(kept), queueKeep)
 	}
-	if q[0].key != keyspace.Key(cap(ghost.inbox)) || q[1].key != 9_000_001 {
-		t.Fatalf("spill order [%d %d], want [%d %d]", q[0].key, q[1].key, cap(ghost.inbox), 9_000_001)
+	for i := range kept {
+		if kept[i].reply != nil {
+			t.Fatalf("kept slot %d still pins a reply channel", i)
+		}
+	}
+}
+
+// TestDeliverFIFOAcrossBatches pins the per-peer delivery order the replica
+// protocol relies on across serve's batches: a delivery landing while serve
+// walks a detached batch must run after that batch — not ahead of it, and
+// not in a slot of the batch still being walked. Replica delta seq i writes
+// value i under every key from keys[i-1] on, so the replica ends as
+// {a:1 b:2 c:3 d:4} only if the deltas apply in order.
+func TestDeliverFIFOAcrossBatches(t *testing.T) {
+	c, _ := liveCluster(t, 4, 0, 107)
+	h := addGhost(c, 9998)
+
+	const src = 4242
+	keys := []keyspace.Key{10, 20, 30, 40}
+	delta := func(seq int) request {
+		var ups []store.Item
+		for _, k := range keys[seq-1:] {
+			ups = append(ups, store.Item{Key: k, Value: []byte(fmt.Sprint(seq))})
+		}
+		return request{kind: kindReplicate, src: src, seq: int64(seq), bulk: ups}
+	}
+	h.busy.Add(1) // the test takes the token, so every send queues
+	h.run.Lock()
+	for seq := 1; seq <= 3; seq++ {
+		if !c.send(h.id, delta(seq)) {
+			t.Fatalf("delta %d refused", seq)
+		}
+	}
+	c.wg.Add(1)
+	go c.serve(h)
+	// serve detaches the three deltas, then waits for the token to run the
+	// first: delta 4 lands while that batch is being walked.
+	withTimeout(t, 5*time.Second, "serve detaching the batch", func() {
+		for queued(h) != 0 {
+			runtime.Gosched()
+		}
+	})
+	if !c.send(h.id, delta(4)) {
+		t.Fatal("delta 4 refused")
+	}
+	h.run.Unlock()
+	h.busy.Add(-1)
+
+	ch := make(chan response, 1)
+	if !c.send(h.id, request{kind: kindReplicaFetch, src: src, reply: ch}) {
+		t.Fatal("fetch refused")
+	}
+	resp := <-ch
+	var got []string
+	for _, it := range resp.items {
+		got = append(got, fmt.Sprintf("%d:%s", it.Key, it.Value))
+	}
+	if fmt.Sprint(got) != "[10:1 20:2 30:3 40:4]" {
+		t.Fatalf("replica after four deltas = %v, want [10:1 20:2 30:3 40:4]", got)
+	}
+	// Deltas 2 and 3 queued behind delta 1; delta 4 found the queue empty.
+	if n := h.met.Snapshot(int64(h.id), kindName).Spilled["REPLICATE"]; n != 2 {
+		t.Fatalf("%d deltas counted as queued behind others, want 2", n)
 	}
 }

@@ -31,7 +31,7 @@ func (h *Hub) Endpoint(id NodeID) *Local {
 // hub and invokes its handler directly. The p2p cluster only consults a
 // transport for peers hosted by *another* node, so a single-process cluster
 // on Local endpoints pays exactly one nil-check over the historical
-// channel/spill fast path — which is the fast path, unchanged.
+// in-process queue fast path — which is the fast path, unchanged.
 type Local struct {
 	hub     *Hub
 	id      NodeID

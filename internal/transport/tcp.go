@@ -314,8 +314,8 @@ func (t *TCP) Close() {
 }
 
 // tcpConn is one registered connection: an unbounded outbound queue drained
-// by a writer goroutine (mirroring the peer spill queues, Send never
-// blocks) and a reader goroutine dispatching inbound frames.
+// by a writer goroutine (mirroring the peer queues, Send never blocks)
+// and a reader goroutine dispatching inbound frames.
 type tcpConn struct {
 	t      *TCP
 	peer   NodeID

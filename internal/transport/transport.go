@@ -5,7 +5,7 @@
 // # The seam
 //
 // The p2p layer historically delivered requests by writing a `request` struct
-// — reply channel and all — straight into the destination peer's inbox. That
+// — reply channel and all — straight into the destination peer's queue. That
 // fast path survives unchanged for peers hosted by the same process: hop
 // counts, the 0-alloc direct-get path and the goroutine-leak barrier are
 // untouched, because no Msg is ever built for an in-process delivery. Only
