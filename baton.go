@@ -229,9 +229,10 @@ const (
 type Query = p2p.Query
 
 // Plan is the execution strategy of one Query: the serial adjacent-chain
-// walk, the parallel scatter, or — PlanAuto, the zero value — whichever
-// the planner picks from the range's estimated peer-span, with the
-// crossover tuned from the latencies the cluster itself observes.
+// walk, the parallel scatter, or — PlanAuto, the zero value — the
+// planner's rule over the range's estimated peer-span: serial below a span
+// of 4, parallel from 4 on, the crossover measured range workloads settle
+// on (a limited PlanAuto query always walks serially).
 type Plan = query.Plan
 
 // Range execution plans.

@@ -5,9 +5,9 @@ import "sync/atomic"
 // counterLine is one cache-line-padded counter, so that adjacent
 // counters in a block — or the tail of one peer's block and the head of
 // the next — never share a line. The padding trades memory (64 bytes per
-// counter) for the same property msgCounter in internal/p2p buys with
-// shards: concurrent writers to *different* counters never serialise on
-// the cache-coherence protocol.
+// counter) for isolation: concurrent writers to *different* counters never
+// serialise on the cache-coherence protocol. The cluster's message total
+// is the sum of the delivered counters, so it needs no counter of its own.
 type counterLine struct {
 	n atomic.Int64
 	_ [56]byte
@@ -52,6 +52,15 @@ func NewPeerMetrics(nkinds int) *PeerMetrics {
 // queued. It returns the new count, from which the p2p layer picks the 1
 // delivery in 64 per kind it times.
 func (m *PeerMetrics) Delivered(kind int) int64 { return m.delivered[kind].n.Add(1) }
+
+// DeliveredTotal returns the delivered count summed over every kind.
+func (m *PeerMetrics) DeliveredTotal() int64 {
+	var t int64
+	for i := range m.delivered {
+		t += m.delivered[i].n.Load()
+	}
+	return t
+}
 
 // Inline counts one message of the given kind that found the peer idle
 // and ran to completion on the delivering goroutine (it is also counted

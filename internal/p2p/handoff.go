@@ -13,6 +13,7 @@ import (
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
+	"baton/internal/obs"
 	"baton/internal/store"
 )
 
@@ -400,8 +401,7 @@ func (c *Cluster) reapTombstones() {
 	if len(c.tombstones) == 0 {
 		return
 	}
-	var keep []*peer
-	var reaped []core.PeerID
+	var keep, reaped []*peer
 	for _, p := range c.tombstones {
 		if !p.gone.Load() {
 			p.gone.Store(true) // stage 1: stop accepting new deliveries
@@ -413,19 +413,23 @@ func (c *Cluster) reapTombstones() {
 			continue
 		}
 		close(p.quit) // stage 2: drain, forward and exit
-		// Fold the tombstone's counters into the retired aggregate so
-		// cluster totals (StaleRoutes, Metrics) stay monotonic after the
-		// peer vanishes from the topology.
-		c.retired.Absorb(p.met)
-		reaped = append(reaped, p.id)
+		reaped = append(reaped, p)
 	}
 	c.tombstones = keep
 	if len(reaped) == 0 {
 		return
 	}
-	nt := c.topo.Load().clone()
-	for _, id := range reaped {
-		delete(nt.peers, id)
+	// The snapshot that drops the reaped peers carries a fresh retired
+	// block with their counters folded in, so cluster totals (Messages,
+	// StaleRoutes, Metrics) read from one snapshot count each of them
+	// exactly once and never go backwards.
+	old := c.topo.Load()
+	nt := old.clone()
+	nt.retired = obs.NewPeerMetrics(numKinds)
+	nt.retired.Absorb(old.retired)
+	for _, p := range reaped {
+		nt.retired.Absorb(p.met)
+		delete(nt.peers, p.id)
 	}
 	c.topo.Store(nt)
 }

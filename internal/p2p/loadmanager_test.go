@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -672,16 +673,29 @@ func TestAutoBalanceChurnStress(t *testing.T) {
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	snaps := verifyCluster(t, c)
-	if err := c.SyncReplicas(); err != nil {
-		t.Fatal(err)
-	}
-	replicas, err := c.Replicas()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.VerifyReplication(snaps, replicas); err != nil {
-		t.Fatalf("replication invariants after balancing churn: %v", err)
+	// The balancer keeps running after the traffic stops, and an action
+	// landing between the snapshot and the replica dump would audit two
+	// different states: take both from one cut, retrying while the
+	// structure moves under the audit.
+	for try := 0; ; try++ {
+		snaps := verifyCluster(t, c)
+		if err := c.SyncReplicas(); err != nil {
+			t.Fatal(err)
+		}
+		replicas, err := c.Replicas()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := verifyCluster(t, c); !reflect.DeepEqual(snaps, after) {
+			if try == 50 {
+				t.Fatal("the balancer never settled for an audit")
+			}
+			continue
+		}
+		if err := core.VerifyReplication(snaps, replicas); err != nil {
+			t.Fatalf("replication invariants after balancing churn: %v", err)
+		}
+		break
 	}
 	t.Logf("balance events under churn: %d (stale routes %d)", c.BalanceEvents(), c.StaleRoutes())
 }

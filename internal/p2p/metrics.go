@@ -16,8 +16,9 @@ import (
 // traffic: the peer set comes from the atomically published topology, and
 // every counter, gauge and histogram is a typed atomic. Peers are reported
 // in id order; counts of peers already reaped from the topology survive in
-// the cluster totals (the retired aggregate), so totals are monotonic
-// across membership churn.
+// the cluster totals (the snapshot's retired block, read from the same
+// snapshot as the peers, so no peer is counted twice or not at all), so
+// totals are monotonic across membership churn.
 func (c *Cluster) Metrics() obs.ClusterMetrics {
 	t := c.topo.Load()
 	peers := make([]obs.PeerSnapshot, 0, len(t.peers))
@@ -25,7 +26,7 @@ func (c *Cluster) Metrics() obs.ClusterMetrics {
 		peers = append(peers, p.met.Snapshot(int64(p.id), kindName))
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Peer < peers[j].Peer })
-	cm := obs.BuildClusterMetrics(peers, c.retired.Snapshot(-1, kindName))
+	cm := obs.BuildClusterMetrics(peers, t.retired.Snapshot(-1, kindName))
 	cm.Plans = c.plans.Snapshot()
 	if c.net != nil {
 		if tr := c.net.tr(); tr != nil {

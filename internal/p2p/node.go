@@ -464,7 +464,6 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		}
 		return false
 	}
-	c.msgs.add(uint64(p.id))
 	p.met.Delivered(int(req.kind))
 	//batonvet:ignore replypool ownership crossed the wire: the response frame (or a connection-drop sweep) releases the entries
 	return true
@@ -1004,6 +1003,7 @@ func (c *Cluster) applyTopoBroadcast(body []byte) {
 		peers:   make(map[core.PeerID]*peer, len(ms)+len(old.peers)),
 		members: make(map[core.PeerID]bool, len(ms)),
 		epoch:   epoch,
+		retired: old.retired,
 	}
 	for _, m := range ms {
 		p := old.peers[m.id]
@@ -1219,13 +1219,12 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 		suspects:  make(chan core.PeerID, 64),
 		traces:    obs.NewTraceRing(traceRingSize),
 		journal:   obs.NewJournal(journalSize),
-		retired:   obs.NewPeerMetrics(numKinds),
-		planner:   query.NewPlanner(),
 		planCache: query.NewCache(),
 	}
 	c.topo.Store(&topology{
 		peers:   make(map[core.PeerID]*peer),
 		members: make(map[core.PeerID]bool),
+		retired: obs.NewPeerMetrics(numKinds),
 	})
 	c.states = make(map[core.PeerID]core.PeerSnapshot)
 	n.attach(c)

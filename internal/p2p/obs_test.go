@@ -268,6 +268,75 @@ func TestMetricsCountersTrackTraffic(t *testing.T) {
 	}
 }
 
+// TestMessagesCountEachDeliveryOnce pins the delivery totals under churn:
+// Messages, StaleRoutes and Metrics each read the live peers and the
+// retired block of one topology snapshot, so while Join/Depart churn reaps
+// tombstones under direct-routed traffic a concurrent sampler never sees
+// Messages or StaleRoutes go down, and at quiescence Messages equals the
+// Metrics delivered total and StaleRoutes the Metrics stale-route total.
+func TestMessagesCountEachDeliveryOnce(t *testing.T) {
+	c, keys := liveCluster(t, 24, 300, 463)
+	c.SetRouteMode(RouteDirect)
+	ids := c.PeerIDs()
+	stop := make(chan struct{})
+	var traffic, sampler sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		traffic.Add(1)
+		go func(w int) {
+			defer traffic.Done()
+			rng := rand.New(rand.NewSource(int64(467 + w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.Get(ids[rng.Intn(len(ids))], keys[rng.Intn(len(keys))])
+			}
+		}(w)
+	}
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		var msgs, stale int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m, s := c.Messages(), c.StaleRoutes()
+			if m < msgs || s < stale {
+				t.Errorf("totals went backwards: Messages %d -> %d, StaleRoutes %d -> %d", msgs, m, stale, s)
+				return
+			}
+			msgs, stale = m, s
+		}
+	}()
+	for i := 0; i < 24; i++ {
+		id, err := c.Join(ids[i%len(ids)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond) // let traffic reach the new peer
+		if err := c.Depart(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	withTimeout(t, 30*time.Second, "traffic and sampler", func() { traffic.Wait(); sampler.Wait() })
+	if c.topo.Load().retired.DeliveredTotal() == 0 {
+		t.Fatal("no delivery was retired: the churn reaped no tombstone that had served traffic")
+	}
+	m := c.Metrics()
+	if got, want := c.Messages(), sumCounts(m.Delivered); got != want {
+		t.Fatalf("Messages() = %d, Metrics delivered total = %d", got, want)
+	}
+	if got, want := c.StaleRoutes(), m.StaleRoutes; got != want {
+		t.Fatalf("StaleRoutes() = %d, Metrics stale routes = %d", got, want)
+	}
+}
+
 // TestHopClockSampling pins the hop-timing contract. Untraced, a peer times
 // one delivery in hopClockEvery of each kind, inline or queued: once the
 // cluster is quiet, each peer's queue-wait and handle-time histograms hold

@@ -150,17 +150,18 @@
 //
 // # Query layer
 //
-// A thin adaptive planner (query.go, internal/query) picks the plan of a
-// PlanAuto query: it estimates the range's peer-span from the published
-// ring — two binary searches against state the client already holds, no
-// messages, no locks — and dispatches the serial walk for narrow ranges
-// and the scatter for wide ones, with the crossover tuned per span bucket
-// from the latencies the cluster itself observes rather than hard-coded. A
-// small (range bucket, epoch)-keyed plan cache short-circuits the estimate
-// and the entry-point lookup for repeated ranges and is invalidated
-// implicitly by every epoch bump. QueryIter streams an answer: scatter
-// branches push bounded batches through a channel-backed sink as they land,
-// so wide queries allocate O(batch) rather than O(result). A query's
+// A thin planner (query.go, internal/query) picks the plan of a PlanAuto
+// query: it estimates the range's peer-span from the published ring — two
+// binary searches against state the client already holds, no messages, no
+// locks — and walks serially when the span is below 4, scattering
+// otherwise. The 4 is the crossover a self-tuning planner's trials
+// measured and converged to on both range workloads; the rule keeps no
+// state and reads no clock. A small (range bucket, epoch)-keyed plan cache
+// short-circuits the estimate and the entry-point lookup for repeated
+// ranges and is invalidated implicitly by every epoch bump. QueryIter
+// streams an answer: scatter branches push bounded batches through a
+// channel-backed sink as they land, so wide queries allocate O(batch)
+// rather than O(result). A query's
 // predicate (internal/query.Pred: value-length bounds, key-set membership,
 // item limit) is evaluated at the owning peers, so items that cannot match
 // never cross the wire, and a limited serial walk terminates the adjacent
@@ -599,6 +600,12 @@ type topology struct {
 	ids     []core.PeerID
 	hopCap  int
 	epoch   uint64
+	// retired holds the folded counters of every peer object dropped from
+	// peers. It is replaced, never written, once published: the snapshot
+	// that drops a peer carries a fresh block with that peer folded in, so
+	// a reader sweeping peers and retired of one snapshot counts each
+	// delivery exactly once.
+	retired *obs.PeerMetrics
 }
 
 // clone copies the topology with a fresh peers map (the mutable part of a
@@ -625,7 +632,6 @@ type Cluster struct {
 	wg      sync.WaitGroup
 	done    chan struct{}
 	stopped atomic.Bool
-	msgs    msgCounter
 
 	// routeMode selects the entry path of singleton Get/Put/Delete requests
 	// (RouteOverlay or RouteDirect — see routecache.go). Stale direct
@@ -634,23 +640,19 @@ type Cluster struct {
 	routeMode atomic.Int32
 
 	// The flight recorder (see metrics.go): sampler decides which requests
-	// carry a trace, traces retains the completed ones, journal records
-	// structural operations, and retired accumulates the counters of peers
-	// that have been reaped from the topology so cluster totals stay
-	// monotonic. curEvent is the journal entry of the structural operation
-	// in progress; guarded by memberMu.
+	// carry a trace, traces retains the completed ones, and journal records
+	// structural operations. curEvent is the journal entry of the
+	// structural operation in progress; guarded by memberMu. The counters
+	// of peers reaped from the topology live in topology.retired.
 	sampler  obs.Sampler
 	traces   *obs.TraceRing
 	journal  *obs.Journal
-	retired  *obs.PeerMetrics
 	curEvent *obs.Event
 
-	// The query layer (query.go): planner picks serial vs parallel
-	// execution per range request from the estimated peer-span and tunes
-	// the crossover from observed latencies, planCache short-circuits the
-	// span estimate and owner lookup for repeated ranges until the next
-	// epoch bump, and plans counts the decisions for Metrics.
-	planner   *query.Planner
+	// The query layer (query.go): planCache short-circuits the span
+	// estimate and owner lookup for repeated ranges until the next epoch
+	// bump, and plans counts the decisions for Metrics; the plan itself is
+	// query.Choose's rule over the span.
 	planCache *query.Cache
 	plans     obs.PlanCounters
 
@@ -708,8 +710,6 @@ func NewCluster(nw *core.Network) *Cluster {
 		suspects:  make(chan core.PeerID, 64),
 		traces:    obs.NewTraceRing(traceRingSize),
 		journal:   obs.NewJournal(journalSize),
-		retired:   obs.NewPeerMetrics(numKinds),
-		planner:   query.NewPlanner(),
 		planCache: query.NewCache(),
 	}
 	snapshot := core.Snapshot(nw)
@@ -730,6 +730,7 @@ func NewCluster(nw *core.Network) *Cluster {
 	t := &topology{
 		peers:   make(map[core.PeerID]*peer),
 		members: make(map[core.PeerID]bool),
+		retired: obs.NewPeerMetrics(numKinds),
 	}
 	t.epoch = 1
 	for _, ps := range snapshot {
@@ -796,31 +797,16 @@ func snapshotMap(snaps []core.PeerSnapshot) map[core.PeerID]core.PeerSnapshot {
 // gracefully departed peers are not members).
 func (c *Cluster) Size() int { return len(c.topo.Load().ids) }
 
-// Messages returns the total number of peer-to-peer messages delivered.
-func (c *Cluster) Messages() int64 { return c.msgs.total() }
-
-// msgCounter counts delivered messages across cache-line-padded shards so
-// that concurrent deliveries to different peers do not all serialise on one
-// atomic word — with hundreds of client goroutines the single cluster-wide
-// counter is a measurable contention hot spot. Deliveries to the same peer
-// hash to the same shard, which is the contention the queue already imposes.
-type msgCounter struct {
-	shards [msgShardCount]struct {
-		n atomic.Int64
-		_ [56]byte // pad to a 64-byte cache line
+// Messages returns the total number of peer-to-peer messages delivered:
+// the per-peer delivery counters of one topology snapshot plus the peers it
+// has already retired, so the total never goes backwards across churn.
+func (c *Cluster) Messages() int64 {
+	t := c.topo.Load()
+	total := t.retired.DeliveredTotal()
+	for _, p := range t.peers {
+		total += p.met.DeliveredTotal()
 	}
-}
-
-const msgShardCount = 32
-
-func (m *msgCounter) add(slot uint64) { m.shards[slot%msgShardCount].n.Add(1) }
-
-func (m *msgCounter) total() int64 {
-	var t int64
-	for i := range m.shards {
-		t += m.shards[i].n.Load()
-	}
-	return t
+	return total
 }
 
 // Domain returns the key domain the cluster partitions.
@@ -1007,26 +993,25 @@ func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) 
 	if !evenDead && !p.alive.Load() {
 		return false, false
 	}
-	if p.node != 0 {
-		// A stub for a peer hosted on another node: hand the request to the
-		// wire (same refusal semantics; the correlation machinery replaces
-		// the reply channel). gone gates retired remote tombstones exactly
-		// like local ones.
-		if c.net == nil || p.gone.Load() {
-			return false, false
-		}
-		return c.net.deliver(p, *req, evenDead), false
-	}
-	// The inflight count brackets the whole delivery, an inline run too, so
-	// a tombstone is only retired once provably no send can still land in
-	// its queue; a delivery beginning after gone is set backs out, and its
-	// caller fails over as if the peer were dead.
+	// The inflight count brackets the whole delivery, an inline run and a
+	// wire hand-off too, so a tombstone is only retired — its counters
+	// folded into the retired block — once provably no send can still
+	// land in its queue or count against it; a delivery beginning after
+	// gone is set backs out, and its caller fails over as if the peer were
+	// dead.
 	p.inflight.Add(1)
 	if p.gone.Load() {
 		p.inflight.Add(-1)
 		return false, false
 	}
-	c.msgs.add(uint64(p.id))
+	if p.node != 0 {
+		// A stub for a peer hosted on another node: hand the request to the
+		// wire (same refusal semantics; the correlation machinery replaces
+		// the reply channel).
+		ok = c.net != nil && c.net.deliver(p, *req, evenDead)
+		p.inflight.Add(-1)
+		return ok, false
+	}
 	req.enq = 0
 	if n := p.met.Delivered(int(req.kind)); n%hopClockEvery == 0 || req.trace != nil {
 		req.enq = enqInline

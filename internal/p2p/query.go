@@ -11,12 +11,11 @@
 //
 // Every query takes the same steps. planRange estimates the range's
 // peer-span from the ring and looks up the slot owning its lower bound,
-// fixes the plan — the caller's, or under query.PlanAuto the
-// query.Planner's choice between the serial adjacent-chain walk and the
-// parallel scatter (the crossover is tuned from the latencies the cluster
-// itself observes, not a hard-coded constant) — and issue delivers the
-// request straight to that owner, falling back to via when it is dead or
-// unknown. A (range bucket, epoch)-keyed query.Cache short-circuits the
+// fixes the plan — the caller's, or under query.PlanAuto the rule
+// query.Choose applies to the span: the serial adjacent-chain walk below a
+// span of 4, the parallel scatter from 4 on, the crossover measured
+// workloads settle on — and issue delivers the request straight to that
+// owner, falling back to via when it is dead or unknown. A (range bucket, epoch)-keyed query.Cache short-circuits the
 // span estimate and the owner lookup for repeated ranges; every ownership
 // publication bumps the epoch, which invalidates the cache implicitly. A
 // stale cache entry — the bucket was shared, or ownership moved before the
@@ -36,7 +35,6 @@ package p2p
 import (
 	"errors"
 	"sort"
-	"time"
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
@@ -109,18 +107,16 @@ func (c *Cluster) EstimateSpan(r keyspace.Range) int {
 // parallel, and plan-cache hits.
 func (c *Cluster) PlanStats() obs.PlanSnapshot { return c.plans.Snapshot() }
 
-// planRange resolves q under the current topology: its plan, the range's
-// peer-span, and the peer owning q.Range.Lower (nil for an empty ring).
+// planRange resolves q under the current topology: its plan and the peer
+// owning q.Range.Lower (nil for an empty ring).
 // Span and owner slot come from the plan cache when current and are
 // recomputed and cached otherwise. An explicit q.Plan stands. PlanAuto with
 // a limit is served serially: the chain stops the moment the limit is
 // reached, while a scatter would fan work out to peers whose items are then
-// thrown away. Otherwise query.Planner.Choose picks — re-chosen per query (a
-// handful of atomic operations), so the trial schedule keeps tuning even on
-// all-hit workloads.
-func (c *Cluster) planRange(q Query) (plan query.Plan, span int, entry *peer) {
+// thrown away. Otherwise query.Choose picks from the span alone.
+func (c *Cluster) planRange(q Query) (plan query.Plan, entry *peer) {
 	t := c.topo.Load()
-	var ownerIdx int
+	var span, ownerIdx int
 	bucket := query.BucketOf(q.Range)
 	if e, ok := c.planCache.Get(bucket, t.epoch); ok {
 		c.plans.CacheHit()
@@ -138,32 +134,27 @@ func (c *Cluster) planRange(q Query) (plan query.Plan, span int, entry *peer) {
 	case q.Pred.LimitOrZero() > 0:
 		plan = query.PlanSerial
 	default:
-		plan = c.planner.Choose(span)
+		plan = query.Choose(span)
 	}
 	if plan == query.PlanSerial {
 		c.plans.Serial()
 	} else {
 		c.plans.Parallel()
 	}
-	return plan, span, entry
+	return plan, entry
 }
 
 // Query answers q starting at peer via: the matching items in key order,
 // and the longest message chain that produced them. The request enters at
 // the cached owner of q.Range.Lower, or at via when that owner is dead or
 // unknown. A dead peer inside the range yields the partial answer together
-// with ErrOwnerDown. The planner learns only from the queries it planned
-// itself — PlanAuto without a limit — that answered cleanly.
+// with ErrOwnerDown.
 func (c *Cluster) Query(via core.PeerID, q Query) ([]store.Item, int, error) {
 	q.Pred.Normalize()
-	plan, span, entry := c.planRange(q)
-	start := time.Now()
+	plan, entry := c.planRange(q)
 	resp, err := c.issue(via, entry, q.request(plan))
 	if err != nil {
 		return nil, 0, err
-	}
-	if q.Plan == query.PlanAuto && q.Pred.LimitOrZero() == 0 && resp.err == nil {
-		c.planner.Observe(plan, span, time.Since(start).Nanoseconds())
 	}
 	return resp.items, resp.hops, resp.err
 }
@@ -278,7 +269,7 @@ func (c *Cluster) QueryIter(via core.PeerID, q Query) (*RangeIter, error) {
 	}
 	q.Pred.Normalize()
 	q.Plan = query.PlanParallel
-	_, _, entry := c.planRange(q)
+	_, entry := c.planRange(q)
 	sink := &rangeSink{ch: make(chan iterBatch, sinkBuffer), cancel: make(chan struct{}), done: c.done}
 	// The collector is built here so the sink and predicate travel with the
 	// request; the coordinating peer seeds no collector of its own (see

@@ -157,6 +157,67 @@ func TestPlanCacheNotServedAcrossEpochBump(t *testing.T) {
 	}
 }
 
+// TestPlanAutoFollowsSpanRule pins PlanAuto on a live cluster: every query
+// of spans 1 to 13, from the very first, runs serially below a span of 4
+// and in parallel from 4 on, and since the plan depends on the span alone,
+// two identically seeded clusters spend identical messages on each query of
+// the same list.
+func TestPlanAutoFollowsSpanRule(t *testing.T) {
+	a, _ := liveCluster(t, 64, 600, 44)
+	b, _ := liveCluster(t, 64, 600, 44)
+	ids := a.PeerIDs()
+	rng := rand.New(rand.NewSource(44))
+	type spanQuery struct {
+		r    keyspace.Range
+		span int
+	}
+	var list []spanQuery
+	for rep := 0; rep < 3; rep++ {
+		for span := 1; span <= 13; span++ {
+			// Start inside a random peer with at least 13 peers to its
+			// right, and take the narrowest width EstimateSpan says covers
+			// span peers: span grows by one each time the upper bound
+			// crosses a peer's lower bound.
+			ring := a.topo.Load().ring
+			i := rng.Intn(len(ring) - 13)
+			lo := ring[i].lower + keyspace.Key(rng.Int63n(int64(ring[i+1].lower-ring[i].lower)))
+			w := keyspace.Key(1)
+			for a.EstimateSpan(keyspace.NewRange(lo, lo+w)) < span {
+				w *= 2
+			}
+			for step := w / 2; step > 0; step /= 2 {
+				if a.EstimateSpan(keyspace.NewRange(lo, lo+w-step)) >= span {
+					w -= step
+				}
+			}
+			r := keyspace.NewRange(lo, lo+w)
+			if got := a.EstimateSpan(r); got != span {
+				t.Fatalf("EstimateSpan(%v) = %d, want %d", r, got, span)
+			}
+			list = append(list, spanQuery{r, span})
+		}
+	}
+	for n, q := range list {
+		via := ids[n%len(ids)]
+		before := a.PlanStats()
+		aMsgs, bMsgs := a.Messages(), b.Messages()
+		if _, _, err := a.Query(via, Query{Range: q.r}); err != nil {
+			t.Fatalf("query %d over %v: %v", n, q.r, err)
+		}
+		if _, _, err := b.Query(via, Query{Range: q.r}); err != nil {
+			t.Fatalf("query %d over %v on the twin: %v", n, q.r, err)
+		}
+		after := a.PlanStats()
+		serial, parallel := after.Serial-before.Serial, after.Parallel-before.Parallel
+		if q.span < 4 && (serial != 1 || parallel != 0) || q.span >= 4 && (serial != 0 || parallel != 1) {
+			t.Fatalf("query %d (span %d): serial +%d, parallel +%d; want serial below span 4, parallel from 4", n, q.span, serial, parallel)
+		}
+		if da, db := a.Messages()-aMsgs, b.Messages()-bMsgs; da != db {
+			t.Fatalf("query %d (span %d): %d messages, twin cluster %d", n, q.span, da, db)
+		}
+	}
+}
+
 // parallelQuery and serialQuery read r under a fixed plan.
 func parallelQuery(r keyspace.Range) Query { return Query{Range: r, Plan: query.PlanParallel} }
 func serialQuery(r keyspace.Range) Query   { return Query{Range: r, Plan: query.PlanSerial} }

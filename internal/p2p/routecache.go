@@ -68,11 +68,12 @@ func (c *Cluster) RouteMode() RouteMode { return RouteMode(c.routeMode.Load()) }
 // quiesced cluster; under churn it measures how much the route cache lags.
 // The count lives in the per-peer metrics registry — each miss is
 // attributed to the peer that detected it (Cluster.Metrics breaks it
-// down) — and this is the back-compat sum, including peers already
-// retired from the topology so it never goes backwards.
+// down) — and this is the back-compat sum over one topology snapshot,
+// including the peers it has already retired, so it never goes backwards.
 func (c *Cluster) StaleRoutes() int64 {
-	total := c.retired.StaleRoutes()
-	for _, p := range c.topo.Load().peers {
+	t := c.topo.Load()
+	total := t.retired.StaleRoutes()
+	for _, p := range t.peers {
 		total += p.met.StaleRoutes()
 	}
 	return total

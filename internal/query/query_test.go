@@ -8,155 +8,59 @@ import (
 	"baton/internal/keyspace"
 )
 
-// TestPlannerTrialSchedule pins the tuning schedule: every cycle opens
-// with a parallel trial burst (the plan whose wake drains fast goes
-// first), then a serial trial burst, then commits.
-func TestPlannerTrialSchedule(t *testing.T) {
-	pl := NewPlanner()
-	for i := 0; i < trialLen; i++ {
-		if got := pl.Choose(64); got != PlanParallel {
-			t.Fatalf("decision %d: got %v, want the parallel trial burst", i, got)
-		}
-	}
-	for i := 0; i < trialLen; i++ {
-		if got := pl.Choose(64); got != PlanSerial {
-			t.Fatalf("decision %d: got %v, want the serial trial burst", trialLen+i, got)
-		}
-	}
-}
-
 // TestPlanAuto pins the zero Plan: it is PlanAuto, each plan prints its own
-// name, Choose never returns it, and Observe records nothing for it.
+// name, and Choose never returns it.
 func TestPlanAuto(t *testing.T) {
 	if got := fmt.Sprint(Plan(0), PlanSerial, PlanParallel); got != "auto serial parallel" {
 		t.Fatalf("plan names = %q, want auto serial parallel", got)
 	}
-	pl := NewPlanner()
-	pl.Observe(PlanAuto, 64, 1000)
-	b := &pl.buckets[spanBucket(64)]
-	for p := range b.hist {
-		if b.hist[p].Count() != 0 {
-			t.Fatal("Observe(PlanAuto) recorded a sample")
-		}
-	}
-	for i := 0; i <= cycleLen; i++ {
-		if got := pl.Choose(64); got == PlanAuto {
-			t.Fatalf("decision %d: Choose returned PlanAuto", i)
+	for span := 0; span <= 64; span++ {
+		if got := Choose(span); got == PlanAuto {
+			t.Fatalf("Choose(%d) returned PlanAuto", span)
 		}
 	}
 }
 
-// TestPlannerColdPrior pins the seeded crossover: with no latency data at
-// all (Observe never called), commit-phase decisions run narrow ranges
-// serially and wide ranges in parallel.
+// TestPlannerColdPrior pins the rule's table: narrow ranges walk serially
+// and wide ones scatter from the very first decision, with no warm-up and
+// no dependence on what was chosen before.
 func TestPlannerColdPrior(t *testing.T) {
-	pl := NewPlanner()
-	// Burn both buckets' trial bursts without feeding any measurements.
-	for i := 0; i < 2*trialLen; i++ {
-		pl.Choose(1)
-		pl.Choose(64)
+	cases := []struct {
+		span int
+		want Plan
+	}{
+		{0, PlanSerial}, {1, PlanSerial}, {3, PlanSerial},
+		{4, PlanParallel}, {64, PlanParallel}, {1 << 20, PlanParallel},
 	}
-	for i := 0; i < 12; i++ {
-		if got := pl.Choose(1); got != PlanSerial {
-			t.Fatalf("cold commit for span 1: got %v, want serial", got)
-		}
-		if got := pl.Choose(64); got != PlanParallel {
-			t.Fatalf("cold commit for span 64: got %v, want parallel", got)
+	for _, c := range cases {
+		if got := Choose(c.span); got != c.want {
+			t.Errorf("Choose(%d) = %v, want %v", c.span, got, c.want)
 		}
 	}
 }
 
-// TestPlannerLearnsCrossover feeds the planner latencies where the seeded
-// prior is wrong in both directions and checks the measured data wins.
-// The comparison is occupancy-corrected: a span-s chain walk's service
-// demand is ~(s/2)× its burst latency, so at span 64 serial must be more
-// than 32× faster than parallel to win the commit — here 10µs vs 900µs
-// (demand 320µs vs 900µs) commits the wide bucket to serial. On the
-// narrow span the factor is 1 and parallel's raw mean wins directly.
-func TestPlannerLearnsCrossover(t *testing.T) {
-	pl := NewPlanner()
-	// Walk both buckets through their trial bursts, answering each trial
-	// decision with a latency that inverts the seeded prior.
-	for i := 0; i < 2*trialLen+1; i++ {
-		switch pl.Choose(64) {
-		case PlanAuto:
-			t.Fatal("Choose returned PlanAuto")
-		case PlanSerial:
-			pl.Observe(PlanSerial, 64, 10_000) // serial very fast on wide spans
-		case PlanParallel:
-			pl.Observe(PlanParallel, 64, 900_000) // parallel slow there
-		}
-		switch pl.Choose(2) {
-		case PlanAuto:
-			t.Fatal("Choose returned PlanAuto")
-		case PlanSerial:
-			pl.Observe(PlanSerial, 2, 800_000) // serial slow on narrow spans
-		case PlanParallel:
-			pl.Observe(PlanParallel, 2, 50_000) // parallel fast there
-		}
-	}
-	const n = 100
-	for i := 0; i < n; i++ {
-		if got := pl.Choose(64); got != PlanSerial {
-			t.Fatalf("commit decision %d for span 64: got %v, want serial (measured demand lower)", i, got)
-		}
-		if got := pl.Choose(2); got != PlanParallel {
-			t.Fatalf("commit decision %d for span 2: got %v, want parallel (measured demand lower)", i, got)
-		}
-	}
-}
-
-// TestPlannerOccupancyGuard pins the correction's point: a serial trial
-// that looks only modestly faster than parallel on a wide span (burst
-// means flatter the chain walk, whose congestion cost a short burst never
-// sees) must still commit to parallel once demand is compared.
-func TestPlannerOccupancyGuard(t *testing.T) {
-	pl := NewPlanner()
-	for i := 0; i < 2*trialLen+1; i++ {
-		switch pl.Choose(16) {
-		case PlanAuto:
-			t.Fatal("Choose returned PlanAuto")
-		case PlanSerial:
-			pl.Observe(PlanSerial, 16, 200_000) // burst-fast, demand 1.6ms
-		case PlanParallel:
-			pl.Observe(PlanParallel, 16, 600_000)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if got := pl.Choose(16); got != PlanParallel {
-			t.Fatalf("commit decision %d for span 16: got %v, want parallel (serial demand 8x its burst mean)", i, got)
-		}
-	}
-}
-
-// TestPlannerConcurrent exercises Choose/Observe from many goroutines so
-// the race detector can audit the lock-free tuning state.
+// TestPlannerConcurrent runs the benchmark's Planner shim from many
+// goroutines: every decision must match Choose, and Observe must leave
+// nothing behind for the race detector to find.
 func TestPlannerConcurrent(t *testing.T) {
 	pl := NewPlanner()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				span := 1 << (i % 8)
 				p := pl.Choose(span)
+				if p != Choose(span) {
+					t.Errorf("Planner.Choose(%d) = %v, want %v", span, p, Choose(span))
+					return
+				}
 				pl.Observe(p, span, int64(1000*(i+1)))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-}
-
-func TestSpanBucket(t *testing.T) {
-	cases := []struct{ span, bucket int }{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {1 << 20, spanBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := spanBucket(c.span); got != c.bucket {
-			t.Errorf("spanBucket(%d) = %d, want %d", c.span, got, c.bucket)
-		}
-	}
 }
 
 // TestPredMatch pins the predicate contract: zero value matches all,
