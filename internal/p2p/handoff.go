@@ -667,19 +667,13 @@ func (c *Cluster) applyHandoff(p *peer, req request) {
 }
 
 // replayHeld re-handles every buffered request; those still touching a
-// pending region are buffered again by handle. Replays are sent on under
-// p's token; one whose target died is handled again (the hop cap bounds it).
+// pending region are buffered again by handle. Replays are walked on under
+// p's token; one whose next hop died is queued back at p, which re-chooses.
 func (c *Cluster) replayHeld(p *peer) {
-	if len(p.held) == 0 {
-		return
-	}
 	held := p.held
 	p.held = nil
 	for i := range held {
-		h := &held[i]
-		for next := c.handle(p, h); next != nil && !c.deliverTo(next, *h, false); next = c.handle(p, h) {
-			h.visited.add(next.id)
-		}
+		c.walk(p, c.handle(p, &held[i]), &held[i])
 	}
 }
 

@@ -1,13 +1,13 @@
 package p2p
 
 import (
-	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"baton/internal/core"
 	"baton/internal/keyspace"
-	"baton/internal/store"
+	"baton/internal/obs"
 )
 
 // quiesce waits until no local peer has a request queued or running, so a
@@ -86,27 +86,16 @@ func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 157)
 	h := addGhost(c, 9997)
 
-	// Delta seq i writes value i under every key from keys[i-1] on, so the
-	// replica ends as {a:1 b:2 c:3 d:4} only if the deltas apply in order.
-	const src = 4242
-	keys := []keyspace.Key{10, 20, 30, 40}
-	delta := func(seq int) request {
-		var ups []store.Item
-		for _, k := range keys[seq-1:] {
-			ups = append(ups, store.Item{Key: k, Value: []byte(fmt.Sprint(seq))})
-		}
-		return request{kind: kindReplicate, src: src, seq: int64(seq), bulk: ups}
-	}
 	h.busy.Add(1) // the test takes the token
 	h.run.Lock()
 	for seq := 1; seq <= 3; seq++ {
-		if !c.send(h.id, delta(seq)) {
+		if !c.send(h.id, fifoDelta(seq)) {
 			t.Fatalf("delta %d refused", seq)
 		}
 	}
 	h.run.Unlock() // and releases it with three deltas queued
 	h.busy.Add(-1)
-	if !c.send(h.id, delta(4)) {
+	if !c.send(h.id, fifoDelta(4)) {
 		t.Fatal("delta 4 refused")
 	}
 	if got := queued(h); got != 4 {
@@ -115,17 +104,8 @@ func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 	c.wg.Add(1)
 	go c.serve(h)
 
-	ch := make(chan response, 1)
-	if !c.send(h.id, request{kind: kindReplicaFetch, src: src, reply: ch}) {
-		t.Fatal("fetch refused")
-	}
-	resp := <-ch
-	var got []string
-	for _, it := range resp.items {
-		got = append(got, fmt.Sprintf("%d:%s", it.Key, it.Value))
-	}
-	if fmt.Sprint(got) != "[10:1 20:2 30:3 40:4]" {
-		t.Fatalf("replica after four deltas = %v, want [10:1 20:2 30:3 40:4]", got)
+	if got := fifoReplica(t, c, h); got != fifoInOrder {
+		t.Fatalf("replica after four deltas = %v, want %v", got, fifoInOrder)
 	}
 	m := h.met.Snapshot(int64(h.id), kindName)
 	if m.Delivered["REPLICATE"] != 4 || m.Inline["REPLICATE"] != 0 {
@@ -165,9 +145,10 @@ func TestInlineScatterBranchesQueued(t *testing.T) {
 	}
 }
 
-// TestHandOnReleasesToken: a forwarding hop passes the request on after
-// releasing its token, so an inline walk holds one peer at a time. The
-// reply channel is unbuffered, so the owner's respond blocks inside its
+// TestHandOnReleasesToken: every walk kind passes its request on after
+// releasing its token, so an inline walk holds one peer at a time. Each row
+// learns its route from a traced dry run, then sends the request again with
+// an unbuffered reply channel, so the last peer's respond blocks inside its
 // handler, on the walking goroutine, until the test reads it; while it is
 // blocked, every earlier peer on the route must already be idle.
 func TestHandOnReleasesToken(t *testing.T) {
@@ -176,53 +157,96 @@ func TestHandOnReleasesToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectNW, err := core.FromSnapshot(c.Domain(), snaps)
-	if err != nil {
-		t.Fatal(err)
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Range.Lower < snaps[j].Range.Lower })
+	var root core.PeerID
+	for _, s := range snaps {
+		if s.Position.Level == 0 {
+			root = s.ID
+		}
+	}
+	// route runs req from via with a trace and returns the peers it visited.
+	route := func(t *testing.T, via core.PeerID, req request) []core.PeerID {
+		t.Helper()
+		quiesce(t, c)
+		req.trace, req.reply = obs.NewTrace(), make(chan response, 1)
+		if !c.deliverTo(c.peerByID(via), req, false) {
+			t.Fatalf("%v from %d refused", req.kind, via)
+		}
+		if resp := <-req.reply; resp.err != nil {
+			t.Fatalf("%v from %d: %v", req.kind, via, resp.err)
+		}
+		var ids []core.PeerID
+		for _, h := range req.trace.Hops() {
+			ids = append(ids, core.PeerID(h.Peer))
+		}
+		return ids
+	}
+	// first returns the first start in ids whose route has at least atLeast hops.
+	first := func(ids []core.PeerID, req func(i int) request, atLeast int) (core.PeerID, request) {
+		for i, via := range ids {
+			if r := req(i); len(route(t, via, r)) >= atLeast {
+				return via, r
+			}
+		}
+		t.Fatalf("no %v route of %d or more hops", req(0).kind, atLeast)
+		return 0, request{}
 	}
 	ids := c.PeerIDs()
-	var route []core.PeerID
-	var key keyspace.Key
-	for i := 0; len(route) < 4; i++ {
-		if i == len(keys) {
-			t.Fatal("no route of 4 or more hops")
-		}
-		key = keys[i]
-		if route, err = expectNW.RoutePath(ids[i%len(ids)], key); err != nil {
-			t.Fatal(err)
-		}
+	getVia, get := first(ids, func(i int) request { return request{kind: kindGet, key: keys[i%len(keys)]} }, 4)
+	// Four chain peers: the range starts inside snaps[10] and ends inside snaps[13].
+	chain := keyspace.Range{Lower: snaps[10].Range.Lower + 1, Upper: snaps[13].Range.Lower + 1}
+	joinVia, join := first(ids, func(int) request { return request{kind: kindJoinLocate} }, 2)
+	rows := []struct {
+		name    string
+		via     core.PeerID
+		req     request
+		atLeast int
+	}{
+		{"get", getVia, get, 4},
+		{"serial-range", snaps[10].ID, request{kind: kindRange, key: chain.Lower, rng: chain}, 4},
+		{"join-locate", joinVia, join, 2},
+		{"find-replacement", root, request{kind: kindFindReplacement}, 2},
 	}
-	quiesce(t, c)
-	ch := make(chan response)
-	go c.deliverTo(c.peerByID(route[0]), request{kind: kindGet, key: key, reply: ch}, false)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			path := route(t, row.via, row.req)
+			if len(path) < row.atLeast {
+				t.Fatalf("route %v has %d hops, want at least %d", path, len(path), row.atLeast)
+			}
+			quiesce(t, c)
+			ch := make(chan response)
+			req := row.req
+			req.reply = ch
+			go c.deliverTo(c.peerByID(row.via), req, false)
 
-	owner := c.peerByID(route[len(route)-1])
-	for deadline := time.Now().Add(5 * time.Second); owner.busy.Load() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the get never reached owner %d", owner.id)
-		}
-	}
-	for _, id := range route[:len(route)-1] {
-		if n := c.peerByID(id).busy.Load(); n != 0 {
-			t.Errorf("peer %d on route %v has busy %d while the owner answers, want 0", id, route, n)
-		}
-	}
-	select {
-	case resp := <-ch:
-		if resp.err != nil || !resp.found || resp.hops != len(route) {
-			t.Fatalf("get %d: found=%v hops=%d err=%v; want found in %d hops", key, resp.found, resp.hops, resp.err, len(route))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no reply")
+			last := c.peerByID(path[len(path)-1])
+			for deadline := time.Now().Add(5 * time.Second); last.busy.Load() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("the request never reached peer %d", last.id)
+				}
+			}
+			for _, id := range path[:len(path)-1] {
+				if n := c.peerByID(id).busy.Load(); n != 0 {
+					t.Errorf("peer %d on route %v has busy %d while the last peer answers, want 0", id, path, n)
+				}
+			}
+			select {
+			case resp := <-ch:
+				if resp.err != nil || resp.hops != len(path) {
+					t.Fatalf("hops=%d err=%v; want an answer in %d hops", resp.hops, resp.err, len(path))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no reply")
+			}
+		})
 	}
 }
 
-// TestInlineDepthBound: a serial walk over the whole domain of a 256-peer
-// cluster is far longer than maxInlineDepth. It returns the exact answer,
-// and only deliveries among its first maxInlineDepth run inline — every
-// later one is queued, so inline calls never nest deeper than the bound.
-// (Fewer may: a visit to a chain peer that is still busy queues.)
-func TestInlineDepthBound(t *testing.T) {
+// TestInlineSerialWalkHandsOn: a serial walk over the whole domain of a
+// 256-peer cluster hands on at every chain step, so on an idle cluster
+// every one of its hops runs inline however long the walk is (no hop
+// nests, so no depth bound queues the tail), and the answer is exact.
+func TestInlineSerialWalkHandsOn(t *testing.T) {
 	c, keys := liveCluster(t, 256, 3000, 167)
 	want := map[keyspace.Key]bool{}
 	for _, k := range keys {
@@ -245,10 +269,7 @@ func TestInlineDepthBound(t *testing.T) {
 	after := c.Metrics()
 	delivered := after.Delivered["RANGE"] - before.Delivered["RANGE"]
 	inline := after.Inline["RANGE"] - before.Inline["RANGE"]
-	if hops <= maxInlineDepth || delivered != int64(hops) {
-		t.Fatalf("walk of %d hops delivered %d messages; want one per hop, more than %d", hops, delivered, maxInlineDepth)
-	}
-	if inline == 0 || inline > maxInlineDepth {
-		t.Fatalf("%d of %d hops ran inline, want some, at most the first %d", inline, hops, maxInlineDepth)
+	if hops < 256 || delivered != int64(hops) || inline != delivered {
+		t.Fatalf("walk of %d hops delivered %d messages, %d inline; want every one of at least 256 hops inline", hops, delivered, inline)
 	}
 }

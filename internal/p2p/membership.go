@@ -318,12 +318,12 @@ func (c *Cluster) locateJoin(via core.PeerID) (core.PeerID, int, error) {
 // are full and a child slot is free (Theorem 1's condition), otherwise
 // forward — to the parent when a routing table is incomplete, sideways to a
 // routing-table neighbour, or to an adjacent peer.
-func (c *Cluster) handleJoinLocate(p *peer, req request) {
+func (c *Cluster) handleJoinLocate(p *peer, req *request) *peer {
 	v := &p.view
 	full := v.RoutingTablesFull(p.pos)
 	if slot, free := v.FreeChildSlot(); free && full {
-		c.respond(req, response{peerID: p.id, slot: slot, hops: req.hops})
-		return
+		c.respond(*req, response{peerID: p.id, slot: slot, hops: req.hops})
+		return nil
 	}
 	req.visited.add(p.id)
 	var cands []*core.Link
@@ -342,11 +342,12 @@ func (c *Cluster) handleJoinLocate(p *peer, req request) {
 		if l == nil || req.visited.has(l.ID) || !c.Alive(l.ID) {
 			continue
 		}
-		if c.send(l.ID, req) {
-			return
+		if next, ok := c.handTo(l.ID, req); ok {
+			return next
 		}
 	}
-	c.refuse(p, req, ErrUnreachable)
+	c.refuse(p, *req, ErrUnreachable)
+	return nil
 }
 
 // joinAcceptors scans the structural snapshot for alive peers that could
@@ -416,23 +417,23 @@ func (c *Cluster) locateReplacement(x core.PeerID) core.PeerID {
 // handleFindReplacement walks the request down to a leaf: descend into an
 // alive child while one exists; a peer with no children at all is a
 // candidate replacement; a peer whose children are all dead is a dead end
-// (the coordinator falls back to a structure scan).
-func (c *Cluster) handleFindReplacement(p *peer, req request) {
-	leaf := true
+// (the coordinator falls back to a structure scan). A child in visited was
+// refused on an earlier run here (walk marks it), so the walk moves on.
+func (c *Cluster) handleFindReplacement(p *peer, req *request) *peer {
+	found := p.id
 	for _, l := range p.view.Children {
 		if l == nil {
 			continue
 		}
-		leaf = false
-		if c.Alive(l.ID) && c.send(l.ID, req) {
-			return
+		found = core.NoPeer
+		if c.Alive(l.ID) && !req.visited.has(l.ID) {
+			if next, ok := c.handTo(l.ID, req); ok {
+				return next
+			}
 		}
 	}
-	if leaf {
-		c.respond(req, response{peerID: p.id, hops: req.hops})
-		return
-	}
-	c.respond(req, response{peerID: core.NoPeer, hops: req.hops})
+	c.respond(*req, response{peerID: found, hops: req.hops})
+	return nil
 }
 
 // viableReplacement reports whether y can serve as the replacement for

@@ -451,8 +451,12 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		m.Origin = req.rnode
 	}
 	if !n.sendRequest(p.node, &m, &req) {
+		answered := false
 		if req.reply != nil || req.coll != nil {
-			releaseCorr(&n.corr, m.Corr)
+			// A node-drop sweep since acquireCorr answered the waiter: the
+			// request is refused, and a failover would answer it twice.
+			_, ok := releaseCorr(&n.corr, m.Corr)
+			answered = !ok
 		}
 		if fresh {
 			// Nobody will ever finish this collector: the caller still holds
@@ -462,7 +466,7 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		for _, id := range corrs {
 			releaseCorr(&n.corr, id)
 		}
-		return false
+		return answered
 	}
 	p.met.Delivered(int(req.kind))
 	//batonvet:ignore replypool ownership crossed the wire: the response frame (or a connection-drop sweep) releases the entries

@@ -925,10 +925,6 @@ func (c *Cluster) deliver(to core.PeerID, req request, evenDead bool) bool {
 	return ok && c.deliverTo(p, req, evenDead)
 }
 
-// maxInlineDepth bounds how deep inline runs nest (sends made under a
-// token; a hand-on does not nest), far below the hop cap of 8·(N+4).
-const maxInlineDepth = 64
-
 // Hop timing: a peer times 1 delivery in hopClockEvery of each kind, plus
 // every traced one — a clock read and two histograms per hop cost more than
 // the routing-table lookup. A timed request's enq is enqInline (a stamp in
@@ -983,9 +979,12 @@ func (c *Cluster) walk(p, next *peer, req *request) {
 // admit counts and stamps a delivery to p (ok is false if p is dead or
 // retired, or the cluster is stopping) and decides where it runs: inline
 // when p is local and idle (busy 0 → 1) — the caller dispatches it, then
-// drops p.inflight — else queued, as is a request maxInlineDepth hops in or
-// carrying a collector, whose handler may block in the sink's send while
-// the runner holds another token or is the sink's consumer.
+// drops p.inflight — else queued, as is a request carrying a collector,
+// whose handler may block in the sink's send while the runner holds another
+// token or is the sink's consumer. A walk's hops do not nest (walk hands
+// on); what still runs under a token — tombstone forwarding, replica deltas
+// and resyncs, handoffs, held replays, scatter branches, wire stubs — ends
+// after fixed levels or is charged a hop a level, so the hop cap bounds it.
 func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) {
 	if c.stopped.Load() {
 		return false, false
@@ -1016,7 +1015,7 @@ func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) 
 	if n := p.met.Delivered(int(req.kind)); n%hopClockEvery == 0 || req.trace != nil {
 		req.enq = enqInline
 	}
-	if req.coll == nil && req.hops < maxInlineDepth && p.busy.CompareAndSwap(0, 1) {
+	if req.coll == nil && p.busy.CompareAndSwap(0, 1) {
 		p.met.Inline(int(req.kind))
 		return true, true
 	}
@@ -1359,11 +1358,9 @@ func (c *Cluster) handle(p *peer, req *request) *peer {
 		c.handleReplicaDump(p, *req)
 		return nil
 	case kindJoinLocate:
-		c.handleJoinLocate(p, *req)
-		return nil
+		return c.handleJoinLocate(p, req)
 	case kindFindReplacement:
-		c.handleFindReplacement(p, *req)
-		return nil
+		return c.handleFindReplacement(p, req)
 	case kindStats:
 		c.respond(*req, response{count: p.data.Len(), hops: req.hops})
 		return nil
@@ -1529,8 +1526,8 @@ func (c *Cluster) forward(p *peer, req *request) *peer {
 	return nil
 }
 
-// handTo passes req on to id: it returns a local peer admit would accept,
-// for the walk, and sends to anything else under the token (ok: passed on).
+// handTo is every walk's one hop rule: it returns a local peer admit would
+// accept, for walk, and sends anything else under the token (ok: passed on).
 func (c *Cluster) handTo(id core.PeerID, req *request) (next *peer, ok bool) {
 	if q := c.topo.Load().peers[id]; q != nil && q.node == 0 && !c.stopped.Load() && q.alive.Load() && !q.gone.Load() {
 		return q, true
@@ -1618,8 +1615,8 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		req.shipped += len(req.acc)
 		req.acc = nil
 	}
-	if c.send(next.ID, *req) {
-		return nil
+	if q, ok := c.handTo(next.ID, req); ok {
+		return q
 	}
 	// The right adjacent peer is dead: answer with what has been collected
 	// so far and flag the dead link to the background repairer if one runs.

@@ -533,49 +533,29 @@ func TestDeliverFloodBoundedGoroutines(t *testing.T) {
 	}
 }
 
-// TestDeliverFIFOAcrossBatches pins the per-peer delivery order the replica
-// protocol relies on across serve's batches: a delivery landing while serve
-// walks a detached batch must run after that batch — not ahead of it, and
-// not in a slot of the batch still being walked. Replica delta seq i writes
-// value i under every key from keys[i-1] on, so the replica ends as
-// {a:1 b:2 c:3 d:4} only if the deltas apply in order.
-func TestDeliverFIFOAcrossBatches(t *testing.T) {
-	c, _ := liveCluster(t, 4, 0, 107)
-	h := addGhost(c, 9998)
+// fifoDelta is replica delta seq of fifoSrc: it writes value seq under
+// every key from fifoKeys[seq-1] on, so the replica reads fifoInOrder only
+// if deltas 1..4 applied in order.
+func fifoDelta(seq int) request {
+	var ups []store.Item
+	for _, k := range fifoKeys[seq-1:] {
+		ups = append(ups, store.Item{Key: k, Value: []byte(fmt.Sprint(seq))})
+	}
+	return request{kind: kindReplicate, src: fifoSrc, seq: int64(seq), bulk: ups}
+}
 
-	const src = 4242
-	keys := []keyspace.Key{10, 20, 30, 40}
-	delta := func(seq int) request {
-		var ups []store.Item
-		for _, k := range keys[seq-1:] {
-			ups = append(ups, store.Item{Key: k, Value: []byte(fmt.Sprint(seq))})
-		}
-		return request{kind: kindReplicate, src: src, seq: int64(seq), bulk: ups}
-	}
-	h.busy.Add(1) // the test takes the token, so every send queues
-	h.run.Lock()
-	for seq := 1; seq <= 3; seq++ {
-		if !c.send(h.id, delta(seq)) {
-			t.Fatalf("delta %d refused", seq)
-		}
-	}
-	c.wg.Add(1)
-	go c.serve(h)
-	// serve detaches the three deltas, then waits for the token to run the
-	// first: delta 4 lands while that batch is being walked.
-	withTimeout(t, 5*time.Second, "serve detaching the batch", func() {
-		for queued(h) != 0 {
-			runtime.Gosched()
-		}
-	})
-	if !c.send(h.id, delta(4)) {
-		t.Fatal("delta 4 refused")
-	}
-	h.run.Unlock()
-	h.busy.Add(-1)
+const (
+	fifoSrc     = 4242
+	fifoInOrder = "[10:1 20:2 30:3 40:4]"
+)
 
+var fifoKeys = []keyspace.Key{10, 20, 30, 40}
+
+// fifoReplica fetches fifoSrc's replica from holder h as "key:value" pairs.
+func fifoReplica(t *testing.T, c *Cluster, h *peer) string {
+	t.Helper()
 	ch := make(chan response, 1)
-	if !c.send(h.id, request{kind: kindReplicaFetch, src: src, reply: ch}) {
+	if !c.send(h.id, request{kind: kindReplicaFetch, src: fifoSrc, reply: ch}) {
 		t.Fatal("fetch refused")
 	}
 	resp := <-ch
@@ -583,11 +563,72 @@ func TestDeliverFIFOAcrossBatches(t *testing.T) {
 	for _, it := range resp.items {
 		got = append(got, fmt.Sprintf("%d:%s", it.Key, it.Value))
 	}
-	if fmt.Sprint(got) != "[10:1 20:2 30:3 40:4]" {
-		t.Fatalf("replica after four deltas = %v, want [10:1 20:2 30:3 40:4]", got)
+	return fmt.Sprint(got)
+}
+
+// sendDeltasAcrossBatches sends fifoDelta 1..4 to ghost p, started here:
+// the test holds p's token while deltas 1–3 queue, serve detaches them and
+// waits for the token to run the first, and delta 4 lands while that batch
+// is being walked — it must run after the batch, not ahead of it and not
+// in a slot of the batch still being walked.
+func sendDeltasAcrossBatches(t *testing.T, c *Cluster, p *peer) {
+	t.Helper()
+	p.busy.Add(1) // the test takes the token, so every send queues
+	p.run.Lock()
+	for seq := 1; seq <= 3; seq++ {
+		if !c.send(p.id, fifoDelta(seq)) {
+			t.Fatalf("delta %d refused", seq)
+		}
+	}
+	c.wg.Add(1)
+	go c.serve(p)
+	withTimeout(t, 5*time.Second, "serve detaching the batch", func() {
+		for queued(p) != 0 {
+			runtime.Gosched()
+		}
+	})
+	if !c.send(p.id, fifoDelta(4)) {
+		t.Fatal("delta 4 refused")
+	}
+	p.run.Unlock()
+	p.busy.Add(-1)
+}
+
+// TestDeliverFIFOAcrossBatches pins the per-peer delivery order the replica
+// protocol relies on across serve's batches (sendDeltasAcrossBatches).
+func TestDeliverFIFOAcrossBatches(t *testing.T) {
+	c, _ := liveCluster(t, 4, 0, 107)
+	h := addGhost(c, 9998)
+	sendDeltasAcrossBatches(t, c, h)
+	if got := fifoReplica(t, c, h); got != fifoInOrder {
+		t.Fatalf("replica after four deltas = %v, want %v", got, fifoInOrder)
 	}
 	// Deltas 2 and 3 queued behind delta 1; delta 4 found the queue empty.
 	if n := h.met.Snapshot(int64(h.id), kindName).Spilled["REPLICATE"]; n != 2 {
 		t.Fatalf("%d deltas counted as queued behind others, want 2", n)
+	}
+}
+
+// TestTombstoneForwardKeepsFIFO: a departed peer forwards what reaches it
+// under its own token (handle's tombstone branch sends; it does not hand
+// on), so replica deltas relayed through it reach its successor in the
+// order they reached it. A hand-on would release the tombstone first: a
+// sender could then run the next delta there and reach the successor
+// first, and a delta walk refused at the successor would be queued again
+// at the tombstone's tail, behind a later one.
+func TestTombstoneForwardKeepsFIFO(t *testing.T) {
+	c, _ := liveCluster(t, 4, 0, 109)
+	h := addGhost(c, 9996)
+	c.wg.Add(1)
+	go c.serve(h)
+	tomb := addGhost(c, 9995)
+	tomb.departed, tomb.departTo = true, h.id
+	sendDeltasAcrossBatches(t, c, tomb)
+	quiesce(t, c)
+	if got := fifoReplica(t, c, h); got != fifoInOrder {
+		t.Fatalf("replica at the successor after four deltas = %v, want %v", got, fifoInOrder)
+	}
+	if n := h.met.Snapshot(int64(h.id), kindName).Delivered["REPLICATE"]; n != 4 {
+		t.Fatalf("successor received %d deltas, want 4", n)
 	}
 }
