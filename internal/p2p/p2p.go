@@ -349,9 +349,10 @@ type request struct {
 	rng   keyspace.Range
 	hops  int
 	// acc accumulates the serial walk's results while the walk stays in the
-	// process that answers the client. It never crosses the wire: a walk
-	// whose origin is another node ships each peer's chunk straight there
-	// (see handleRange).
+	// process that answers the client; for an unfiltered walk the first peer
+	// sizes it for the whole answer (sizeAnswer), and every later peer scans
+	// into it. It never crosses the wire: a walk whose origin is another
+	// node ships each peer's chunk straight there (see handleRange).
 	acc []store.Item
 	// par marks a kindRange request that should fan out in parallel once
 	// phase-1 routing reaches the peer owning the range's lower bound; kind
@@ -1552,7 +1553,8 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		// peer would skip the beginning of the range.
 		return c.forward(p, req)
 	}
-	if req.par && (req.coll != nil || r.Upper > p.rng.Upper && p.view.Adj[core.Right] != nil) {
+	past := r.Upper > p.rng.Upper && p.view.Adj[core.Right] != nil
+	if req.par && (req.coll != nil || past) {
 		// Phase 2, parallel: become the fan-out coordinator. A streaming
 		// query (Cluster.QueryIter) built its collector client-side so the
 		// channel-backed sink and the pushdown predicate travel with the
@@ -1565,6 +1567,11 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 				coll = c.net.proxyFor(req)
 			} else {
 				coll = &collector{reply: req.reply, pred: req.pred}
+				if req.pred == nil {
+					if n := c.sizeAnswer(p, r, &coll.regions); n > 0 {
+						coll.buf = make([]store.Item, n)
+					}
+				}
 			}
 			coll.grow(1)
 		}
@@ -1572,13 +1579,18 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		return nil
 	}
 	// Phase 2, serial: collect locally and continue rightwards. Each peer
-	// copies its leaf runs straight onto the travelling accumulator
-	// (store.ScanAppend grows it amortised, not to the exact size per hop);
-	// a pushdown predicate is evaluated here so filtered-out items never
-	// travel down the chain. The store holds only what this peer owns, so
-	// r needs no clipping — and an extreme peer's range need not even
-	// intersect r for it to hold keys there, outside the domain.
+	// copies its leaf runs onto the travelling accumulator, sized for the
+	// whole answer by the first when the client is in-process; a pushdown
+	// predicate is evaluated here so filtered-out items never travel down
+	// the chain. The store holds only what this peer owns, so r needs no
+	// clipping — and an extreme peer's range need not even intersect r for
+	// it to hold keys there, outside the domain.
 	if req.pred == nil {
+		if req.acc == nil && req.reply != nil && past {
+			if n := c.sizeAnswer(p, r, nil); n > 0 {
+				req.acc = make([]store.Item, 0, n)
+			}
+		}
 		req.acc = p.data.ScanAppend(req.acc, r)
 	} else {
 		req.acc = scanFiltered(p.data, req.acc, r, req.pred)

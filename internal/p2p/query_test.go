@@ -3,10 +3,12 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"baton/internal/keyspace"
 	"baton/internal/query"
@@ -465,9 +467,9 @@ func TestQueryLayerChurnStress(t *testing.T) {
 var benchRange = keyspace.FullDomain()
 
 // BenchmarkRangeMaterialised is the baseline the streaming iterator is
-// judged against: the scatter gathers every branch's items, merges and
-// sorts them into one O(result) slice. Run with -benchmem: the bytes/op
-// are dominated by the merged result and the accumulated branch buffers.
+// judged against: the scatter's branches scan their items straight into one
+// O(result) slice, sized at the coordinator and ordered by segment. Run with
+// -benchmem: the bytes/op are dominated by that one answer.
 func BenchmarkRangeMaterialised(b *testing.B) {
 	c, _ := liveCluster(b, 32, 2000, 50)
 	ids := c.PeerIDs()
@@ -551,6 +553,109 @@ func TestOnePeerQueryAllocs(t *testing.T) {
 	if allocs != 1 {
 		t.Fatalf("a one-peer parallel query allocates %.1f objects, want 1 (the answer)", allocs)
 	}
+}
+
+// slotRange returns the range from the middle of ring slot i to the middle
+// of slot i+span-1: it touches exactly span peers and ends inside the last.
+func slotRange(c *Cluster, i, span int) keyspace.Range {
+	ring := c.topo.Load().ring
+	mid := func(j int) keyspace.Key { return ring[j].lower + (ring[j+1].lower-ring[j].lower)/2 }
+	return keyspace.Range{Lower: mid(i), Upper: mid(i + span - 1)}
+}
+
+// TestRangeAnswerAllocatedOnce: an unfiltered in-process range answer is
+// allocated once, sized from the ring at the peer where phase 2 starts, and
+// every covering peer scans its part straight into it — serially into the
+// travelling accumulator, in parallel into its region of the collector's
+// buffer. Bytes allocated per query stay within 1.2× the answer's own.
+func TestRangeAnswerAllocatedOnce(t *testing.T) {
+	c, _ := liveCluster(t, 64, 100_000, 211)
+	quiesce(t, c)
+	via := c.PeerIDs()[0]
+	const queries = 60
+	for _, tc := range []struct {
+		plan query.Plan
+		span int
+	}{{query.PlanSerial, 2}, {query.PlanSerial, 3}, {query.PlanParallel, 4}, {query.PlanParallel, 13}, {query.PlanParallel, 32}} {
+		var before, after runtime.MemStats
+		answer := 0
+		runtime.ReadMemStats(&before)
+		for q := 0; q < queries; q++ {
+			r := slotRange(c, 1+q%(64-tc.span-2), tc.span)
+			items, _, err := c.Query(via, Query{Range: r, Plan: tc.plan})
+			if err != nil || len(items) == 0 {
+				t.Fatalf("%v span %d over %v: %d items, err %v", tc.plan, tc.span, r, len(items), err)
+			}
+			answer += len(items)
+		}
+		runtime.ReadMemStats(&after)
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(answer*int(unsafe.Sizeof(store.Item{})))
+		t.Logf("%v span %d: %.3f× the answer's bytes", tc.plan, tc.span, ratio)
+		if ratio > 1.2 {
+			t.Errorf("%v span %d allocates %.2f× the answer's bytes, want ≤ 1.2", tc.plan, tc.span, ratio)
+		}
+	}
+}
+
+// TestRangeAnswerStaleCounts: the published item counts that size an answer
+// are an estimate. A count too low, too high or zero — in the middle of the
+// span or in its last slot — costs a copy, never an item: every plan still
+// answers exactly. At the collector, a segment lower bound claimed twice
+// gets its region once, so two branches can never write the same items.
+func TestRangeAnswerStaleCounts(t *testing.T) {
+	t.Run("cluster", func(t *testing.T) {
+		c, keys := liveCluster(t, 32, 20_000, 223)
+		uniq := uniqueSortedKeys(keys)
+		quiesce(t, c)
+		via := c.PeerIDs()[0]
+		ring := c.topo.Load().ring
+		for i := 1; i+8 < len(ring); i += 4 {
+			r := slotRange(c, i, 6)
+			ring[i+2].p.items.Store(0)
+			ring[i+3].p.items.Store(2 * ring[i+3].p.items.Load())
+			ring[i+5].p.items.Store(0)
+			want := keysIn(uniq, r)
+			for _, plan := range []query.Plan{query.PlanSerial, query.PlanParallel} {
+				items, _, err := c.Query(via, Query{Range: r, Plan: plan})
+				if got := itemKeys(items); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%v over %v with stale counts: %d items, err %v; want %d", plan, r, len(got), err, len(want))
+				}
+				for _, it := range items {
+					if string(it.Value) != fmt.Sprint(it.Key) {
+						t.Fatalf("%v over %v: key %d holds %q", plan, r, it.Key, it.Value)
+					}
+				}
+			}
+		}
+	})
+	t.Run("collector", func(t *testing.T) {
+		itemsOf := func(keys ...keyspace.Key) []store.Item {
+			out := make([]store.Item, len(keys))
+			for i, k := range keys {
+				out[i] = store.Item{Key: k}
+			}
+			return out
+		}
+		g := &collector{reply: make(chan response, 1), buf: make([]store.Item, 4),
+			regions: []region{{lo: 10, end: 2}, {lo: 20, off: 2, end: 4}}}
+		g.grow(3)
+		first, again := g.claim(10), g.claim(10)
+		if cap(first) != 2 || again != nil {
+			t.Fatalf("claiming lower bound 10 twice: capacities %d and %d (nil %v); want the region once", cap(first), cap(again), again == nil)
+		}
+		if g.claim(15) != nil {
+			t.Fatal("a lower bound without a region got one")
+		}
+		// The region of 20 is filled exactly; the branch at 10 holds one
+		// item more than its region and so scans into a chunk of its own.
+		g.finish(20, append(g.claim(20), itemsOf(20, 21)...), 1, nil)
+		g.finish(10, append(first, itemsOf(10, 11, 12)...), 1, nil)
+		g.finish(30, itemsOf(30), 1, nil)
+		resp := <-g.reply
+		if got, want := itemKeys(resp.items), []keyspace.Key{10, 11, 12, 20, 21, 30}; !slices.Equal(got, want) {
+			t.Fatalf("stitched answer %v, want %v", got, want)
+		}
+	})
 }
 
 // TestQueryOutsideDomain: the extreme peers store the keys outside the

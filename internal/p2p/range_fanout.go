@@ -3,6 +3,7 @@ package p2p
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"sync"
 
 	"baton/internal/core"
@@ -11,13 +12,21 @@ import (
 	"baton/internal/store"
 )
 
-// chunk is one peer's sorted contribution to a parallel range query. Peers
-// own disjoint ranges, so ordering chunks by their segment lower bound and
-// concatenating yields the full answer in key order without ever sorting
-// individual items.
+// chunk is one peer's sorted contribution to a parallel range query: its
+// items of the segment starting at lo, in its region of the collector's buf
+// or, when it has none, in a slice of its own. Peers own disjoint ranges, so
+// ordering chunks by lo yields the answer in key order without sorting items.
 type chunk struct {
 	lo    keyspace.Key
 	items []store.Item
+}
+
+// region is the part buf[off:end] of a presized answer reserved for the
+// chunk of the segment starting at lo; taken once it has been handed out.
+type region struct {
+	lo       keyspace.Key
+	off, end int
+	taken    bool
 }
 
 // collector is the per-query gather state of a parallel range query. The
@@ -58,6 +67,10 @@ type collector struct {
 	// chunks, and the last branch closes the sink with the query's hop
 	// count and error. See query.go.
 	sink *rangeSink
+	// buf and regions are the presized answer and its per-segment parts,
+	// fixed before the first branch is sent; nil when not presized.
+	buf     []store.Item
+	regions []region
 
 	mu      sync.Mutex
 	chunks  []chunk
@@ -198,26 +211,7 @@ func (g *collector) settle(lo keyspace.Key, items []store.Item, hops int, err er
 	if g.proxy() {
 		resp.parts = g.parts
 	} else if done && g.sink == nil {
-		slices.SortFunc(g.chunks, func(a, b chunk) int { return cmp.Compare(a.lo, b.lo) })
-		n := 0
-		for _, c := range g.chunks {
-			n += len(c.items)
-		}
-		if lim := g.pred.LimitOrZero(); lim > 0 && n > lim {
-			n = lim
-		}
-		all := make([]store.Item, 0, n)
-		for _, c := range g.chunks {
-			take := c.items
-			if len(take) > n-len(all) {
-				take = take[:n-len(all)]
-			}
-			all = append(all, take...)
-			if len(all) == n {
-				break
-			}
-		}
-		resp.items = all
+		resp.items = g.answer()
 	}
 	g.mu.Unlock()
 	if !done {
@@ -235,6 +229,89 @@ func (g *collector) settle(lo keyspace.Key, items []store.Item, hops int, err er
 	if origin.corr != 0 {
 		releaseCorr(&origin.n.corr, origin.corr)
 	}
+}
+
+// claim hands out the region of buf reserved for the segment starting at
+// lo, at most once: a second branch with the same lower bound scans into a
+// chunk of its own. The slice's capacity ends at the region's end, so a
+// count the estimate missed makes ScanAppend reallocate rather than overrun
+// the next region. Nil when there is no such region.
+func (g *collector) claim(lo keyspace.Key) []store.Item {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	i, ok := slices.BinarySearchFunc(g.regions, lo, func(r region, lo keyspace.Key) int { return cmp.Compare(r.lo, lo) })
+	if !ok || g.buf == nil || g.regions[i].taken {
+		return nil
+	}
+	r := &g.regions[i]
+	r.taken = true
+	return g.buf[r.off:r.off:r.end]
+}
+
+// answer orders the gathered chunks by segment and returns them as one
+// slice: buf itself when they lie in it back to back from buf[0], else a
+// stitched copy cut at the predicate's limit. Called under g.mu once every
+// branch has reported.
+func (g *collector) answer() []store.Item {
+	slices.SortFunc(g.chunks, func(a, b chunk) int { return cmp.Compare(a.lo, b.lo) })
+	n, inPlace := 0, g.buf != nil
+	for _, c := range g.chunks {
+		inPlace = inPlace && n < len(g.buf) && &c.items[0] == &g.buf[n]
+		n += len(c.items)
+	}
+	if inPlace {
+		return g.buf[:n]
+	}
+	if lim := g.pred.LimitOrZero(); lim > 0 && n > lim {
+		n = lim
+	}
+	all := make([]store.Item, 0, n)
+	for _, c := range g.chunks {
+		take := c.items
+		if len(take) > n-len(all) {
+			take = take[:n-len(all)]
+		}
+		all = append(all, take...)
+		if len(all) == n {
+			break
+		}
+	}
+	return all
+}
+
+// sizeAnswer estimates the answer of an unfiltered range r whose phase 2
+// starts at p: p's own part exactly, each following ring slot by its
+// published item count (noteItems), and a last slot r ends inside by its
+// key-fraction share plus an eighth of its items as headroom. With regs
+// non-nil it lays out one region per slot, keyed by its segment's lower
+// bound (r.Lower for p). A span reaching another node is not sized (0).
+func (c *Cluster) sizeAnswer(p *peer, r keyspace.Range, regs *[]region) int {
+	ring := c.topo.Load().ring
+	from := sort.Search(len(ring), func(i int) bool { return ring[i].lower >= p.rng.Upper })
+	to := sort.Search(len(ring), func(i int) bool { return ring[i].lower >= r.Upper })
+	n := p.data.CountRange(r)
+	if regs != nil {
+		*regs = append(make([]region, 0, 1+max(to-from, 0)), region{lo: r.Lower, end: n})
+	}
+	for i := from; i < to; i++ {
+		e := &ring[i]
+		if e.p == nil || e.p.node != 0 {
+			return 0
+		}
+		k := int(e.p.items.Load())
+		upper := keyspace.DomainMax
+		if i+1 < len(ring) {
+			upper = ring[i+1].lower
+		}
+		if r.Upper < upper {
+			k = int(float64(k)*float64(r.Upper-e.lower)/float64(upper-e.lower)) + k/8
+		}
+		if regs != nil {
+			*regs = append(*regs, region{lo: e.lower, off: n, end: n + k})
+		}
+		n += k
+	}
+	return n
 }
 
 // scatterAt is the parallel counterpart of the serial adjacent-chain walk:
@@ -280,7 +357,7 @@ func (c *Cluster) scatterAt(p *peer, rng keyspace.Range, hops int, coll *collect
 	}
 	var items []store.Item
 	if coll.pred == nil {
-		items = p.data.Scan(rng)
+		items = p.data.ScanAppend(coll.claim(rng.Lower), rng)
 	} else {
 		// Pushdown: evaluate the predicate during the scan so the branch
 		// ships only matching items, at most the predicate's limit (more
