@@ -21,16 +21,16 @@
 //
 // A range query that leaves its origin node holds one more entry there, the
 // *origin entry* (anyNode): range items never travel in requests, nor back
-// along the route — every contributing peer ships its chunk straight to that
-// entry as a partial response frame (msgFlagPartial), once. The entry is
-// looked up, not released, per partial (lookupCorr); the query's collector
-// releases it on completion. Control stays hierarchical: each branch — a
-// scatter sub-request, or the whole serial chain — has an ordinary entry at
-// the node that sent it, answered by one final response of counts (hops,
-// error, and how many partials the branch's sub-tree sent the origin). The
-// senders count partials, the origin counts arrivals, and the collector is
-// complete when every branch has reported and the two counts agree; see
-// collector in range_fanout.go.
+// along the route — every contributing peer encodes its part from its store
+// into a partial response frame (msgFlagPartial) to that entry, once. The
+// entry is looked up, not released, per partial (lookupCorr); the query's
+// collector releases it on completion. Control stays hierarchical: each
+// branch — a scatter sub-request, or the whole serial chain — has an
+// ordinary entry at the node that sent it, answered by one final response of
+// counts (hops, error, and how many partials the branch's sub-tree sent the
+// origin). The senders count partials, the origin counts arrivals, and the
+// collector is complete when every branch has reported and the two counts
+// agree; see collector in range_fanout.go.
 //
 // # Roles
 //
@@ -56,7 +56,6 @@ import (
 	"baton/internal/keyspace"
 	"baton/internal/obs"
 	"baton/internal/query"
-	"baton/internal/store"
 	"baton/internal/transport"
 )
 
@@ -121,8 +120,12 @@ type corrEntry struct {
 	coll *collector
 }
 
-// complete hands the waiter its response.
+// complete hands the waiter its response, items decoded unless a collector
+// gathering an answer takes them, to decode straight into the answer.
 func (e corrEntry) complete(r response) {
+	if r.kept && (e.coll == nil || e.coll.sink != nil) {
+		r.items, r.value, r.kept = (&wreader{b: r.value}).items(), nil, false
+	}
 	if e.coll != nil {
 		e.coll.fromWire(r, e.node != anyNode)
 		return
@@ -505,30 +508,28 @@ func (n *netLayer) sendRequestTo(node transport.NodeID, id core.PeerID, req requ
 
 // replyWire answers a wire request with its final response.
 func (n *netLayer) replyWire(node transport.NodeID, corr uint64, resp response) {
-	n.answer(node, corr, resp, 0)
+	n.answer(node, corr, resp, 0, storeRun{})
 }
 
-// partial ships one sorted chunk of a range answer to the query's origin
-// entry. False means the chunk was not, and will not be, sent.
-func (n *netLayer) partial(node transport.NodeID, corr uint64, items []store.Item) bool {
-	return n.answer(node, corr, response{items: items}, msgFlagPartial)
-}
-
-// answer delivers a response to the correlation it names: completed locally
-// when the entry lives in this node's own table (a request that crossed the
-// wire and came back), otherwise encoded — once, into a frame of its final
-// size — and sent to the origin node.
-func (n *netLayer) answer(node transport.NodeID, corr uint64, resp response, flags uint8) bool {
+// answer delivers a response, with run's items if run is set, to the
+// correlation it names: completed locally when the entry lives in this
+// node's own table (a request that crossed the wire and came back),
+// otherwise encoded — once, into a frame of its final size — and sent to
+// the origin node. False means it was not, and will not be, sent.
+func (n *netLayer) answer(node transport.NodeID, corr uint64, resp response, flags uint8, run storeRun) bool {
 	if corr == 0 {
 		return false
 	}
 	if node == n.self || node == 0 {
+		if run.data != nil {
+			resp.items = run.data.Scan(run.r)
+		}
 		n.complete(corr, resp, flags)
 		return true
 	}
 	tr := n.tr()
 	m := transport.Msg{Corr: corr, Origin: n.self, Kind: byte(msgResponse), Flags: flags}
-	return tr != nil && tr.SendFrame(node, &m, encodeResponse(transport.NewFrame(responseSize(&resp)), &resp))
+	return tr != nil && tr.SendFrame(node, &m, responseFrame(&resp, run))
 }
 
 // complete is the one completion routine for responses, whether a frame
@@ -617,7 +618,7 @@ func (n *netLayer) inboundRequest(m *transport.Msg) {
 
 // inboundResponse hands a response frame to the correlation it names.
 func (n *netLayer) inboundResponse(m *transport.Msg) {
-	resp, err := decodeResponse(m.Payload)
+	resp, err := readResponse(m.Payload, true)
 	if err != nil {
 		resp = response{err: fmt.Errorf("%w: undecodable response", ErrUnreachable)}
 	}

@@ -443,3 +443,12 @@ func TestRequestSizeBounded(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(request{}) = %d, want <= 352", got)
 	}
 }
+
+// TestResponseSizeBounded pins the size of response: every point op copies
+// one by value through its reply channel, and on into the caller, so each
+// byte added here is paid on every get and put.
+func TestResponseSizeBounded(t *testing.T) {
+	if got := unsafe.Sizeof(response{}); got > 168 {
+		t.Fatalf("unsafe.Sizeof(response{}) = %d, want <= 168", got)
+	}
+}

@@ -472,8 +472,11 @@ func (s *peerSet) ids(out []core.PeerID) []core.PeerID {
 
 // response is the terminal answer to a request.
 type response struct {
+	// value is a get's value or, with kept set, the items of a response off
+	// the wire, still encoded (readResponse). kept fills found's padding.
 	value   []byte
 	found   bool
+	kept    bool
 	items   []store.Item
 	results []BulkResult
 	hops    int
@@ -1570,6 +1573,7 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 				if req.pred == nil {
 					if n := c.sizeAnswer(p, r, &coll.regions); n > 0 {
 						coll.buf = make([]store.Item, n)
+						coll.chunks = make([]chunk, 0, len(coll.regions))
 					}
 				}
 			}
@@ -1582,18 +1586,24 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 	// copies its leaf runs onto the travelling accumulator, sized for the
 	// whole answer by the first when the client is in-process; a pushdown
 	// predicate is evaluated here so filtered-out items never travel down
-	// the chain. The store holds only what this peer owns, so r needs no
-	// clipping — and an extreme peer's range need not even intersect r for
-	// it to hold keys there, outside the domain.
-	if req.pred == nil {
+	// the chain; for a client on another node an unfiltered part goes from
+	// the store into its frame (run). The store holds only what this peer
+	// owns, so r needs no clipping — and an extreme peer's range need not
+	// even intersect r for it to hold keys there, outside the domain.
+	wire := req.reply == nil && req.rcorr != 0
+	var run storeRun
+	switch {
+	case req.pred != nil:
+		req.acc = scanFiltered(p.data, req.acc, r, req.pred)
+	case wire:
+		run = newRun(p.data, r)
+	default:
 		if req.acc == nil && req.reply != nil && past {
 			if n := c.sizeAnswer(p, r, nil); n > 0 {
 				req.acc = make([]store.Item, 0, n)
 			}
 		}
 		req.acc = p.data.ScanAppend(req.acc, r)
-	} else {
-		req.acc = scanFiltered(p.data, req.acc, r, req.pred)
 	}
 	if lim := req.pred.LimitOrZero(); lim > 0 && req.shipped+len(req.acc) >= lim {
 		// Limit-aware early termination: the pushdown limit is satisfied,
@@ -1604,7 +1614,11 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 	}
 	next := p.view.Adj[core.Right]
 	if next == nil || next.Lower >= r.Upper {
-		c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops})
+		if run.data != nil {
+			c.net.answer(req.rnode, req.rcorr, response{parts: req.parts, hops: req.hops}, 0, run)
+		} else {
+			c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops})
+		}
 		return nil
 	}
 	// Trim the still-uncovered part of the range so the next peer (whose
@@ -1614,17 +1628,17 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		req.rng.Lower = p.rng.Upper
 		req.key = req.rng.Lower
 	}
-	if req.reply == nil && req.rcorr != 0 && len(req.acc) > 0 {
+	if wire && len(req.acc)+run.n > 0 {
 		// The client sits on another node: the chain carries counts, the
 		// items go there now, once, as a partial response. A shipment the
 		// transport refuses is not counted — the origin must not wait for a
 		// frame that was never sent — and ends the walk.
-		if !c.net.partial(req.onode, req.ocorr, req.acc) {
+		if !c.net.answer(req.onode, req.ocorr, response{items: req.acc}, msgFlagPartial, run) {
 			c.respond(*req, response{parts: req.parts, hops: req.hops, err: ErrOwnerDown})
 			return nil
 		}
 		req.parts++
-		req.shipped += len(req.acc)
+		req.shipped += len(req.acc) + run.n
 		req.acc = nil
 	}
 	if q, ok := c.handTo(next.ID, req); ok {

@@ -486,6 +486,26 @@ func BenchmarkRangeMaterialised(b *testing.B) {
 	}
 }
 
+// BenchmarkRangeWire is BenchmarkRangeMaterialised from a zero-peer client:
+// the same 32 peers and items, half of them on another node, so every part
+// of the answer crosses a socket. Its bytes/op hold the frames written and
+// read besides the answer.
+func BenchmarkRangeWire(b *testing.B) {
+	_, _, client, _ := wireTrio(b, 16, 16, 2000, 50)
+	ids := client.PeerIDs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		items, _, err := client.Query(ids[i%len(ids)], parallelQuery(benchRange))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(items) == 0 {
+			b.Fatal("empty result")
+		}
+	}
+}
+
 // BenchmarkRangeIterStreaming consumes the same range through the bounded
 // sink: peers ship fixed-size batches and nothing ever materialises the
 // whole result, so peak memory is O(batch × in-flight branches) instead of

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 	"sort"
 	"sync"
@@ -12,13 +13,14 @@ import (
 	"baton/internal/store"
 )
 
-// chunk is one peer's sorted contribution to a parallel range query: its
-// items of the segment starting at lo, in its region of the collector's buf
-// or, when it has none, in a slice of its own. Peers own disjoint ranges, so
-// ordering chunks by lo yields the answer in key order without sorting items.
+// chunk is one peer's sorted contribution to a range query: its items of
+// the segment starting at lo, in its region of the collector's buf, in a
+// slice of its own or, off the wire, still encoded in enc. Peers own
+// disjoint ranges, so ordering chunks by lo yields the answer in key order.
 type chunk struct {
 	lo    keyspace.Key
 	items []store.Item
+	enc   []byte
 }
 
 // region is the part buf[off:end] of a presized answer reserved for the
@@ -39,18 +41,19 @@ type region struct {
 // Over the wire the same collector is the origin side of every range query
 // — serial, parallel or streaming — that leaves its client's node
 // (netLayer.deliver): data comes in flat, control hierarchically. Each
-// contributing peer ships its chunk straight to the origin's correlation
-// entry as a partial response; a branch's final response brings only counts,
-// among them how many partials its sub-tree sent. Partials and finals ride
-// different connections, so arrival order proves nothing: the query is
-// complete when no branch is pending and no announced partial is missing.
+// contributing peer encodes its part from its store straight into a partial
+// response to the origin's correlation entry, where it is decoded once, as
+// late as can be; a branch's final response brings only counts, among them
+// how many partials its sub-tree sent. Partials and finals ride different
+// connections, so arrival order proves nothing: the query is complete when
+// no branch is pending and no announced partial is missing.
 type collector struct {
 	reply chan response
 	// wire, when set (corr != 0), makes this a proxy: the stand-in, on a
 	// node other than the one the branch was sent from, for the branches
-	// running here. It holds counts, never items — finish ships a chunk to
-	// origin the moment a peer hands it over — and its final tells the
-	// parent branch's correlation how many partials that makes.
+	// running here. It holds counts, never items — ship sends a peer's part
+	// to origin the moment the peer has it — and its final tells the parent
+	// branch's correlation how many partials that makes.
 	wire wireDest
 	// origin is where the query's chunks go: for a proxy the origin node's
 	// entry, named by the request that built it; for the origin's own
@@ -115,20 +118,29 @@ func (g *collector) grow(n int) {
 // is buffered so this never blocks a peer goroutine. In streaming mode the
 // items go straight to the sink (a bounded send that respects the
 // iterator's cancellation) and the last branch closes the sink instead. A
-// proxy ships the items to the query's origin and keeps the count; a
-// shipment the transport refuses is not counted — the origin must not wait
-// for a frame that was never sent — and turns into the branch's error.
+// proxy ships them.
 func (g *collector) finish(lo keyspace.Key, items []store.Item, hops int, err error) {
+	if g.proxy() {
+		g.ship(items, storeRun{}, hops, err)
+		return
+	}
+	g.settle(chunk{lo: lo, items: items}, hops, err, 1, 0)
+}
+
+// ship finishes a proxy's branch: it sends the peer's part — items, or
+// run's — to the query's origin and keeps the count. A part the transport
+// refuses is not counted — the origin must not wait for a frame that was
+// never sent — and turns into the branch's error.
+func (g *collector) ship(items []store.Item, run storeRun, hops int, err error) {
 	parts := 0
-	if g.proxy() && len(items) > 0 {
-		if g.origin.n.partial(g.origin.node, g.origin.corr, items) {
+	if len(items) > 0 || run.n > 0 {
+		if g.origin.n.answer(g.origin.node, g.origin.corr, response{items: items}, msgFlagPartial, run) {
 			parts = 1
 		} else if err == nil {
 			err = ErrOwnerDown
 		}
-		items = nil
 	}
-	g.settle(lo, items, hops, err, 1, parts)
+	g.settle(chunk{}, hops, err, 1, parts)
 }
 
 // fromWire feeds the collector what a response frame brought: a partial's
@@ -154,17 +166,19 @@ func (g *collector) fromWire(r response, final bool) {
 }
 
 func (g *collector) absorb(r response, final bool) {
-	var lo keyspace.Key
-	if len(r.items) > 0 {
-		lo = r.items[0].Key
+	c := chunk{items: r.items}
+	if r.kept {
+		c = chunk{lo: keyspace.Key(binary.LittleEndian.Uint64(r.value[4:])), enc: r.value}
+	} else if len(r.items) > 0 {
+		c.lo = r.items[0].Key
 	}
 	switch {
 	case final:
-		g.settle(lo, r.items, r.hops, r.err, 1, r.parts)
+		g.settle(c, r.hops, r.err, 1, r.parts)
 	case r.err != nil:
-		g.settle(lo, nil, 0, r.err, everyBranch, 0)
+		g.settle(chunk{}, 0, r.err, everyBranch, 0)
 	default:
-		g.settle(lo, r.items, 0, nil, 0, -1)
+		g.settle(c, 0, nil, 0, -1)
 	}
 }
 
@@ -174,14 +188,14 @@ const everyBranch = -1
 // settle is the one piece of bookkeeping behind finish and fromWire: take a
 // chunk, merge hop count and error, retire `branches` pending branches and
 // move the partial count, then — if that completed the query — deliver.
-func (g *collector) settle(lo keyspace.Key, items []store.Item, hops int, err error, branches, parts int) {
+func (g *collector) settle(c chunk, hops int, err error, branches, parts int) {
 	handed := 0
-	if g.sink != nil && len(items) > 0 {
+	if g.sink != nil && len(c.items) > 0 {
 		// Deliver before the bookkeeping: the query can only complete after
 		// every contribution's send has, so the closing summary is always
 		// the last thing the iterator receives. (Peers on this node feed the
 		// sink themselves and finish with no items: these came by wire.)
-		g.sink.send(items)
+		g.sink.send(c.items)
 		handed = 1
 	}
 	g.mu.Lock()
@@ -190,8 +204,8 @@ func (g *collector) settle(lo keyspace.Key, items []store.Item, hops int, err er
 		g.mu.Unlock()
 		return
 	}
-	if g.sink == nil && len(items) > 0 {
-		g.chunks = append(g.chunks, chunk{lo: lo, items: items})
+	if g.sink == nil && (len(c.items) > 0 || c.enc != nil) {
+		g.chunks = append(g.chunks, c)
 	}
 	if err != nil && g.err == nil {
 		g.err = err
@@ -249,15 +263,19 @@ func (g *collector) claim(lo keyspace.Key) []store.Item {
 }
 
 // answer orders the gathered chunks by segment and returns them as one
-// slice: buf itself when they lie in it back to back from buf[0], else a
-// stitched copy cut at the predicate's limit. Called under g.mu once every
+// slice cut at the predicate's limit: buf itself when they lie in it back
+// to back from buf[0], a lone chunk's own items, else a copy of exactly
+// that size, encoded chunks decoded into it. Called under g.mu once every
 // branch has reported.
 func (g *collector) answer() []store.Item {
 	slices.SortFunc(g.chunks, func(a, b chunk) int { return cmp.Compare(a.lo, b.lo) })
 	n, inPlace := 0, g.buf != nil
 	for _, c := range g.chunks {
-		inPlace = inPlace && n < len(g.buf) && &c.items[0] == &g.buf[n]
+		inPlace = inPlace && c.enc == nil && n < len(g.buf) && &c.items[0] == &g.buf[n]
 		n += len(c.items)
+		if c.enc != nil {
+			n += int(binary.LittleEndian.Uint32(c.enc)) // the encoded count
+		}
 	}
 	if inPlace {
 		return g.buf[:n]
@@ -265,16 +283,13 @@ func (g *collector) answer() []store.Item {
 	if lim := g.pred.LimitOrZero(); lim > 0 && n > lim {
 		n = lim
 	}
+	if len(g.chunks) == 1 && g.chunks[0].enc == nil {
+		return g.chunks[0].items[:n]
+	}
 	all := make([]store.Item, 0, n)
 	for _, c := range g.chunks {
-		take := c.items
-		if len(take) > n-len(all) {
-			take = take[:n-len(all)]
-		}
-		all = append(all, take...)
-		if len(all) == n {
-			break
-		}
+		all = append(all, c.items[:min(len(c.items), n-len(all))]...)
+		all = appendKept(all, c.enc, n-len(all))
 	}
 	return all
 }
@@ -355,17 +370,20 @@ func (c *Cluster) scatterAt(p *peer, rng keyspace.Range, hops int, coll *collect
 		coll.finish(rng.Lower, nil, hops, err)
 		return
 	}
-	var items []store.Item
-	if coll.pred == nil {
-		items = p.data.ScanAppend(coll.claim(rng.Lower), rng)
-	} else {
+	switch {
+	case coll.pred != nil:
 		// Pushdown: evaluate the predicate during the scan so the branch
 		// ships only matching items, at most the predicate's limit (more
 		// than lim matches can never be needed whatever the other branches
 		// return).
-		items = scanFiltered(p.data, nil, rng, coll.pred)
+		coll.finish(rng.Lower, scanFiltered(p.data, nil, rng, coll.pred), hops, err)
+	case coll.proxy():
+		// The query's origin is on another node: the part goes into its
+		// frame straight from the store.
+		coll.ship(nil, newRun(p.data, rng), hops, err)
+	default:
+		coll.finish(rng.Lower, p.data.ScanAppend(coll.claim(rng.Lower), rng), hops, err)
 	}
-	coll.finish(rng.Lower, items, hops, err)
 }
 
 // scanFiltered appends the items of r that match pred to dst, stopping at

@@ -17,7 +17,8 @@
 //     taken on the origin node only;
 //   - enq timestamps: queue-wait is measured per hosting node;
 //   - acc, the serial walk's accumulator: range items travel only in
-//     response frames, each chunk once, contributor → origin (see node.go).
+//     response frames, each peer's part once, from its store (storeRun)
+//     to the origin, which decodes it once, into the answer (see node.go).
 //
 // Every frame is encoded into one buffer of its final size: requestSize /
 // responseSize bound the encoding from the variable-length fields, the
@@ -218,6 +219,64 @@ func (r *wreader) items() []store.Item {
 		return nil
 	}
 	return out
+}
+
+// block is the arrival check of an item list left encoded: the count
+// against the bytes left, every value's length prefix. It returns the list
+// as encoded, count first, for appendKept; nil when empty.
+func (r *wreader) block() []byte {
+	start := r.off
+	n := r.count(12)
+	for i := 0; i < n; i++ {
+		r.key()
+		r.bytes()
+	}
+	if r.fail || n == 0 {
+		return nil
+	}
+	return r.b[start:r.off]
+}
+
+// appendKept decodes up to limit items of a list block accepted (nil holds
+// none) onto dst. The values alias the payload, as decoded ones do.
+func appendKept(dst []store.Item, enc []byte, limit int) []store.Item {
+	r := &wreader{b: enc}
+	for n := min(int(r.u32()), limit); n > 0; n-- {
+		dst = append(dst, store.Item{Key: r.key(), Value: r.bytes()})
+	}
+	return dst
+}
+
+// storeRun is a peer's part of a range answer on its way into a frame: the
+// items of r in data, counted and sized by one walk of the leaf runs, then
+// encoded by a second, under the peer's token, straight into the frame.
+type storeRun struct {
+	data    *store.Store
+	r       keyspace.Range
+	n, size int // size excludes the count prefix, as itemsSize does
+}
+
+func newRun(data *store.Store, r keyspace.Range) storeRun {
+	run := storeRun{data: data, r: r}
+	data.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
+		run.n += len(keys)
+		for _, v := range values {
+			run.size += 12 + len(v)
+		}
+		return true
+	})
+	return run
+}
+
+func appendRun(b []byte, run storeRun) []byte {
+	b = appendU32(b, uint32(run.n))
+	run.data.AscendRuns(run.r, func(keys []keyspace.Key, values [][]byte) bool {
+		for i, k := range keys {
+			b = appendBytes(appendKey(b, k), values[i])
+		}
+		return true
+	})
+	return b
 }
 
 func appendKeys(b []byte, keys []keyspace.Key) []byte {
@@ -755,13 +814,26 @@ func responseSize(resp *response) int {
 	return n
 }
 
+// encodeResponse encodes resp, items last so responseFrame can swap them.
 func encodeResponse(b []byte, resp *response) []byte {
+	return appendItems(appendResponseHead(b, resp), resp.items)
+}
+
+// responseFrame encodes resp into a frame of its final size; with run set,
+// run's items stand in for resp's.
+func responseFrame(resp *response, run storeRun) []byte {
+	if run.data == nil {
+		return encodeResponse(transport.NewFrame(responseSize(resp)), resp)
+	}
+	return appendRun(appendResponseHead(transport.NewFrame(responseSize(resp)+run.size), resp), run)
+}
+
+func appendResponseHead(b []byte, resp *response) []byte {
 	b = appendErr(b, resp.err)
 	b = appendU32(b, uint32(resp.hops))
 	b = appendU32(b, uint32(resp.parts))
 	b = appendBytes(b, resp.value)
 	b = appendBool(b, resp.found)
-	b = appendItems(b, resp.items)
 	b = appendU32(b, uint32(len(resp.results)))
 	for _, br := range resp.results {
 		b = appendKey(b, br.Key)
@@ -793,7 +865,14 @@ func encodeResponse(b []byte, resp *response) []byte {
 	return b
 }
 
-func decodeResponse(payload []byte) (response, error) {
+// decodeResponse decodes a response frame whole.
+func decodeResponse(payload []byte) (response, error) { return readResponse(payload, false) }
+
+// readResponse is decodeResponse that, with keep, leaves the items of a
+// response without a value encoded, in value, once checked (wreader.block):
+// a malformed list fails the frame on arrival, never later. Whoever takes
+// the response decodes them once, where they end up (corrEntry.complete).
+func readResponse(payload []byte, keep bool) (response, error) {
 	r := &wreader{b: payload}
 	resp := response{}
 	resp.err = r.anErr()
@@ -801,7 +880,6 @@ func decodeResponse(payload []byte) (response, error) {
 	resp.parts = r.partCount()
 	resp.value = r.bytes()
 	resp.found = r.bool()
-	resp.items = r.items()
 	if n := r.count(14); n > 0 {
 		resp.results = make([]BulkResult, 0, n)
 		for i := 0; i < n; i++ {
@@ -822,6 +900,12 @@ func decodeResponse(payload []byte) (response, error) {
 			id := r.peerID()
 			resp.replicaSets[id] = r.items()
 		}
+	}
+	if keep && resp.value == nil {
+		resp.value = r.block()
+		resp.kept = resp.value != nil
+	} else {
+		resp.items = r.items()
 	}
 	if !r.done() {
 		return response{}, errWireTruncated

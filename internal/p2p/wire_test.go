@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -344,21 +346,69 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse is the response-side twin.
+// FuzzDecodeResponse is the response-side twin. It also holds the arrival
+// check, which keeps a range answer's items encoded (readResponse with
+// keep), to the whole decoder: both accept exactly the same payloads, and
+// decoding the kept items later yields what the decoder did.
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add(encodeResponse(nil, &response{value: []byte("v"), found: true, hops: 1}))
 	f.Add(encodeResponse(nil, &response{err: ErrOwnerDown, items: []store.Item{{Key: 1}}}))
 	f.Add(encodeResponse(nil, &response{parts: 13, hops: 6}))
 	f.Add(encodeResponse(nil, &response{items: []store.Item{{Key: 4, Value: []byte("chunk")}}})) // what a partial frame carries
 	f.Add(encodeResponse(nil, &response{parts: maxParts + 1}))
+	f.Add(encodeResponse(nil, &response{items: []store.Item{{Key: 5}, {Key: 6, Value: []byte{}}, {Key: 7, Value: []byte("x")}}}))
+	// A partial whose item count is one more than its bytes hold: the count
+	// is the 4 bytes before the last item's 13 (key, length, "x").
+	short := encodeResponse(nil, &response{items: []store.Item{{Key: 8, Value: []byte("w")}, {Key: 9, Value: []byte("x")}}})
+	binary.LittleEndian.PutUint32(short[len(short)-30:], 3)
+	f.Add(short)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := decodeResponse(data)
+		kept, keptErr := readResponse(data, true)
+		if (err == nil) != (keptErr == nil) {
+			t.Fatalf("the decoder says %v, the arrival check %v", err, keptErr)
+		}
 		if err != nil {
 			return
+		}
+		if kept.kept {
+			kept.items, kept.value, kept.kept = appendKept(nil, kept.value, len(data)), nil, false
+		}
+		if !responsesEqual(kept, resp) {
+			t.Fatalf("kept items decode differently\n kept %+v\nwhole %+v", kept, resp)
 		}
 		if _, err := decodeResponse(encodeResponse(nil, &resp)); err != nil {
 			t.Fatalf("re-decode of accepted payload failed: %v", err)
 		}
 	})
+}
+
+// TestWireRunFrameEncodesItems: a part encoded straight from a store makes
+// the very frame its scanned items would, in a buffer sized for it
+// exactly, allocated once.
+func TestWireRunFrameEncodesItems(t *testing.T) {
+	s := store.New()
+	for i := 0; i < 10000; i++ {
+		var v []byte
+		if i%7 != 0 {
+			v = []byte(fmt.Sprint(i))
+		}
+		s.Put(keyspace.Key(2*i), v)
+	}
+	for _, r := range []keyspace.Range{{Lower: 1001, Upper: 15001}, {Lower: 5, Upper: 6}, keyspace.FullDomain()} {
+		resp := response{parts: 3, hops: 2, err: ErrOwnerDown}
+		frame := func() []byte { return responseFrame(&resp, newRun(s, r)) }
+		got := frame()
+		want := encodeResponse(nil, &response{parts: 3, hops: 2, err: ErrOwnerDown, items: s.Scan(r)})
+		if !bytes.Equal(got[transport.FrameReserve:], want) {
+			t.Fatalf("%v: the run's frame differs from its items'", r)
+		}
+		if slack := cap(got) - len(got); slack >= 128 {
+			t.Errorf("%v: %d bytes of slack in a %d-byte frame", r, slack, len(got))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { frame() }); allocs != 1 {
+			t.Errorf("%v: %.0f allocations per frame, want 1", r, allocs)
+		}
+	}
 }

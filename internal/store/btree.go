@@ -260,12 +260,13 @@ func (s *Store) Ascend(fn func(Item) bool) {
 	}
 }
 
-// leafSpans is the one walk behind every range scan. It descends once to
+// AscendRuns is the one walk behind every range scan. It descends once to
 // the leaf holding r.Lower and passes fn, leaf by leaf in ascending order,
 // the run of keys and the parallel run of values that fall inside r, until
 // fn returns false. Leaves that lazy deletes emptied are skipped; only the
-// first leaf is searched for r.Lower and only the last for r.Upper.
-func (s *Store) leafSpans(r keyspace.Range, fn func(keys []keyspace.Key, values [][]byte) bool) {
+// first leaf is searched for r.Lower and only the last for r.Upper. The
+// runs are the leaves' own slices: fn must neither modify nor retain them.
+func (s *Store) AscendRuns(r keyspace.Range, fn func(keys []keyspace.Key, values [][]byte) bool) {
 	if r.IsEmpty() || s.size == 0 {
 		return
 	}
@@ -299,7 +300,7 @@ func appendRun(dst []Item, keys []keyspace.Key, values [][]byte) []Item {
 // AscendRange calls fn for every item with key in [r.Lower, r.Upper) in
 // ascending order until fn returns false.
 func (s *Store) AscendRange(r keyspace.Range, fn func(Item) bool) {
-	s.leafSpans(r, func(keys []keyspace.Key, values [][]byte) bool {
+	s.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
 		for i, k := range keys {
 			if !fn(Item{Key: k, Value: values[i]}) {
 				return false
@@ -327,7 +328,7 @@ func (s *Store) ScanBatches(r keyspace.Range, batchSize int, fn func([]Item) boo
 	}
 	remaining := s.CountRange(r)
 	var batch []Item
-	s.leafSpans(r, func(keys []keyspace.Key, values [][]byte) bool {
+	s.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
 		for len(keys) > 0 {
 			if batch == nil {
 				batch = make([]Item, 0, min(batchSize, remaining))
@@ -363,7 +364,7 @@ func (s *Store) ScanAppend(dst []Item, r keyspace.Range) []Item {
 	default:
 		dst = slices.Grow(dst, n)
 	}
-	s.leafSpans(r, func(keys []keyspace.Key, values [][]byte) bool {
+	s.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
 		dst = appendRun(dst, keys, values)
 		return true
 	})
@@ -374,7 +375,7 @@ func (s *Store) ScanAppend(dst []Item, r keyspace.Range) []Item {
 // run lengths, O(log n + leaves) and no per-item work.
 func (s *Store) CountRange(r keyspace.Range) int {
 	count := 0
-	s.leafSpans(r, func(keys []keyspace.Key, _ [][]byte) bool {
+	s.AscendRuns(r, func(keys []keyspace.Key, _ [][]byte) bool {
 		count += len(keys)
 		return true
 	})
