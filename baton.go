@@ -144,10 +144,10 @@ var (
 // around killed peers. Every method is safe for concurrent use and never
 // blocks indefinitely — see the package documentation of internal/p2p for
 // the full concurrency contract. Beyond single-key Get/Put/Delete and one
-// range read, Query — answered in key order by Query or streamed by
-// QueryIter, under the Plan the caller fixes or the planner picks — the
-// cluster offers batched BulkGet/BulkPut/BulkDelete that group keys by
-// responsible peer and pipeline one message per peer.
+// range read, Query — answered in key order by Query or read a ring slot
+// at a time by QueryIter, under the Plan the caller fixes or the planner
+// picks — the cluster offers batched BulkGet/BulkPut/BulkDelete that group
+// keys by responsible peer and pipeline one message per peer.
 //
 // Membership is live: Join adds a brand-new peer online (the join request
 // routes through the overlay per Section III-A, the accepting peer's range
@@ -224,8 +224,8 @@ const (
 
 // Query is one read of a Cluster: every item in Range that matches the
 // optional pushdown Pred, executed under Plan. Cluster.Query answers it in
-// key order; Cluster.QueryIter streams it. A filtered point read is the
-// one-key range [k, k+1).
+// key order; Cluster.QueryIter yields it in key order one ring slot at a
+// time. A filtered point read is the one-key range [k, k+1).
 type Query = p2p.Query
 
 // Plan is the execution strategy of one Query: the serial adjacent-chain
@@ -248,9 +248,11 @@ const (
 // early.
 type Pred = query.Pred
 
-// RangeIter is a streaming query in progress: Cluster.QueryIter scatters
-// the range and yields items in bounded batches as the covering peers
-// deliver them, never materialising the full result.
+// RangeIter is a range query read one ring slot at a time:
+// Cluster.QueryIter issues each page as a one-peer Query when the one
+// before is used up, so items arrive in key order, the iterator holds one
+// covering peer's part at a time, and nothing is in flight between calls
+// to Next.
 type RangeIter = p2p.RangeIter
 
 // PlanSnapshot is the query planner's counters — range queries dispatched

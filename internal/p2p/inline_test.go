@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -41,37 +43,40 @@ func sumCounts(m map[string]int64) int64 {
 	return n
 }
 
-// TestInlineRangeIterDoesNotDeadlock: a streaming query carries its
-// collector, so it is never run inline. Run inline, the coordinating peer's
-// scan would execute on the very client goroutine that must drain the sink,
-// and block in rangeSink.send once sinkBuffer batches were waiting.
-func TestInlineRangeIterDoesNotDeadlock(t *testing.T) {
+// TestRangeIterStalledConsumerDoesNotBlockGets: an iterator holds no peer
+// between calls to Next, so a consumer that takes one item and stops
+// consuming stalls nobody. At one P, with an answer far larger than any one
+// page, a Get of one key in every peer the iterator covers must return.
+// (When covering peers pushed their parts through a bounded channel, they
+// sat blocked in its send, under their tokens, and every Get behind them
+// waited for the consumer.)
+func TestRangeIterStalledConsumerDoesNotBlockGets(t *testing.T) {
 	c, keys := liveCluster(t, 8, 40_000, 151)
-	want := map[keyspace.Key]bool{}
-	for _, k := range keys {
-		want[k] = true
+	uniq := uniqueSortedKeys(keys)
+	ring := c.topo.Load().ring
+	probes := make([]keyspace.Key, 0, len(ring))
+	for _, e := range ring {
+		i, _ := slices.BinarySearch(uniq, e.lower)
+		if i == len(uniq) {
+			t.Fatalf("no key at or above slot %v", e.lower)
+		}
+		probes = append(probes, uniq[i])
 	}
-	if len(want) <= 4*sinkBuffer*iterBatchSize {
-		t.Fatalf("answer of %d items does not overflow the sink", len(want))
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	quiesce(t, c)
-	withTimeout(t, 20*time.Second, "RangeIter over an idle cluster", func() {
-		it, err := c.QueryIter(c.PeerIDs()[0], Query{Range: c.Domain()})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer it.Close()
-		got := 0
-		for it.Next() {
-			if !want[it.Item().Key] {
-				t.Errorf("unexpected item %d", it.Item().Key)
-				return
+	it, err := c.QueryIter(c.PeerIDs()[0], Query{Range: c.Domain()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if !it.Next() {
+		t.Fatalf("iterator yielded nothing: %v", it.Err())
+	}
+	withTimeout(t, 10*time.Second, "Gets beside a stalled iterator", func() {
+		for _, k := range probes {
+			if _, found, _, err := c.Get(c.PeerIDs()[0], k); err != nil || !found {
+				t.Errorf("Get(%d) = found %v, err %v", k, found, err)
 			}
-			got++
-		}
-		if it.Err() != nil || got != len(want) {
-			t.Errorf("RangeIter yielded %d items, err %v; want %d, nil", got, it.Err(), len(want))
 		}
 	})
 }

@@ -120,15 +120,16 @@ type corrEntry struct {
 	coll *collector
 }
 
-// complete hands the waiter its response, items decoded unless a collector
-// gathering an answer takes them, to decode straight into the answer.
+// complete hands the waiter its response: a collector takes the items as
+// they came, to decode straight into the answer; a channel gets them
+// decoded.
 func (e corrEntry) complete(r response) {
-	if r.kept && (e.coll == nil || e.coll.sink != nil) {
-		r.items, r.value, r.kept = (&wreader{b: r.value}).items(), nil, false
-	}
 	if e.coll != nil {
 		e.coll.fromWire(r, e.node != anyNode)
 		return
+	}
+	if r.kept {
+		r.items, r.value, r.kept = (&wreader{b: r.value}).items(), nil, false
 	}
 	e.ch <- r
 }

@@ -159,14 +159,13 @@
 // state and reads no clock. A small (range bucket, epoch)-keyed plan cache
 // short-circuits the estimate and the entry-point lookup for repeated
 // ranges and is invalidated implicitly by every epoch bump. QueryIter
-// streams an answer: scatter branches push bounded batches through a
-// channel-backed sink as they land, so wide queries allocate O(batch)
-// rather than O(result). A query's
-// predicate (internal/query.Pred: value-length bounds, key-set membership,
-// item limit) is evaluated at the owning peers, so items that cannot match
-// never cross the wire, and a limited serial walk terminates the adjacent
-// chain the moment the limit is satisfied. A filtered point read is the
-// one-key range [k, k+1).
+// reads an answer one ring slot at a time, each page a one-peer Query, so
+// it holds one peer's part at a time and nothing runs between pages. A
+// query's predicate (internal/query.Pred: value-length bounds, key-set
+// membership, item limit) is evaluated at the owning peers, so items that
+// cannot match never cross the wire, and a limited serial walk terminates
+// the adjacent chain the moment the limit is satisfied. A filtered point
+// read is the one-key range [k, k+1).
 //
 // # Observability
 //
@@ -359,11 +358,10 @@ type request struct {
 	// and par share a word.
 	kind kind
 	par  bool
-	// coll is the shared gather state of a parallel range query; set on
-	// kindRangeScatter sub-requests (which carry no reply channel of their
-	// own — the collector answers the client when the last branch finishes)
-	// and on streaming queries, whose client builds the collector itself so
-	// the channel-backed sink travels with the request (see query.go).
+	// coll is the shared gather state of a parallel range query, set on
+	// kindRangeScatter sub-requests: they carry no reply channel of their
+	// own, and the collector answers the client when the last branch
+	// finishes.
 	coll *collector
 	// pred is the pushdown predicate of a kindRange request, evaluated at
 	// the owning peers so items that cannot match never cross the wire.
@@ -983,12 +981,13 @@ func (c *Cluster) walk(p, next *peer, req *request) {
 // admit counts and stamps a delivery to p (ok is false if p is dead or
 // retired, or the cluster is stopping) and decides where it runs: inline
 // when p is local and idle (busy 0 → 1) — the caller dispatches it, then
-// drops p.inflight — else queued, as is a request carrying a collector,
-// whose handler may block in the sink's send while the runner holds another
-// token or is the sink's consumer. A walk's hops do not nest (walk hands
-// on); what still runs under a token — tombstone forwarding, replica deltas
-// and resyncs, handoffs, held replays, scatter branches, wire stubs — ends
-// after fixed levels or is charged a hop a level, so the hop cap bounds it.
+// drops p.inflight — else queued. A scatter branch (it carries a
+// collector) is always queued: run inline, the branches a peer sends would
+// run one after another, nested under its token, instead of in parallel. A
+// walk's hops do not nest (walk hands on); what still runs under a token —
+// tombstone forwarding, replica deltas and resyncs, handoffs, held replays,
+// scatter sends, wire stubs — ends after fixed levels or is charged a hop a
+// level, so the hop cap bounds it.
 func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) {
 	if c.stopped.Load() {
 		return false, false
@@ -1150,17 +1149,13 @@ func (c *Cluster) issue(via core.PeerID, entry *peer, req request) (response, er
 
 // await delivers the request to p and waits for the answer; sent is false
 // when nothing was delivered (p is dead or retired, or the cluster is
-// stopping). A streaming query answers through its collector's sink, so it
-// returns once delivered. The wait also watches the cluster's done channel
-// so a client can never block across Stop. Reply channels come from a pool:
-// every request is answered exactly once, so a channel whose answer has been
+// stopping). The wait also watches the cluster's done channel so a client
+// can never block across Stop. Reply channels come from a pool: every
+// request is answered exactly once, so a channel whose answer has been
 // consumed — or that was never sent — is clean for reuse; a wait abandoned
 // at Stop leaves its channel to the garbage collector instead, so a late
 // answer can never surface under a later request.
 func (c *Cluster) await(p *peer, req *request) (resp response, sent bool, err error) {
-	if req.coll != nil {
-		return response{}, c.deliverTo(p, *req, false), nil
-	}
 	req.reply = getReply()
 	if !c.deliverTo(p, *req, false) {
 		putReply(req.reply)
@@ -1508,6 +1503,12 @@ func (c *Cluster) forward(p *peer, req *request) *peer {
 		if next, ok := c.handTo(cand.ID, req); ok {
 			return next
 		}
+		if q := c.topo.Load().peers[cand.ID]; cand.Owns(req.key) && q != nil && q.node != 0 {
+			// The responsible peer's node took nothing: it is down as a dead
+			// peer is, and every other route would end at the same node.
+			c.refuse(p, *req, ErrOwnerDown)
+			return nil
+		}
 	}
 	// Every unvisited candidate is dead: back out of the dead region through
 	// an already-visited peer, chosen at random where the simulator retraces
@@ -1543,10 +1544,10 @@ func (c *Cluster) handTo(id core.PeerID, req *request) (next *peer, ok bool) {
 // the request is first routed like an exact query towards the range's lower
 // bound; once a peer responsible for it is reached, the range is answered
 // either by the serial adjacent-chain walk below or by the parallel fan-out
-// in range_fanout.go, depending on req.par. A materialising parallel query
-// whose range this peer covers alone has nothing to scatter: it takes the
-// serial branch, which answers in one copy of the items — no collector, no
-// chunk, no stitch — and, over the wire, in the final response alone.
+// in range_fanout.go, depending on req.par. A parallel query whose range
+// this peer covers alone has nothing to scatter: it takes the serial
+// branch, which answers in one copy of the items — no collector, no chunk,
+// no stitch — and, over the wire, in the final response alone.
 func (c *Cluster) handleRange(p *peer, req *request) *peer {
 	r := req.rng
 	owns := p.rng.Contains(r.Lower) || c.ownsExtreme(p, r.Lower)
@@ -1557,28 +1558,24 @@ func (c *Cluster) handleRange(p *peer, req *request) *peer {
 		return c.forward(p, req)
 	}
 	past := r.Upper > p.rng.Upper && p.view.Adj[core.Right] != nil
-	if req.par && (req.coll != nil || past) {
-		// Phase 2, parallel: become the fan-out coordinator. A streaming
-		// query (Cluster.QueryIter) built its collector client-side so the
-		// channel-backed sink and the pushdown predicate travel with the
-		// request; a materialising query's collector is created here.
-		coll := req.coll
-		if coll == nil {
-			if req.reply == nil && req.rcorr != 0 && c.net != nil {
-				// The client sits on another node: a proxy counts what this
-				// branch ships there and reports the counts to its correlation.
-				coll = c.net.proxyFor(req)
-			} else {
-				coll = &collector{reply: req.reply, pred: req.pred}
-				if req.pred == nil {
-					if n := c.sizeAnswer(p, r, &coll.regions); n > 0 {
-						coll.buf = make([]store.Item, n)
-						coll.chunks = make([]chunk, 0, len(coll.regions))
-					}
+	if req.par && past {
+		// Phase 2, parallel: become the fan-out coordinator, gathering into
+		// a collector created here.
+		var coll *collector
+		if req.reply == nil && req.rcorr != 0 && c.net != nil {
+			// The client sits on another node: a proxy counts what this
+			// branch ships there and reports the counts to its correlation.
+			coll = c.net.proxyFor(req)
+		} else {
+			coll = &collector{reply: req.reply, pred: req.pred}
+			if req.pred == nil {
+				if n := c.sizeAnswer(p, r, &coll.regions); n > 0 {
+					coll.buf = make([]store.Item, n)
+					coll.chunks = make([]chunk, 0, len(coll.regions))
 				}
 			}
-			coll.grow(1)
 		}
+		coll.grow(1)
 		c.scatterAt(p, r, req.hops, coll)
 		return nil
 	}

@@ -1,6 +1,6 @@
 // The query layer: one read spec, Query, answered materialised
-// (Cluster.Query) or streamed (Cluster.QueryIter), with selectivity-aware
-// planning and predicate pushdown.
+// (Cluster.Query) or a ring slot at a time (Cluster.QueryIter), with
+// selectivity-aware planning and predicate pushdown.
 //
 // BATON makes range selectivity visible for free. The published topology
 // snapshot carries the key-ordered ring — every member's range lower bound
@@ -15,21 +15,18 @@
 // query.Choose applies to the span: the serial adjacent-chain walk below a
 // span of 4, the parallel scatter from 4 on, the crossover measured
 // workloads settle on — and issue delivers the request straight to that
-// owner, falling back to via when it is dead or unknown. A (range bucket, epoch)-keyed query.Cache short-circuits the
-// span estimate and the owner lookup for repeated ranges; every ownership
-// publication bumps the epoch, which invalidates the cache implicitly. A
-// stale cache entry — the bucket was shared, or ownership moved before the
-// epoch bumped — costs forwarding hops (phase-1 routing re-aims the
-// request), never correctness.
+// owner, falling back to via when it is dead or unknown. A (range bucket,
+// epoch)-keyed query.Cache short-circuits the span estimate and the owner
+// lookup for repeated ranges; every ownership publication bumps the epoch,
+// which invalidates the cache implicitly. A stale cache entry — the bucket
+// was shared, or ownership moved before the epoch bumped — costs forwarding
+// hops (phase-1 routing re-aims the request), never correctness.
 //
-// QueryIter streams: the scatter branches push bounded batches into a
-// channel-backed sink as they land instead of materialising one giant
-// slice, so a wide range query allocates O(batch), not O(result), on the
-// serving peers. Batches arrive in segment-arrival order — each batch is
-// internally key-sorted and batches from one peer arrive in order, but
-// segments from different peers interleave as they finish. Close must be
-// called when abandoning an iterator early; a consumer that stops
-// consuming without Close stalls the peers still trying to deliver to it.
+// QueryIter is Query pulled a page at a time: each page is the rest of the
+// range up to the next slot's lower bound in the published ring, read when
+// the consumer has used up the one before. Items arrive in key order, the
+// iterator holds one covering peer's part at a time, and nothing is in
+// flight between calls to Next.
 package p2p
 
 import (
@@ -103,8 +100,8 @@ func (c *Cluster) EstimateSpan(r keyspace.Range) int {
 }
 
 // PlanStats returns the query layer's planning counters: range queries —
-// every Query and QueryIter, whatever its plan — dispatched serially and in
-// parallel, and plan-cache hits.
+// every Query and every page of a QueryIter, whatever its plan —
+// dispatched serially and in parallel, and plan-cache hits.
 func (c *Cluster) PlanStats() obs.PlanSnapshot { return c.plans.Snapshot() }
 
 // planRange resolves q under the current topology: its plan and the peer
@@ -164,62 +161,7 @@ func (c *Cluster) RangeAdaptive(via core.PeerID, r keyspace.Range) ([]store.Item
 	return c.Query(via, Query{Range: r})
 }
 
-// iterBatchSize bounds how many items one streaming batch carries: big
-// enough to amortise the channel send, small enough that the iterator's
-// peak memory stays O(batch) per in-flight branch.
-const iterBatchSize = 256
-
-// sinkBuffer is the streaming sink's channel capacity, in batches: the
-// slack between producing peers and the consuming client before
-// backpressure blocks a branch.
-const sinkBuffer = 16
-
-// rangeSink is the bounded channel-backed sink of a streaming range query.
-// Peer goroutines deliver batches through send, which blocks when the
-// client lags (that is the backpressure bound on the query's memory) but
-// never indefinitely: a send aborts when the iterator is closed or the
-// cluster stops.
-type rangeSink struct {
-	ch     chan iterBatch
-	cancel chan struct{}
-	done   <-chan struct{} // cluster shutdown broadcast
-}
-
-// iterBatch is one delivery to a streaming iterator: a batch of items, or
-// the final summary (hop count and error) when final is set.
-type iterBatch struct {
-	items []store.Item
-	final bool
-	hops  int
-	err   error
-}
-
-// send delivers one non-empty batch. It reports false when the iterator
-// was cancelled or the cluster stopped, telling the producing branch to
-// stop scanning.
-func (s *rangeSink) send(items []store.Item) bool {
-	select {
-	case s.ch <- iterBatch{items: items}:
-		return true
-	case <-s.cancel:
-		return false
-	case <-s.done:
-		return false
-	}
-}
-
-// close delivers the final summary. Called exactly once, by the branch
-// that takes the collector's pending count to zero — after every other
-// branch's sends completed — so the iterator sees it last.
-func (s *rangeSink) close(hops int, err error) {
-	select {
-	case s.ch <- iterBatch{final: true, hops: hops, err: err}:
-	case <-s.cancel:
-	case <-s.done:
-	}
-}
-
-// RangeIter is a streaming range query in progress. Use it like:
+// RangeIter is a range query read one ring slot at a time. Use it like:
 //
 //	it, err := c.QueryIter(via, p2p.Query{Range: r})
 //	if err != nil { ... }
@@ -230,94 +172,87 @@ func (s *rangeSink) close(hops int, err error) {
 //	}
 //	if err := it.Err(); err != nil { ... }
 //
-// Items arrive in segment-arrival order: each covering peer's contribution
-// is internally key-sorted, but contributions from different peers
-// interleave as the scatter branches finish — the price of yielding items
-// as they land instead of materialising and stitching the whole result.
-// A membership change mid-iteration (join, departure, crash, recovery) is
-// handled exactly as the materialising scatter handles it: sub-requests
-// addressed with stale state are re-routed, regions in mid-handoff are
-// briefly buffered, and a segment whose owner is dead surfaces as
-// ErrOwnerDown from Err with the rest of the items intact — never lost or
-// duplicated items.
+// Each time the current page is used up, Next reads the next one: a Query
+// over the rest of the range up to the next slot's lower bound in the
+// published ring, so a page costs what a one-peer Query costs — one
+// directly routed message — and items arrive in key order. A membership
+// change mid-iteration costs at most forwarding hops: a page is a key
+// range, and a stale ring only mis-aims its entry. A page whose owner is
+// dead is recorded as ErrOwnerDown and the iterator reads on past it, so
+// the items beyond still arrive; any other error ends the iteration.
 //
-// A RangeIter is not safe for concurrent use. Close is idempotent and
-// must be called when abandoning the iterator before Next returned false;
-// leaking an unconsumed, unclosed iterator stalls the peers still trying
-// to deliver to it until the cluster stops.
+// A RangeIter is not safe for concurrent use. Nothing is in flight between
+// calls to Next, so a consumer that stalls holds no peer, and Close is
+// optional: it only stops further pages.
 type RangeIter struct {
-	sink    *rangeSink
+	c   *Cluster
+	via core.PeerID
+	// rest is the part of the query not yet paged: rest.Range.Lower is the
+	// cursor, and an empty rest.Range ends the iteration.
+	rest    Query
 	cur     []store.Item
 	idx     int
-	limit   int
 	yielded int
 	hops    int
 	err     error
-	done    bool
-	closed  bool
 }
 
-// QueryIter starts q as a streaming query: the range is scattered as under
-// PlanParallel, but the branches stream their contributions through a
-// bounded sink as they land and the iterator yields them without ever
-// materialising the whole answer; a positive Pred.Limit stops it after that
-// many items. PlanSerial is refused without sending anything — a chain walk
-// yields nothing until it ends.
+// QueryIter starts q as an iterator that reads it one ring slot at a time;
+// a positive Pred.Limit stops it after that many items. It sends nothing
+// itself: the first Next reads the first page. PlanSerial is refused — a
+// page is planned like any one-peer Query, so a serial walk is Query's.
 func (c *Cluster) QueryIter(via core.PeerID, q Query) (*RangeIter, error) {
 	if q.Plan == query.PlanSerial {
-		return nil, errors.New("p2p: a serial walk cannot stream; use Query")
+		return nil, errors.New("p2p: QueryIter reads a slot per page; a serial walk is Query's")
 	}
 	q.Pred.Normalize()
-	q.Plan = query.PlanParallel
-	_, entry := c.planRange(q)
-	sink := &rangeSink{ch: make(chan iterBatch, sinkBuffer), cancel: make(chan struct{}), done: c.done}
-	// The collector is built here so the sink and predicate travel with the
-	// request; the coordinating peer seeds no collector of its own (see
-	// handleRange). Its one pending unit is the coordinator's branch.
-	req := q.request(q.Plan)
-	req.coll = &collector{pred: q.Pred, sink: sink, pending: 1}
-	if _, err := c.issue(via, entry, req); err != nil {
-		return nil, err
-	}
-	return &RangeIter{sink: sink, limit: q.Pred.LimitOrZero()}, nil
+	return &RangeIter{c: c, via: via, rest: q}, nil
 }
 
-// Next advances to the next item, blocking until one is available, and
-// reports whether there is one. It returns false when the query is
-// exhausted, the pushdown limit is reached, or the cluster stops — then
-// Err reports how the query ended.
+// Next advances to the next item, reading the next page when the current
+// one is used up, and reports whether there is one. It returns false when
+// the range is exhausted, the limit is reached, a page ended in an error
+// other than ErrOwnerDown, or the iterator was closed — then Err reports
+// how the query ended.
 func (it *RangeIter) Next() bool {
-	if it.done || it.closed {
-		return false
-	}
-	if it.limit > 0 && it.yielded >= it.limit {
-		// The limit is satisfied: cancel the remaining branches, their
-		// work cannot be needed.
-		it.done = true
-		it.Close()
-		return false
-	}
 	it.idx++
 	for it.idx >= len(it.cur) {
-		select {
-		case b := <-it.sink.ch:
-			if b.final {
-				it.hops, it.err = b.hops, b.err
-				it.done = true
-				// A query a dropped connection ended early may still have
-				// chunks in hand-over: nothing is left to wait for them.
-				it.Close()
-				return false
-			}
-			it.cur, it.idx = b.items, 0
-		case <-it.sink.done:
-			it.err = ErrStopped
-			it.done = true
+		if lim := it.rest.Pred.LimitOrZero(); it.rest.Range.IsEmpty() || lim > 0 && it.yielded >= lim {
 			return false
 		}
+		it.page()
 	}
 	it.yielded++
 	return true
+}
+
+// page reads the next page: the rest of the range up to the next ring
+// slot's lower bound, under a copy of the predicate whose limit is what is
+// still owed (a branch of an earlier page may still read the old one).
+func (it *RangeIter) page() {
+	q := it.rest
+	t := it.c.topo.Load()
+	if i := t.entryIdx(q.Range.Lower); i >= 0 && i+1 < len(t.ring) {
+		q.Range.Upper = min(q.Range.Upper, t.ring[i+1].lower)
+	}
+	if lim := q.Pred.LimitOrZero(); lim > 0 {
+		pred := *q.Pred
+		pred.Limit = lim - it.yielded
+		q.Pred = &pred
+	}
+	items, hops, err := it.c.Query(it.via, q)
+	it.cur, it.idx, it.hops = items, 0, max(it.hops, hops)
+	it.rest.Range.Lower = q.Range.Upper
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrOwnerDown):
+		if it.err == nil {
+			it.err = err
+		}
+	default:
+		it.err = err
+		it.rest.Range.Upper = it.rest.Range.Lower
+	}
 }
 
 // Item returns the current item. Valid only after a Next that returned
@@ -325,22 +260,19 @@ func (it *RangeIter) Next() bool {
 func (it *RangeIter) Item() store.Item { return it.cur[it.idx] }
 
 // Err returns how the query ended: nil for a complete answer, ErrOwnerDown
-// when a segment's owner was dead (the yielded items are the partial
-// answer), ErrStopped when the cluster shut down mid-iteration. Valid
-// after Next returned false.
+// when a page's owner was dead (the yielded items are the partial answer),
+// or the error that ended the iteration early — ErrStopped when the
+// cluster shut down, ErrUnknownPeer for an unknown via. Valid after Next
+// returned false.
 func (it *RangeIter) Err() error { return it.err }
 
-// Hops returns the longest message chain across the scatter's branches,
-// like Query's hop count. Valid after Next returned false with a complete
-// answer.
+// Hops returns the longest message chain among the pages read, like
+// Query's hop count.
 func (it *RangeIter) Hops() int { return it.hops }
 
-// Close cancels the iterator: producing branches stop scanning and
-// delivering. Idempotent. Must be called when the iterator is abandoned
-// before exhaustion; calling it after Next returned false is harmless.
+// Close stops the iterator: Next returns false from now on. Idempotent,
+// and optional, since nothing is in flight between calls to Next.
 func (it *RangeIter) Close() {
-	if !it.closed {
-		it.closed = true
-		close(it.sink.cancel)
-	}
+	it.rest.Range.Upper = it.rest.Range.Lower
+	it.cur = nil
 }

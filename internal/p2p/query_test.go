@@ -315,8 +315,8 @@ func TestRangeFilteredPushdown(t *testing.T) {
 }
 
 // TestRangeIterStreams pins the iterator contract on a healthy cluster:
-// the full item set arrives (in segment-arrival order, so compared as a
-// set), Err is nil and Hops is populated. (Predicates and limits are
+// the full item set arrives in strictly increasing key order, Err is nil
+// and Hops is populated. (Predicates and limits are
 // TestQueryMatchesModel's.)
 func TestRangeIterStreams(t *testing.T) {
 	c, keys := liveCluster(t, 60, 800, 46)
@@ -331,6 +331,9 @@ func TestRangeIterStreams(t *testing.T) {
 	defer it.Close()
 	var items []store.Item
 	for it.Next() {
+		if n := len(items); n > 0 && items[n-1].Key >= it.Item().Key {
+			t.Fatalf("item %d: key %d after %d, want strictly increasing keys", n, it.Item().Key, items[n-1].Key)
+		}
 		items = append(items, it.Item())
 	}
 	if it.Err() != nil {
@@ -361,10 +364,9 @@ func TestRangeIterEpochBumpMidIteration(t *testing.T) {
 		items = append(items, it.Item())
 	}
 	// Membership changes mid-consumption: both bump the epoch and move
-	// item ownership under the running scatter. They run concurrently with
-	// the consumption below — the sink's backpressure means producing
-	// peers block on a paused consumer, so a consumer must keep consuming
-	// (or Close) while structural ops proceed.
+	// item ownership under the pages still to come, which are cut from the
+	// ring as published when each is read. They run concurrently with the
+	// consumption below, so a page may also be read mid-operation.
 	churnDone := make(chan error, 1)
 	go func() {
 		joined, err := c.Join(ids[1])
@@ -506,10 +508,9 @@ func BenchmarkRangeWire(b *testing.B) {
 	}
 }
 
-// BenchmarkRangeIterStreaming consumes the same range through the bounded
-// sink: peers ship fixed-size batches and nothing ever materialises the
-// whole result, so peak memory is O(batch × in-flight branches) instead of
-// O(result) — visible in bytes/op next to BenchmarkRangeMaterialised.
+// BenchmarkRangeIterStreaming consumes the same range through the
+// iterator: one ring slot per page, each a one-peer Query, so the iterator
+// holds one peer's part at a time instead of the whole result.
 func BenchmarkRangeIterStreaming(b *testing.B) {
 	c, _ := liveCluster(b, 32, 2000, 50)
 	ids := c.PeerIDs()
@@ -528,6 +529,29 @@ func BenchmarkRangeIterStreaming(b *testing.B) {
 			b.Fatalf("streamed %d items, err %v", n, it.Err())
 		}
 		it.Close()
+	}
+}
+
+// BenchmarkRangeIterWire is BenchmarkRangeIterStreaming from a zero-peer
+// client over BenchmarkRangeWire's nodes: every page is a round trip, one
+// after another, where the materialised query's parts travel at once.
+func BenchmarkRangeIterWire(b *testing.B) {
+	_, _, client, _ := wireTrio(b, 16, 16, 2000, 50)
+	ids := client.PeerIDs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := client.QueryIter(ids[i%len(ids)], Query{Range: benchRange})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for it.Next() {
+			n++
+		}
+		if it.Err() != nil || n == 0 {
+			b.Fatalf("streamed %d items, err %v", n, it.Err())
+		}
 	}
 }
 

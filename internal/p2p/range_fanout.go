@@ -39,7 +39,7 @@ type region struct {
 // the count to zero delivers the gathered answer to the client.
 //
 // Over the wire the same collector is the origin side of every range query
-// — serial, parallel or streaming — that leaves its client's node
+// — serial or parallel — that leaves its client's node
 // (netLayer.deliver): data comes in flat, control hierarchically. Each
 // contributing peer encodes its part from its store straight into a partial
 // response to the origin's correlation entry, where it is decoded once, as
@@ -64,12 +64,6 @@ type collector struct {
 	// scatter sub-request carries one pointer instead of re-encoding the
 	// predicate per segment. Nil for unfiltered queries.
 	pred *query.Pred
-	// sink, when non-nil, switches the collector to streaming mode
-	// (Cluster.QueryIter): branches push their contributions to the
-	// bounded channel-backed sink as they land instead of accumulating
-	// chunks, and the last branch closes the sink with the query's hop
-	// count and error. See query.go.
-	sink *rangeSink
 	// buf and regions are the presized answer and its per-segment parts,
 	// fixed before the first branch is sent; nil when not presized.
 	buf     []store.Item
@@ -84,12 +78,6 @@ type collector struct {
 	// finished branches minus those that have arrived (negative while
 	// partials outrun their final); in a proxy, those its sub-tree has sent.
 	parts int
-	// handing counts chunks off the wire on their way into the sink: a
-	// streaming query is not over, and its sink not closed, before they are
-	// in — not even one a lost connection cuts short (aborted), which stops
-	// waiting for everything else.
-	handing int
-	aborted bool
 	// done is set once the answer has been delivered; whatever arrives
 	// afterwards — a late partial, the final of a branch an abort gave up
 	// on — is dropped.
@@ -106,7 +94,7 @@ func (g *collector) proxy() bool { return g.wire.corr != 0 }
 func (g *collector) grow(n int) {
 	g.mu.Lock()
 	g.pending += n
-	if g.sink == nil && !g.proxy() {
+	if !g.proxy() {
 		g.chunks = slices.Grow(g.chunks, g.pending)
 	}
 	g.mu.Unlock()
@@ -115,10 +103,7 @@ func (g *collector) grow(n int) {
 // finish reports one branch's partial result: the sorted items of the peer
 // whose range starts at lo. When the last branch finishes, the chunks are
 // stitched together in key order and sent to the client; the reply channel
-// is buffered so this never blocks a peer goroutine. In streaming mode the
-// items go straight to the sink (a bounded send that respects the
-// iterator's cancellation) and the last branch closes the sink instead. A
-// proxy ships them.
+// is buffered so this never blocks a peer goroutine. A proxy ships them.
 func (g *collector) finish(lo keyspace.Key, items []store.Item, hops int, err error) {
 	if g.proxy() {
 		g.ship(items, storeRun{}, hops, err)
@@ -148,24 +133,8 @@ func (g *collector) ship(items []store.Item, run storeRun, hops int, err error) 
 // chain, the last peer's chunk. Chunks are keyed by their first item, which
 // orders them exactly as segment bounds order in-process ones. An error in
 // place of a partial means partials may have been lost (a connection
-// dropped, a frame did not decode): the query ends now, with what it has. A
-// streaming collector takes everything on a fresh goroutine — the sink's
-// bounded send, of a chunk or of the closing summary, may block, and a
-// connection reader never does.
+// dropped, a frame did not decode): the query ends now, with what it has.
 func (g *collector) fromWire(r response, final bool) {
-	if g.sink == nil {
-		g.absorb(r, final)
-		return
-	}
-	if len(r.items) > 0 {
-		g.mu.Lock()
-		g.handing++
-		g.mu.Unlock()
-	}
-	go g.absorb(r, final)
-}
-
-func (g *collector) absorb(r response, final bool) {
 	c := chunk{items: r.items}
 	if r.kept {
 		c = chunk{lo: keyspace.Key(binary.LittleEndian.Uint64(r.value[4:])), enc: r.value}
@@ -189,22 +158,12 @@ const everyBranch = -1
 // chunk, merge hop count and error, retire `branches` pending branches and
 // move the partial count, then — if that completed the query — deliver.
 func (g *collector) settle(c chunk, hops int, err error, branches, parts int) {
-	handed := 0
-	if g.sink != nil && len(c.items) > 0 {
-		// Deliver before the bookkeeping: the query can only complete after
-		// every contribution's send has, so the closing summary is always
-		// the last thing the iterator receives. (Peers on this node feed the
-		// sink themselves and finish with no items: these came by wire.)
-		g.sink.send(c.items)
-		handed = 1
-	}
 	g.mu.Lock()
-	g.handing -= handed
 	if g.done {
 		g.mu.Unlock()
 		return
 	}
-	if g.sink == nil && (len(c.items) > 0 || c.enc != nil) {
+	if len(c.items) > 0 || c.enc != nil {
 		g.chunks = append(g.chunks, c)
 	}
 	if err != nil && g.err == nil {
@@ -213,18 +172,16 @@ func (g *collector) settle(c chunk, hops int, err error, branches, parts int) {
 	if hops > g.hops {
 		g.hops = hops
 	}
-	if branches == everyBranch {
-		g.aborted = true
-	} else {
+	if branches != everyBranch {
 		g.pending -= branches
 		g.parts += parts
 	}
-	g.done = g.handing == 0 && (g.aborted || g.pending == 0 && (g.proxy() || g.parts <= 0))
+	g.done = branches == everyBranch || g.pending == 0 && (g.proxy() || g.parts <= 0)
 	done, origin := g.done, g.origin
 	resp := response{hops: g.hops, err: g.err}
 	if g.proxy() {
 		resp.parts = g.parts
-	} else if done && g.sink == nil {
+	} else if done {
 		resp.items = g.answer()
 	}
 	g.mu.Unlock()
@@ -235,8 +192,6 @@ func (g *collector) settle(c chunk, hops int, err error, branches, parts int) {
 	case g.proxy():
 		g.wire.deliver(resp)
 		return
-	case g.sink != nil:
-		g.sink.close(resp.hops, resp.err)
 	case g.reply != nil:
 		g.reply <- resp
 	}
@@ -351,25 +306,6 @@ func (c *Cluster) scatterAt(p *peer, rng keyspace.Range, hops int, coll *collect
 	if !rem.IsEmpty() {
 		err = c.scatterRemainder(p, rem, hops, coll)
 	}
-	if coll.sink != nil {
-		// Streaming branch: ship the local contribution in bounded batches
-		// through the sink. The owning peer never materialises its whole
-		// chunk (store.ScanBatches allocates one batch at a time) and the
-		// client starts consuming while other branches are still scanning.
-		// A false from send means the iterator was closed or the cluster
-		// stopped: stop scanning, the work cannot be needed.
-		p.data.ScanBatches(rng, iterBatchSize, func(batch []store.Item) bool {
-			if coll.pred != nil {
-				batch = filterInPlace(batch, coll.pred)
-				if len(batch) == 0 {
-					return true
-				}
-			}
-			return coll.sink.send(batch)
-		})
-		coll.finish(rng.Lower, nil, hops, err)
-		return
-	}
 	switch {
 	case coll.pred != nil:
 		// Pushdown: evaluate the predicate during the scan so the branch
@@ -398,18 +334,6 @@ func scanFiltered(data *store.Store, dst []store.Item, r keyspace.Range, pred *q
 		return lim == 0 || len(dst) < lim
 	})
 	return dst
-}
-
-// filterInPlace drops the items of batch that fail pred, in place (the
-// batch is owned by the streaming scan that allocated it).
-func filterInPlace(batch []store.Item, pred *query.Pred) []store.Item {
-	kept := batch[:0]
-	for _, it := range batch {
-		if pred.MatchItem(it) {
-			kept = append(kept, it)
-		}
-	}
-	return kept
 }
 
 // scatterRemainder splits rem (which starts exactly at p's upper bound)

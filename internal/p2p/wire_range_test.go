@@ -219,55 +219,53 @@ func TestWireRangeMidChainKill(t *testing.T) {
 // it — no waiting for chunks that went down with the socket, and (the
 // package's leak barrier) no goroutine left behind.
 func TestWireRangeConnectionDropMidQuery(t *testing.T) {
-	// The sweep itself, step by step: a streaming query with one branch out
-	// has received one chunk when a connection — any connection — drops.
+	// The sweep itself, step by step: a query with one branch out has
+	// received a partial of two items when a connection — any connection —
+	// drops.
 	head, daemon, client, keys := wireTrio(t, 12, 12, 4000, 9)
 	n := client.net
-	sink := &rangeSink{ch: make(chan iterBatch, sinkBuffer), cancel: make(chan struct{}), done: client.done}
-	coll := &collector{sink: sink, pending: 1}
+	reply := make(chan response, 2)
+	coll := &collector{reply: reply, pending: 1}
 	origin := acquireCorr(&n.corr, corrEntry{node: anyNode, coll: coll})
 	coll.origin = wireDest{n: n, node: n.self, corr: origin}
 	acquireCorr(&n.corr, corrEntry{node: daemon.net.self, coll: coll})
 	n.complete(origin, response{items: []store.Item{{Key: 1}, {Key: 2}}}, msgFlagPartial)
 	n.corr.sweep(head.net.self, fmt.Errorf("%w: connection to node %d lost", ErrOwnerDown, head.net.self))
-	it := &RangeIter{sink: sink}
-	got := 0
-	for it.Next() {
-		got++
+	if len(reply) != 1 {
+		t.Fatalf("the sweep left %d answers, want 1", len(reply))
 	}
-	if got != 2 || !errors.Is(it.Err(), ErrOwnerDown) {
-		t.Fatalf("swept query yielded %d items and %v, want 2 and ErrOwnerDown", got, it.Err())
+	r := <-reply
+	if !errors.Is(r.err, ErrOwnerDown) {
+		t.Fatalf("swept query ended with %v, want ErrOwnerDown", r.err)
 	}
+	checkExactItems(t, r.items, []keyspace.Key{1, 2}, "swept query")
 	n.corr.sweep(daemon.net.self, ErrOwnerDown) // the branch's entry: its final changes nothing now
-	if len(sink.ch) != 0 {
-		t.Fatal("a final after the sweep reached the iterator")
+	if len(reply) != 0 {
+		t.Fatal("a final after the sweep produced a second answer")
 	}
 
-	// End to end: a streaming query nobody consumes — with more contributing
-	// peers than the sink buffers batches it cannot complete on its own —
-	// and then a node goes away. Whether its chunks had all arrived is up to
-	// the scheduler: the query ends complete, or with ErrOwnerDown and what
-	// made it, but it ends, and leaves nothing in the table.
+	// End to end: a node goes away halfway through an iteration from the
+	// zero-peer client, so the pages after it find the daemon's peers gone.
+	// The iteration ends complete, or with ErrOwnerDown and the items it
+	// yielded, but it ends, and leaves nothing in the table.
+	total := len(uniqueSortedKeys(keys))
 	it, err := client.QueryIter(client.PeerIDs()[0], Query{Range: head.Domain()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	for deadline := time.Now().Add(10 * time.Second); len(it.sink.ch) < sinkBuffer; {
-		if time.Now().After(deadline) {
-			t.Fatalf("sink never filled: %d of %d batches", len(it.sink.ch), sinkBuffer)
-		}
-		time.Sleep(2 * time.Millisecond)
+	got := 0
+	for got < total/2 && it.Next() {
+		got++
 	}
 	daemon.Stop()
-	got = 0
 	for it.Next() {
 		got++
 	}
-	switch total := len(uniqueSortedKeys(keys)); {
+	switch {
 	case it.Err() == nil && got != total:
 		t.Fatalf("query ended clean with %d of %d items", got, total)
-	case it.Err() != nil && (!errors.Is(it.Err(), ErrOwnerDown) || got == 0):
+	case it.Err() != nil && !errors.Is(it.Err(), ErrOwnerDown):
 		t.Fatalf("query ended with %v and %d items, want ErrOwnerDown and what had arrived", it.Err(), got)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
@@ -415,19 +413,10 @@ func TestWireFilteredScatterFiltersRemoteBranches(t *testing.T) {
 	}
 	sort.Slice(pick, func(i, j int) bool { return pick[i] < pick[j] })
 	for _, c := range []*Cluster{head, daemon} {
-		it, err := c.QueryIter(c.PeerIDs()[0], Query{Range: c.Domain(), Pred: &query.Pred{Keys: pick}})
+		got, _, err := c.Query(c.PeerIDs()[0], Query{Range: c.Domain(), Pred: &query.Pred{Keys: pick}, Plan: query.PlanParallel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []store.Item
-		for it.Next() {
-			got = append(got, it.Item())
-		}
-		it.Close()
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 		checkExactItems(t, got, pick, "filtered scatter")
 	}
 }

@@ -314,41 +314,6 @@ func (s *Store) AscendRange(r keyspace.Range, fn func(Item) bool) {
 // allocation of exactly their number (nil when there are none).
 func (s *Store) Scan(r keyspace.Range) []Item { return s.ScanAppend(nil, r) }
 
-// ScanBatches calls fn with successive batches of at most batchSize items
-// with keys in r, in ascending order, until the range is exhausted or fn
-// returns false. It is the visitor form of Scan for streaming consumers:
-// the store never materialises the whole result, only one batch at a time,
-// so a scan's peak allocation is O(batchSize) instead of O(result). Each
-// batch is freshly allocated and handed off to fn (the store keeps no
-// reference), so fn may retain or send it. Batches are sized for the items
-// that remain (CountRange), never over-allocated, and filled run by run.
-func (s *Store) ScanBatches(r keyspace.Range, batchSize int, fn func([]Item) bool) {
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	remaining := s.CountRange(r)
-	var batch []Item
-	s.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
-		for len(keys) > 0 {
-			if batch == nil {
-				batch = make([]Item, 0, min(batchSize, remaining))
-			}
-			take := min(len(keys), cap(batch)-len(batch))
-			batch = appendRun(batch, keys[:take], values[:take])
-			keys, values = keys[take:], values[take:]
-			if len(batch) == cap(batch) {
-				remaining -= len(batch)
-				out := batch
-				batch = nil
-				if !fn(out) {
-					return false
-				}
-			}
-		}
-		return true
-	})
-}
-
 // ScanAppend appends all items with keys in r to dst and returns the
 // extended slice, copying leaf run by leaf run. It makes room once, for
 // CountRange's count: a nil dst gets exactly that, and any other grows with

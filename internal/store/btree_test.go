@@ -170,54 +170,6 @@ func TestAscendRangeEarlyStop(t *testing.T) {
 	}
 }
 
-// TestScanBatches pins the streaming visitor: batches arrive in key order,
-// never exceed the batch size, are never over-allocated, and an early false
-// from the visitor stops the walk.
-func TestScanBatches(t *testing.T) {
-	s := NewWithDegree(3)
-	for i := 0; i < 100; i++ {
-		s.Put(keyspace.Key(i*10), nil)
-	}
-	var got []keyspace.Key
-	batches := 0
-	s.ScanBatches(keyspace.NewRange(95, 545), 10, func(items []Item) bool {
-		batches++
-		if len(items) > 10 {
-			t.Fatalf("batch of %d items exceeds batch size 10", len(items))
-		}
-		if cap(items) != len(items) {
-			t.Fatalf("batch over-allocated: len %d cap %d", len(items), cap(items))
-		}
-		for _, it := range items {
-			got = append(got, it.Key)
-		}
-		return true
-	})
-	// Keys 100..540 step 10: 45 items → 4 full batches + one of 5.
-	if len(got) != 45 || batches != 5 {
-		t.Fatalf("ScanBatches yielded %d items in %d batches, want 45 in 5", len(got), batches)
-	}
-	for i, k := range got {
-		if want := keyspace.Key(100 + i*10); k != want {
-			t.Fatalf("item %d key = %d, want %d", i, k, want)
-		}
-	}
-	// Early stop: the visitor's false must end the walk after one batch.
-	batches = 0
-	s.ScanBatches(keyspace.FullDomain(), 10, func([]Item) bool {
-		batches++
-		return false
-	})
-	if batches != 1 {
-		t.Fatalf("early stop saw %d batches, want 1", batches)
-	}
-	// Empty range: the visitor must not be called at all.
-	s.ScanBatches(keyspace.NewRange(5000, 6000), 10, func([]Item) bool {
-		t.Fatal("visitor called for an empty range")
-		return false
-	})
-}
-
 // TestScanAppend pins the accumulator form: items land behind the existing
 // prefix in key order with at most one reallocation.
 func TestScanAppend(t *testing.T) {
@@ -366,9 +318,8 @@ func TestStoreMatchesModel(t *testing.T) {
 	}
 }
 
-// checkScans checks every scan form over r against the model: Scan,
-// CountRange and ScanBatches return exactly the model's items in r in key
-// order, ScanAppend lands them behind a prefix whether dst has spare
+// checkScans checks every scan form over r against the model: Scan and
+// CountRange return exactly the model's items in r in key order, ScanAppend lands them behind a prefix whether dst has spare
 // capacity (then it must not reallocate) or not, and AscendRange stops where
 // its visitor says.
 func checkScans(t testing.TB, s *Store, model map[keyspace.Key][]byte, r keyspace.Range) {
@@ -394,15 +345,6 @@ func checkScans(t testing.TB, s *Store, model map[keyspace.Key][]byte, r keyspac
 	if got := s.CountRange(r); got != len(want) {
 		t.Fatalf("CountRange(%v) = %d, want %d", r, got, len(want))
 	}
-	var batched []Item
-	s.ScanBatches(r, 3, func(b []Item) bool {
-		if len(b) == 0 || len(b) > 3 {
-			t.Fatalf("ScanBatches(%v): batch of %d items, want 1 to 3", r, len(b))
-		}
-		batched = append(batched, b...)
-		return true
-	})
-	same("ScanBatches", batched)
 	for _, spare := range []int{0, len(want)} {
 		dst := make([]Item, 1, 1+spare)
 		dst[0] = Item{Key: -1}
