@@ -119,9 +119,12 @@ func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 }
 
 // TestInlineScatterBranchesQueued: on an idle cluster every hop of an
-// overlay Get runs inline (inline count == hops), while the branches of a
-// parallel range carry the collector and are always queued, so they run in
-// parallel on their peers' goroutines.
+// overlay Get runs inline (inline count == hops). A parallel range queues
+// all but one of the branches each scattering step sends, so they run in
+// parallel on their peers' goroutines, and hands the last one on, inline
+// on an idle cluster, as every walk does. The query over 80 % of the domain
+// sends the same 44 branches it did when every branch queued; 24 of them
+// are handed on, one per scattering step, and 20 queue.
 func TestInlineScatterBranchesQueued(t *testing.T) {
 	c, keys := liveCluster(t, 64, 2000, 163)
 	ids := c.PeerIDs()
@@ -142,16 +145,17 @@ func TestInlineScatterBranchesQueued(t *testing.T) {
 		t.Fatalf("range: %d items, err %v", len(items), err)
 	}
 	after := c.Metrics()
-	if n := after.Delivered["RANGE_SCATTER"] - before.Delivered["RANGE_SCATTER"]; n == 0 {
-		t.Fatal("a range over 80% of the domain scattered no branch")
-	}
-	if n := after.Inline["RANGE_SCATTER"] - before.Inline["RANGE_SCATTER"]; n != 0 {
-		t.Fatalf("%d scatter branches ran inline, want 0", n)
+	delivered := after.Delivered["RANGE_SCATTER"] - before.Delivered["RANGE_SCATTER"]
+	inline := after.Inline["RANGE_SCATTER"] - before.Inline["RANGE_SCATTER"]
+	if delivered != 44 || inline != 24 || delivered-inline != 20 {
+		t.Fatalf("a range over 80%% of the domain sent %d branches, %d inline and %d queued; want 44, 24 and 20",
+			delivered, inline, delivered-inline)
 	}
 }
 
-// TestHandOnReleasesToken: every walk kind passes its request on after
-// releasing its token, so an inline walk holds one peer at a time. Each row
+// TestHandOnReleasesToken: every walk kind — a parallel range's steps too —
+// passes its request on after releasing its token, so an inline walk holds
+// one peer at a time. Each row
 // learns its route from a traced dry run, then sends the request again with
 // an unbuffered reply channel, so the last peer's respond blocks inside its
 // handler, on the walking goroutine, until the test reads it; while it is
@@ -201,6 +205,20 @@ func TestHandOnReleasesToken(t *testing.T) {
 	// Four chain peers: the range starts inside snaps[10] and ends inside snaps[13].
 	chain := keyspace.Range{Lower: snaps[10].Range.Lower + 1, Upper: snaps[13].Range.Lower + 1}
 	joinVia, join := first(ids, func(int) request { return request{kind: kindJoinLocate} }, 2)
+	// A parallel range over three peers whose every step hands its one
+	// segment on, so the route's last peer completes the collector: the
+	// range ends just inside snaps[k+2], which is not in snaps[k]'s right
+	// routing table, so no entry of it starts inside the rest.
+	parVia, par := func() (core.PeerID, request) {
+		for k := 1; k+3 < len(snaps); k++ {
+			if !slices.ContainsFunc(c.peerByID(snaps[k].ID).view.RT[core.Right], func(l *core.Link) bool { return l != nil && l.ID == snaps[k+2].ID }) {
+				r := keyspace.Range{Lower: snaps[k].Range.Lower + 1, Upper: snaps[k+2].Range.Lower + 1}
+				return snaps[k].ID, request{kind: kindRange, key: r.Lower, rng: r, par: true}
+			}
+		}
+		t.Fatal("every peer's right routing table holds the peer two to its right")
+		return 0, request{}
+	}()
 	rows := []struct {
 		name    string
 		via     core.PeerID
@@ -209,6 +227,7 @@ func TestHandOnReleasesToken(t *testing.T) {
 	}{
 		{"get", getVia, get, 4},
 		{"serial-range", snaps[10].ID, request{kind: kindRange, key: chain.Lower, rng: chain}, 4},
+		{"parallel-range", parVia, par, 3},
 		{"join-locate", joinVia, join, 2},
 		{"find-replacement", root, request{kind: kindFindReplacement}, 2},
 	}

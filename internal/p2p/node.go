@@ -423,7 +423,7 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 	// serial walk collected before it got here is the first chunk.
 	fresh := false
 	if req.reply != nil && req.kind == kindRange {
-		req.coll = &collector{reply: req.reply, pred: req.pred, pending: 1}
+		req.coll = &collector{reply: req.reply, limit: req.pred.LimitOrZero(), pending: 1}
 		if len(req.acc) > 0 {
 			req.coll.chunks = []chunk{{lo: req.acc[0].Key, items: req.acc}}
 		}
@@ -437,7 +437,7 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		// pending unit of the collector here, and its chunks go to the
 		// query's origin entry, which the origin's own collector registers
 		// the first time one of its branches crosses. The remote end runs the
-		// branch under a proxy (proxyFor).
+		// branch under a proxy once it scatters (gather).
 		coll := req.coll
 		coll.mu.Lock()
 		if coll.origin.corr == 0 {
@@ -445,7 +445,6 @@ func (n *netLayer) deliver(p *peer, req request, evenDead bool) bool {
 		}
 		req.onode, req.ocorr = coll.origin.node, coll.origin.corr
 		coll.mu.Unlock()
-		req.pred = coll.pred
 		m.Corr = acquireCorr(&n.corr, corrEntry{node: p.node, coll: coll})
 	case req.rcorr != 0:
 		// Forwarding a request that originated on another node: pass the
@@ -605,13 +604,6 @@ func (n *netLayer) inboundRequest(m *transport.Msg) {
 		// concurrent sends fail over immediately.
 		p.alive.Store(false)
 	}
-	if req.kind == kindRangeScatter && req.rcorr != 0 {
-		// A scatter branch from another node: run it (and its recursive
-		// local sub-branches) under a proxy of the sender's collector.
-		req.coll = n.proxyFor(&req)
-		req.coll.grow(1)
-		req.rcorr, req.rnode = 0, 0
-	}
 	if !c.deliverTo(p, req, evenDead) {
 		c.refuse(nil, req, fmt.Errorf("%w: %d", ErrOwnerDown, p.id))
 	}
@@ -635,17 +627,6 @@ type wireDest struct {
 }
 
 func (w wireDest) deliver(resp response) { w.n.replyWire(w.node, w.corr, resp) }
-
-// proxyFor builds the collector under which a range branch that arrived
-// over the wire runs on this node: finals go to the branch's correlation,
-// chunks to the query's origin entry.
-func (n *netLayer) proxyFor(req *request) *collector {
-	return &collector{
-		wire:   wireDest{n: n, node: req.rnode, corr: req.rcorr},
-		origin: wireDest{n: n, node: req.onode, corr: req.ocorr},
-		pred:   req.pred,
-	}
-}
 
 // inboundControl handles a control frame: RPC completions inline (the ctl
 // worker itself may be blocked waiting for one), everything else queued to

@@ -137,16 +137,20 @@
 // predicate and a plan. Like the range query of Section IV-B it starts at
 // the peer owning the range's lower bound — the owner the published ring
 // names, or routed there from via when that owner is dead or unknown — and
-// covers the range from there: PlanSerial walks the right-adjacent chain
-// one peer at a time exactly as the paper describes, while PlanParallel
-// scatters the uncovered remainder across the chain and the sideways
-// routing tables in parallel and gathers the partial answers in a
-// per-query collector, turning O(peers-covered) sequential hops into a
-// logarithmic-depth fan-out. Bulk operations (BulkGet, BulkPut,
-// BulkDelete) group keys by responsible peer and pipeline one batched
-// message per peer, amortising routing hops across the whole batch; keys
-// whose owner changed under a concurrent membership operation are retried
-// as routed singleton requests, so bulk calls stay correct under churn.
+// covers the range from there, one step per covering peer, the same step
+// for both plans (handleRange, range_fanout.go): cut the uncovered rest into
+// segments, queue all but the last as branches of their own, contribute the
+// peer's part and hand the last segment on, as every walk hands on.
+// PlanSerial cuts one segment, to the right adjacent peer, and so walks the
+// chain one peer at a time exactly as the paper describes; PlanParallel
+// cuts one more per sideways routing-table entry inside the rest and
+// gathers the parts in a per-query collector, turning O(peers-covered)
+// sequential hops into a logarithmic-depth fan-out. Bulk operations
+// (BulkGet, BulkPut, BulkDelete) group keys by responsible peer and
+// pipeline one batched message per peer, amortising routing hops across
+// the whole batch; keys whose owner changed under a concurrent membership
+// operation are retried as routed singleton requests, so bulk calls stay
+// correct under churn.
 //
 // # Query layer
 //
@@ -351,23 +355,23 @@ type request struct {
 	// process that answers the client; for an unfiltered walk the first peer
 	// sizes it for the whole answer (sizeAnswer), and every later peer scans
 	// into it. It never crosses the wire: a walk whose origin is another
-	// node ships each peer's chunk straight there (see handleRange).
+	// node ships each peer's chunk straight there (see contribute).
 	acc []store.Item
 	// par marks a kindRange request that should fan out in parallel once
-	// phase-1 routing reaches the peer owning the range's lower bound; kind
-	// and par share a word.
+	// phase-1 routing reaches the peer owning the range's lower bound (a
+	// kindRangeScatter branch is parallel by its kind); kind and par share a
+	// word.
 	kind kind
 	par  bool
 	// coll is the shared gather state of a parallel range query, set on
-	// kindRangeScatter sub-requests: they carry no reply channel of their
-	// own, and the collector answers the client when the last branch
-	// finishes.
+	// its kindRangeScatter branches from the step that made it (gather) on:
+	// they carry no reply channel of their own, and the collector answers
+	// the client when the last branch finishes.
 	coll *collector
-	// pred is the pushdown predicate of a kindRange request, evaluated at
-	// the owning peers so items that cannot match never cross the wire.
-	// Plain serialisable data — see query.Pred. Parallel scatter branches
-	// read it from coll instead, so one query evaluates one predicate
-	// wherever its branches run.
+	// pred is the pushdown predicate of a range query, evaluated at the
+	// owning peers so items that cannot match never cross the wire. Plain
+	// serialisable data — see query.Pred. Every branch carries the query's
+	// one pointer.
 	pred *query.Pred
 	// bulk carries the keys/items of a batched operation or a data handoff.
 	bulk []store.Item
@@ -946,7 +950,7 @@ func hopClock() int64 { return int64(time.Since(hopEpoch)) }
 // an idle local peer runs on the calling goroutine — still one message,
 // queue wait 0, no wake-up — and so does each hop it is handed on to.
 func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
-	ok, inline := c.admit(p, &req, evenDead)
+	ok, inline := c.admit(p, &req, evenDead, false)
 	if inline {
 		next := c.dispatch(p, &req)
 		p.inflight.Add(-1)
@@ -961,11 +965,11 @@ func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 // request again and re-chooses; each re-run charges a hop, capping the loop.
 func (c *Cluster) walk(p, next *peer, req *request) {
 	for next != nil {
-		ok, inline := c.admit(next, req, false)
+		ok, inline := c.admit(next, req, false, false)
 		if !ok {
 			req.visited.add(next.id)
 			next = p
-			if ok, inline = c.admit(p, req, false); !ok {
+			if ok, inline = c.admit(p, req, false, false); !ok {
 				c.refuse(p, *req, ErrOwnerDown)
 				return
 			}
@@ -981,14 +985,15 @@ func (c *Cluster) walk(p, next *peer, req *request) {
 // admit counts and stamps a delivery to p (ok is false if p is dead or
 // retired, or the cluster is stopping) and decides where it runs: inline
 // when p is local and idle (busy 0 → 1) — the caller dispatches it, then
-// drops p.inflight — else queued. A scatter branch (it carries a
-// collector) is always queued: run inline, the branches a peer sends would
-// run one after another, nested under its token, instead of in parallel. A
-// walk's hops do not nest (walk hands on); what still runs under a token —
-// tombstone forwarding, replica deltas and resyncs, handoffs, held replays,
-// scatter sends, wire stubs — ends after fixed levels or is charged a hop a
-// level, so the hop cap bounds it.
-func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) {
+// drops p.inflight — else queued. With queue set it is queued even then:
+// that is how a range step spawns its branches (spawn), which run inline
+// would run one after another, nested under its token, instead of in
+// parallel; the step hands its last branch on instead. A walk's hops do not
+// nest (walk hands on); what still runs under a token — tombstone
+// forwarding, replica deltas and resyncs, handoffs, held replays, wire
+// stubs — ends after fixed levels or is charged a hop a level, so the hop
+// cap bounds it.
+func (c *Cluster) admit(p *peer, req *request, evenDead, queue bool) (ok, inline bool) {
 	if c.stopped.Load() {
 		return false, false
 	}
@@ -1018,7 +1023,7 @@ func (c *Cluster) admit(p *peer, req *request, evenDead bool) (ok, inline bool) 
 	if n := p.met.Delivered(int(req.kind)); n%hopClockEvery == 0 || req.trace != nil {
 		req.enq = enqInline
 	}
-	if req.coll == nil && p.busy.CompareAndSwap(0, 1) {
+	if !queue && p.busy.CompareAndSwap(0, 1) {
 		p.met.Inline(int(req.kind))
 		return true, true
 	}
@@ -1244,27 +1249,17 @@ func (c *Cluster) dispatch(p *peer, req *request) *peer {
 }
 
 // refuse terminates a request with the given error, whichever completion
-// path it uses: scatter sub-requests report into their collector, everything
-// else answers on its reply channel. Fire-and-forget messages (replica
-// updates) carry no reply channel and are simply dropped. The refusal is
-// attributed to p — the peer at which the request died — in the metrics
-// registry; client-side callers that refuse before any peer was involved
-// pass nil.
+// path it uses (finish): a range branch with a collector settles into it,
+// everything else answers its reply channel or wire correlation.
+// Fire-and-forget messages (replica updates) have neither and are simply
+// dropped. The refusal is attributed to p — the peer at which the request
+// died — in the metrics registry; client-side callers that refuse before
+// any peer was involved pass nil.
 func (c *Cluster) refuse(p *peer, req request, err error) {
 	if p != nil {
 		p.met.Refused(int(req.kind))
 	}
-	if req.coll != nil {
-		req.coll.finish(req.rng.Lower, nil, req.hops, err)
-		return
-	}
-	// A serial range walk carries everything collected so far in req.acc
-	// (in-process) or has shipped it to the origin and counts the shipments
-	// in req.parts (over the wire); the client is promised the partial
-	// answer alongside the error, so neither may be dropped here. respond
-	// answers the reply channel or the wire correlation, and drops
-	// fire-and-forget requests (no waiter).
-	c.respond(req, response{items: req.acc, parts: req.parts, hops: req.hops, err: err})
+	c.finish(&req, err)
 }
 
 // handle runs req at p under p's token and returns the local peer to hand
@@ -1367,17 +1362,8 @@ func (c *Cluster) handle(p *peer, req *request) *peer {
 		k, ok := p.data.KeyAtFraction(req.frac)
 		c.respond(*req, response{splitKey: k, found: ok, hops: req.hops})
 		return nil
-	case kindRange:
+	case kindRange, kindRangeScatter:
 		return c.handleRange(p, req)
-	case kindRangeScatter:
-		if p.rng.Contains(req.rng.Lower) || c.ownsExtreme(p, req.rng.Lower) {
-			c.scatterAt(p, req.rng, req.hops, req.coll)
-			return nil
-		}
-		// The scatter was addressed with routing state that went stale
-		// across a membership change: re-route it to the segment's current
-		// owner like any exact query.
-		return c.forward(p, req)
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
 		c.handleBulk(p, *req)
 		return nil
@@ -1531,119 +1517,13 @@ func (c *Cluster) forward(p *peer, req *request) *peer {
 	return nil
 }
 
-// handTo is every walk's one hop rule: it returns a local peer admit would
-// accept, for walk, and sends anything else under the token (ok: passed on).
+// handTo is every walk's one hop rule — overlay forwarding, the range step's
+// last segment, join locate, replacement find: it returns a local peer admit
+// would accept, for walk, and sends anything else under the token (ok:
+// passed on).
 func (c *Cluster) handTo(id core.PeerID, req *request) (next *peer, ok bool) {
 	if q := c.topo.Load().peers[id]; q != nil && q.node == 0 && !c.stopped.Load() && q.alive.Load() && !q.gone.Load() {
 		return q, true
 	}
 	return nil, c.send(id, *req)
-}
-
-// handleRange implements the two phases of a range query (Section IV-B):
-// the request is first routed like an exact query towards the range's lower
-// bound; once a peer responsible for it is reached, the range is answered
-// either by the serial adjacent-chain walk below or by the parallel fan-out
-// in range_fanout.go, depending on req.par. A parallel query whose range
-// this peer covers alone has nothing to scatter: it takes the serial
-// branch, which answers in one copy of the items — no collector, no chunk,
-// no stitch — and, over the wire, in the final response alone.
-func (c *Cluster) handleRange(p *peer, req *request) *peer {
-	r := req.rng
-	owns := p.rng.Contains(r.Lower) || c.ownsExtreme(p, r.Lower)
-	if !owns {
-		// Phase 1: still locating the peer responsible for the range's lower
-		// bound (req.key == r.Lower). Stopping at any merely-intersecting
-		// peer would skip the beginning of the range.
-		return c.forward(p, req)
-	}
-	past := r.Upper > p.rng.Upper && p.view.Adj[core.Right] != nil
-	if req.par && past {
-		// Phase 2, parallel: become the fan-out coordinator, gathering into
-		// a collector created here.
-		var coll *collector
-		if req.reply == nil && req.rcorr != 0 && c.net != nil {
-			// The client sits on another node: a proxy counts what this
-			// branch ships there and reports the counts to its correlation.
-			coll = c.net.proxyFor(req)
-		} else {
-			coll = &collector{reply: req.reply, pred: req.pred}
-			if req.pred == nil {
-				if n := c.sizeAnswer(p, r, &coll.regions); n > 0 {
-					coll.buf = make([]store.Item, n)
-					coll.chunks = make([]chunk, 0, len(coll.regions))
-				}
-			}
-		}
-		coll.grow(1)
-		c.scatterAt(p, r, req.hops, coll)
-		return nil
-	}
-	// Phase 2, serial: collect locally and continue rightwards. Each peer
-	// copies its leaf runs onto the travelling accumulator, sized for the
-	// whole answer by the first when the client is in-process; a pushdown
-	// predicate is evaluated here so filtered-out items never travel down
-	// the chain; for a client on another node an unfiltered part goes from
-	// the store into its frame (run). The store holds only what this peer
-	// owns, so r needs no clipping — and an extreme peer's range need not
-	// even intersect r for it to hold keys there, outside the domain.
-	wire := req.reply == nil && req.rcorr != 0
-	var run storeRun
-	switch {
-	case req.pred != nil:
-		req.acc = scanFiltered(p.data, req.acc, r, req.pred)
-	case wire:
-		run = newRun(p.data, r)
-	default:
-		if req.acc == nil && req.reply != nil && past {
-			if n := c.sizeAnswer(p, r, nil); n > 0 {
-				req.acc = make([]store.Item, 0, n)
-			}
-		}
-		req.acc = p.data.ScanAppend(req.acc, r)
-	}
-	if lim := req.pred.LimitOrZero(); lim > 0 && req.shipped+len(req.acc) >= lim {
-		// Limit-aware early termination: the pushdown limit is satisfied,
-		// so answer now instead of walking the rest of the chain. (shipped
-		// came off the wire: a count past the limit must not index.)
-		c.respond(*req, response{items: req.acc[:max(lim-req.shipped, 0)], parts: req.parts, hops: req.hops})
-		return nil
-	}
-	next := p.view.Adj[core.Right]
-	if next == nil || next.Lower >= r.Upper {
-		if run.data != nil {
-			c.net.answer(req.rnode, req.rcorr, response{parts: req.parts, hops: req.hops}, 0, run)
-		} else {
-			c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops})
-		}
-		return nil
-	}
-	// Trim the still-uncovered part of the range so the next peer (whose
-	// range starts exactly where this one ends) recognises itself as
-	// responsible and keeps walking the chain instead of routing back.
-	if p.rng.Upper > req.rng.Lower {
-		req.rng.Lower = p.rng.Upper
-		req.key = req.rng.Lower
-	}
-	if wire && len(req.acc)+run.n > 0 {
-		// The client sits on another node: the chain carries counts, the
-		// items go there now, once, as a partial response. A shipment the
-		// transport refuses is not counted — the origin must not wait for a
-		// frame that was never sent — and ends the walk.
-		if !c.net.answer(req.onode, req.ocorr, response{items: req.acc}, msgFlagPartial, run) {
-			c.respond(*req, response{parts: req.parts, hops: req.hops, err: ErrOwnerDown})
-			return nil
-		}
-		req.parts++
-		req.shipped += len(req.acc) + run.n
-		req.acc = nil
-	}
-	if q, ok := c.handTo(next.ID, req); ok {
-		return q
-	}
-	// The right adjacent peer is dead: answer with what has been collected
-	// so far and flag the dead link to the background repairer if one runs.
-	c.suspect(next.ID)
-	c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops, err: ErrOwnerDown})
-	return nil
 }

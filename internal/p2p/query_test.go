@@ -692,9 +692,9 @@ func TestRangeAnswerStaleCounts(t *testing.T) {
 		}
 		// The region of 20 is filled exactly; the branch at 10 holds one
 		// item more than its region and so scans into a chunk of its own.
-		g.finish(20, append(g.claim(20), itemsOf(20, 21)...), 1, nil)
-		g.finish(10, append(first, itemsOf(10, 11, 12)...), 1, nil)
-		g.finish(30, itemsOf(30), 1, nil)
+		g.settle(chunk{lo: 20, items: append(g.claim(20), itemsOf(20, 21)...)}, 1, nil, 1, 0)
+		g.settle(chunk{lo: 10, items: append(first, itemsOf(10, 11, 12)...)}, 1, nil, 1, 0)
+		g.settle(chunk{lo: 30, items: itemsOf(30)}, 1, nil, 1, 0)
 		resp := <-g.reply
 		if got, want := itemKeys(resp.items), []keyspace.Key{10, 11, 12, 20, 21, 30}; !slices.Equal(got, want) {
 			t.Fatalf("stitched answer %v, want %v", got, want)

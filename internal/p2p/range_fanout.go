@@ -32,11 +32,11 @@ type region struct {
 }
 
 // collector is the per-query gather state of a parallel range query. The
-// peer owning the range's lower bound creates one and seeds it with its own
-// pending unit of work; every scatter sub-request grows the pending count
-// before it is sent and shrinks it when its branch finishes, so the count
-// can only reach zero once every branch has reported. The branch that takes
-// the count to zero delivers the gathered answer to the client.
+// first step of the query that reaches past its peer creates one (gather)
+// and seeds it with one pending branch, its own; every branch a step spawns
+// grows the pending count before it is sent, and every branch shrinks it
+// once, where it ends, so the count can only reach zero once every branch
+// has reported. The settle that takes it to zero delivers the answer.
 //
 // Over the wire the same collector is the origin side of every range query
 // — serial or parallel — that leaves its client's node
@@ -50,9 +50,9 @@ type region struct {
 type collector struct {
 	reply chan response
 	// wire, when set (corr != 0), makes this a proxy: the stand-in, on a
-	// node other than the one the branch was sent from, for the branches
-	// running here. It holds counts, never items — ship sends a peer's part
-	// to origin the moment the peer has it — and its final tells the parent
+	// node other than the one its branch was sent from, for the branches
+	// running here. It holds counts, never items — each peer ships its part
+	// to the origin itself (contribute) — and its final tells the parent
 	// branch's correlation how many partials that makes.
 	wire wireDest
 	// origin is where the query's chunks go: for a proxy the origin node's
@@ -60,10 +60,9 @@ type collector struct {
 	// collector that entry itself, once the first branch has left the node
 	// (corr 0 until then), kept so completion can release it.
 	origin wireDest
-	// pred is the query's pushdown predicate, shared by every branch so a
-	// scatter sub-request carries one pointer instead of re-encoding the
-	// predicate per segment. Nil for unfiltered queries.
-	pred *query.Pred
+	// limit is the query's pushdown limit, 0 for none: every branch scans
+	// up to it, and the answer is cut at it.
+	limit int
 	// buf and regions are the presized answer and its per-segment parts,
 	// fixed before the first branch is sent; nil when not presized.
 	buf     []store.Item
@@ -88,44 +87,11 @@ func (g *collector) proxy() bool { return g.wire.corr != 0 }
 
 // grow registers n additional outstanding branches. It must be called
 // before the corresponding sub-requests are sent so a fast child cannot
-// drive pending to zero while its parent is still scattering. It also
-// makes room in the chunk slice for every outstanding branch, each of
-// which contributes at most one chunk, so the gather itself never grows it.
+// drive pending to zero while its parent is still scattering.
 func (g *collector) grow(n int) {
 	g.mu.Lock()
 	g.pending += n
-	if !g.proxy() {
-		g.chunks = slices.Grow(g.chunks, g.pending)
-	}
 	g.mu.Unlock()
-}
-
-// finish reports one branch's partial result: the sorted items of the peer
-// whose range starts at lo. When the last branch finishes, the chunks are
-// stitched together in key order and sent to the client; the reply channel
-// is buffered so this never blocks a peer goroutine. A proxy ships them.
-func (g *collector) finish(lo keyspace.Key, items []store.Item, hops int, err error) {
-	if g.proxy() {
-		g.ship(items, storeRun{}, hops, err)
-		return
-	}
-	g.settle(chunk{lo: lo, items: items}, hops, err, 1, 0)
-}
-
-// ship finishes a proxy's branch: it sends the peer's part — items, or
-// run's — to the query's origin and keeps the count. A part the transport
-// refuses is not counted — the origin must not wait for a frame that was
-// never sent — and turns into the branch's error.
-func (g *collector) ship(items []store.Item, run storeRun, hops int, err error) {
-	parts := 0
-	if len(items) > 0 || run.n > 0 {
-		if g.origin.n.answer(g.origin.node, g.origin.corr, response{items: items}, msgFlagPartial, run) {
-			parts = 1
-		} else if err == nil {
-			err = ErrOwnerDown
-		}
-	}
-	g.settle(chunk{}, hops, err, 1, parts)
 }
 
 // fromWire feeds the collector what a response frame brought: a partial's
@@ -154,9 +120,10 @@ func (g *collector) fromWire(r response, final bool) {
 // everyBranch, as settle's branch count, gives up on everything still out.
 const everyBranch = -1
 
-// settle is the one piece of bookkeeping behind finish and fromWire: take a
-// chunk, merge hop count and error, retire `branches` pending branches and
-// move the partial count, then — if that completed the query — deliver.
+// settle is the collector's one piece of bookkeeping, behind contribute,
+// finish and fromWire: take a chunk, merge hop count and error, retire
+// `branches` pending branches and move the partial count, then — if that
+// completed the query — deliver.
 func (g *collector) settle(c chunk, hops int, err error, branches, parts int) {
 	g.mu.Lock()
 	if g.done {
@@ -169,19 +136,15 @@ func (g *collector) settle(c chunk, hops int, err error, branches, parts int) {
 	if err != nil && g.err == nil {
 		g.err = err
 	}
-	if hops > g.hops {
-		g.hops = hops
-	}
+	g.hops = max(g.hops, hops)
 	if branches != everyBranch {
 		g.pending -= branches
 		g.parts += parts
 	}
 	g.done = branches == everyBranch || g.pending == 0 && (g.proxy() || g.parts <= 0)
 	done, origin := g.done, g.origin
-	resp := response{hops: g.hops, err: g.err}
-	if g.proxy() {
-		resp.parts = g.parts
-	} else if done {
+	resp := response{hops: g.hops, err: g.err, parts: g.parts}
+	if done && !g.proxy() {
 		resp.items = g.answer()
 	}
 	g.mu.Unlock()
@@ -235,8 +198,8 @@ func (g *collector) answer() []store.Item {
 	if inPlace {
 		return g.buf[:n]
 	}
-	if lim := g.pred.LimitOrZero(); lim > 0 && n > lim {
-		n = lim
+	if g.limit > 0 && n > g.limit {
+		n = g.limit
 	}
 	if len(g.chunks) == 1 && g.chunks[0].enc == nil {
 		return g.chunks[0].items[:n]
@@ -284,155 +247,215 @@ func (c *Cluster) sizeAnswer(p *peer, r keyspace.Range, regs *[]region) int {
 	return n
 }
 
-// scatterAt is the parallel counterpart of the serial adjacent-chain walk:
-// peer p answers the part of rng it stores, splits the still-uncovered
-// remainder into contiguous segments — one per alive right-routing-table
-// entry whose range starts inside the remainder, plus the leading segment
-// for the right adjacent chain — and scatters one sub-request per segment.
-// Each recipient owns its segment's lower bound and recursively does the
-// same, so a range covering m peers completes in O(log m) message depth
-// instead of m sequential hops.
-func (c *Cluster) scatterAt(p *peer, rng keyspace.Range, hops int, coll *collector) {
-	rem := rng
-	if p.rng.Upper > rem.Lower {
-		rem.Lower = p.rng.Upper
-	}
-	// Scatter the remainder before scanning locally: the sub-requests are
-	// in flight while this peer walks its own tree, and the store cannot
-	// change in between — the holder of the peer's token owns it and
-	// handles one message at a time. The sub-requests carry the collector,
-	// so they always queue (admit): the branches run in parallel.
-	var err error
-	if !rem.IsEmpty() {
-		err = c.scatterRemainder(p, rem, hops, coll)
-	}
-	switch {
-	case coll.pred != nil:
-		// Pushdown: evaluate the predicate during the scan so the branch
-		// ships only matching items, at most the predicate's limit (more
-		// than lim matches can never be needed whatever the other branches
-		// return).
-		coll.finish(rng.Lower, scanFiltered(p.data, nil, rng, coll.pred), hops, err)
-	case coll.proxy():
-		// The query's origin is on another node: the part goes into its
-		// frame straight from the store.
-		coll.ship(nil, newRun(p.data, rng), hops, err)
-	default:
-		coll.finish(rng.Lower, p.data.ScanAppend(coll.claim(rng.Lower), rng), hops, err)
-	}
-}
-
 // scanFiltered appends the items of r that match pred to dst, stopping at
 // the predicate's limit (counted across dst as the serial walk requires).
 func scanFiltered(data *store.Store, dst []store.Item, r keyspace.Range, pred *query.Pred) []store.Item {
 	lim := pred.LimitOrZero()
 	data.AscendRange(r, func(it store.Item) bool {
-		if !pred.MatchItem(it) {
-			return true
+		if pred.MatchItem(it) {
+			dst = append(dst, it)
 		}
-		dst = append(dst, it)
 		return lim == 0 || len(dst) < lim
 	})
 	return dst
 }
 
-// scatterRemainder splits rem (which starts exactly at p's upper bound)
-// across p's rightward links and sends one scatter sub-request per segment.
-// It returns ErrOwnerDown if any segment's owner could not be reached, in
-// which case the query completes with the partial answer, mirroring the
-// serial walk's behaviour at a dead chain link.
-func (c *Cluster) scatterRemainder(p *peer, rem keyspace.Range, hops int, coll *collector) error {
-	next := p.view.Adj[core.Right]
-	if next == nil {
-		// p is the rightmost peer: the remainder lies beyond the domain and
-		// holds no data.
+// handleRange runs a range query, kindRange or kindRangeScatter, at p
+// (Section IV-B). Phase 1 routes the request like an exact query towards
+// the owner of its lower bound: stopping at any merely intersecting peer
+// would skip the beginning of the range. Phase 2 is one step, the same for
+// both plans, at each peer owning req.rng.Lower: cut the rest of the range
+// past p into segments, spawn every segment but the last as a queued
+// branch, contribute p's own part, and hand the last segment on as every
+// walk does (handTo) — or, with no segment left, end the branch. The plans
+// differ only in the cut: a serial walk passes one segment on, to its right
+// adjacent peer, so it runs as a scatter of fan-out one; a parallel query
+// passes one more per right routing-table entry inside the rest.
+func (c *Cluster) handleRange(p *peer, req *request) *peer {
+	r := req.rng
+	if !p.rng.Contains(r.Lower) && !c.ownsExtreme(p, r.Lower) {
+		return c.forward(p, req)
+	}
+	parallel := req.par || req.kind == kindRangeScatter
+	segs := c.cut(p, r, parallel, make([]segment, 0, 34))
+	if parallel && req.coll == nil && len(segs) > 0 {
+		c.gather(p, req)
+	}
+	for ; len(segs) > 1; segs = segs[1:] {
+		c.spawn(req, segs[0])
+	}
+	if !c.contribute(p, req, r, len(segs) == 0) {
 		return nil
 	}
-	// Cut points: alive right-routing-table entries whose range starts
-	// strictly inside the remainder. Their lower bounds are valid segment
-	// boundaries because each entry owns keys from its lower bound onward.
-	var cutBuf [32]*core.Link
-	cuts := cutBuf[:0]
-	for _, l := range p.view.RT[core.Right] {
-		if l == nil || !c.Alive(l.ID) {
-			continue
-		}
-		if l.Lower > rem.Lower && l.Lower < rem.Upper {
-			cuts = append(cuts, l)
-		}
+	req.rng, req.key = segs[0].r, segs[0].r.Lower
+	if q, ok := c.handTo(segs[0].to, req); ok {
+		return q
 	}
-	slices.SortFunc(cuts, func(a, b *core.Link) int { return cmp.Compare(a.Lower, b.Lower) })
-
-	type segment struct {
-		to core.PeerID
-		r  keyspace.Range
-	}
-	var segBuf [len(cutBuf) + 1]segment
-	segs := segBuf[:0]
-	lo := rem.Lower
-	target := next.ID
-	for _, cut := range cuts {
-		segs = append(segs, segment{to: target, r: keyspace.Range{Lower: lo, Upper: cut.Lower}})
-		lo, target = cut.Lower, cut.ID
-	}
-	segs = append(segs, segment{to: target, r: keyspace.Range{Lower: lo, Upper: rem.Upper}})
-
-	var firstErr error
-	for i, s := range segs {
-		if i == 0 && !c.Alive(next.ID) {
-			// The leading segment is aimed at the dead right adjacent, but
-			// only the dead peer's own slice is unavailable — everything
-			// past its upper bound belongs to alive peers an alive route
-			// can still reach. Split the segment instead of losing it all.
-			if err := c.scatterPastDead(p, next, s.r, hops, coll); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		coll.grow(1)
-		sub := request{kind: kindRangeScatter, key: s.r.Lower, rng: s.r, hops: hops, coll: coll}
-		if !c.send(s.to, sub) {
-			// The segment's owner is dead (or the cluster is stopping):
-			// record the branch as failed so the client gets the partial
-			// answer plus ErrOwnerDown instead of hanging on the collector.
-			coll.finish(s.r.Lower, nil, hops, ErrOwnerDown)
-			if firstErr == nil {
-				firstErr = ErrOwnerDown
-			}
-		}
-	}
-	return firstErr
+	// The segment's peer is dead: the branch ends with what it has, and the
+	// background repairer, if one runs, hears of the dead link.
+	c.suspect(segs[0].to)
+	c.finish(req, ErrOwnerDown)
+	return nil
 }
 
-// scatterPastDead handles a leading scatter segment whose first covering
-// peer (p's right adjacent) is dead: the dead peer's own slice of the
-// segment is recorded as a failed branch, and the remainder beyond its
-// upper bound — which alive peers own — is re-scattered as a routed
-// sub-request through the first alive forwarding candidate, exactly as a
-// scatter addressed with stale routing state would be. Without this, a
-// single mid-chain crash silently truncated every range answer at the dead
-// peer even when the rest of the chain was alive and reachable sideways.
-func (c *Cluster) scatterPastDead(p *peer, dead *core.Link, seg keyspace.Range, hops int, coll *collector) error {
-	// The dead peer's slice: always a failed branch (its data is down until
-	// recovery restores the range under a new owner).
-	coll.grow(1)
-	coll.finish(seg.Lower, nil, hops, ErrOwnerDown)
-	rest := keyspace.Range{Lower: dead.Upper, Upper: seg.Upper}
-	if rest.IsEmpty() {
-		return ErrOwnerDown
+// segment is a piece of a range's rest and the peer it is sent to: its
+// owner, or a peer that routes it on to the owner.
+type segment struct {
+	to core.PeerID
+	r  keyspace.Range
+}
+
+// cut splits the rest of r past p into the segments the query passes on,
+// appended to out in key order: none when r ends inside p or p is the
+// rightmost peer (the rest lies beyond the domain and holds no data); else
+// one, to the right adjacent peer; and, when parallel, one more per alive
+// right routing-table entry whose range starts strictly inside the rest,
+// since each owns keys from its lower bound onward. A dead right adjacent
+// costs a parallel query only its own slice: the rest past it goes back to
+// p, which routes it on like any stale-addressed segment.
+func (c *Cluster) cut(p *peer, r keyspace.Range, parallel bool, out []segment) []segment {
+	next := p.view.Adj[core.Right]
+	rest := keyspace.Range{Lower: max(r.Lower, p.rng.Upper), Upper: r.Upper}
+	if next == nil || rest.IsEmpty() {
+		return out
 	}
-	sub := request{kind: kindRangeScatter, key: rest.Lower, rng: rest, hops: hops, coll: coll}
-	coll.grow(1)
-	var buf [48]*core.Link
-	for _, cand := range core.ForwardCandidates(&p.view, p.rng, rest.Lower, buf[:0]) {
-		if cand == nil || cand.ID == dead.ID || !c.Alive(cand.ID) {
-			continue
-		}
-		if c.send(cand.ID, sub) {
-			return ErrOwnerDown
+	out = append(out, segment{to: next.ID, r: rest})
+	for _, l := range p.view.RT[core.Right] {
+		if parallel && l != nil && l.Lower > rest.Lower && l.Lower < rest.Upper && c.Alive(l.ID) {
+			out = append(out, segment{to: l.ID, r: keyspace.Range{Lower: l.Lower, Upper: rest.Upper}})
 		}
 	}
-	// No alive route past the dead peer: the rest of the segment fails too.
-	coll.finish(rest.Lower, nil, hops, ErrOwnerDown)
-	return ErrOwnerDown
+	if parallel && !c.Alive(next.ID) && next.Upper < rest.Upper {
+		out = append(out, segment{to: p.id, r: keyspace.Range{Lower: next.Upper, Upper: rest.Upper}})
+	}
+	// Each segment ends where the next begins; of two that begin at the
+	// same key, the routing-table entry's is kept.
+	slices.SortStableFunc(out, func(a, b segment) int { return cmp.Compare(a.r.Lower, b.r.Lower) })
+	out = slices.CompactFunc(out, func(a, b segment) bool { return a.r.Lower == b.r.Lower })
+	for i := 1; i < len(out); i++ {
+		out[i-1].r.Upper = out[i].r.Lower
+	}
+	return out
+}
+
+// gather makes the collector of a parallel query at its first step that
+// reaches past its peer, and moves the query's completion onto it: a proxy
+// when that completion is on another node, else a local collector,
+// presized for an unfiltered answer (sizeAnswer). From here on the request
+// is a branch of the query (kindRangeScatter).
+func (c *Cluster) gather(p *peer, req *request) {
+	g := &collector{reply: req.reply, limit: req.pred.LimitOrZero(), pending: 1}
+	if req.reply == nil && req.rcorr != 0 {
+		g.wire = wireDest{n: c.net, node: req.rnode, corr: req.rcorr}
+		g.origin = wireDest{n: c.net, node: req.onode, corr: req.ocorr}
+	} else if req.pred == nil {
+		if n := c.sizeAnswer(p, req.rng, &g.regions); n > 0 {
+			g.buf = make([]store.Item, n)
+			g.chunks = make([]chunk, 0, len(g.regions))
+		}
+	}
+	req.kind, req.coll, req.reply, req.rnode, req.rcorr = kindRangeScatter, g, nil, 0, 0
+}
+
+// spawn sends segment s of req's query to s.to as a branch of its own. It
+// queues there even when s.to is idle, so that it runs beside the branch
+// that spawned it rather than nested under p's token; a branch the peer
+// refuses ends at once, failed.
+func (c *Cluster) spawn(req *request, s segment) {
+	req.coll.grow(1)
+	sub := request{kind: kindRangeScatter, key: s.r.Lower, rng: s.r, hops: req.hops, coll: req.coll, pred: req.pred, onode: req.onode, ocorr: req.ocorr}
+	if q := c.topo.Load().peers[s.to]; q != nil {
+		if ok, _ := c.admit(q, &sub, false, true); ok {
+			return
+		}
+	}
+	c.finish(&sub, ErrOwnerDown)
+}
+
+// contribute hands p's part of the query, the keys of own, to where the
+// answer is put together:
+//   - a local collector: into the region of its presized answer reserved
+//     for own's lower bound, or a chunk of its own (claim);
+//   - a proxy: to the query's origin node as a partial response, counted
+//     in req.parts, which the branch settles into the proxy where it ends;
+//   - no collector, the client in this process: onto the travelling
+//     accumulator, req.acc, which the first step sizes for the whole
+//     answer;
+//   - no collector, the client on another node: to the origin as a partial
+//     response counted in req.parts, which the branch's final announces —
+//     at the end of a walk the part rides that final instead.
+//
+// Unfiltered parts for another node are encoded from the store straight
+// into their frame (storeRun); a pushdown predicate is evaluated in the
+// scan, so filtered-out items never travel. p's store holds only what p
+// owns, so own needs no clipping — an extreme peer's range need not even
+// intersect it for p to hold keys there, outside the domain. With end set
+// the branch ends here. contribute reports whether the branch goes on: a
+// walk that meets its limit, or a branch whose partial the transport
+// refuses, ends early.
+func (c *Cluster) contribute(p *peer, req *request, own keyspace.Range, end bool) bool {
+	g := req.coll
+	wire := g == nil && req.reply == nil && req.rcorr != 0 || g != nil && g.proxy()
+	items := req.acc
+	var run storeRun
+	switch {
+	case req.pred != nil:
+		items = scanFiltered(p.data, items, own, req.pred)
+	case wire:
+		run = newRun(p.data, own)
+	case g != nil:
+		items = p.data.ScanAppend(g.claim(own.Lower), own)
+	case items == nil && req.reply != nil && !end:
+		items = p.data.ScanAppend(make([]store.Item, 0, c.sizeAnswer(p, own, nil)), own)
+	default:
+		items = p.data.ScanAppend(items, own)
+	}
+	walk := g == nil && req.kind == kindRange
+	if lim := req.pred.LimitOrZero(); walk && lim > 0 && req.shipped+len(items) >= lim {
+		// The pushdown limit is met: answer now instead of walking the rest
+		// of the chain. (shipped came off the wire: a count past the limit
+		// must not index.)
+		c.respond(*req, response{items: items[:max(lim-req.shipped, 0)], parts: req.parts, hops: req.hops})
+		return false
+	}
+	var err error
+	if wire && !(walk && end) && len(items)+run.n > 0 {
+		// A part the transport refuses is not counted — the origin must not
+		// wait for a frame that was never sent — and fails the branch.
+		if c.net.answer(req.onode, req.ocorr, response{items: items}, msgFlagPartial, run) {
+			req.parts++
+		} else {
+			err = ErrOwnerDown
+		}
+		req.shipped += len(items) + run.n
+		items, run = nil, storeRun{}
+	}
+	if g != nil {
+		g.settle(chunk{lo: own.Lower, items: items}, req.hops, nil, 0, 0)
+	} else {
+		req.acc = items
+	}
+	switch {
+	case err == nil && !end:
+		return true
+	case walk && run.data != nil:
+		c.net.answer(req.rnode, req.rcorr, response{parts: req.parts, hops: req.hops}, 0, run)
+	default:
+		c.finish(req, err)
+	}
+	return false
+}
+
+// finish ends req's branch with err. With a collector the branch settles
+// into it, with the count of partials it shipped (req.parts). Without one
+// it answers its client with what it has: the walk's items so far
+// (req.acc, in-process) or that count (over the wire). The client is
+// promised the partial answer alongside the error, so neither may be
+// dropped here; respond drops a fire-and-forget request (no waiter).
+func (c *Cluster) finish(req *request, err error) {
+	if req.coll != nil {
+		req.coll.settle(chunk{}, req.hops, err, 1, req.parts)
+		return
+	}
+	c.respond(*req, response{items: req.acc, parts: req.parts, hops: req.hops, err: err})
 }

@@ -520,3 +520,62 @@ func TestWireRangeAnswerDecodedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestWireRangeFramesPerQuery pins the frames each node sends and receives
+// for range queries from a zero-peer client: serial walks over one to three
+// peers and parallel queries over 4 and 13, eight queries each through the
+// same entry peer. The figures are those of the executor that gave serial
+// walks and scatters separate code, a collector to every scatter branch
+// that arrived over the wire and queued every branch: running a serial walk
+// as a scatter of fan-out one, making each collector where a query first
+// scatters and handing one branch per step on must add no frame — no
+// partial where a walk's last part rides its final, no proxy final.
+func TestWireRangeFramesPerQuery(t *testing.T) {
+	head, daemon, client, _ := wireTrio(t, 16, 16, 8000, 37)
+	ring := head.topo.Load().ring
+	via := client.PeerIDs()[0]
+	if _, _, err := client.Query(via, parallelQuery(head.Domain())); err != nil { // opens the sockets
+		t.Fatal(err)
+	}
+	nodes := []*Cluster{head, daemon, client}
+	const queries = 8
+	for _, tc := range []struct {
+		plan query.Plan
+		span int
+		want [3][2]uint64 // frames in and out at head, daemon and client
+	}{
+		{query.PlanSerial, 1, [3][2]uint64{{2, 2}, {6, 6}, {8, 8}}},
+		{query.PlanSerial, 2, [3][2]uint64{{4, 6}, {8, 14}, {16, 8}}},
+		{query.PlanSerial, 3, [3][2]uint64{{7, 11}, {11, 23}, {24, 8}}},
+		{query.PlanParallel, 4, [3][2]uint64{{10, 18}, {15, 39}, {40, 8}}},
+		{query.PlanParallel, 13, [3][2]uint64{{44, 82}, {50, 116}, {112, 8}}},
+	} {
+		frames := func() (f [3][2]uint64) {
+			for i, n := range nodes {
+				m := n.Metrics().Transport
+				f[i] = [2]uint64{m.FramesIn, m.FramesOut}
+			}
+			return f
+		}
+		before := frames()
+		for q := range queries {
+			i := 1 + q%(len(ring)-tc.span-2)
+			r := slotRange(head, i, tc.span)
+			if tc.span == 1 {
+				r = keyspace.Range{Lower: ring[i].lower, Upper: r.Lower}
+			}
+			if _, _, err := client.Query(via, Query{Range: r, Plan: tc.plan}); err != nil {
+				t.Fatalf("%v span %d over %v: %v", tc.plan, tc.span, r, err)
+			}
+		}
+		got := frames()
+		for i := range got {
+			got[i][0] -= before[i][0]
+			got[i][1] -= before[i][1]
+		}
+		if got != tc.want {
+			t.Errorf("%v span %d: frames in and out at head, daemon, client = %v over %d queries, want %v",
+				tc.plan, tc.span, got, queries, tc.want)
+		}
+	}
+}

@@ -434,7 +434,11 @@ func (c *tcpConn) writeLoop() {
 	for {
 		c.mu.Lock()
 		q := c.out
-		c.out, c.spare = c.spare, nil
+		if len(q) > 0 {
+			// An empty queue stays in place: taken, it would be dropped
+			// below, and the next enqueue would allocate a new one.
+			c.out, c.spare = c.spare, nil
+		}
 		closed := c.closed
 		c.mu.Unlock()
 		for _, frame := range q {
