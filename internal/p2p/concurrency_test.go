@@ -32,9 +32,9 @@ func withTimeout(t *testing.T, d time.Duration, name string, fn func()) {
 
 // enqueue queues req at p, as admit does for a busy peer, counting it in
 // p.busy so "busy ≥ queued requests" holds here too.
-func enqueue(p *peer, req request) {
+func enqueue(c *Cluster, p *peer, req request) {
 	p.busy.Add(1)
-	p.push(&req)
+	c.push(p, &req)
 }
 
 // queued returns how many requests wait in p's queue.
@@ -60,7 +60,7 @@ func TestKilledPeerAnswersQueuedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := request{kind: kindGet, key: keys[0], reply: make(chan response, 1)}
-	enqueue(victim, req)
+	enqueue(c, victim, req)
 
 	withTimeout(t, 5*time.Second, "queued request at killed peer", func() {
 		resp := <-req.reply
@@ -83,7 +83,7 @@ func TestQueuedScatterAtKilledPeerDoesNotHang(t *testing.T) {
 	}
 	coll := &collector{reply: make(chan response, 1)}
 	coll.grow(1)
-	enqueue(victim, request{kind: kindRangeScatter, rng: victim.rng, coll: coll})
+	enqueue(c, victim, request{kind: kindRangeScatter, rng: victim.rng, coll: coll})
 	withTimeout(t, 5*time.Second, "scatter at killed peer", func() {
 		resp := <-coll.reply
 		if !errors.Is(resp.err, ErrOwnerDown) {

@@ -138,10 +138,6 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 			nt.peers[p.id] = p
 		}
 		c.topo.Store(nt)
-		for _, p := range spawned {
-			c.wg.Add(1)
-			go c.serve(p)
-		}
 		// Synchronous ctlSpawn after the stubs are registered: the hosting
 		// node's peer is provably serving (buffering its pending regions)
 		// before any handoff can be addressed to it.
@@ -190,7 +186,7 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 			// The source has crashed: its store is wiped, so the coordinator
 			// sends each region's surviving replica items itself, and the
 			// dead peer is only told to become a forwarding tombstone (a
-			// control update its goroutine handles even though it is dead).
+			// control update it handles even though it is dead).
 			req := request{kind: kindUpdate, departTo: mvs[0].dst, reply: make(chan response, 1)}
 			sentState[id] = true
 			if !c.sendAny(id, req) {
@@ -393,10 +389,10 @@ func (c *Cluster) applyMirrorDiffLocked(salvage map[core.PeerID][]store.Item) (i
 // — no live routing state references a tombstone, so only a client holding
 // a very old topology snapshot can even try, and it fails over as for a
 // dead peer. At a later operation, once the in-flight count has drained to
-// zero (it can no longer grow), the tombstone's goroutine is told to
-// forward its remaining queue and exit, and the peer is dropped from the
-// delivery map. Without this, a long-lived cluster under steady churn would
-// accumulate one goroutine and queue per departure forever.
+// zero (it can no longer grow) and nothing is queued or running there
+// (busy is zero, so no drainer walks its queue), the peer is dropped from
+// the delivery map. Without this, a long-lived cluster under steady churn
+// would accumulate one peer object and queue per departure forever.
 func (c *Cluster) reapTombstones() {
 	if len(c.tombstones) == 0 {
 		return
@@ -408,11 +404,13 @@ func (c *Cluster) reapTombstones() {
 			keep = append(keep, p)
 			continue
 		}
-		if p.inflight.Load() != 0 {
+		// stage 2. inflight is read first: a delivery counts itself in
+		// busy before it leaves inflight, so busy read after a zero is
+		// exact.
+		if p.inflight.Load() != 0 || p.busy.Load() != 0 {
 			keep = append(keep, p) // a delivery is still settling; next time
 			continue
 		}
-		close(p.quit) // stage 2: drain, forward and exit
 		reaped = append(reaped, p)
 	}
 	c.tombstones = keep
@@ -535,7 +533,7 @@ func buildState(ns core.PeerSnapshot, next map[core.PeerID]core.PeerSnapshot) *p
 }
 
 // installState adopts a peerState; called either at spawn (before the peer
-// goroutine starts) or under the peer's token (applyUpdate).
+// is published) or under the peer's token (applyUpdate).
 func (p *peer) installState(st *peerState) { p.peerState = *st }
 
 // linksAny reports whether the snapshot links to any of the given peers.

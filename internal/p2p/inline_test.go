@@ -83,10 +83,10 @@ func TestRangeIterStalledConsumerDoesNotBlockGets(t *testing.T) {
 
 // TestInlineKeepsPerPeerFIFO: a request runs on its sender only when
 // nothing is queued or running at the target, so it can never overtake
-// queued work. The holder here has no serving goroutine until the test
-// starts one, so its queue provably stays non-empty when the token is
-// released: a sender that ran inline whenever the token was free would
-// apply the fourth replica delta before the first three.
+// queued work. The holder here has no drainer until the test starts one,
+// so its queue provably stays non-empty when the token is released: a
+// sender that ran inline whenever the token was free would apply the
+// fourth replica delta before the first three.
 func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 157)
 	h := addGhost(c, 9997)
@@ -107,7 +107,7 @@ func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 		t.Fatalf("queue holds %d deltas, want 4: the fourth ran inline ahead of queued work", got)
 	}
 	c.wg.Add(1)
-	go c.serve(h)
+	go c.drain(h)
 
 	if got := fifoReplica(t, c, h); got != fifoInOrder {
 		t.Fatalf("replica after four deltas = %v, want %v", got, fifoInOrder)
@@ -121,7 +121,7 @@ func TestInlineKeepsPerPeerFIFO(t *testing.T) {
 // TestInlineScatterBranchesQueued: on an idle cluster every hop of an
 // overlay Get runs inline (inline count == hops). A parallel range queues
 // all but one of the branches each scattering step sends, so they run in
-// parallel on their peers' goroutines, and hands the last one on, inline
+// parallel on their peers' drainers, and hands the last one on, inline
 // on an idle cluster, as every walk does. The query over 80 % of the domain
 // sends the same 44 branches it did when every branch queued; 24 of them
 // are handed on, one per scattering step, and 20 queue.

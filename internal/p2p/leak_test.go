@@ -11,7 +11,7 @@ import (
 // TestMain wraps the package's tests with a goroutine-leak barrier: the
 // goroutine count after the run must settle back to (at most) the count
 // before it. Every Cluster the tests start is expected to be Stopped, and
-// Stop waits for the peer goroutines through the WaitGroup — so a count
+// Stop waits for the queue drainers through the WaitGroup — so a count
 // that stays elevated means a test leaked a cluster, or a code change
 // detached a goroutine from the WaitGroup. This is the dependency-free
 // version of what goleak.VerifyTestMain does, scoped to what this package
@@ -19,8 +19,8 @@ import (
 //
 // The count is polled with a grace window rather than read once: runtime
 // internals (timer goroutines, the testing machinery itself) wind down
-// asynchronously after m.Run returns, and peer goroutines may still be
-// inside their final select when Stop's WaitGroup releases the test.
+// asynchronously after m.Run returns, and a drainer may still be running
+// its deferred Done when Stop's WaitGroup releases the test.
 func TestMain(m *testing.M) {
 	// +1: under `go test -fuzz`, the fuzzing engine installs an os/signal
 	// handler goroutine that lives until process exit.

@@ -4,7 +4,7 @@
 //
 // The protocol phases that are genuinely distributed — locating the accept
 // node for a join, walking down to a replacement leaf for a departure —
-// run as real messages between the peer goroutines, over each peer's own
+// run as real messages between the peers, over each peer's own
 // link state (membership.go's handlers). The resulting structural change is
 // validated and applied on the cluster's data-less core.Network mirror, and
 // handoff.go then pushes the delta back out to the live peers as messages.
@@ -113,7 +113,7 @@ func (c *Cluster) joinLocked(via core.PeerID) (core.PeerID, error) {
 // (Algorithm 2), and the replacement vacates its own position, takes over
 // the leaving peer's position and range, and receives its items. All data
 // handoffs are batched messages acknowledged before Depart returns, so no
-// acknowledged write is lost. The departed peer's goroutine remains as a
+// acknowledged write is lost. The departed peer remains as a
 // tombstone that forwards stragglers to the peer that absorbed its range.
 func (c *Cluster) Depart(id core.PeerID) error {
 	if err := c.requireCoordinator(); err != nil {

@@ -2,8 +2,8 @@
 // over a transport.Transport so one overlay can span several OS processes
 // ("nodes"). Peers hosted by this process are served exactly as before —
 // the in-process queue fast path never builds a frame — while peers hosted
-// elsewhere appear locally as *stubs*: peer objects with node != 0 and no
-// goroutine, whose deliveries detour through netLayer.deliver onto the
+// elsewhere appear locally as *stubs*: peer objects with node != 0 that
+// never queue, whose deliveries detour through netLayer.deliver onto the
 // wire.
 //
 // # Correlation
@@ -805,8 +805,8 @@ func (n *netLayer) dropPendingRPC(id uint64) {
 }
 
 // joinAt runs one Join with the spawn redirected to the given node: the
-// mirror's structural decision is unchanged, but the new peer's serve
-// goroutine starts on the daemon that asked (ctlSpawn) instead of here.
+// mirror's structural decision is unchanged, but the new peer is built on
+// the daemon that asked (ctlSpawn) instead of here.
 func (c *Cluster) joinAt(node transport.NodeID) (core.PeerID, error) {
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
@@ -878,8 +878,6 @@ func (c *Cluster) applySpawn(body []byte) bool {
 	// that follows the coordinator's structural operation publishes
 	// membership, exactly like publishTopology does locally.
 	c.topo.Store(nt)
-	c.wg.Add(1)
-	go c.serve(p)
 	return true
 }
 
@@ -930,7 +928,7 @@ func (n *netLayer) broadcastTopoLocked(c *Cluster) {
 }
 
 // applyTopoBroadcast (daemon) swaps in the composition a ctlTopo frame
-// describes. Locally hosted peers are kept as-is (their goroutines own
+// describes. Locally hosted peers are kept as-is (their token holders own
 // their structural state and alive flags); peers hosted elsewhere become
 // stubs carrying the broadcast range and alive flag. Members that vanished
 // from the list join the tombstone queue so stale deliveries keep being
@@ -997,7 +995,7 @@ func (c *Cluster) applyTopoBroadcast(body []byte) {
 		hosted := m.node == n.self
 		switch {
 		case p != nil && hosted && p.node == 0:
-			// A peer this node hosts: its goroutine owns range and flags.
+			// A peer this node hosts: its token holder owns range and flags.
 		case p != nil && !hosted && p.node == m.node:
 			p.rng = m.rng
 			p.alive.Store(m.alive)
@@ -1098,7 +1096,7 @@ func sortTopology(nt *topology) {
 }
 
 // newStub builds the local placeholder for a peer hosted on another node:
-// a peer object with node set and no goroutine — deliveries to it detour
+// a peer object with node set that never queues — deliveries to it detour
 // onto the wire (deliverTo), and the metrics block records the sends this
 // node originated towards it.
 func newStub(id core.PeerID, node transport.NodeID, fanout int) *peer {

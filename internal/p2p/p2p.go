@@ -1,8 +1,9 @@
 // Package p2p runs a BATON overlay as a set of live, concurrently executing
-// peers: every peer is a goroutine with a queue, requests travel between
-// peers as messages, and clients issue queries against any peer they know.
-// A message to an idle peer runs to completion on the sender's goroutine
-// instead of waking the peer's (see deliverTo); it is still one message.
+// peers: every peer is a queue that gets a goroutine only while it holds
+// work, requests travel between peers as messages, and clients issue queries
+// against any peer they know. A message to an idle peer runs to completion
+// on the sender's goroutine instead of queueing (see deliverTo); it is still
+// one message.
 //
 // The message-counting simulator in internal/core is what reproduces the
 // paper's figures (operations there are serialised, exactly like the
@@ -37,9 +38,9 @@
 //     Keys in mid-handoff are therefore forwarded or briefly held — never
 //     dropped — and no acknowledged write is lost.
 //  3. Every other peer whose links changed receives its new link set. A
-//     departed peer's goroutine stays behind as a tombstone that forwards
-//     stragglers (requests addressed to it by stale routing state) to the
-//     peer that took over its range.
+//     departed peer stays behind as a tombstone that forwards stragglers
+//     (requests addressed to it by stale routing state) to the peer that
+//     took over its range.
 //
 // Structural operations (Join, Depart, LoadBalance, ForceRejoin, Kill,
 // Recover, Snapshot) serialise with each other on a membership lock,
@@ -86,7 +87,7 @@
 // protocol (safe-leaf merge or replacement leaf, core.CrashLeaveWith), the
 // lost range is restored from the surviving replica and handed to its new
 // owner, links are refreshed and the topology republished, with the dead
-// peer's goroutine left behind as a forwarding tombstone. ErrOwnerDown is
+// peer left behind as a forwarding tombstone. ErrOwnerDown is
 // therefore transient: requests fail over during the outage and succeed
 // after the repair, with every replicated acknowledged write intact. The
 // opt-in background repairer (StartAutoRecover) runs Recover automatically
@@ -98,10 +99,10 @@
 //
 // Every exported method of Cluster is safe for concurrent use by any number
 // of goroutines. A peer's protocol state is touched only by whoever holds
-// the peer's run token — its serving goroutine, or a sender that found the
-// peer idle and runs the request inline — and structural updates arrive as
-// messages, like everything else, so request handling needs no per-item
-// locking; a walk holds one token at a time (see walk). Calls never block
+// the peer's run token — the goroutine draining its queue, or a sender that
+// found the peer idle and runs the request inline — and structural updates
+// arrive as messages, like everything else, so request handling needs no
+// per-item locking; a walk holds one token at a time (see walk). Calls never block
 // indefinitely:
 //
 //   - A request addressed to (or queued at) a peer that has been killed
@@ -496,16 +497,16 @@ type response struct {
 	err         error
 }
 
-// peer is one live peer: a goroutine serving a FIFO queue. All fields
-// other than the atomics and the queue are owned by whoever holds run
-// once the peer has started; membership changes reach them as kindUpdate
-// messages.
+// peer is one live peer: a FIFO queue, drained by a goroutine of its own
+// only while it holds work (drain). All fields other than the atomics and
+// the queue are owned by whoever holds run once the peer has started;
+// membership changes reach them as kindUpdate messages.
 type peer struct {
 	id core.PeerID
 	// node is the transport node hosting this peer: 0 for peers served by
 	// this process (the overwhelmingly common case — and the only case in
 	// a single-process cluster), nonzero for a *stub* standing in for a
-	// peer hosted elsewhere. A stub has no goroutine; deliveries to it
+	// peer hosted elsewhere. A stub never queues; deliveries to it
 	// detour through netLayer.deliver onto the wire (see node.go).
 	// Immutable after construction.
 	node transport.NodeID
@@ -515,14 +516,15 @@ type peer struct {
 	data *store.Store
 
 	// queue holds the requests delivered while the peer was busy, oldest
-	// first; qMu guards it. admit appends and wakes the serving goroutine
-	// (wake is buffered 1) when the queue goes non-empty; serve detaches the
-	// whole queue and walks it. The slice grows on demand, and an emptied
-	// batch becomes the queue's buffer again only while it is small
-	// (queueKeep), so a burst's memory goes back to the GC.
-	qMu   sync.Mutex
-	queue []request
-	wake  chan struct{}
+	// first; qMu guards it and draining. push appends and, when no drainer
+	// runs (draining is false), starts one; drain detaches the whole queue
+	// and walks it, and exits once it finds the queue empty. The slice
+	// grows on demand, and an emptied batch becomes the queue's buffer
+	// again only while it is small (queueKeep), so a burst's memory goes
+	// back to the GC.
+	qMu      sync.Mutex
+	queue    []request
+	draining bool
 
 	// run is the peer's ownership token: requests are handled only under
 	// it. busy counts requests queued or running here; a sender runs one
@@ -541,7 +543,7 @@ type peer struct {
 	// met is this peer's block of the metrics registry (delivered / inline /
 	// spilled / refused counters per kind, queue-wait and handle-time
 	// histograms, queue gauges). Typed atomics throughout, written from
-	// the delivery and serve paths without locks.
+	// the delivery and drain paths without locks.
 	met *obs.PeerMetrics
 
 	// reqs counts the data requests (singleton, range, scatter and bulk
@@ -565,22 +567,19 @@ type peer struct {
 	replSeq    int64
 	replicaMin map[core.PeerID]int64
 
-	// departed marks a peer that has gracefully left: its goroutine stays
-	// behind as a tombstone forwarding stragglers to departTo, the peer
-	// that took over its range, until a later structural operation retires
-	// it (see reapTombstones).
+	// departed marks a peer that has gracefully left: it stays behind as a
+	// tombstone forwarding stragglers to departTo, the peer that took over
+	// its range, until a later structural operation retires it (see
+	// reapTombstones).
 	departed bool
 	departTo core.PeerID
 
 	alive atomic.Bool
 	// gone refuses new deliveries to a tombstone being retired; inflight
 	// counts deliveries between acceptance and completion so retirement
-	// can prove no send will land after the goroutine exits.
+	// can prove no send will land once it drops the peer.
 	gone     atomic.Bool
 	inflight atomic.Int64
-	// quit is closed to retire a tombstone: the goroutine forwards any
-	// remaining queued requests and exits.
-	quit chan struct{}
 }
 
 // ringEntry is one slot of the client-side routing cache: a member peer and
@@ -705,9 +704,9 @@ type Cluster struct {
 
 // NewCluster builds a live cluster from a snapshot of the given simulated
 // network: every peer's position, range, links and stored items are copied
-// and a goroutine is started per peer. The network is consumed at this
-// point in time; subsequent membership changes happen through the cluster's
-// own Join and Depart.
+// into an idle peer, which starts no goroutine until work queues at it. The
+// network is consumed at this point in time; subsequent membership changes
+// happen through the cluster's own Join and Depart.
 func NewCluster(nw *core.Network) *Cluster {
 	c := &Cluster{
 		fanout:    nw.Fanout(),
@@ -755,10 +754,6 @@ func NewCluster(nw *core.Network) *Cluster {
 	t.hopCap = 8 * (len(snapshot) + 4)
 	c.topo.Store(t)
 
-	for _, p := range t.peers {
-		c.wg.Add(1)
-		go c.serve(p)
-	}
 	// Seed the fault-tolerance layer: every peer ships its items to its
 	// replica holder before the cluster is handed to clients, so a crash is
 	// recoverable from the first request on.
@@ -784,8 +779,6 @@ func newPeer(id core.PeerID, fanout int) *peer {
 		id:        id,
 		peerState: peerState{view: core.View{Children: make([]*core.Link, fanout)}},
 		data:      store.New(),
-		wake:      make(chan struct{}, 1),
-		quit:      make(chan struct{}),
 		met:       obs.NewPeerMetrics(numKinds),
 	}
 }
@@ -826,8 +819,8 @@ func (c *Cluster) PeerIDs() []core.PeerID {
 	return out
 }
 
-// Kill stops the given peer abruptly: its goroutine keeps serving its
-// queue (so senders never block) but answers every queued or future data
+// Kill stops the given peer abruptly: its queue keeps being drained (so
+// senders never block) but it answers every queued or future data
 // request with ErrOwnerDown, and every new request addressed to it fails
 // over to an alternative path at the sender, exactly like an unreachable
 // address. The crashed process's stores — its own items and any replicas it
@@ -883,9 +876,10 @@ func (c *Cluster) Alive(id core.PeerID) bool {
 	return ok && p.alive.Load()
 }
 
-// Stop shuts the cluster down and waits for every peer goroutine to exit.
-// It is safe to call concurrently with in-flight requests and membership
-// changes (they complete or return ErrStopped) and is idempotent. No
+// Stop shuts the cluster down and waits for every drainer to exit; none
+// starts once it has begun (see push). It is safe to call concurrently
+// with in-flight requests and membership changes (they complete or return
+// ErrStopped) and is idempotent. No
 // channel a sender uses is ever closed — shutdown is broadcast on c.done —
 // so a concurrent send can never panic.
 func (c *Cluster) Stop() {
@@ -896,6 +890,17 @@ func (c *Cluster) Stop() {
 	}
 	c.memberMu.Unlock()
 	if !already {
+		// A barrier: a push that read stopped unset under its peer's qMu
+		// has counted its drainer in c.wg before this loop takes that qMu,
+		// so no Add from zero can race the Wait below. The topology holds
+		// every peer a push can reach: spawns check stopped under
+		// memberMu, and a reaped tombstone takes no more deliveries.
+		// Nothing queued runs after Stop, so the queues go too.
+		for _, p := range c.topo.Load().peers {
+			p.qMu.Lock()
+			p.queue = nil
+			p.qMu.Unlock()
+		}
 		if c.net != nil {
 			// Unblock control RPCs first: the ctl worker is in the
 			// WaitGroup and may be waiting on one.
@@ -911,11 +916,12 @@ func (c *Cluster) Stop() {
 // send delivers a request to the peer with the given ID. It reports false
 // when the target is dead or the cluster is stopped. A busy target never
 // blocks the caller: the request is appended to the target's unbounded
-// queue, so a peer goroutine can never block on another peer — a cycle of
+// queue, so a peer's handler can never block on another peer — a cycle of
 // such sends is the classic message-system deadlock, and avoiding it is
 // what keeps the "calls never block indefinitely" contract true under any
 // client count. The append is a short critical section on the target's own
-// lock, so delivery costs no goroutine spawn however saturated the peer is.
+// lock, so delivery starts at most one goroutine (the target's drainer)
+// however saturated the peer is.
 func (c *Cluster) send(to core.PeerID, req request) bool {
 	return c.deliver(to, req, false)
 }
@@ -948,7 +954,7 @@ func hopClock() int64 { return int64(time.Since(hopEpoch)) }
 // deliverTo is deliver for callers that already hold the peer object (the
 // direct-routing fast path resolves the owner from the ring). A request to
 // an idle local peer runs on the calling goroutine — still one message,
-// queue wait 0, no wake-up — and so does each hop it is handed on to.
+// queue wait 0, no drainer — and so does each hop it is handed on to.
 func (c *Cluster) deliverTo(p *peer, req request, evenDead bool) bool {
 	ok, inline := c.admit(p, &req, evenDead, false)
 	if inline {
@@ -1031,7 +1037,7 @@ func (c *Cluster) admit(p *peer, req *request, evenDead, queue bool) (ok, inline
 	if req.enq != 0 {
 		req.enq = hopClock()
 	}
-	p.push(req)
+	c.push(p, req)
 	p.inflight.Add(-1)
 	return true, false
 }
@@ -1041,33 +1047,38 @@ func (c *Cluster) admit(p *peer, req *request, evenDead, queue bool) (ok, inline
 // back to the GC.
 const queueKeep = 8
 
-// push appends req to p's queue and wakes the serving goroutine when the
-// queue goes non-empty; wake is buffered, so the wake never blocks, and one
-// already pending covers this append too. Deliveries to one peer run in
-// the order they are pushed. The ordering matters beyond tidiness: replica
-// deltas from one source rely on it to apply in the order they were
-// acknowledged (replication.go).
-func (p *peer) push(req *request) {
+// push appends req to p's queue and starts a drainer for it when none
+// runs: the one place queued work gets a goroutine. Deliveries to one peer
+// run in the order they are pushed. The ordering matters beyond tidiness:
+// replica deltas from one source rely on it to apply in the order they
+// were acknowledged (replication.go). Once the cluster is stopped no
+// drainer starts; the check sits under qMu, where Stop's barrier finds it.
+func (c *Cluster) push(p *peer, req *request) {
 	p.qMu.Lock()
 	backlog := len(p.queue)
 	p.queue = append(p.queue, *req)
 	// The gauge rides the critical section already paid for the append,
 	// which keeps its high-water mark race-free.
 	p.met.SetQueueDepth(int64(backlog + 1))
+	start := !p.draining && !c.stopped.Load()
+	if start {
+		p.draining = true
+		c.wg.Add(1)
+	}
 	p.qMu.Unlock()
 	if backlog > 0 {
 		p.met.Spilled(int(req.kind))
-		return
 	}
-	select {
-	case p.wake <- struct{}{}:
-	default:
+	if start {
+		go c.drain(p)
 	}
 }
 
 // nextBatch detaches and returns everything queued at p, nil if nothing
-// is. done is the batch walked last, or nil: it is cleared, so it pins no
-// reply channels or items, and becomes the queue's buffer if it is small.
+// is — and then p's drainer is done: draining is cleared in the same
+// critical section, so the next push starts a new one. done is the batch
+// walked last, or nil: it is cleared, so it pins no reply channels or
+// items, and becomes the queue's buffer if it is small.
 func (p *peer) nextBatch(done []request) []request {
 	clear(done)
 	if cap(done) > queueKeep {
@@ -1078,6 +1089,7 @@ func (p *peer) nextBatch(done []request) []request {
 	if len(q) > 0 || done != nil {
 		p.queue = done[:0]
 	}
+	p.draining = len(q) > 0
 	p.met.SetQueueDepth(0)
 	p.qMu.Unlock()
 	if len(q) == 0 {
@@ -1176,37 +1188,21 @@ func (c *Cluster) await(p *peer, req *request) (resp response, sent bool, err er
 	}
 }
 
-// serve is the peer goroutine: it walks each queued request in turn (one
-// that found the peer idle ran inline on its sender instead). A killed
-// peer keeps serving so senders never block, but handle refuses every
+// drain is p's drainer, started by push: it walks each queued request in
+// turn (one that found the peer idle ran inline on its sender instead) and
+// exits when nextBatch finds the queue empty or the cluster has stopped. A
+// delivery landing mid-walk queues behind the batch. A killed peer's queue
+// keeps being drained so senders never block, but handle refuses every
 // data request with ErrOwnerDown — a request already queued when the peer
 // died must still be answered or its client would hang forever. Control
 // messages (structural updates, handoffs, snapshots, crash wipes) are
 // handled even when dead, because a killed peer remains part of the
 // overlay structure until recovery removes it.
-func (c *Cluster) serve(p *peer) {
+func (c *Cluster) drain(p *peer) {
 	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-p.quit:
-			// Retired tombstone: no new delivery can land (gone is set and
-			// the in-flight count drained to zero before quit was closed),
-			// so forward whatever is still queued and exit.
-			for _, req := range p.nextBatch(nil) {
-				if !c.send(p.departTo, req) {
-					c.refuse(p, req, ErrOwnerDown)
-				}
-			}
-			return
-		case <-p.wake:
-			// A delivery landing mid-walk queues behind this batch.
-			for q := p.nextBatch(nil); q != nil; q = p.nextBatch(q) {
-				for i := range q {
-					c.walk(p, c.dispatch(p, &q[i]), &q[i])
-				}
-			}
+	for q := p.nextBatch(nil); q != nil && !c.stopped.Load(); q = p.nextBatch(q) {
+		for i := range q {
+			c.walk(p, c.dispatch(p, &q[i]), &q[i])
 		}
 	}
 }

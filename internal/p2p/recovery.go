@@ -35,8 +35,8 @@ var ErrReplicaLost = errors.New("p2p: no surviving replica for the crashed peer'
 // neighbours, which are alive) or, failing that, a structure scan. The
 // dead peer's range is restored from the surviving replica at its holder
 // and handed to the range's new owner; every peer whose links changed is
-// updated; the topology is republished; and the dead peer's goroutine
-// remains as a forwarding tombstone for stragglers. Traffic keeps flowing
+// updated; the topology is republished; and the dead peer remains as a
+// forwarding tombstone for stragglers. Traffic keeps flowing
 // throughout: requests for the dead range fail over with ErrOwnerDown
 // until the repair lands and succeed after.
 //

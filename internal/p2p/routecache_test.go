@@ -457,11 +457,13 @@ func TestDirectRouteChurnNoLostWrite(t *testing.T) {
 	t.Logf("stale direct routes under churn: %d (epoch %d)", c.StaleRoutes(), c.Epoch())
 }
 
-// addGhost registers a ghost peer: a valid delivery target with no serving
-// goroutine, whose queue is walked only if the test serves it.
+// addGhost registers a ghost peer: a valid delivery target whose drainer is
+// held back (draining is set, so push starts none), whose queue is walked
+// only if the test drains it.
 func addGhost(c *Cluster, id core.PeerID) *peer {
 	g := newPeer(id, 2)
 	g.alive.Store(true)
+	g.draining = true
 	nt := c.topo.Load().clone()
 	nt.peers[g.id] = g
 	c.topo.Store(nt)
@@ -472,8 +474,8 @@ func addGhost(c *Cluster, id core.PeerID) *peer {
 // unbounded transient-goroutine spawn in deliver: every send that found a
 // peer's inbox full used to launch its own goroutine, so a saturated peer's
 // backlog became the process's goroutine count. The test floods a peer
-// whose goroutine is guaranteed not to run — one registered for delivery
-// but never served — and asserts the flood queues with no goroutine growth
+// whose drainer is guaranteed not to run — one registered for delivery
+// but never drained — and asserts the flood queues with no goroutine growth
 // at all, comes out in send order, and leaves no more than queueKeep
 // requests of buffer behind once walked.
 func TestDeliverFloodBoundedGoroutines(t *testing.T) {
@@ -498,8 +500,9 @@ func TestDeliverFloodBoundedGoroutines(t *testing.T) {
 		t.Fatalf("delivered-message counter %d below flood size %d", c.Messages(), got)
 	}
 
-	// Walk the queue as serve does. A second, small burst shows a walked
-	// batch kept for reuse only while it is under the cap.
+	// Walk the queue as drain does. A second, small burst shows a walked
+	// batch kept for reuse only while it is under the cap; the walk's last
+	// nextBatch cleared draining, so the test holds the drainer back again.
 	walk := func(want int) {
 		n := 0
 		for q := ghost.nextBatch(nil); q != nil; q = ghost.nextBatch(q) {
@@ -518,6 +521,7 @@ func TestDeliverFloodBoundedGoroutines(t *testing.T) {
 	if kept := cap(ghost.queue); kept != 0 {
 		t.Fatalf("the queue kept %d slots after the flood, want 0: a burst's buffer must go back to the GC", kept)
 	}
+	ghost.draining = true
 	for i := 0; i < 3; i++ {
 		c.send(ghost.id, request{kind: kindGet, key: keyspace.Key(i), reply: reply})
 	}
@@ -566,11 +570,11 @@ func fifoReplica(t *testing.T, c *Cluster, h *peer) string {
 	return fmt.Sprint(got)
 }
 
-// sendDeltasAcrossBatches sends fifoDelta 1..4 to ghost p, started here:
-// the test holds p's token while deltas 1–3 queue, serve detaches them and
-// waits for the token to run the first, and delta 4 lands while that batch
-// is being walked — it must run after the batch, not ahead of it and not
-// in a slot of the batch still being walked.
+// sendDeltasAcrossBatches sends fifoDelta 1..4 to ghost p, drained from
+// here: the test holds p's token while deltas 1–3 queue, drain detaches
+// them and waits for the token to run the first, and delta 4 lands while
+// that batch is being walked — it must run after the batch, not ahead of
+// it and not in a slot of the batch still being walked.
 func sendDeltasAcrossBatches(t *testing.T, c *Cluster, p *peer) {
 	t.Helper()
 	p.busy.Add(1) // the test takes the token, so every send queues
@@ -581,8 +585,8 @@ func sendDeltasAcrossBatches(t *testing.T, c *Cluster, p *peer) {
 		}
 	}
 	c.wg.Add(1)
-	go c.serve(p)
-	withTimeout(t, 5*time.Second, "serve detaching the batch", func() {
+	go c.drain(p)
+	withTimeout(t, 5*time.Second, "drain detaching the batch", func() {
 		for queued(p) != 0 {
 			runtime.Gosched()
 		}
@@ -595,7 +599,7 @@ func sendDeltasAcrossBatches(t *testing.T, c *Cluster, p *peer) {
 }
 
 // TestDeliverFIFOAcrossBatches pins the per-peer delivery order the replica
-// protocol relies on across serve's batches (sendDeltasAcrossBatches).
+// protocol relies on across drain's batches (sendDeltasAcrossBatches).
 func TestDeliverFIFOAcrossBatches(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 107)
 	h := addGhost(c, 9998)
@@ -620,7 +624,7 @@ func TestTombstoneForwardKeepsFIFO(t *testing.T) {
 	c, _ := liveCluster(t, 4, 0, 109)
 	h := addGhost(c, 9996)
 	c.wg.Add(1)
-	go c.serve(h)
+	go c.drain(h) // finds nothing queued: h is an ordinary peer from here
 	tomb := addGhost(c, 9995)
 	tomb.departed, tomb.departTo = true, h.id
 	sendDeltasAcrossBatches(t, c, tomb)
