@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -638,6 +639,82 @@ func TestRangeAnswerAllocatedOnce(t *testing.T) {
 		if ratio > 1.2 {
 			t.Errorf("%v span %d allocates %.2f× the answer's bytes, want ≤ 1.2", tc.plan, tc.span, ratio)
 		}
+	}
+}
+
+// TestRangeAnswerValuesStableUnderPuts: the values of an in-process range
+// answer are views of the covering peers' leaf buffers, which those peers
+// keep writing while the client reads the answer. Clients read serial and
+// parallel answers over a few peers and check every value against its key,
+// while a writer overwrites keys of the same peers with values of changing
+// length: each put appends to a leaf an answer aliases, and a leaf whose
+// buffer fills or turns half dead moves its values to a fresh one. Every
+// value a client holds must keep its bytes until it is dropped.
+func TestRangeAnswerValuesStableUnderPuts(t *testing.T) {
+	c, keys := liveCluster(t, 16, 2000, 229)
+	via := c.PeerIDs()[0]
+	r := slotRange(c, 3, 4)
+	hot := keysIn(uniqueSortedKeys(keys), r)
+	valid := func(k keyspace.Key, v []byte) bool {
+		head := fmt.Sprint(k)
+		return string(v) == head || strings.HasPrefix(string(v), head+"/")
+	}
+	stop := make(chan struct{})
+	writes := make(chan int, 1)
+	go func() {
+		ver := 0
+		for ; ; ver++ {
+			select {
+			case <-stop:
+				writes <- ver
+				return
+			default:
+			}
+			k := hot[ver%len(hot)]
+			if _, err := c.Put(via, k, fmt.Appendf(nil, "%d/%d%s", k, ver, strings.Repeat("#", ver%29))); err != nil {
+				t.Errorf("put %d: %v", k, err)
+			}
+		}
+	}()
+	type held struct {
+		it  store.Item
+		was string
+	}
+	var wg sync.WaitGroup
+	for client, plan := range []query.Plan{query.PlanSerial, query.PlanParallel, query.PlanSerial} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var kept []held
+			for q := 0; q < 60; q++ {
+				items, _, err := c.Query(via, Query{Range: r, Plan: plan})
+				if err != nil || len(items) != len(hot) {
+					t.Errorf("client %d: %v over %v: %d items, err %v; want %d", client, plan, r, len(items), err, len(hot))
+					return
+				}
+				for _, it := range items {
+					if !valid(it.Key, it.Value) {
+						t.Errorf("client %d: key %d holds %q", client, it.Key, it.Value)
+						return
+					}
+					kept = append(kept, held{it, string(it.Value)})
+				}
+				if q%10 == 9 {
+					for _, h := range kept {
+						if string(h.it.Value) != h.was {
+							t.Errorf("client %d: a value read for key %d changed from %q to %q", client, h.it.Key, h.was, h.it.Value)
+							return
+						}
+					}
+					kept = kept[:0]
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-writes; n < len(hot) {
+		t.Errorf("the writer overwrote %d keys while the clients read; want at least the %d keys of the range", n, len(hot))
 	}
 }
 

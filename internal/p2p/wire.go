@@ -258,11 +258,9 @@ type storeRun struct {
 
 func newRun(data *store.Store, r keyspace.Range) storeRun {
 	run := storeRun{data: data, r: r}
-	data.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
-		run.n += len(keys)
-		for _, v := range values {
-			run.size += 12 + len(v)
-		}
+	data.AscendRuns(r, func(lr store.Run) bool {
+		run.n += len(lr.Keys)
+		run.size += 12*len(lr.Keys) + lr.Size()
 		return true
 	})
 	return run
@@ -270,9 +268,9 @@ func newRun(data *store.Store, r keyspace.Range) storeRun {
 
 func appendRun(b []byte, run storeRun) []byte {
 	b = appendU32(b, uint32(run.n))
-	run.data.AscendRuns(run.r, func(keys []keyspace.Key, values [][]byte) bool {
-		for i, k := range keys {
-			b = appendBytes(appendKey(b, k), values[i])
+	run.data.AscendRuns(run.r, func(lr store.Run) bool {
+		for i, k := range lr.Keys {
+			b = appendBytes(appendKey(b, k), lr.Value(i))
 		}
 		return true
 	})

@@ -3,6 +3,17 @@
 // iteration, range scans, and the bulk split/merge operations the BATON
 // protocol needs when a peer hands half of its content to a joining child or
 // absorbs the content of a departing neighbour.
+//
+// A leaf keeps its values in one byte buffer, not one allocation each: the
+// store holds a few pointers per leaf instead of one per item, so a garbage
+// collection no longer marks every stored value. Put copies the value in;
+// Get and every scan hand out read-only views of the buffer. A leaf never
+// rewrites bytes it has handed out: an overwrite or a delete leaves the old
+// bytes dead in place, a split moves the right half's values into a fresh
+// buffer, and a leaf moves its live values into a fresh buffer when its
+// buffer is full or more than half of its bytes are dead. A view therefore
+// keeps its bytes for as long as the caller holds it, whatever the store
+// does next.
 package store
 
 import (
@@ -39,9 +50,100 @@ type Store struct {
 type node struct {
 	leaf     bool
 	keys     []keyspace.Key
-	values   [][]byte // leaf only, parallel to keys
-	children []*node  // internal only, len(children) == len(keys)+1
-	next     *node    // leaf only: right sibling for range scans
+	spans    []span  // leaf only, parallel to keys: where each value sits in vals
+	vals     []byte  // leaf only: the value bytes, live and dead
+	dead     int     // leaf only: bytes of vals no span points at
+	children []*node // internal only, len(children) == len(keys)+1
+	next     *node   // leaf only: right sibling for range scans
+}
+
+// span locates one value in its leaf's buffer: vals[off : off+n], or nil
+// when off is nilOff.
+type span struct{ off, n uint32 }
+
+// nilOff marks the span of a nil value, which the store keeps apart from an
+// empty one (the wire encodes them differently).
+const nilOff = math.MaxUint32
+
+// value returns the view of the value a span locates. Its capacity is
+// clipped, so an append to it copies instead of reaching the next value.
+func value(vals []byte, sp span) []byte {
+	if sp.off == nilOff {
+		return nil
+	}
+	end := sp.off + sp.n
+	return vals[sp.off:end:end]
+}
+
+// store copies v to the end of the leaf's buffer and returns its span. A
+// buffer without room for v is replaced by a fresh one holding the live
+// values, never grown in place.
+func (n *node) store(v []byte, maxKeys int) span {
+	if v == nil {
+		return span{off: nilOff}
+	}
+	if n.vals == nil || len(n.vals)+len(v) > cap(n.vals) {
+		live := len(n.vals) - n.dead + len(v)
+		n.repack(n.vals, max(arenaSize(live, len(n.keys), maxKeys), 2*live))
+	}
+	off := len(n.vals)
+	if uint64(off)+uint64(len(v)) >= nilOff {
+		panic("store: a leaf's values exceed 4 GiB")
+	}
+	n.vals = append(n.vals, v...)
+	return span{off: uint32(off), n: uint32(len(v))}
+}
+
+// drop marks the bytes of sp dead.
+func (n *node) drop(sp span) {
+	if sp.off != nilOff {
+		n.dead += int(sp.n)
+	}
+}
+
+// tidy repacks the leaf once more than half of its buffer is dead.
+func (n *node) tidy(maxKeys int) {
+	if 2*n.dead > len(n.vals) {
+		n.repack(n.vals, arenaSize(len(n.vals)-n.dead, len(n.keys), maxKeys))
+	}
+}
+
+// repack copies the values of n's spans out of src into a fresh buffer of
+// the given capacity and points the spans at the copies. src is left as it
+// is: views handed out of it keep their bytes.
+func (n *node) repack(src []byte, size int) {
+	vals := make([]byte, 0, size) // never nil: an empty value must stay non-nil
+	for i, sp := range n.spans {
+		if sp.off != nilOff {
+			n.spans[i].off = uint32(len(vals))
+			vals = append(vals, src[sp.off:sp.off+sp.n]...)
+		}
+	}
+	n.vals, n.dead = vals, 0
+}
+
+// liveBytes is the length of the values spans locate.
+func liveBytes(spans []span) int {
+	n := 0
+	for _, sp := range spans {
+		if sp.off != nilOff {
+			n += int(sp.n)
+		}
+	}
+	return n
+}
+
+// arenaSize is the capacity of a fresh buffer for a leaf of count keys
+// whose values take live bytes. It leaves room for the leaf to fill up to
+// maxKeys keys at the mean value size, so a leaf filling between two splits
+// allocates its buffer once, but for no more than count+1 further values,
+// so a small leaf of large values reserves about double, as append growth
+// would.
+func arenaSize(live, count, maxKeys int) int {
+	if count == 0 {
+		return live
+	}
+	return live + live/count*min(maxKeys-count, count+1)
 }
 
 // New returns an empty store with the default B+-tree degree.
@@ -62,8 +164,9 @@ func (s *Store) Len() int { return s.size }
 // maxKeys is the maximum number of keys a node may hold.
 func (s *Store) maxKeys() int { return 2*s.degree - 1 }
 
-// Put inserts or replaces the value for key. It reports whether the key was
-// newly inserted (true) or replaced (false).
+// Put inserts or replaces the value for key. It stores a copy of value, so
+// the caller may reuse its slice, and keeps nil apart from empty. It reports
+// whether the key was newly inserted (true) or replaced (false).
 func (s *Store) Put(key keyspace.Key, value []byte) bool {
 	if len(s.root.keys) >= s.maxKeys() {
 		old := s.root
@@ -82,15 +185,15 @@ func (s *Store) insertNonFull(n *node, key keyspace.Key, value []byte) bool {
 		if n.leaf {
 			i, found := search(n.keys, key)
 			if found {
-				n.values[i] = value
+				n.drop(n.spans[i])
+				n.spans[i] = span{off: nilOff} // store may repack: skip the old bytes
+				n.spans[i] = n.store(value, s.maxKeys())
+				n.tidy(s.maxKeys())
 				return false
 			}
-			n.keys = append(n.keys, 0)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = key
-			n.values = append(n.values, nil)
-			copy(n.values[i+1:], n.values[i:])
-			n.values[i] = value
+			n.keys = slices.Insert(n.keys, i, key)
+			n.spans = slices.Insert(n.spans, i, span{off: nilOff})
+			n.spans[i] = n.store(value, s.maxKeys())
 			return true
 		}
 		i := childIndex(n, key)
@@ -111,11 +214,20 @@ func (s *Store) splitChild(parent *node, i int) {
 	var sep keyspace.Key
 	right := &node{leaf: child.leaf}
 	if child.leaf {
-		// B+-tree leaf split: the separator is copied up, not moved.
-		right.keys = append(right.keys, child.keys[mid:]...)
-		right.values = append(right.values, child.values[mid:]...)
-		child.keys = child.keys[:mid:mid]
-		child.values = child.values[:mid:mid]
+		// B+-tree leaf split: the separator is copied up, not moved. The
+		// right half gets arrays for a full leaf and moves its values into
+		// a buffer of its own. The left keeps its arrays and its buffer, in
+		// which the right half's bytes are now dead until a put finds the
+		// buffer full or a write leaves more than half of it dead: a leaf
+		// that an ascending load leaves behind is never copied at all.
+		maxKeys := s.maxKeys()
+		right.keys = append(make([]keyspace.Key, 0, maxKeys), child.keys[mid:]...)
+		right.spans = append(make([]span, 0, maxKeys), child.spans[mid:]...)
+		child.keys = child.keys[:mid]
+		child.spans = child.spans[:mid]
+		rlive := liveBytes(right.spans)
+		right.repack(child.vals, arenaSize(rlive, len(right.keys), maxKeys))
+		child.dead += rlive
 		right.next = child.next
 		child.next = right
 		sep = right.keys[0]
@@ -169,7 +281,9 @@ func (s *Store) seek(key keyspace.Key) *node {
 	return n
 }
 
-// Get returns the value stored under key and whether it exists. (It
+// Get returns the value stored under key and whether it exists. The value
+// is a read-only view of the leaf's buffer; it keeps its bytes whatever the
+// store does later, and an append to it copies. (It
 // descends in place: through a call to seek, a lookup in one peer's share
 // measured up to twice as slow.)
 func (s *Store) Get(key keyspace.Key) ([]byte, bool) {
@@ -178,7 +292,7 @@ func (s *Store) Get(key keyspace.Key) ([]byte, bool) {
 		n = n.children[childIndex(n, key)]
 	}
 	if i, found := search(n.keys, key); found {
-		return n.values[i], true
+		return value(n.vals, n.spans[i]), true
 	}
 	return nil, false
 }
@@ -203,8 +317,10 @@ func (s *Store) Delete(key keyspace.Key) bool {
 	if !found {
 		return false
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.values = append(n.values[:i], n.values[i+1:]...)
+	n.drop(n.spans[i])
+	n.keys = slices.Delete(n.keys, i, i+1)
+	n.spans = slices.Delete(n.spans, i, i+1)
+	n.tidy(s.maxKeys())
 	s.size--
 	// Rebuild if the tree has become sparse: more than 4 leaves on average
 	// emptier than a quarter full.
@@ -253,20 +369,37 @@ func (s *Store) Max() (keyspace.Key, bool) {
 func (s *Store) Ascend(fn func(Item) bool) {
 	for n := s.seek(math.MinInt64); n != nil; n = n.next {
 		for i, k := range n.keys {
-			if !fn(Item{Key: k, Value: n.values[i]}) {
+			if !fn(Item{Key: k, Value: value(n.vals, n.spans[i])}) {
 				return
 			}
 		}
 	}
 }
 
+// Run is one leaf's stretch of a range scan: its keys, and the parallel
+// values read through Value. It is the leaf's own state, valid only inside
+// the AscendRuns callback that receives it; Keys must not be modified.
+type Run struct {
+	Keys []keyspace.Key
+	leaf *node
+	from int
+}
+
+// spans returns the spans of the run's values.
+func (r *Run) spans() []span { return r.leaf.spans[r.from : r.from+len(r.Keys)] }
+
+// Value returns the run's i-th value, a read-only view as Get returns.
+func (r *Run) Value(i int) []byte { return value(r.leaf.vals, r.leaf.spans[r.from+i]) }
+
+// Size returns the total length of the run's values.
+func (r *Run) Size() int { return liveBytes(r.spans()) }
+
 // AscendRuns is the one walk behind every range scan. It descends once to
 // the leaf holding r.Lower and passes fn, leaf by leaf in ascending order,
-// the run of keys and the parallel run of values that fall inside r, until
-// fn returns false. Leaves that lazy deletes emptied are skipped; only the
-// first leaf is searched for r.Lower and only the last for r.Upper. The
-// runs are the leaves' own slices: fn must neither modify nor retain them.
-func (s *Store) AscendRuns(r keyspace.Range, fn func(keys []keyspace.Key, values [][]byte) bool) {
+// the run of items that fall inside r, until fn returns false. Leaves that
+// lazy deletes emptied are skipped; only the first leaf is searched for
+// r.Lower and only the last for r.Upper.
+func (s *Store) AscendRuns(r keyspace.Range, fn func(Run) bool) {
 	if r.IsEmpty() || s.size == 0 {
 		return
 	}
@@ -281,18 +414,19 @@ func (s *Store) AscendRuns(r keyspace.Range, fn func(keys []keyspace.Key, values
 		if last {
 			j, _ = search(n.keys, r.Upper)
 		}
-		if i < j && !fn(n.keys[i:j], n.values[i:j]) || last {
+		if i < j && !fn(Run{Keys: n.keys[i:j], leaf: n, from: i}) || last {
 			return
 		}
 	}
 }
 
 // appendRun appends one leaf run to dst, which must have room for it.
-func appendRun(dst []Item, keys []keyspace.Key, values [][]byte) []Item {
+func appendRun(dst []Item, run Run) []Item {
 	base := len(dst)
-	dst = dst[:base+len(keys)]
-	for i, k := range keys {
-		dst[base+i] = Item{Key: k, Value: values[i]}
+	dst = dst[:base+len(run.Keys)]
+	out, keys, vals := dst[base:], run.Keys, run.leaf.vals
+	for i, sp := range run.spans()[:len(keys)] { // the reslice drops keys[i]'s bounds check
+		out[i] = Item{Key: keys[i], Value: value(vals, sp)}
 	}
 	return dst
 }
@@ -300,9 +434,9 @@ func appendRun(dst []Item, keys []keyspace.Key, values [][]byte) []Item {
 // AscendRange calls fn for every item with key in [r.Lower, r.Upper) in
 // ascending order until fn returns false.
 func (s *Store) AscendRange(r keyspace.Range, fn func(Item) bool) {
-	s.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
-		for i, k := range keys {
-			if !fn(Item{Key: k, Value: values[i]}) {
+	s.AscendRuns(r, func(run Run) bool {
+		for i, k := range run.Keys {
+			if !fn(Item{Key: k, Value: run.Value(i)}) {
 				return false
 			}
 		}
@@ -329,8 +463,8 @@ func (s *Store) ScanAppend(dst []Item, r keyspace.Range) []Item {
 	default:
 		dst = slices.Grow(dst, n)
 	}
-	s.AscendRuns(r, func(keys []keyspace.Key, values [][]byte) bool {
-		dst = appendRun(dst, keys, values)
+	s.AscendRuns(r, func(run Run) bool {
+		dst = appendRun(dst, run)
 		return true
 	})
 	return dst
@@ -340,8 +474,8 @@ func (s *Store) ScanAppend(dst []Item, r keyspace.Range) []Item {
 // run lengths, O(log n + leaves) and no per-item work.
 func (s *Store) CountRange(r keyspace.Range) int {
 	count := 0
-	s.AscendRuns(r, func(keys []keyspace.Key, _ [][]byte) bool {
-		count += len(keys)
+	s.AscendRuns(r, func(run Run) bool {
+		count += len(run.Keys)
 		return true
 	})
 	return count
@@ -465,10 +599,7 @@ func (s *Store) checkInvariants() error {
 
 func (s *Store) checkNode(n *node) error {
 	if n.leaf {
-		if len(n.keys) != len(n.values) {
-			return fmt.Errorf("store: leaf has %d keys but %d values", len(n.keys), len(n.values))
-		}
-		return nil
+		return checkLeaf(n)
 	}
 	if len(n.children) != len(n.keys)+1 {
 		return fmt.Errorf("store: internal node has %d keys but %d children", len(n.keys), len(n.children))
@@ -477,6 +608,36 @@ func (s *Store) checkNode(n *node) error {
 		if err := s.checkNode(c); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkLeaf checks a leaf's value buffer: one span per key, every span
+// inside the buffer, no two overlapping, and the bytes no span covers
+// counted dead.
+func checkLeaf(n *node) error {
+	if len(n.keys) != len(n.spans) {
+		return fmt.Errorf("store: leaf has %d keys but %d spans", len(n.keys), len(n.spans))
+	}
+	var live []span
+	for _, sp := range n.spans {
+		if sp.off != nilOff {
+			live = append(live, sp)
+		}
+	}
+	if len(live) > 0 && n.vals == nil {
+		return fmt.Errorf("store: leaf holds values but no buffer")
+	}
+	slices.SortFunc(live, func(a, b span) int { return int(a.off) - int(b.off) })
+	end := 0
+	for _, sp := range live {
+		if sp.n > 0 && int(sp.off) < end || int(sp.off)+int(sp.n) > len(n.vals) {
+			return fmt.Errorf("store: span %+v overlaps another or leaves the %d-byte buffer", sp, len(n.vals))
+		}
+		end = max(end, int(sp.off)+int(sp.n))
+	}
+	if dead := len(n.vals) - liveBytes(live); dead != n.dead {
+		return fmt.Errorf("store: leaf counts %d dead bytes, has %d", n.dead, dead)
 	}
 	return nil
 }

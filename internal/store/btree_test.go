@@ -2,12 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"baton/internal/keyspace"
 )
@@ -336,7 +340,7 @@ func checkScans(t testing.TB, s *Store, model map[keyspace.Key][]byte, r keyspac
 			t.Fatalf("%s(%v): %d items, want %d", form, r, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+			if got[i].Key != want[i].Key || !sameValue(got[i].Value, want[i].Value) {
 				t.Fatalf("%s(%v): item %d = %d %v, want %d %v", form, r, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 			}
 		}
@@ -368,6 +372,10 @@ func checkScans(t testing.TB, s *Store, model map[keyspace.Key][]byte, r keyspac
 	}
 	same("AscendRange with an early stop", seen)
 }
+
+// sameValue reports whether two values hold the same bytes and are both nil
+// or both not: the store keeps a nil value apart from an empty one.
+func sameValue(a, b []byte) bool { return bytes.Equal(a, b) && (a == nil) == (b == nil) }
 
 // checkOrderStats checks Min, Max and KeyAtFraction against the model.
 func checkOrderStats(t testing.TB, s *Store, model map[keyspace.Key][]byte) {
@@ -471,12 +479,50 @@ func TestScanAcrossEmptyLeaves(t *testing.T) {
 	}
 }
 
+// fuzzValue derives a put's value from its op and key bytes: nil, empty,
+// or up to 40 bytes that differ by position, op and key.
+func fuzzValue(op, key byte) []byte {
+	n := int(op>>1)%42 - 1
+	if n < 0 {
+		return nil
+	}
+	v := make([]byte, n)
+	for j := range v {
+		v[j] = op + key + byte(j)
+	}
+	return v
+}
+
+// heldValue is a value read from a store and a copy of its bytes at the
+// time of the read.
+type heldValue struct {
+	key       keyspace.Key
+	view, was []byte
+}
+
+func hold(key keyspace.Key, v []byte) heldValue {
+	return heldValue{key, v, bytes.Clone(v)}
+}
+
+// checkHeld fails if any value read earlier no longer holds its bytes.
+func checkHeld(t testing.TB, held []heldValue, after string) {
+	t.Helper()
+	for _, h := range held {
+		if !sameValue(h.view, h.was) {
+			t.Fatalf("after %s: a value read for key %d changed from %q to %q", after, h.key, h.was, h.view)
+		}
+	}
+}
+
 // FuzzStoreMatchesModel decodes a degree, a range and a sequence of puts
-// and deletes over one-byte keys, applies them to a store and a map, and
-// checks the tree's invariants and every scan form over the range.
+// and deletes over one-byte keys, with values of 0–40 bytes (nil and empty
+// apart) derived from the op bytes, applies them to a store and a map, and
+// checks the tree's invariants and every scan form over the range. Every
+// value read along the way is kept and must still hold its bytes at the
+// end, whatever the later writes did to its leaf.
 func FuzzStoreMatchesModel(f *testing.F) {
 	seq := func(degree, lo, hi byte, ops ...byte) []byte { return append([]byte{degree, lo, hi}, ops...) }
-	var ascending, emptied []byte
+	var ascending, emptied, compacted, empties []byte
 	for k := byte(0); k < 200; k++ {
 		ascending = append(ascending, 0, k)
 		emptied = append(emptied, 1, k)
@@ -484,36 +530,180 @@ func FuzzStoreMatchesModel(f *testing.F) {
 	for k := byte(40); k < 120; k++ {
 		emptied = append(emptied, 2, k)
 	}
+	// Fill one leaf with 40-byte values, then overwrite one of its keys with
+	// 40-byte, then short, values until the leaf moves them to a new buffer.
+	for k := byte(10); k < 13; k++ {
+		compacted = append(compacted, 82, k)
+	}
+	for i := byte(0); i < 24; i++ {
+		compacted = append(compacted, 82-6*(i%2), 11, 4, 11)
+	}
+	// Nil and empty values over the same keys, overwriting each other.
+	for k := byte(0); k < 12; k++ {
+		empties = append(empties, 0, k, 3, k, 3, k+1, 1, k+2)
+	}
 	f.Add(seq(0, 10, 150, ascending...))
 	f.Add(seq(2, 30, 130, emptied...))
 	f.Add(seq(5, 0, 255, 0, 7, 0, 3, 2, 7, 0, 9, 2, 3))
 	f.Add(seq(0, 5, 5, 0, 5))
+	f.Add(seq(0, 0, 20, compacted...))
+	f.Add(seq(1, 0, 20, empties...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		s := NewWithDegree(2 + int(data[0]%6))
 		model := map[keyspace.Key][]byte{}
+		lo, hi := keyspace.Key(data[1]), keyspace.Key(data[2])
+		r := keyspace.NewRange(min(lo, hi), max(lo, hi))
+		var held []heldValue
 		for i := 3; i+1 < len(data); i += 2 {
-			k := keyspace.Key(data[i+1])
-			if data[i]%3 == 2 {
+			op, k := data[i], keyspace.Key(data[i+1])
+			if op%3 == 2 {
 				_, had := model[k]
 				if s.Delete(k) != had {
 					t.Fatalf("op %d: Delete(%d) disagrees with the model (present: %v)", i/2, k, had)
 				}
 				delete(model, k)
-				continue
+			} else {
+				v := fuzzValue(op, data[i+1])
+				s.Put(k, v)
+				model[k] = bytes.Clone(v)
+				clear(v) // the store keeps its own copy
 			}
-			s.Put(k, []byte{data[i]})
-			model[k] = []byte{data[i]}
+			if v, ok := s.Get(k); ok {
+				held = append(held, hold(k, v))
+			}
+			if i%32 == 3 {
+				for _, it := range s.Scan(r) {
+					held = append(held, hold(it.Key, it.Value))
+				}
+			}
 		}
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		checkHeld(t, held, "the sequence")
 		checkOrderStats(t, s, model)
-		lo, hi := keyspace.Key(data[1]), keyspace.Key(data[2])
-		checkScans(t, s, model, keyspace.NewRange(min(lo, hi), max(lo, hi)))
+		checkScans(t, s, model, r)
 	})
+}
+
+// TestValuesStableAcrossWrites pins the value contract: a value read from
+// the store by Get or a scan keeps its bytes through every later write to
+// its leaf (an overwrite of its key, its delete, a split, a compaction,
+// Delete's rebuild, ExtractRange), an append to it does not reach the next
+// value, and Put keeps a copy, not the caller's slice.
+func TestValuesStableAcrossWrites(t *testing.T) {
+	s := NewWithDegree(4) // leaves of 3 to 7 keys
+	val := func(k keyspace.Key, ver int) []byte { return []byte(fmt.Sprintf("value %d version %d", k, ver)) }
+	for k := keyspace.Key(0); k < 400; k += 10 {
+		s.Put(k, val(k, 0))
+	}
+	all := keyspace.NewRange(math.MinInt64, math.MaxInt64)
+	var held []heldValue
+	readAll := func() {
+		for _, it := range s.Scan(all) {
+			held = append(held, hold(it.Key, it.Value))
+			v, _ := s.Get(it.Key)
+			held = append(held, hold(it.Key, v))
+		}
+	}
+	step := func(what string, write func()) {
+		t.Helper()
+		readAll()
+		write()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		checkHeld(t, held, what)
+	}
+	buffer := func(k keyspace.Key) *byte { return unsafe.SliceData(s.LeafBuffer(k)) }
+
+	step("an overwrite", func() { s.Put(50, val(50, 1)) })
+	step("a delete", func() { s.Delete(60) })
+
+	leaves := len(s.LeafKeys())
+	for k := keyspace.Key(201); len(s.LeafKeys()) == leaves; k++ {
+		step(fmt.Sprintf("an insert of %d", k), func() { s.Put(k, val(k, 0)) })
+	}
+
+	// Empty values append nothing, so only the dead-bytes rule moves the
+	// leaf's values to a new buffer.
+	before, compacted := buffer(300), false
+	for _, k := range s.LeafKeys()[len(s.LeafKeys())/2] {
+		step(fmt.Sprintf("emptying %d", k), func() { s.Put(k, []byte{}) })
+		if compacted = buffer(k) != before; compacted {
+			break
+		}
+	}
+	if !compacted {
+		t.Fatal("emptying every value of a leaf did not compact it")
+	}
+
+	moved := s.ExtractRange(keyspace.NewRange(100, 200))
+	for _, it := range moved {
+		held = append(held, hold(it.Key, it.Value))
+	}
+	step("refilling an extracted range", func() {
+		for k := keyspace.Key(100); k < 200; k += 3 {
+			s.Put(k, val(k, 2))
+		}
+	})
+
+	rebuilt := false
+	for _, k := range s.Keys() {
+		leaves := len(s.LeafKeys())
+		step(fmt.Sprintf("deleting %d", k), func() { s.Delete(k) })
+		if rebuilt = len(s.LeafKeys()) < leaves && s.Len() > 0; rebuilt {
+			break
+		}
+	}
+	if !rebuilt {
+		t.Fatal("deleting keys one by one never rebuilt the tree")
+	}
+
+	// Two values stored one after the other in one leaf's buffer: growing
+	// the first must copy it, not overwrite the second.
+	s.Put(1000, []byte("first"))
+	s.Put(1001, []byte("second"))
+	first, _ := s.Get(1000)
+	_ = append(first, "XXXXXX"...)
+	if v, _ := s.Get(1001); string(v) != "second" {
+		t.Fatalf("an append to the value of 1000 reached the value of 1001: %q", v)
+	}
+
+	caller := []byte("caller's bytes")
+	s.Put(2000, caller)
+	copy(caller, "CHANGED")
+	if v, _ := s.Get(2000); string(v) != "caller's bytes" {
+		t.Fatalf("Put kept the caller's slice: the stored value reads %q", v)
+	}
+	checkHeld(t, held, "the appends")
+}
+
+// TestStoreHeapObjectsPerItem pins the leaf layout's cost to the garbage
+// collector: a store of 100 000 items whose values arrived as fresh 16-byte
+// slices holds a few heap objects per leaf, not one per value.
+func TestStoreHeapObjectsPerItem(t *testing.T) {
+	const n = 100_000
+	keys := rand.New(rand.NewSource(1)).Perm(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := New()
+	for _, k := range keys {
+		s.Put(keyspace.Key(k), benchValue(keyspace.Key(k)))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	objects := float64(after.HeapObjects-before.HeapObjects) / n
+	bytes := float64(after.HeapAlloc-before.HeapAlloc) / n
+	t.Logf("%.2f live heap objects and %.1f bytes per item", objects, bytes)
+	if objects > 0.35 {
+		t.Fatalf("%.2f live heap objects per item, want at most 0.35", objects)
+	}
 }
 
 // TestScanAllocs pins the scans' allocations: counting allocates nothing,
@@ -541,13 +731,27 @@ func TestScanAllocs(t *testing.T) {
 	}
 }
 
+// benchValue is a fresh 16-byte value for k, the size and form of the
+// benchmark workloads' values: the key, then a version.
+func benchValue(k keyspace.Key) []byte {
+	v := make([]byte, 16)
+	binary.BigEndian.PutUint64(v, uint64(k))
+	binary.BigEndian.PutUint64(v[8:], 1)
+	return v
+}
+
+// benchStore is a store of n items with keys 0..n-1, put in random order.
+func benchStore(n int) *Store {
+	s := New()
+	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
+		s.Put(keyspace.Key(k), benchValue(keyspace.Key(k)))
+	}
+	return s
+}
+
 // scanBenchStore is a 100 000-item store and a range of 1 000 of them.
 func scanBenchStore() (*Store, keyspace.Range) {
-	s := New()
-	for i := 0; i < 100_000; i++ {
-		s.Put(keyspace.Key(i), nil)
-	}
-	return s, keyspace.NewRange(40_000, 41_000)
+	return benchStore(100_000), keyspace.NewRange(40_000, 41_000)
 }
 
 func BenchmarkStoreScanAppend(b *testing.B) {
@@ -567,24 +771,47 @@ func BenchmarkStoreCountRange(b *testing.B) {
 	}
 }
 
+// BenchmarkStorePut puts fresh values, as a peer puts the values it
+// decodes from requests.
 func BenchmarkStorePut(b *testing.B) {
 	s := New()
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Put(keyspace.Key(rng.Int63n(1<<40)), nil)
+		k := keyspace.Key(rng.Int63n(1 << 40))
+		s.Put(k, benchValue(k))
 	}
 }
 
 func BenchmarkStoreGet(b *testing.B) {
-	s := New()
-	for i := 0; i < 100000; i++ {
-		s.Put(keyspace.Key(i), nil)
-	}
+	s := benchStore(100_000)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Get(keyspace.Key(rng.Intn(100000)))
 	}
+}
+
+// BenchmarkStoreAbsorb loads 100 000 shuffled items into an empty store,
+// the path every item takes when a cluster is set up or a replica synced.
+func BenchmarkStoreAbsorb(b *testing.B) {
+	items := make([]Item, 100_000)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(items)) {
+		items[i] = Item{Key: keyspace.Key(k), Value: benchValue(keyspace.Key(k))}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		New().Absorb(items)
+	}
+}
+
+// BenchmarkStoreGC times a full garbage collection with a 100 000-item
+// store live: the marking a store costs every GC cycle of a peer process.
+func BenchmarkStoreGC(b *testing.B) {
+	s := benchStore(100_000)
+	for b.Loop() {
+		runtime.GC()
+	}
+	runtime.KeepAlive(s)
 }

@@ -18,3 +18,6 @@ func (s *Store) LeafKeys() [][]keyspace.Key {
 	}
 	return out
 }
+
+// LeafBuffer returns the value buffer of the leaf that holds key, or would.
+func (s *Store) LeafBuffer(key keyspace.Key) []byte { return s.seek(key).vals }
