@@ -320,9 +320,11 @@ func (nw *Network) send(dst *Node, t stats.MsgType, cat msgCategory) {
 
 // hopLimit is the maximum number of forwarding steps any request may take.
 // The protocol guarantees O(log N); the generous bound catches corruption.
+// It is taken over the peer count rather than Height, which ranges over
+// every position: every level down to the deepest holds a peer, so the
+// count is never below the height, and reading it costs nothing per walk.
 func (nw *Network) hopLimit() int {
-	h := nw.Height()
-	limit := 6*h + 16
+	limit := 6*len(nw.positions) + 16
 	if limit < 64 {
 		limit = 64
 	}
@@ -330,9 +332,6 @@ func (nw *Network) hopLimit() int {
 }
 
 // --- structural helpers on the position map --------------------------------
-
-// nodeAt returns the live node occupying the given position, or nil.
-func (nw *Network) nodeAt(p Position) *Node { return nw.positions[p] }
 
 // subtreeHeight returns the height (number of levels) of the subtree rooted
 // at position p, counting only occupied positions. An unoccupied position has

@@ -168,15 +168,6 @@ func (n *Node) freeChildSide() (Side, bool) {
 // setChild sets the child pointer in slot s.
 func (n *Node) setChild(s int, c *Node) { n.children[s] = c }
 
-// setAdjacent sets the adjacent pointer on the given side.
-func (n *Node) setAdjacent(side Side, a *Node) {
-	if side == Left {
-		n.leftAdj = a
-	} else {
-		n.rightAdj = a
-	}
-}
-
 // String renders a short description of the peer for debugging.
 func (n *Node) String() string {
 	return fmt.Sprintf("peer %d at %s range %s (%d items)", n.id, n.pos, n.nodeRange, n.data.Len())

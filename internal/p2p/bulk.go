@@ -51,7 +51,7 @@ func (c *Cluster) BulkDelete(keys []keyspace.Key) ([]BulkResult, error) {
 // entryOf returns the ring slot responsible for key in the given topology:
 // the member whose range contained it when the topology was published, or
 // the extreme members for keys outside the domain (the same rule
-// ownsExtreme applies during routing). The ring is an immutable snapshot;
+// owns applies during routing). The ring is an immutable snapshot;
 // across a concurrent membership change it can be stale, which the bulk
 // path repairs by retrying moved keys as routed singletons.
 func (t *topology) entryOf(key keyspace.Key) *ringEntry {
@@ -215,7 +215,7 @@ func (c *Cluster) bulkRetry(k kind, via core.PeerID, it store.Item) BulkResult {
 func (c *Cluster) handleBulk(p *peer, req request) {
 	results := make([]BulkResult, len(req.bulk))
 	for i, it := range req.bulk {
-		if !p.rng.Contains(it.Key) && !c.ownsExtreme(p, it.Key) {
+		if !c.owns(p, it.Key) {
 			results[i] = BulkResult{Key: it.Key, Err: errMoved}
 			continue
 		}

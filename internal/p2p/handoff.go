@@ -476,7 +476,7 @@ func (c *Cluster) publishTopology(nextList []core.PeerSnapshot) {
 
 // widen stretches a migrating region that touches a domain edge out to the
 // key type's limits: the extreme peers store keys outside the domain (the
-// ownsExtreme rule), and those items must migrate with the edge region
+// owns rule), and those items must migrate with the edge region
 // instead of being stranded.
 func (c *Cluster) widen(r keyspace.Range) keyspace.Range {
 	if r.Lower == c.domain.Lower {

@@ -17,7 +17,10 @@
 // Entries are released exactly once: on response arrival, when the
 // connection they depend on drops (completed with ErrOwnerDown, the failure
 // retry layers already handle), or at Stop (ErrStopped). batonvet's
-// replypool analyzer checks the acquire/release pairing.
+// replypool analyzer checks the acquire/release pairing. Control RPCs
+// (netLayer.rpc) hold entries in the same table: the reply is a response
+// frame whose value is the reply body, and an RPC that times out or ends
+// with Stop releases its entry itself.
 //
 // A range query that leaves its origin node holds one more entry there, the
 // *origin entry* (anyNode): range items never travel in requests, nor back
@@ -44,7 +47,6 @@ package p2p
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -91,19 +93,85 @@ const anyNode = ^transport.NodeID(0)
 // ctlOp is a control-plane opcode (first payload byte of a msgControl
 // frame). A defined type so batonvet's kindexhaustive check covers the ctl
 // worker's dispatch: adding an opcode without deciding how handleCtl treats
-// it is a compile-time-silent, analysis-time-loud mistake.
+// it is a compile-time-silent, analysis-time-loud mistake. A reply travels
+// as a response frame (msgResponse) to the RPC's correlation entry.
 type ctlOp byte
 
 // Control-plane opcodes.
 const (
-	ctlReply ctlOp = iota + 1 // RPC completion, body = the reply
-	ctlHello                  // daemon→head: body = daemon listen addr; reply = domain + fanout
-	ctlJoin                   // daemon→head: body = peer count; reply = joined count
-	ctlSpawn                  // head→daemon: create a hosted peer; reply = status byte
-	ctlTopo                   // head→daemon broadcast: topology snapshot, no reply
-	ctlLoads                  // head→daemon: reply = per-hosted-peer load counters
+	ctlHello ctlOp = iota + 1 // daemon→head: helloMsg; reply helloReply
+	ctlJoin                   // daemon→head: joinMsg, peers to host; reply joinMsg, peers joined
+	ctlSpawn                  // head→daemon: spawnMsg, create a hosted peer; reply spawnReply
+	ctlTopo                   // head→daemon broadcast: topoMsg, no reply
+	ctlLoads                  // head→daemon: no body; reply loadsMsg
 	ctlPush                   // local only: head ctl worker pushes topology to one node
 )
+
+// The control bodies, each a layout on the wire codec.
+type (
+	helloMsg   struct{ addr []byte } // the daemon's listen address
+	helloReply struct {
+		domain keyspace.Range
+		fanout int
+	}
+	joinMsg  struct{ count int }
+	spawnMsg struct {
+		id    core.PeerID
+		st    *peerState
+		gains []keyspace.Range
+	}
+	spawnReply struct{ ok bool }
+	topoMsg    struct {
+		epoch   uint64
+		members []topoMember
+		addrs   []nodeAddr // the first is the sender's
+	}
+	topoMember struct {
+		id    core.PeerID
+		node  transport.NodeID
+		rng   keyspace.Range
+		alive bool
+	}
+	nodeAddr struct {
+		node transport.NodeID
+		addr []byte
+	}
+	loadsMsg struct{ loads []peerLoad }
+	peerLoad struct {
+		id          core.PeerID
+		reqs, items int64
+	}
+)
+
+func (m *helloMsg) wire(c *codec)   { c.bytes(&m.addr) }
+func (m *helloReply) wire(c *codec) { c.rng(&m.domain); w32(c, &m.fanout) }
+func (m *joinMsg) wire(c *codec)    { w32(c, &m.count) }
+func (m *spawnMsg) wire(c *codec)   { w64(c, &m.id); c.state(&m.st); c.ranges(&m.gains) }
+func (m *spawnReply) wire(c *codec) { c.bool(&m.ok) }
+
+func (m *topoMsg) wire(c *codec) {
+	w64(c, &m.epoch)
+	for i := range length(c, &m.members, 29) {
+		e := &m.members[i]
+		w64(c, &e.id)
+		w32(c, &e.node)
+		c.rng(&e.rng)
+		c.bool(&e.alive)
+	}
+	for i := range length(c, &m.addrs, 8) {
+		w32(c, &m.addrs[i].node)
+		c.bytes(&m.addrs[i].addr)
+	}
+}
+
+func (m *loadsMsg) wire(c *codec) {
+	for i := range length(c, &m.loads, 24) {
+		l := &m.loads[i]
+		w64(c, &l.id)
+		w64(c, &l.reqs)
+		w64(c, &l.items)
+	}
+}
 
 // rpcTimeout bounds a control RPC: a wedged remote must not hang a
 // structural operation forever (the join loop is the longest-running RPC).
@@ -205,19 +273,6 @@ type ctlMsg struct {
 	body []byte
 }
 
-// rpcResult completes one control RPC.
-type rpcResult struct {
-	body []byte
-	err  error
-}
-
-// pendingRPC is one control RPC in flight: the node it was sent to, whose
-// dropped connection fails it, and the waiter.
-type pendingRPC struct {
-	node transport.NodeID
-	ch   chan rpcResult
-}
-
 // netLayer is a Cluster's connection to the rest of the multi-process
 // overlay. Nil on a purely in-process cluster — every hook checks.
 type netLayer struct {
@@ -236,15 +291,11 @@ type netLayer struct {
 	// Control messages are decoded and applied on a dedicated worker
 	// goroutine (registered in the cluster's WaitGroup) because they take
 	// memberMu and issue RPCs — work a connection reader must never block
-	// on. ctlReply frames bypass the queue: they complete RPCs the worker
-	// itself may be blocked on.
+	// on. Replies are response frames: they complete RPCs the worker itself
+	// may be blocked on without passing through its queue.
 	ctlMu   sync.Mutex
 	ctlQ    []ctlMsg
 	ctlWake chan struct{}
-
-	pendMu   sync.Mutex
-	pendNext uint64
-	pending  map[uint64]pendingRPC
 
 	// Head: node IDs for dialers and the address table rebroadcast in
 	// ctlTopo so daemons can dial each other for direct handoffs.
@@ -268,7 +319,6 @@ func newNetLayer(isHead bool) *netLayer {
 		isHead:   isHead,
 		headNode: headNodeID,
 		ctlWake:  make(chan struct{}, 1),
-		pending:  make(map[uint64]pendingRPC),
 		done:     make(chan struct{}),
 		seedDown: make(chan struct{}),
 	}
@@ -317,24 +367,6 @@ func (n *netLayer) finishClose() {
 		tr.Close()
 	}
 	n.corr.sweep(0, ErrStopped)
-	n.failPending(0, ErrStopped)
-}
-
-// failPending fails every control RPC in flight (node == 0) or those sent
-// to the given node, as corrTable.sweep does for data requests.
-func (n *netLayer) failPending(node transport.NodeID, err error) {
-	var chs []chan rpcResult
-	n.pendMu.Lock()
-	for id, p := range n.pending {
-		if node == 0 || p.node == node {
-			chs = append(chs, p.ch)
-			delete(n.pending, id)
-		}
-	}
-	n.pendMu.Unlock()
-	for _, ch := range chs {
-		ch <- rpcResult{err: err}
-	}
 }
 
 // onPeerUp runs when a connection to another node is established. The head
@@ -348,15 +380,15 @@ func (n *netLayer) onPeerUp(node transport.NodeID) {
 	n.enqueueCtl(ctlMsg{from: node, op: ctlPush})
 }
 
-// onPeerDown fails every correlation and RPC that depended on the dropped
-// connection with ErrOwnerDown — the exact error the retry and fail-over
-// layers already handle for an in-process dead peer. A daemon losing its
-// head connection also trips seedDown: the coordinator owns the overlay,
-// so without it the daemon is an orphan (batond exits on this signal).
+// onPeerDown fails every correlation, control RPCs included, that depended
+// on the dropped connection with ErrOwnerDown — the exact error the retry
+// and fail-over layers already handle for an in-process dead peer. A daemon
+// losing its head connection also trips seedDown: the coordinator owns the
+// overlay, so without it the daemon is an orphan (batond exits on this
+// signal).
 func (n *netLayer) onPeerDown(node transport.NodeID) {
 	err := fmt.Errorf("%w: connection to node %d lost", ErrOwnerDown, node)
 	n.corr.sweep(node, err)
-	n.failPending(node, err)
 	if !n.isHead && node == n.headNode {
 		n.seedOnce.Do(func() { close(n.seedDown) })
 	}
@@ -628,29 +660,13 @@ type wireDest struct {
 
 func (w wireDest) deliver(resp response) { w.n.replyWire(w.node, w.corr, resp) }
 
-// inboundControl handles a control frame: RPC completions inline (the ctl
-// worker itself may be blocked waiting for one), everything else queued to
-// the worker.
+// inboundControl queues a control frame to the worker.
 func (n *netLayer) inboundControl(from transport.NodeID, m *transport.Msg) {
 	if len(m.Payload) == 0 {
 		return
 	}
 	op := ctlOp(m.Payload[0])
 	body := m.Payload[1:]
-	if op == ctlReply {
-		n.pendMu.Lock()
-		p, ok := n.pending[m.Corr]
-		if ok {
-			delete(n.pending, m.Corr)
-		}
-		n.pendMu.Unlock()
-		if ok {
-			b := make([]byte, len(body))
-			copy(b, body)
-			p.ch <- rpcResult{body: b}
-		}
-		return
-	}
 	b := make([]byte, len(body))
 	copy(b, body)
 	n.enqueueCtl(ctlMsg{from: from, corr: m.Corr, op: op, body: b})
@@ -693,18 +709,13 @@ func (n *netLayer) ctlLoop(c *Cluster) {
 
 func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 	switch msg.op {
-	case ctlReply:
-		// Completed inline in inboundControl, before the queue — a queued
-		// one means a reply raced Stop's pending-RPC drain; nothing waits
-		// for it any more.
-		return
 	case ctlHello:
 		if !n.isHead {
 			return
 		}
-		r := wreader{b: msg.body}
-		addr := string(r.bytes())
-		if r.done() && addr != "" {
+		var hello helloMsg
+		if decodeBody(msg.body, &hello) && len(hello.addr) > 0 {
+			addr := string(hello.addr)
 			n.addrMu.Lock()
 			n.nodeAddrs[msg.from] = addr
 			n.addrMu.Unlock()
@@ -712,35 +723,25 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 				tr.SetAddr(msg.from, addr)
 			}
 		}
-		b := appendRange(nil, c.domain)
-		b = appendU32(b, uint32(c.fanout))
-		n.ctlReplyTo(msg, b)
+		n.ctlReplyTo(msg, &helloReply{domain: c.domain, fanout: c.fanout})
 	case ctlJoin:
-		if !n.isHead {
-			return
-		}
-		r := wreader{b: msg.body}
-		count := int(r.u32())
-		if !r.done() || count < 0 {
+		var join joinMsg
+		if !n.isHead || !decodeBody(msg.body, &join) {
 			return
 		}
 		joined := 0
-		for i := 0; i < count; i++ {
+		for joined < join.count {
 			if _, err := c.joinAt(msg.from); err != nil {
 				break
 			}
 			joined++
 		}
-		n.ctlReplyTo(msg, appendU32(nil, uint32(joined)))
+		n.ctlReplyTo(msg, &joinMsg{count: joined})
 	case ctlSpawn:
 		if n.isHead {
 			return
 		}
-		status := byte(0)
-		if c.applySpawn(msg.body) {
-			status = 1
-		}
-		n.ctlReplyTo(msg, []byte{status})
+		n.ctlReplyTo(msg, &spawnReply{ok: c.applySpawn(msg.body)})
 	case ctlTopo:
 		if n.isHead {
 			return
@@ -750,7 +751,7 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 		if n.isHead {
 			return
 		}
-		n.ctlReplyTo(msg, c.encodeLocalLoads())
+		n.ctlReplyTo(msg, c.localLoads())
 	case ctlPush:
 		if !n.isHead {
 			return
@@ -763,45 +764,35 @@ func (n *netLayer) handleCtl(c *Cluster, msg ctlMsg) {
 	}
 }
 
-func (n *netLayer) ctlReplyTo(msg ctlMsg, body []byte) {
-	if msg.corr == 0 {
-		return
-	}
-	payload := append([]byte{byte(ctlReply)}, body...)
-	n.send(msg.from, &transport.Msg{Corr: msg.corr, Origin: n.self, Kind: byte(msgControl), Payload: payload})
+// ctlReplyTo answers a control RPC: a response to its correlation entry,
+// the reply body as the value.
+func (n *netLayer) ctlReplyTo(msg ctlMsg, reply layout) {
+	n.answer(msg.from, msg.corr, response{value: encodeBody(nil, reply)}, 0, storeRun{})
 }
 
-// rpc sends one control request and waits for its ctlReply.
-func (n *netLayer) rpc(node transport.NodeID, op ctlOp, body []byte) ([]byte, error) {
-	ch := make(chan rpcResult, 1)
-	n.pendMu.Lock()
-	n.pendNext++
-	id := n.pendNext
-	n.pending[id] = pendingRPC{node: node, ch: ch}
-	n.pendMu.Unlock()
-	payload := append([]byte{byte(op)}, body...)
+// rpc sends one control request, body nil for none, and waits for the
+// reply body.
+func (n *netLayer) rpc(node transport.NodeID, op ctlOp, body layout) ([]byte, error) {
+	ch := make(chan response, 1)
+	id := acquireCorr(&n.corr, corrEntry{node: node, ch: ch})
+	defer releaseCorr(&n.corr, id) // a no-op once the reply or a sweep released it
+	payload := []byte{byte(op)}
+	if body != nil {
+		payload = encodeBody(payload, body)
+	}
 	if !n.send(node, &transport.Msg{Corr: id, Origin: n.self, Kind: byte(msgControl), Payload: payload}) {
-		n.dropPendingRPC(id)
 		return nil, fmt.Errorf("%w: node %d", ErrUnreachable, node)
 	}
 	timer := time.NewTimer(rpcTimeout)
 	defer timer.Stop()
 	select {
-	case res := <-ch:
-		return res.body, res.err
+	case r := <-ch:
+		return r.value, r.err
 	case <-n.done:
-		n.dropPendingRPC(id)
 		return nil, ErrStopped
 	case <-timer.C:
-		n.dropPendingRPC(id)
 		return nil, fmt.Errorf("p2p: control rpc %d to node %d timed out: %w", op, node, ErrUnreachable)
 	}
-}
-
-func (n *netLayer) dropPendingRPC(id uint64) {
-	n.pendMu.Lock()
-	delete(n.pending, id)
-	n.pendMu.Unlock()
 }
 
 // joinAt runs one Join with the spawn redirected to the given node: the
@@ -837,14 +828,12 @@ func (c *Cluster) joinAt(node transport.NodeID) (core.PeerID, error) {
 // the peer is provably serving — buffering its pending regions — before
 // any handoff is addressed to it.
 func (n *netLayer) spawnRemote(node transport.NodeID, id core.PeerID, st *peerState, gains []keyspace.Range) error {
-	body := appendPeerID(nil, id)
-	body = appendState(body, st)
-	body = appendRanges(body, gains)
-	rep, err := n.rpc(node, ctlSpawn, body)
+	rep, err := n.rpc(node, ctlSpawn, &spawnMsg{id: id, st: st, gains: gains})
 	if err != nil {
 		return err
 	}
-	if len(rep) != 1 || rep[0] != 1 {
+	var ok spawnReply
+	if !decodeBody(rep, &ok) || !ok.ok {
 		return fmt.Errorf("p2p: node %d failed to spawn peer %d: %w", node, id, ErrUnreachable)
 	}
 	return nil
@@ -852,13 +841,11 @@ func (n *netLayer) spawnRemote(node transport.NodeID, id core.PeerID, st *peerSt
 
 // applySpawn (daemon) creates a locally hosted peer from a ctlSpawn body.
 func (c *Cluster) applySpawn(body []byte) bool {
-	r := wreader{b: body}
-	id := r.peerID()
-	st := r.state()
-	gains := r.ranges()
-	if !r.done() || st == nil {
+	var spawn spawnMsg
+	if !decodeBody(body, &spawn) || spawn.st == nil {
 		return false
 	}
+	id := spawn.id
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
 	if c.stopped.Load() {
@@ -869,8 +856,8 @@ func (c *Cluster) applySpawn(body []byte) bool {
 		return false
 	}
 	p := newPeer(id, c.fanout)
-	p.installState(st)
-	p.pending = gains
+	p.installState(spawn.st)
+	p.pending = spawn.gains
 	p.alive.Store(true)
 	nt := t.clone()
 	nt.peers[id] = p
@@ -886,31 +873,22 @@ func (c *Cluster) applySpawn(body []byte) bool {
 // flag, and the node address table daemons use to dial each other.
 func (n *netLayer) encodeTopoLocked(c *Cluster) []byte {
 	t := c.topo.Load()
-	b := []byte{byte(ctlTopo)}
-	b = appendU64(b, t.epoch)
-	b = appendU32(b, uint32(len(t.ids)))
+	msg := topoMsg{epoch: t.epoch, members: make([]topoMember, 0, len(t.ids))}
 	for _, id := range t.ids {
 		p := t.peers[id]
 		node := p.node
 		if node == 0 {
 			node = n.self
 		}
-		rng := c.states[id].Range
-		b = appendPeerID(b, id)
-		b = appendU32(b, uint32(node))
-		b = appendRange(b, rng)
-		b = appendBool(b, p.alive.Load())
+		msg.members = append(msg.members, topoMember{id: id, node: node, rng: c.states[id].Range, alive: p.alive.Load()})
 	}
 	n.addrMu.Lock()
-	b = appendU32(b, uint32(len(n.nodeAddrs)+1))
-	b = appendU32(b, uint32(n.self))
-	b = appendBytes(b, []byte(n.tr().Addr()))
+	msg.addrs = append(msg.addrs, nodeAddr{node: n.self, addr: []byte(n.tr().Addr())})
 	for node, addr := range n.nodeAddrs {
-		b = appendU32(b, uint32(node))
-		b = appendBytes(b, []byte(addr))
+		msg.addrs = append(msg.addrs, nodeAddr{node: node, addr: []byte(addr)})
 	}
 	n.addrMu.Unlock()
-	return b
+	return encodeBody([]byte{byte(ctlTopo)}, &msg)
 }
 
 // broadcastTopoLocked pushes the current composition to every connected
@@ -935,43 +913,18 @@ func (n *netLayer) broadcastTopoLocked(c *Cluster) {
 // forwarded until the usual two-stage reap retires them.
 func (c *Cluster) applyTopoBroadcast(body []byte) {
 	n := c.net
-	r := wreader{b: body}
-	epoch := r.u64()
-	cnt := r.count(29)
-	type member struct {
-		id    core.PeerID
-		node  transport.NodeID
-		rng   keyspace.Range
-		alive bool
-	}
-	ms := make([]member, 0, cnt)
-	for i := 0; i < cnt && !r.fail; i++ {
-		ms = append(ms, member{
-			id:    r.peerID(),
-			node:  transport.NodeID(r.u32()),
-			rng:   r.rng(),
-			alive: r.bool(),
-		})
-	}
-	acnt := r.count(8)
-	type nodeAddr struct {
-		node transport.NodeID
-		addr string
-	}
-	addrs := make([]nodeAddr, 0, acnt)
-	for i := 0; i < acnt && !r.fail; i++ {
-		addrs = append(addrs, nodeAddr{node: transport.NodeID(r.u32()), addr: string(r.bytes())})
-	}
-	if !r.done() {
+	var msg topoMsg
+	if !decodeBody(body, &msg) {
 		return
 	}
 	if tr := n.tr(); tr != nil {
-		for _, na := range addrs {
+		for _, na := range msg.addrs {
 			if na.node != n.self {
-				tr.SetAddr(na.node, na.addr)
+				tr.SetAddr(na.node, string(na.addr))
 			}
 		}
 	}
+	epoch, ms := msg.epoch, msg.members
 
 	c.memberMu.Lock()
 	defer c.memberMu.Unlock()
@@ -1039,24 +992,17 @@ func (c *Cluster) applyTopoBroadcast(body []byte) {
 	c.topo.Store(nt)
 }
 
-// encodeLocalLoads (daemon) renders the load counters of every locally
-// hosted member for a ctlLoads reply.
-func (c *Cluster) encodeLocalLoads() []byte {
+// localLoads (daemon) collects the load counters of every locally hosted
+// member for a ctlLoads reply.
+func (c *Cluster) localLoads() *loadsMsg {
 	t := c.topo.Load()
-	b := appendU32(nil, 0)
-	var cnt uint32
+	msg := &loadsMsg{}
 	for _, id := range t.ids {
-		p := t.peers[id]
-		if p == nil || p.node != 0 {
-			continue
+		if p := t.peers[id]; p != nil && p.node == 0 {
+			msg.loads = append(msg.loads, peerLoad{id: id, reqs: p.reqs.Load(), items: p.items.Load()})
 		}
-		b = appendPeerID(b, id)
-		b = appendI64(b, p.reqs.Load())
-		b = appendI64(b, p.items.Load())
-		cnt++
 	}
-	binary.LittleEndian.PutUint32(b[:4], cnt)
-	return b
+	return msg
 }
 
 // gatherRemoteLoads (head) refreshes the stub load counters from each
@@ -1072,18 +1018,14 @@ func (n *netLayer) gatherRemoteLoads(c *Cluster) {
 	t := c.topo.Load()
 	for _, node := range tr.Peers() {
 		body, err := n.rpc(node, ctlLoads, nil)
-		if err != nil {
+		var msg loadsMsg
+		if err != nil || !decodeBody(body, &msg) {
 			continue
 		}
-		r := wreader{b: body}
-		cnt := r.count(24)
-		for i := 0; i < cnt && !r.fail; i++ {
-			id := r.peerID()
-			reqs := r.i64()
-			items := r.i64()
-			if p := t.peers[id]; p != nil && p.node == node {
-				p.reqs.Store(reqs)
-				p.items.Store(items)
+		for _, l := range msg.loads {
+			if p := t.peers[l.id]; p != nil && p.node == node {
+				p.reqs.Store(l.reqs)
+				p.items.Store(l.items)
 			}
 		}
 	}
@@ -1185,22 +1127,20 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 	}
 	n.self = tr.Self()
 	n.headNode = head
-	hello, err := n.rpc(head, ctlHello, appendBytes(nil, []byte(tr.Addr())))
+	body, err := n.rpc(head, ctlHello, &helloMsg{addr: []byte(tr.Addr())})
 	if err != nil {
 		tr.Close()
 		return nil, fmt.Errorf("p2p: seed handshake: %w", err)
 	}
-	r := wreader{b: hello}
-	domain := r.rng()
-	fanout := int(r.u32())
-	if !r.done() || fanout < 2 {
+	var hello helloReply
+	if !decodeBody(body, &hello) || hello.fanout < 2 {
 		tr.Close()
 		return nil, fmt.Errorf("p2p: seed handshake: malformed hello reply")
 	}
 	c := &Cluster{
-		fanout:    fanout,
+		fanout:    hello.fanout,
 		done:      make(chan struct{}),
-		domain:    domain,
+		domain:    hello.domain,
 		suspects:  make(chan core.PeerID, 64),
 		traces:    obs.NewTraceRing(traceRingSize),
 		journal:   obs.NewJournal(journalSize),
@@ -1221,15 +1161,15 @@ func JoinRemote(seed string, hostPeers int) (*Cluster, error) {
 		return nil, err
 	}
 	if hostPeers > 0 {
-		rep, err := n.rpc(head, ctlJoin, appendU32(nil, uint32(hostPeers)))
+		body, err := n.rpc(head, ctlJoin, &joinMsg{count: hostPeers})
 		if err != nil {
 			c.Stop()
 			return nil, fmt.Errorf("p2p: joining %d peers: %w", hostPeers, err)
 		}
-		rr := wreader{b: rep}
-		if joined := int(rr.u32()); !rr.done() || joined < hostPeers {
+		var joined joinMsg
+		if !decodeBody(body, &joined) || joined.count < hostPeers {
 			c.Stop()
-			return nil, fmt.Errorf("p2p: seed joined %d of %d requested peers", joined, hostPeers)
+			return nil, fmt.Errorf("p2p: seed joined %d of %d requested peers", joined.count, hostPeers)
 		}
 	}
 	// The nodes that joined earlier have not heard of this one — their next

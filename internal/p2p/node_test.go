@@ -522,9 +522,9 @@ func TestControlRPCSurvivesOtherNodesDrop(t *testing.T) {
 		res <- err
 	}()
 	inFlight := func() int {
-		head.net.pendMu.Lock()
-		defer head.net.pendMu.Unlock()
-		return len(head.net.pending)
+		head.net.corr.mu.Lock()
+		defer head.net.corr.mu.Unlock()
+		return len(head.net.corr.m)
 	}
 	for deadline := time.Now().Add(10 * time.Second); inFlight() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {

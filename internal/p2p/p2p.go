@@ -276,73 +276,60 @@ const (
 // numKinds sizes per-kind metric arrays; it must track the enum above.
 const numKinds = int(kindReplicaDump) + 1
 
-// String names the kind for metrics and traces. The switch is exhaustive
-// (kindexhaustive) so a new kind cannot ship without a display name.
+// kindInfo is what handle needs to know of a kind before it dispatches it,
+// and the kind's display name for metrics and traces.
+type kindInfo struct {
+	name string
+	// control kinds are handled even by a departed or killed peer and over
+	// pending handoffs: structural updates and snapshots keep a dead peer's
+	// recorded state coherent (it remains part of the overlay structure
+	// until it is repaired), a handoff must never be dropped, and a crash
+	// notification is by definition addressed to a peer that is already
+	// down. Replica traffic is not control: a dead peer must refuse it, or
+	// it would keep acknowledging replicas its wiped process cannot hold.
+	control bool
+	// data kinds read or write stored items: they feed the load meter and
+	// are the ones a pending handoff holds back.
+	data bool
+}
+
+// kinds is the one per-kind table; TestKindTableTotal holds it total.
+var kinds = [numKinds]kindInfo{
+	kindGet:             {name: "GET", data: true},
+	kindPut:             {name: "PUT", data: true},
+	kindDelete:          {name: "DELETE", data: true},
+	kindRange:           {name: "RANGE", data: true},
+	kindRangeScatter:    {name: "RANGE_SCATTER", data: true},
+	kindBulkGet:         {name: "BULK_GET", data: true},
+	kindBulkPut:         {name: "BULK_PUT", data: true},
+	kindBulkDelete:      {name: "BULK_DELETE", data: true},
+	kindJoinLocate:      {name: "JOIN_LOCATE"},
+	kindFindReplacement: {name: "FIND_REPLACEMENT"},
+	kindUpdate:          {name: "UPDATE", control: true},
+	kindHandoff:         {name: "HANDOFF", control: true},
+	kindSnapshot:        {name: "SNAPSHOT", control: true},
+	kindStats:           {name: "STATS"},
+	kindSplitKey:        {name: "SPLIT_KEY"},
+	kindCrash:           {name: "CRASH", control: true},
+	kindReplicate:       {name: "REPLICATE"},
+	kindReplicaSync:     {name: "REPLICA_SYNC"},
+	kindReplicaDrop:     {name: "REPLICA_DROP"},
+	kindReplicaResync:   {name: "REPLICA_RESYNC"},
+	kindReplicaFetch:    {name: "REPLICA_FETCH"},
+	kindReplicaDump:     {name: "REPLICA_DUMP"},
+}
+
+// String names the kind for metrics and traces.
 func (k kind) String() string {
-	switch k {
-	case kindGet:
-		return "GET"
-	case kindPut:
-		return "PUT"
-	case kindDelete:
-		return "DELETE"
-	case kindRange:
-		return "RANGE"
-	case kindRangeScatter:
-		return "RANGE_SCATTER"
-	case kindBulkGet:
-		return "BULK_GET"
-	case kindBulkPut:
-		return "BULK_PUT"
-	case kindBulkDelete:
-		return "BULK_DELETE"
-	case kindJoinLocate:
-		return "JOIN_LOCATE"
-	case kindFindReplacement:
-		return "FIND_REPLACEMENT"
-	case kindUpdate:
-		return "UPDATE"
-	case kindHandoff:
-		return "HANDOFF"
-	case kindSnapshot:
-		return "SNAPSHOT"
-	case kindStats:
-		return "STATS"
-	case kindSplitKey:
-		return "SPLIT_KEY"
-	case kindCrash:
-		return "CRASH"
-	case kindReplicate:
-		return "REPLICATE"
-	case kindReplicaSync:
-		return "REPLICA_SYNC"
-	case kindReplicaDrop:
-		return "REPLICA_DROP"
-	case kindReplicaResync:
-		return "REPLICA_RESYNC"
-	case kindReplicaFetch:
-		return "REPLICA_FETCH"
-	case kindReplicaDump:
-		return "REPLICA_DUMP"
-	default:
-		return fmt.Sprintf("KIND_%d", int(k))
+	if int(k) < numKinds {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("KIND_%d", int(k))
 }
 
 // kindName adapts kind.String to the index-based callback obs snapshots
 // take.
 func kindName(i int) string { return kind(i).String() }
-
-// isControl reports whether the request kind must be handled even by a
-// killed peer: structural updates and snapshots keep a dead peer's recorded
-// state coherent (it remains part of the overlay structure until it is
-// repaired), a handoff must never be dropped, and a crash notification is by
-// definition addressed to a peer that is already down. Replica traffic is
-// NOT control: a dead peer must refuse it, or it would keep acknowledging
-// replicas its wiped process cannot hold.
-func isControl(k kind) bool {
-	return k == kindUpdate || k == kindHandoff || k == kindSnapshot || k == kindCrash
-}
 
 // request is one message travelling through the overlay. Replies are
 // delivered on the embedded channel so a client blocks only on its own
@@ -1266,53 +1253,36 @@ func (c *Cluster) handle(p *peer, req *request) *peer {
 		c.refuse(p, *req, ErrUnreachable)
 		return nil
 	}
-	// Membership control first: these are addressed to this exact peer and
-	// apply regardless of departure, death or pending handoffs.
-	//batonvet:ignore kindexhaustive partial filter by design: every other kind falls through to the tombstone/aliveness checks below
-	switch req.kind {
-	case kindUpdate:
-		c.applyUpdate(p, *req)
-		return nil
-	case kindHandoff:
-		c.applyHandoff(p, *req)
-		return nil
-	case kindSnapshot:
-		c.respond(*req, response{snap: p.snapshot(), hops: req.hops})
-		return nil
-	case kindCrash:
-		c.applyCrash(p, *req)
-		return nil
-	}
-	// A departed peer is a tombstone: stale routing state may still address
-	// it, and everything it receives belongs to the peer that absorbed its
-	// range now. This is checked before aliveness so a crashed peer that
-	// recovery has repaired forwards stragglers instead of refusing them.
-	if p.departed {
-		if req.kind == kindReplicaFetch {
-			// Exception: a tombstone still holds the replica sets it
-			// accumulated as a holder, and for a dead source they are the
-			// only surviving copy — the peer that absorbed the tombstone's
-			// range never held them, so forwarding the fetch would answer
-			// with an empty set and the dead range's data would be lost.
-			c.respond(*req, response{items: p.replicaFor(req.src).Items(), hops: req.hops})
-			return nil
-		}
-		// Forwarded under the token, not handed on: replica deltas passing
-		// through a tombstone keep their per-peer FIFO order.
+	info := kinds[req.kind]
+	switch {
+	case info.control:
+		// Addressed to this exact peer: applies regardless of departure,
+		// death or pending handoffs.
+	case p.departed && req.kind != kindReplicaFetch:
+		// A departed peer is a tombstone: stale routing state may still
+		// address it, and everything it receives belongs to the peer that
+		// absorbed its range now. This is checked before aliveness so a
+		// crashed peer that recovery has repaired forwards stragglers
+		// instead of refusing them. Forwarded under the token, not handed
+		// on: replica deltas passing through a tombstone keep their per-peer
+		// FIFO order. The fetch is the exception: a tombstone still holds the
+		// replica sets it accumulated as a holder, and for a dead source they
+		// are the only surviving copy — the peer that absorbed the
+		// tombstone's range never held them.
 		if !c.send(p.departTo, *req) {
 			c.refuse(p, *req, ErrOwnerDown)
 		}
 		return nil
-	}
-	// A killed peer refuses everything else: its data is gone, and replicas
-	// it pretended to accept would be silently lost.
-	if !p.alive.Load() {
+	case p.departed:
+		// The replica fetch, answered below.
+	case !p.alive.Load():
+		// A killed peer refuses everything else: its data is gone, and
+		// replicas it pretended to accept would be silently lost.
 		c.refuse(p, *req, ErrOwnerDown)
 		return nil
-	}
-	// Requests touching a region whose items are still in flight are held
-	// until the handoff lands; applyHandoff replays them.
-	if p.touchesPending(req) {
+	case info.data && p.touchesPending(req):
+		// Requests touching a region whose items are still in flight are
+		// held until the handoff lands; applyHandoff replays them.
 		p.held = append(p.held, *req)
 		return nil
 	}
@@ -1321,75 +1291,74 @@ func (c *Cluster) handle(p *peer, req *request) *peer {
 	// what the request-rate EWMA of Cluster.Loads reports. Counted after
 	// the buffering check so a held request is tallied exactly once, when
 	// its replay finally handles it — not once per buffer-and-replay round.
-	//batonvet:ignore kindexhaustive partial filter by design: only data kinds feed the load meter
-	switch req.kind {
-	case kindGet, kindPut, kindDelete, kindRange, kindRangeScatter,
-		kindBulkGet, kindBulkPut, kindBulkDelete:
+	if info.data {
 		p.reqs.Add(1)
 	}
-	//batonvet:ignore kindexhaustive partial dispatch by design: control kinds returned above, singleton data kinds fall through to the owned-key switch below
 	switch req.kind {
+	case kindUpdate:
+		c.applyUpdate(p, *req)
+	case kindHandoff:
+		c.applyHandoff(p, *req)
+	case kindSnapshot:
+		c.respond(*req, response{snap: p.snapshot(), hops: req.hops})
+	case kindCrash:
+		c.applyCrash(p, *req)
 	case kindReplicate:
 		c.applyReplicate(p, *req)
-		return nil
 	case kindReplicaSync:
 		c.applyReplicaSync(p, *req)
-		return nil
 	case kindReplicaDrop:
 		delete(p.replicas, req.src)
-		return nil
 	case kindReplicaResync:
 		c.handleReplicaResync(p, *req)
-		return nil
 	case kindReplicaFetch:
 		c.respond(*req, response{items: p.replicaFor(req.src).Items(), hops: req.hops})
-		return nil
 	case kindReplicaDump:
 		c.handleReplicaDump(p, *req)
-		return nil
 	case kindJoinLocate:
 		return c.handleJoinLocate(p, req)
 	case kindFindReplacement:
 		return c.handleFindReplacement(p, req)
 	case kindStats:
 		c.respond(*req, response{count: p.data.Len(), hops: req.hops})
-		return nil
 	case kindSplitKey:
 		k, ok := p.data.KeyAtFraction(req.frac)
 		c.respond(*req, response{splitKey: k, found: ok, hops: req.hops})
-		return nil
 	case kindRange, kindRangeScatter:
 		return c.handleRange(p, req)
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
 		c.handleBulk(p, *req)
-		return nil
-	}
-	if p.rng.Contains(req.key) || c.ownsExtreme(p, req.key) {
-		switch req.kind {
-		case kindGet:
-			v, ok := p.data.Get(req.key)
-			c.respond(*req, response{value: v, found: ok, hops: req.hops})
-		case kindPut:
-			p.data.Put(req.key, req.value)
-			p.noteItems()
-			c.replicateWrite(p, []store.Item{{Key: req.key, Value: req.value}}, nil)
-			c.respond(*req, response{hops: req.hops})
-		case kindDelete:
-			ok := p.data.Delete(req.key)
-			if ok {
-				p.noteItems()
-				c.replicateWrite(p, nil, []keyspace.Key{req.key})
-			}
-			c.respond(*req, response{found: ok, hops: req.hops})
-		default:
-			// Every kind that can reach the owner must answer here: a silent
-			// return would leave the client blocked on its reply channel
-			// forever. A kind added to the dispatch above but not to this
-			// switch lands on this arm and fails loudly instead.
-			c.refuse(p, *req, fmt.Errorf("p2p: unhandled request kind %d at owning peer", req.kind))
+	case kindGet:
+		if !c.owns(p, req.key) {
+			return c.reroute(p, req)
 		}
-		return nil
+		v, ok := p.data.Get(req.key)
+		c.respond(*req, response{value: v, found: ok, hops: req.hops})
+	case kindPut:
+		if !c.owns(p, req.key) {
+			return c.reroute(p, req)
+		}
+		p.data.Put(req.key, req.value)
+		p.noteItems()
+		c.replicateWrite(p, []store.Item{{Key: req.key, Value: req.value}}, nil)
+		c.respond(*req, response{hops: req.hops})
+	case kindDelete:
+		if !c.owns(p, req.key) {
+			return c.reroute(p, req)
+		}
+		ok := p.data.Delete(req.key)
+		if ok {
+			p.noteItems()
+			c.replicateWrite(p, nil, []keyspace.Key{req.key})
+		}
+		c.respond(*req, response{found: ok, hops: req.hops})
 	}
+	return nil
+}
+
+// reroute moves a singleton key request this peer does not own towards the
+// owner.
+func (c *Cluster) reroute(p *peer, req *request) *peer {
 	if req.epoch != 0 {
 		// A direct-routed request reached a peer that does not own its key.
 		// Validate the tag against the live epoch to pick the recovery: a
@@ -1415,48 +1384,38 @@ func (c *Cluster) handle(p *peer, req *request) *peer {
 	return c.forward(p, req)
 }
 
-// touchesPending reports whether the request reads or writes a key region
-// this peer owns but has not yet received the items for.
+// touchesPending reports whether a data request reads or writes a key
+// region this peer owns but has not yet received the items for.
 func (p *peer) touchesPending(req *request) bool {
-	if len(p.pending) == 0 {
-		return false
-	}
-	//batonvet:ignore kindexhaustive partial filter by design: only key- and range-addressed kinds can touch a pending region
-	switch req.kind {
-	case kindGet, kindPut, kindDelete:
-		for _, r := range p.pending {
-			if r.Contains(req.key) {
-				return true
-			}
-		}
-	case kindRange, kindRangeScatter:
-		for _, r := range p.pending {
+	for _, r := range p.pending {
+		switch req.kind {
+		case kindRange, kindRangeScatter:
 			if r.Intersects(req.rng) {
 				return true
 			}
-		}
-	case kindBulkGet, kindBulkPut, kindBulkDelete:
-		for _, r := range p.pending {
+		case kindBulkGet, kindBulkPut, kindBulkDelete:
 			for _, it := range req.bulk {
 				if r.Contains(it.Key) {
 					return true
 				}
+			}
+		default:
+			// The singleton key kinds.
+			if r.Contains(req.key) {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// ownsExtreme mirrors the simulator's rule that the leftmost and rightmost
-// peers are responsible for keys outside the domain.
-func (c *Cluster) ownsExtreme(p *peer, key keyspace.Key) bool {
-	if key < p.rng.Lower && p.view.Adj[core.Left] == nil {
-		return true
-	}
-	if key >= p.rng.Upper && p.view.Adj[core.Right] == nil {
-		return true
-	}
-	return false
+// owns reports whether p answers for key: it holds key's range, or key lies
+// past the domain on p's open side (the simulator's rule that the leftmost
+// and rightmost peers are responsible for keys outside the domain).
+func (c *Cluster) owns(p *peer, key keyspace.Key) bool {
+	return p.rng.Contains(key) ||
+		key < p.rng.Lower && p.view.Adj[core.Left] == nil ||
+		key >= p.rng.Upper && p.view.Adj[core.Right] == nil
 }
 
 // forward applies the search_exact forwarding rule (core.ForwardCandidates)

@@ -60,7 +60,7 @@ func (q Query) request(plan query.Plan) request {
 // entryIdx returns the ring index of the member owning key under this
 // topology (the slot entryOf resolves, as an index so it can be cached),
 // or -1 for an empty ring. Keys below the first entry map to slot 0, the
-// extreme-member rule of ownsExtreme.
+// extreme-member rule of owns.
 func (t *topology) entryIdx(key keyspace.Key) int {
 	n := len(t.ring)
 	if n == 0 {

@@ -273,7 +273,7 @@ func scanFiltered(data *store.Store, dst []store.Item, r keyspace.Range, pred *q
 // passes one more per right routing-table entry inside the rest.
 func (c *Cluster) handleRange(p *peer, req *request) *peer {
 	r := req.rng
-	if !p.rng.Contains(r.Lower) && !c.ownsExtreme(p, r.Lower) {
+	if !c.owns(p, r.Lower) {
 		return c.forward(p, req)
 	}
 	parallel := req.par || req.kind == kindRangeScatter

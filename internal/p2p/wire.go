@@ -1,12 +1,16 @@
 // wire.go is the binary codec between the in-memory request/response
 // structs and the transport's frame payloads. It is dependency-free and
 // deliberately boring: little-endian fixed-width integers, length-prefixed
-// byte strings, and one exhaustive switch per direction over the request
-// kinds (kindexhaustive enforces that a new kind cannot ship without wire
-// rules). Decoders are bounds-checked everywhere: a malformed payload
-// yields errWireTruncated/errWireMalformed — never a panic — and every
-// element count is validated against the bytes actually present before any
-// slice is allocated, so a hostile length field cannot over-allocate.
+// byte strings, and each message's layout written once, on a codec that
+// appends when encoding and reads into place when decoding — so a field
+// cannot be encoded without being decoded, or in another order. Requests
+// have the one switch over the kinds (request.wire); responses are not
+// kind-discriminated and have one layout (response.head, items last); the
+// control bodies of node.go are layouts on the same codec. Decoders are
+// bounds-checked everywhere: a malformed payload yields
+// errWireTruncated/errWireMalformed — never a panic — and every element
+// count is validated against the bytes actually present before any slice
+// is allocated, so a hostile length field cannot over-allocate.
 //
 // What does NOT cross the wire, by design:
 //
@@ -24,7 +28,10 @@
 // responseSize bound the encoding from the variable-length fields, the
 // buffer comes from transport.NewFrame with the header room reserved, and
 // the transport queues those very bytes — append never regrows, nothing is
-// copied between the encoder and the socket.
+// copied between the encoder and the socket. Item lists, the bulk of every
+// range answer, skip the codec: appendItems / wreader.items, a peer's part
+// straight from its store (storeRun), and the arrival check that leaves it
+// encoded (wreader.block).
 package p2p
 
 import (
@@ -63,10 +70,8 @@ var (
 // ---------------------------------------------------------------------------
 // Primitives.
 
-func appendU8(b []byte, v uint8) []byte   { return append(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte  { return appendU64(b, uint64(v)) }
 func appendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
@@ -90,14 +95,11 @@ func appendString(b []byte, v string) []byte {
 	return append(appendU32(b, uint32(len(v))), v...)
 }
 
-func appendKey(b []byte, k keyspace.Key) []byte { return appendI64(b, int64(k)) }
-func appendRange(b []byte, r keyspace.Range) []byte {
-	return appendKey(appendKey(b, r.Lower), r.Upper)
-}
-func appendPeerID(b []byte, id core.PeerID) []byte { return appendI64(b, int64(id)) }
+func appendKey(b []byte, k keyspace.Key) []byte    { return appendU64(b, uint64(k)) }
+func appendPeerID(b []byte, id core.PeerID) []byte { return appendU64(b, uint64(id)) }
 
 // wreader walks a payload with sticky bounds checking: after the first
-// short read every accessor returns a zero value and ok() reports false.
+// short read every accessor returns a zero value and done() reports false.
 type wreader struct {
 	b    []byte
 	off  int
@@ -138,11 +140,9 @@ func (r *wreader) u64() uint64 {
 	return binary.LittleEndian.Uint64(s)
 }
 
-func (r *wreader) i64() int64          { return int64(r.u64()) }
 func (r *wreader) bool() bool          { return r.u8() != 0 }
-func (r *wreader) key() keyspace.Key   { return keyspace.Key(r.i64()) }
-func (r *wreader) peerID() core.PeerID { return core.PeerID(r.i64()) }
-func (r *wreader) rng() keyspace.Range { return keyspace.Range{Lower: r.key(), Upper: r.key()} }
+func (r *wreader) key() keyspace.Key   { return keyspace.Key(r.u64()) }
+func (r *wreader) peerID() core.PeerID { return core.PeerID(r.u64()) }
 func (r *wreader) done() bool          { return !r.fail && r.off == len(r.b) }
 
 func (r *wreader) bytes() []byte {
@@ -150,11 +150,7 @@ func (r *wreader) bytes() []byte {
 	if n == ^uint32(0) {
 		return nil
 	}
-	s := r.take(int(n))
-	if s == nil {
-		return nil
-	}
-	return s
+	return r.take(int(n))
 }
 
 // count reads an element count and validates it against the bytes left,
@@ -186,7 +182,7 @@ func (r *wreader) partCount() int {
 }
 
 // ---------------------------------------------------------------------------
-// Composite fields.
+// Item lists, the hot path: coded directly, outside the codec.
 
 func appendItems(b []byte, items []store.Item) []byte {
 	b = appendU32(b, uint32(len(items)))
@@ -277,175 +273,203 @@ func appendRun(b []byte, run storeRun) []byte {
 	return b
 }
 
-func appendKeys(b []byte, keys []keyspace.Key) []byte {
-	b = appendU32(b, uint32(len(keys)))
-	for _, k := range keys {
-		b = appendKey(b, k)
-	}
-	return b
+// ---------------------------------------------------------------------------
+// The codec. A layout is written once, as a function of a *codec: encoding,
+// each field is appended to b; decoding, each is read from r into place.
+// Encoding never writes through the layout's pointers — a request's
+// predicate, state and links are shared by branches on other goroutines —
+// so it is a pure read of the message.
+
+type codec struct {
+	b   []byte
+	r   wreader // by value: a decode allocates nothing for its reader
+	dec bool
 }
 
-func (r *wreader) keys() []keyspace.Key {
-	n := r.count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]keyspace.Key, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.key())
-	}
-	if r.fail {
-		return nil
-	}
-	return out
+// layout is a message body written on the codec: a control message of
+// node.go.
+type layout interface{ wire(c *codec) }
+
+// encodeBody appends l's encoding to b.
+func encodeBody(b []byte, l layout) []byte {
+	c := codec{b: b}
+	l.wire(&c)
+	return c.b
 }
 
-// visited travels as a sorted id list so encodings are deterministic. The
-// ids are sorted on the stack: a request that has wandered past 16 peers is
-// rare enough to pay for its slice.
-func appendVisited(b []byte, visited *peerSet) []byte {
+// decodeBody decodes body into l and reports whether it was one well-formed
+// encoding, nothing left over.
+func decodeBody(body []byte, l layout) bool {
+	c := codec{r: wreader{b: body}, dec: true}
+	l.wire(&c)
+	return c.r.done()
+}
+
+// w8 codes a one-byte field.
+func w8[T ~uint8](c *codec, v *T) {
+	if c.dec {
+		*v = T(c.r.u8())
+	} else {
+		c.b = append(c.b, uint8(*v))
+	}
+}
+
+// w32 codes an integer field in four bytes.
+func w32[T ~int | ~uint32](c *codec, v *T) {
+	if c.dec {
+		*v = T(c.r.u32())
+	} else {
+		c.b = appendU32(c.b, uint32(*v))
+	}
+}
+
+// w64 codes an integer field in eight bytes.
+func w64[T ~int | ~int64 | ~uint64](c *codec, v *T) {
+	if c.dec {
+		*v = T(c.r.u64())
+	} else {
+		c.b = appendU64(c.b, uint64(*v))
+	}
+}
+
+func (c *codec) bool(v *bool) {
+	if c.dec {
+		*v = c.r.bool()
+	} else {
+		c.b = appendBool(c.b, *v)
+	}
+}
+
+func (c *codec) bytes(v *[]byte) {
+	if c.dec {
+		*v = c.r.bytes()
+	} else {
+		c.b = appendBytes(c.b, *v)
+	}
+}
+
+func (c *codec) rng(r *keyspace.Range) {
+	w64(c, &r.Lower)
+	w64(c, &r.Upper)
+}
+
+// parts codes a partial count, which decoding holds to maxParts.
+func (c *codec) parts(v *int) {
+	if c.dec {
+		*v = c.r.partCount()
+	} else {
+		c.b = appendU32(c.b, uint32(*v))
+	}
+}
+
+// items codes an item list through the hot pair appendItems / wreader.items.
+func (c *codec) items(v *[]store.Item) {
+	if c.dec {
+		*v = c.r.items()
+	} else {
+		c.b = appendItems(c.b, *v)
+	}
+}
+
+// length codes the length of list *s and returns it; decoding, it makes the
+// list for the caller to fill in, once the count has passed the guard of
+// minElem bytes an element (wreader.count). No elements decode to nil.
+func length[T any](c *codec, s *[]T, minElem int) int {
+	if !c.dec {
+		c.b = appendU32(c.b, uint32(len(*s)))
+	} else if n := c.r.count(minElem); n > 0 {
+		*s = make([]T, n)
+	}
+	return len(*s)
+}
+
+// some codes whether the optional *p is present and, decoding one that is,
+// allocates it for the caller to fill in.
+func some[T any](c *codec, p **T) bool {
+	set := *p != nil
+	c.bool(&set)
+	if c.dec && set {
+		*p = new(T)
+	}
+	return set
+}
+
+// ---------------------------------------------------------------------------
+// Composite fields.
+
+func (c *codec) keys(ks *[]keyspace.Key) {
+	for i := range length(c, ks, 8) {
+		w64(c, &(*ks)[i])
+	}
+}
+
+func (c *codec) peerIDs(ids *[]core.PeerID) {
+	for i := range length(c, ids, 8) {
+		w64(c, &(*ids)[i])
+	}
+}
+
+func (c *codec) ranges(rs *[]keyspace.Range) {
+	for i := range length(c, rs, 16) {
+		c.rng(&(*rs)[i])
+	}
+}
+
+// visited travels as a sorted id list so encodings are deterministic, and is
+// read straight into the set. The ids are sorted on the stack: a request
+// that has wandered past 16 peers is rare enough to pay for its slice.
+func (c *codec) visited(s *peerSet) {
+	if c.dec {
+		for n := c.r.count(8); n > 0; n-- {
+			s.add(c.r.peerID())
+		}
+		return
+	}
 	var few [16]core.PeerID
-	return appendPeerIDs(b, visited.ids(few[:0]))
+	ids := s.ids(few[:0])
+	c.peerIDs(&ids)
 }
 
-func (r *wreader) visited() peerSet {
-	var out peerSet
-	for n := r.count(8); n > 0; n-- {
-		out.add(r.peerID())
+func (c *codec) pred(pp **query.Pred) {
+	if some(c, pp) {
+		p := *pp
+		w64(c, &p.MinValueLen)
+		w64(c, &p.MaxValueLen)
+		c.keys(&p.Keys)
+		w64(c, &p.Limit)
 	}
-	if r.fail {
-		return peerSet{}
-	}
-	return out
-}
-
-func appendPred(b []byte, p *query.Pred) []byte {
-	if p == nil {
-		return appendBool(b, false)
-	}
-	b = appendBool(b, true)
-	b = appendI64(b, int64(p.MinValueLen))
-	b = appendI64(b, int64(p.MaxValueLen))
-	b = appendKeys(b, p.Keys)
-	return appendI64(b, int64(p.Limit))
-}
-
-func (r *wreader) pred() *query.Pred {
-	if !r.bool() {
-		return nil
-	}
-	p := &query.Pred{MinValueLen: int(r.i64()), MaxValueLen: int(r.i64())}
-	p.Keys = r.keys()
-	p.Limit = int(r.i64())
-	if r.fail {
-		return nil
-	}
-	return p
 }
 
 // Links are encoded by value: id plus the range the link caches.
-func appendLink(b []byte, l *core.Link) []byte {
-	if l == nil {
-		return appendBool(b, false)
+func (c *codec) link(lp **core.Link) {
+	if some(c, lp) {
+		l := *lp
+		w64(c, &l.ID)
+		w64(c, &l.Lower)
+		w64(c, &l.Upper)
 	}
-	b = appendBool(b, true)
-	b = appendPeerID(b, l.ID)
-	return appendKey(appendKey(b, l.Lower), l.Upper)
 }
 
-func (r *wreader) link() *core.Link {
-	if !r.bool() {
-		return nil
+func (c *codec) links(ls *[]*core.Link) {
+	for i := range length(c, ls, 1) {
+		c.link(&(*ls)[i])
 	}
-	l := &core.Link{ID: r.peerID(), Lower: r.key(), Upper: r.key()}
-	if r.fail {
-		return nil
-	}
-	return l
 }
 
-func appendLinks(b []byte, ls []*core.Link) []byte {
-	b = appendU32(b, uint32(len(ls)))
-	for _, l := range ls {
-		b = appendLink(b, l)
+func (c *codec) state(sp **peerState) {
+	if some(c, sp) {
+		st := *sp
+		w64(c, &st.pos.Level)
+		w64(c, &st.pos.Number)
+		c.rng(&st.rng)
+		v := &st.view
+		c.link(&v.Parent)
+		c.links(&v.Children)
+		c.link(&v.Adj[core.Left])
+		c.link(&v.Adj[core.Right])
+		c.links(&v.RT[core.Left])
+		c.links(&v.RT[core.Right])
 	}
-	return b
-}
-
-func (r *wreader) links() []*core.Link {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]*core.Link, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.link())
-	}
-	if r.fail {
-		return nil
-	}
-	return out
-}
-
-func appendState(b []byte, st *peerState) []byte {
-	if st == nil {
-		return appendBool(b, false)
-	}
-	b = appendBool(b, true)
-	b = appendI64(b, int64(st.pos.Level))
-	b = appendI64(b, st.pos.Number)
-	b = appendRange(b, st.rng)
-	v := &st.view
-	b = appendLink(b, v.Parent)
-	b = appendLinks(b, v.Children)
-	b = appendLink(b, v.Adj[core.Left])
-	b = appendLink(b, v.Adj[core.Right])
-	b = appendLinks(b, v.RT[core.Left])
-	return appendLinks(b, v.RT[core.Right])
-}
-
-func (r *wreader) state() *peerState {
-	if !r.bool() {
-		return nil
-	}
-	st := &peerState{}
-	st.pos.Level = int(r.i64())
-	st.pos.Number = r.i64()
-	st.rng = r.rng()
-	v := &st.view
-	v.Parent = r.link()
-	v.Children = r.links()
-	v.Adj[core.Left] = r.link()
-	v.Adj[core.Right] = r.link()
-	v.RT[core.Left] = r.links()
-	v.RT[core.Right] = r.links()
-	if r.fail {
-		return nil
-	}
-	return st
-}
-
-func appendRanges(b []byte, rs []keyspace.Range) []byte {
-	b = appendU32(b, uint32(len(rs)))
-	for _, r := range rs {
-		b = appendRange(b, r)
-	}
-	return b
-}
-
-func (r *wreader) ranges() []keyspace.Range {
-	n := r.count(16)
-	if n == 0 {
-		return nil
-	}
-	out := make([]keyspace.Range, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.rng())
-	}
-	if r.fail {
-		return nil
-	}
-	return out
 }
 
 // Moves cross the wire with their ack rewritten from a channel to a
@@ -453,174 +477,101 @@ func (r *wreader) ranges() []keyspace.Range {
 // the destination's hosting node attached, so a source on another process
 // can deliver the handoff even before the topology broadcast that names
 // the new peer reaches it.
-func appendMoves(b []byte, moves []handoffMove) []byte {
-	b = appendU32(b, uint32(len(moves)))
-	for _, mv := range moves {
-		b = appendRange(b, mv.region)
-		b = appendPeerID(b, mv.dst)
-		b = appendU32(b, uint32(mv.dstNode))
-		b = appendU64(b, mv.ackCorr)
-		b = appendU32(b, uint32(mv.ackNode))
+func (c *codec) moves(ms *[]handoffMove) {
+	for i := range length(c, ms, 40) {
+		mv := &(*ms)[i]
+		c.rng(&mv.region)
+		w64(c, &mv.dst)
+		w32(c, &mv.dstNode)
+		w64(c, &mv.ackCorr)
+		w32(c, &mv.ackNode)
 	}
-	return b
 }
 
-func (r *wreader) moves() []handoffMove {
-	n := r.count(40)
-	if n == 0 {
-		return nil
+func (c *codec) snap(sp **core.PeerSnapshot) {
+	if some(c, sp) {
+		s := *sp
+		w64(c, &s.ID)
+		w64(c, &s.Position.Level)
+		w64(c, &s.Position.Number)
+		c.rng(&s.Range)
+		c.items(&s.Items)
+		w64(c, &s.Parent)
+		w64(c, &s.LeftChild)
+		w64(c, &s.RightChild)
+		c.peerIDs(&s.MidChildren)
+		w64(c, &s.LeftAdjacent)
+		w64(c, &s.RightAdjacent)
+		c.peerIDs(&s.LeftRouting)
+		c.peerIDs(&s.RightRouting)
 	}
-	out := make([]handoffMove, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, handoffMove{
-			region:  r.rng(),
-			dst:     r.peerID(),
-			dstNode: transport.NodeID(r.u32()),
-			ackCorr: r.u64(),
-			ackNode: transport.NodeID(r.u32()),
-		})
-	}
-	if r.fail {
-		return nil
-	}
-	return out
 }
 
-func appendSnap(b []byte, s *core.PeerSnapshot) []byte {
-	if s == nil {
-		return appendBool(b, false)
+// replicaSets travel sorted by source so encodings are deterministic.
+func (c *codec) replicaSets(sets *map[core.PeerID][]store.Item) {
+	set := *sets != nil
+	if c.bool(&set); !set {
+		return
 	}
-	b = appendBool(b, true)
-	b = appendPeerID(b, s.ID)
-	b = appendI64(b, int64(s.Position.Level))
-	b = appendI64(b, s.Position.Number)
-	b = appendRange(b, s.Range)
-	b = appendItems(b, s.Items)
-	b = appendPeerID(b, s.Parent)
-	b = appendPeerID(b, s.LeftChild)
-	b = appendPeerID(b, s.RightChild)
-	b = appendPeerIDs(b, s.MidChildren)
-	b = appendPeerID(b, s.LeftAdjacent)
-	b = appendPeerID(b, s.RightAdjacent)
-	b = appendPeerIDs(b, s.LeftRouting)
-	return appendPeerIDs(b, s.RightRouting)
-}
-
-func (r *wreader) snap() *core.PeerSnapshot {
-	if !r.bool() {
-		return nil
+	if c.dec {
+		n := c.r.count(12)
+		*sets = make(map[core.PeerID][]store.Item, n)
+		for ; n > 0; n-- {
+			id := c.r.peerID()
+			(*sets)[id] = c.r.items()
+		}
+		return
 	}
-	s := &core.PeerSnapshot{}
-	s.ID = r.peerID()
-	s.Position.Level = int(r.i64())
-	s.Position.Number = r.i64()
-	s.Range = r.rng()
-	s.Items = r.items()
-	s.Parent = r.peerID()
-	s.LeftChild = r.peerID()
-	s.RightChild = r.peerID()
-	s.MidChildren = r.peerIDs()
-	s.LeftAdjacent = r.peerID()
-	s.RightAdjacent = r.peerID()
-	s.LeftRouting = r.peerIDs()
-	s.RightRouting = r.peerIDs()
-	if r.fail {
-		return nil
+	var few [16]core.PeerID
+	ids := few[:0]
+	for id := range *sets {
+		ids = append(ids, id)
 	}
-	return s
-}
-
-func appendPeerIDs(b []byte, ids []core.PeerID) []byte {
-	b = appendU32(b, uint32(len(ids)))
+	slices.Sort(ids)
+	c.b = appendU32(c.b, uint32(len(ids)))
 	for _, id := range ids {
-		b = appendPeerID(b, id)
+		c.b = appendItems(appendPeerID(c.b, id), (*sets)[id])
 	}
-	return b
 }
 
-func (r *wreader) peerIDs() []core.PeerID {
-	n := r.count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]core.PeerID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, r.peerID())
-	}
-	if r.fail {
-		return nil
-	}
-	return out
-}
+// wireErrs lists the cluster's sentinel errors by their stable code, the
+// index, so errors.Is works across processes; anything else travels as its
+// message, under errOpaque, and is reconstructed as an opaque error.
+var wireErrs = [...]error{nil, ErrStopped, ErrUnknownPeer, ErrUnreachable, ErrOwnerDown, errMoved, ErrReplicaLost}
 
-// ---------------------------------------------------------------------------
-// Error mapping. The cluster's sentinel errors are translated to stable
-// codes so errors.Is works across processes; anything else travels as its
-// message and is reconstructed as an opaque error.
+const errOpaque = uint8(len(wireErrs))
 
-const (
-	errCodeNil = iota
-	errCodeStopped
-	errCodeUnknownPeer
-	errCodeUnreachable
-	errCodeOwnerDown
-	errCodeMoved
-	errCodeReplicaLost
-	errCodeOpaque
-)
-
-func appendErr(b []byte, err error) []byte {
-	switch {
-	case err == nil:
-		return appendU8(b, errCodeNil)
-	case errors.Is(err, ErrStopped):
-		return appendU8(b, errCodeStopped)
-	case errors.Is(err, ErrUnknownPeer):
-		return appendU8(b, errCodeUnknownPeer)
-	case errors.Is(err, ErrUnreachable):
-		return appendU8(b, errCodeUnreachable)
-	case errors.Is(err, ErrOwnerDown):
-		return appendU8(b, errCodeOwnerDown)
-	case errors.Is(err, errMoved):
-		return appendU8(b, errCodeMoved)
-	case errors.Is(err, ErrReplicaLost):
-		return appendU8(b, errCodeReplicaLost)
+func (c *codec) err(e *error) {
+	code := errOpaque
+	if !c.dec {
+		for i, s := range wireErrs {
+			if errors.Is(*e, s) {
+				code = uint8(i)
+				break
+			}
+		}
+	}
+	switch w8(c, &code); {
+	case code > errOpaque:
+		c.r.fail = true
+	case !c.dec:
+		if code == errOpaque {
+			c.b = appendString(c.b, (*e).Error())
+		}
+	case code < errOpaque:
+		*e = wireErrs[code]
 	default:
-		return appendString(appendU8(b, errCodeOpaque), err.Error())
+		*e = errors.New(string(c.r.bytes()))
 	}
 }
 
-// errSize bounds what appendErr writes past the code byte: the text, which
-// a sentinel does not send.
+// errSize bounds what the error layout writes past the code byte: the text,
+// which a sentinel does not send.
 func errSize(err error) int {
 	if err == nil {
 		return 0
 	}
 	return 4 + len(err.Error())
-}
-
-func (r *wreader) anErr() error {
-	switch code := r.u8(); code {
-	case errCodeNil:
-		return nil
-	case errCodeStopped:
-		return ErrStopped
-	case errCodeUnknownPeer:
-		return ErrUnknownPeer
-	case errCodeUnreachable:
-		return ErrUnreachable
-	case errCodeOwnerDown:
-		return ErrOwnerDown
-	case errCodeMoved:
-		return errMoved
-	case errCodeReplicaLost:
-		return ErrReplicaLost
-	case errCodeOpaque:
-		return errors.New(string(r.bytes()))
-	default:
-		r.fail = true
-		return nil
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -637,8 +588,7 @@ const reqFixed = 88
 
 // requestSize bounds encodeRequest's output from the variable-length fields
 // alone. A kind leaves the fields it does not carry unset, so they add
-// nothing — which is why no third per-kind switch sits beside the encoder's
-// and the decoder's.
+// nothing — which is why no second per-kind switch sits beside the layout's.
 func requestSize(req *request) int {
 	var few [16]core.PeerID
 	n := reqFixed + len(req.value) + 8*len(req.visited.ids(few[:0])) + itemsSize(req.bulk) +
@@ -652,136 +602,96 @@ func requestSize(req *request) int {
 	return n
 }
 
-// encodeRequest serialises req for the wire. Reply channels, collectors
-// and traces are correlation/metadata concerns handled by the caller
-// (node.go); only protocol fields are encoded. The kind switch is
-// exhaustive: a kind without wire rules cannot compile past kindexhaustive.
-func encodeRequest(b []byte, req *request) []byte {
-	b = appendU8(b, uint8(req.kind))
+// wire is the request layout: kind, flags and hops, then the fields the kind
+// carries. Reply channels, collectors and traces are correlation/metadata
+// concerns handled by the caller (node.go); only protocol fields are coded.
+// The kind switch is exhaustive (kindexhaustive): a kind without wire rules
+// cannot ship.
+func (req *request) wire(c *codec) {
+	w8(c, &req.kind)
 	var flags uint8
 	if req.par {
 		flags |= reqFlagPar
 	}
-	b = appendU8(b, flags)
-	b = appendU32(b, uint32(req.hops))
+	w8(c, &flags)
+	w32(c, &req.hops)
 	switch req.kind {
 	case kindGet, kindDelete:
-		b = appendKey(b, req.key)
-		b = appendU64(b, req.epoch)
-		b = appendVisited(b, &req.visited)
+		w64(c, &req.key)
+		w64(c, &req.epoch)
+		c.visited(&req.visited)
 	case kindPut:
-		b = appendKey(b, req.key)
-		b = appendBytes(b, req.value)
-		b = appendU64(b, req.epoch)
-		b = appendVisited(b, &req.visited)
+		w64(c, &req.key)
+		c.bytes(&req.value)
+		w64(c, &req.epoch)
+		c.visited(&req.visited)
 	case kindRange, kindRangeScatter:
-		b = appendKey(b, req.key)
-		b = appendRange(b, req.rng)
-		b = appendVisited(b, &req.visited)
-		b = appendU32(b, uint32(req.onode))
-		b = appendU64(b, req.ocorr)
-		b = appendU32(b, uint32(req.parts))
-		b = appendU32(b, uint32(req.shipped))
-		b = appendPred(b, req.pred)
+		w64(c, &req.key)
+		c.rng(&req.rng)
+		c.visited(&req.visited)
+		w32(c, &req.onode)
+		w64(c, &req.ocorr)
+		c.parts(&req.parts)
+		w32(c, &req.shipped)
+		c.pred(&req.pred)
 	case kindBulkGet, kindBulkPut, kindBulkDelete:
-		b = appendItems(b, req.bulk)
+		c.items(&req.bulk)
 	case kindJoinLocate, kindFindReplacement:
-		b = appendKey(b, req.key)
-		b = appendVisited(b, &req.visited)
+		w64(c, &req.key)
+		c.visited(&req.visited)
 	case kindUpdate:
-		b = appendState(b, req.state)
-		b = appendRanges(b, req.gains)
-		b = appendMoves(b, req.moves)
-		b = appendPeerID(b, req.departTo)
+		c.state(&req.state)
+		c.ranges(&req.gains)
+		c.moves(&req.moves)
+		w64(c, &req.departTo)
 	case kindHandoff:
-		b = appendRange(b, req.rng)
-		b = appendItems(b, req.bulk)
+		c.rng(&req.rng)
+		c.items(&req.bulk)
 	case kindSnapshot, kindStats, kindCrash, kindReplicaResync, kindReplicaDump:
 		// Header-only requests.
 	case kindSplitKey:
-		b = appendU64(b, math.Float64bits(req.frac))
+		bits := math.Float64bits(req.frac)
+		if w64(c, &bits); c.dec {
+			req.frac = math.Float64frombits(bits)
+		}
 	case kindReplicate:
-		b = appendPeerID(b, req.src)
-		b = appendItems(b, req.bulk)
-		b = appendKeys(b, req.dels)
-		b = appendI64(b, req.seq)
+		w64(c, &req.src)
+		c.items(&req.bulk)
+		c.keys(&req.dels)
+		w64(c, &req.seq)
 	case kindReplicaSync:
-		b = appendPeerID(b, req.src)
-		b = appendItems(b, req.bulk)
-		b = appendI64(b, req.seq)
+		w64(c, &req.src)
+		c.items(&req.bulk)
+		w64(c, &req.seq)
 	case kindReplicaDrop, kindReplicaFetch:
-		b = appendPeerID(b, req.src)
+		w64(c, &req.src)
 	default:
-		// Unlike the dispatch switches, an unencodable kind is a programming
-		// error on the sending node: fail loudly in tests via the decoder
-		// (the receiver rejects the kind) rather than silently dropping
-		// fields.
+		// A kind byte past the enum: the receiver rejects the frame. (Sending
+		// one is a programming error on the sending node, which fails loudly
+		// in tests through that rejection.)
+		c.r.fail = true
 	}
-	return b
+	if c.dec {
+		req.par = flags&reqFlagPar != 0
+	}
 }
 
-// decodeRequest is the inverse of encodeRequest. Its kind switch mirrors
-// the encoder's exactly (kindexhaustive covers both).
+// encodeRequest serialises req for the wire onto b.
+func encodeRequest(b []byte, req *request) []byte {
+	c := codec{b: b}
+	req.wire(&c)
+	return c.b
+}
+
 func decodeRequest(payload []byte) (request, error) {
-	r := &wreader{b: payload}
-	k := kind(r.u8())
-	if int(k) < 0 || int(k) >= numKinds {
-		return request{}, fmt.Errorf("%w: request kind %d", errWireMalformed, int(k))
-	}
-	flags := r.u8()
-	req := request{kind: k, par: flags&reqFlagPar != 0, hops: int(r.u32())}
-	switch k {
-	case kindGet, kindDelete:
-		req.key = r.key()
-		req.epoch = r.u64()
-		req.visited = r.visited()
-	case kindPut:
-		req.key = r.key()
-		req.value = r.bytes()
-		req.epoch = r.u64()
-		req.visited = r.visited()
-	case kindRange, kindRangeScatter:
-		req.key = r.key()
-		req.rng = r.rng()
-		req.visited = r.visited()
-		req.onode = transport.NodeID(r.u32())
-		req.ocorr = r.u64()
-		req.parts = r.partCount()
-		req.shipped = int(r.u32())
-		req.pred = r.pred()
-	case kindBulkGet, kindBulkPut, kindBulkDelete:
-		req.bulk = r.items()
-	case kindJoinLocate, kindFindReplacement:
-		req.key = r.key()
-		req.visited = r.visited()
-	case kindUpdate:
-		req.state = r.state()
-		req.gains = r.ranges()
-		req.moves = r.moves()
-		req.departTo = r.peerID()
-	case kindHandoff:
-		req.rng = r.rng()
-		req.bulk = r.items()
-	case kindSnapshot, kindStats, kindCrash, kindReplicaResync, kindReplicaDump:
-		// Header-only requests.
-	case kindSplitKey:
-		req.frac = math.Float64frombits(r.u64())
-	case kindReplicate:
-		req.src = r.peerID()
-		req.bulk = r.items()
-		req.dels = r.keys()
-		req.seq = r.i64()
-	case kindReplicaSync:
-		req.src = r.peerID()
-		req.bulk = r.items()
-		req.seq = r.i64()
-	case kindReplicaDrop, kindReplicaFetch:
-		req.src = r.peerID()
-	default:
-		return request{}, fmt.Errorf("%w: request kind %d", errWireMalformed, int(k))
-	}
-	if !r.done() {
-		return request{}, fmt.Errorf("%w: request kind %d", errWireTruncated, int(k))
+	c := codec{r: wreader{b: payload}, dec: true}
+	var req request
+	req.wire(&c)
+	switch {
+	case int(req.kind) >= numKinds:
+		return request{}, fmt.Errorf("%w: request kind %d", errWireMalformed, int(req.kind))
+	case !c.r.done():
+		return request{}, fmt.Errorf("%w: request kind %d", errWireTruncated, int(req.kind))
 	}
 	return req, nil
 }
@@ -812,9 +722,35 @@ func responseSize(resp *response) int {
 	return n
 }
 
-// encodeResponse encodes resp, items last so responseFrame can swap them.
+// head is the response layout but for the items, which come last so a
+// frame can take them from a store (responseFrame) or leave them encoded
+// (readResponse).
+func (resp *response) head(c *codec) {
+	c.err(&resp.err)
+	w32(c, &resp.hops)
+	c.parts(&resp.parts)
+	c.bytes(&resp.value)
+	c.bool(&resp.found)
+	for i := range length(c, &resp.results, 14) {
+		br := &resp.results[i]
+		w64(c, &br.Key)
+		c.bytes(&br.Value)
+		c.bool(&br.Found)
+		c.err(&br.Err)
+	}
+	w64(c, &resp.peerID)
+	w64(c, &resp.slot)
+	c.snap(&resp.snap)
+	w64(c, &resp.count)
+	w64(c, &resp.splitKey)
+	c.replicaSets(&resp.replicaSets)
+}
+
+// encodeResponse encodes resp onto b.
 func encodeResponse(b []byte, resp *response) []byte {
-	return appendItems(appendResponseHead(b, resp), resp.items)
+	c := codec{b: b}
+	resp.head(&c)
+	return appendItems(c.b, resp.items)
 }
 
 // responseFrame encodes resp into a frame of its final size; with run set,
@@ -823,44 +759,9 @@ func responseFrame(resp *response, run storeRun) []byte {
 	if run.data == nil {
 		return encodeResponse(transport.NewFrame(responseSize(resp)), resp)
 	}
-	return appendRun(appendResponseHead(transport.NewFrame(responseSize(resp)+run.size), resp), run)
-}
-
-func appendResponseHead(b []byte, resp *response) []byte {
-	b = appendErr(b, resp.err)
-	b = appendU32(b, uint32(resp.hops))
-	b = appendU32(b, uint32(resp.parts))
-	b = appendBytes(b, resp.value)
-	b = appendBool(b, resp.found)
-	b = appendU32(b, uint32(len(resp.results)))
-	for _, br := range resp.results {
-		b = appendKey(b, br.Key)
-		b = appendBytes(b, br.Value)
-		b = appendBool(b, br.Found)
-		b = appendErr(b, br.Err)
-	}
-	b = appendPeerID(b, resp.peerID)
-	b = appendI64(b, int64(resp.slot))
-	b = appendSnap(b, resp.snap)
-	b = appendI64(b, int64(resp.count))
-	b = appendKey(b, resp.splitKey)
-	if resp.replicaSets == nil {
-		b = appendBool(b, false)
-	} else {
-		b = appendBool(b, true)
-		b = appendU32(b, uint32(len(resp.replicaSets)))
-		var few [16]core.PeerID
-		ids := few[:0]
-		for id := range resp.replicaSets {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			b = appendPeerID(b, id)
-			b = appendItems(b, resp.replicaSets[id])
-		}
-	}
-	return b
+	c := codec{b: transport.NewFrame(responseSize(resp) + run.size)}
+	resp.head(&c)
+	return appendRun(c.b, run)
 }
 
 // decodeResponse decodes a response frame whole.
@@ -871,41 +772,16 @@ func decodeResponse(payload []byte) (response, error) { return readResponse(payl
 // a malformed list fails the frame on arrival, never later. Whoever takes
 // the response decodes them once, where they end up (corrEntry.complete).
 func readResponse(payload []byte, keep bool) (response, error) {
-	r := &wreader{b: payload}
-	resp := response{}
-	resp.err = r.anErr()
-	resp.hops = int(r.u32())
-	resp.parts = r.partCount()
-	resp.value = r.bytes()
-	resp.found = r.bool()
-	if n := r.count(14); n > 0 {
-		resp.results = make([]BulkResult, 0, n)
-		for i := 0; i < n; i++ {
-			resp.results = append(resp.results, BulkResult{
-				Key: r.key(), Value: r.bytes(), Found: r.bool(), Err: r.anErr(),
-			})
-		}
-	}
-	resp.peerID = r.peerID()
-	resp.slot = int(r.i64())
-	resp.snap = r.snap()
-	resp.count = int(r.i64())
-	resp.splitKey = r.key()
-	if r.bool() {
-		n := r.count(12)
-		resp.replicaSets = make(map[core.PeerID][]store.Item, n)
-		for i := 0; i < n; i++ {
-			id := r.peerID()
-			resp.replicaSets[id] = r.items()
-		}
-	}
+	c := codec{r: wreader{b: payload}, dec: true}
+	var resp response
+	resp.head(&c)
 	if keep && resp.value == nil {
-		resp.value = r.block()
+		resp.value = c.r.block()
 		resp.kept = resp.value != nil
 	} else {
-		resp.items = r.items()
+		resp.items = c.r.items()
 	}
-	if !r.done() {
+	if !c.r.done() {
 		return response{}, errWireTruncated
 	}
 	return resp, nil
