@@ -197,7 +197,7 @@ func (e corrEntry) complete(r response) {
 		return
 	}
 	if r.kept {
-		r.items, r.value, r.kept = (&wreader{b: r.value}).items(), nil, false
+		r.items, r.value, r.kept = appendKept(nil, r.value, len(r.value)), nil, false
 	}
 	e.ch <- r
 }
@@ -343,7 +343,7 @@ func (n *netLayer) send(to transport.NodeID, m *transport.Msg) bool {
 // and queues it for node `to` under header m.
 func (n *netLayer) sendRequest(to transport.NodeID, m *transport.Msg, req *request) bool {
 	tr := n.tr()
-	return tr != nil && tr.SendFrame(to, m, encodeRequest(transport.NewFrame(requestSize(req)), req))
+	return tr != nil && tr.SendFrame(to, m, encodeRequest(tr.Frame(requestSize(req)), req))
 }
 
 // attach binds the netLayer to its cluster and starts the control worker.
@@ -561,7 +561,7 @@ func (n *netLayer) answer(node transport.NodeID, corr uint64, resp response, fla
 	}
 	tr := n.tr()
 	m := transport.Msg{Corr: corr, Origin: n.self, Kind: byte(msgResponse), Flags: flags}
-	return tr != nil && tr.SendFrame(node, &m, responseFrame(&resp, run))
+	return tr != nil && tr.SendFrame(node, &m, responseFrame(&resp, run, tr.Frame))
 }
 
 // complete is the one completion routine for responses, whether a frame

@@ -26,12 +26,15 @@
 //
 // Every frame is encoded into one buffer of its final size: requestSize /
 // responseSize bound the encoding from the variable-length fields, the
-// buffer comes from transport.NewFrame with the header room reserved, and
-// the transport queues those very bytes — append never regrows, nothing is
-// copied between the encoder and the socket. Item lists, the bulk of every
-// range answer, skip the codec: appendItems / wreader.items, a peer's part
-// straight from its store (storeRun), and the arrival check that leaves it
-// encoded (wreader.block).
+// buffer comes from (*transport.TCP).Frame with the header room reserved,
+// and the transport queues those very bytes — append never regrows, nothing
+// is copied between the encoder and the socket. Frame may hand out a frame
+// written before, its old bytes still in place, so an encoder writes every
+// byte it keeps and never reads one it has not written. Item lists, the bulk
+// of every range answer, skip the codec, each in one loop over offsets:
+// appendItems / wreader.items, a peer's part straight from its store
+// (storeRun, appendRun), the arrival check that leaves it encoded
+// (wreader.block) and its decoding into the answer (appendKept).
 package p2p
 
 import (
@@ -99,45 +102,39 @@ func appendKey(b []byte, k keyspace.Key) []byte    { return appendU64(b, uint64(
 func appendPeerID(b []byte, id core.PeerID) []byte { return appendU64(b, uint64(id)) }
 
 // wreader walks a payload with sticky bounds checking: after the first
-// short read every accessor returns a zero value and done() reports false.
+// short read every accessor returns a zero value or an empty slice, and
+// done() reports false.
 type wreader struct {
 	b    []byte
 	off  int
 	fail bool
 }
 
-func (r *wreader) take(n int) []byte {
-	if r.fail || n < 0 || len(r.b)-r.off < n {
-		r.fail = true
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
 func (r *wreader) u8() uint8 {
-	s := r.take(1)
-	if s == nil {
+	if r.fail || r.off >= len(r.b) {
+		r.fail = true
 		return 0
 	}
-	return s[0]
+	r.off++
+	return r.b[r.off-1]
 }
 
 func (r *wreader) u32() uint32 {
-	s := r.take(4)
-	if s == nil {
+	if r.fail || len(r.b)-r.off < 4 {
+		r.fail = true
 		return 0
 	}
-	return binary.LittleEndian.Uint32(s)
+	r.off += 4
+	return binary.LittleEndian.Uint32(r.b[r.off-4:])
 }
 
 func (r *wreader) u64() uint64 {
-	s := r.take(8)
-	if s == nil {
+	if r.fail || len(r.b)-r.off < 8 {
+		r.fail = true
 		return 0
 	}
-	return binary.LittleEndian.Uint64(s)
+	r.off += 8
+	return binary.LittleEndian.Uint64(r.b[r.off-8:])
 }
 
 func (r *wreader) bool() bool          { return r.u8() != 0 }
@@ -150,7 +147,12 @@ func (r *wreader) bytes() []byte {
 	if n == ^uint32(0) {
 		return nil
 	}
-	return r.take(int(n))
+	if uint64(n) > uint64(len(r.b)-r.off) {
+		r.fail = true
+		return nil
+	}
+	r.off += int(n)
+	return r.b[r.off-int(n) : r.off]
 }
 
 // count reads an element count and validates it against the bytes left,
@@ -158,12 +160,12 @@ func (r *wreader) bytes() []byte {
 // makes a hostile count harmless: the later allocation is bounded by the
 // payload length actually received.
 func (r *wreader) count(minElemSize int) int {
-	n := int(r.u32())
-	if r.fail || n < 0 || (minElemSize > 0 && n > (len(r.b)-r.off)/minElemSize) {
+	n := r.u32()
+	if uint64(n)*uint64(minElemSize) > uint64(len(r.b)-r.off) {
 		r.fail = true
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // maxParts bounds a partial count read off the wire. The count sizes no
@@ -218,27 +220,52 @@ func (r *wreader) items() []store.Item {
 }
 
 // block is the arrival check of an item list left encoded: the count
-// against the bytes left, every value's length prefix. It returns the list
-// as encoded, count first, for appendKept; nil when empty.
+// against the bytes left, every value's length prefix, in one walk of the
+// offsets. It returns the list as encoded, count first, for appendKept; nil
+// when empty.
 func (r *wreader) block() []byte {
 	start := r.off
 	n := r.count(12)
-	for i := 0; i < n; i++ {
-		r.key()
-		r.bytes()
+	b, off := r.b, r.off
+	for ; n > 0; n-- {
+		if len(b)-off < 12 {
+			r.fail = true
+			return nil
+		}
+		off += 12
+		if vn := binary.LittleEndian.Uint32(b[off-4:]); vn != ^uint32(0) {
+			if uint64(vn) > uint64(len(b)-off) {
+				r.fail = true
+				return nil
+			}
+			off += int(vn)
+		}
 	}
-	if r.fail || n == 0 {
+	if r.fail || off == r.off {
 		return nil
 	}
-	return r.b[start:r.off]
+	r.off = off
+	return b[start:off]
 }
 
 // appendKept decodes up to limit items of a list block accepted (nil holds
-// none) onto dst. The values alias the payload, as decoded ones do.
+// none) onto dst, by index: block has checked every offset. The values
+// alias the payload, as decoded ones do.
 func appendKept(dst []store.Item, enc []byte, limit int) []store.Item {
-	r := &wreader{b: enc}
-	for n := min(int(r.u32()), limit); n > 0; n-- {
-		dst = append(dst, store.Item{Key: r.key(), Value: r.bytes()})
+	if len(enc) < 4 || limit <= 0 {
+		return dst
+	}
+	base, n := len(dst), min(int(binary.LittleEndian.Uint32(enc)), limit)
+	dst = slices.Grow(dst, n)[:base+n]
+	off := 4
+	for i := range dst[base:] {
+		k, vn := binary.LittleEndian.Uint64(enc[off:]), binary.LittleEndian.Uint32(enc[off+8:])
+		off += 12
+		var v []byte
+		if vn != ^uint32(0) {
+			v, off = enc[off:off+int(vn)], off+int(vn)
+		}
+		dst[base+i] = store.Item{Key: keyspace.Key(k), Value: v}
 	}
 	return dst
 }
@@ -262,15 +289,27 @@ func newRun(data *store.Store, r keyspace.Range) storeRun {
 	return run
 }
 
+// appendRun extends b by run's encoded list, which it must have room for
+// (responseFrame sizes the frame by it), and writes every byte by index.
 func appendRun(b []byte, run storeRun) []byte {
-	b = appendU32(b, uint32(run.n))
+	off := len(b)
+	b = b[:off+4+run.size]
+	binary.LittleEndian.PutUint32(b[off:], uint32(run.n))
+	off += 4
 	run.data.AscendRuns(run.r, func(lr store.Run) bool {
 		for i, k := range lr.Keys {
-			b = appendBytes(appendKey(b, k), lr.Value(i))
+			v := lr.Value(i)
+			binary.LittleEndian.PutUint64(b[off:], uint64(k))
+			vn := uint32(len(v))
+			if v == nil {
+				vn = ^uint32(0)
+			}
+			binary.LittleEndian.PutUint32(b[off+8:], vn)
+			off += 12 + copy(b[off+12:], v)
 		}
 		return true
 	})
-	return b
+	return b[:off]
 }
 
 // ---------------------------------------------------------------------------
@@ -753,13 +792,14 @@ func encodeResponse(b []byte, resp *response) []byte {
 	return appendItems(c.b, resp.items)
 }
 
-// responseFrame encodes resp into a frame of its final size; with run set,
-// run's items stand in for resp's.
-func responseFrame(resp *response, run storeRun) []byte {
+// responseFrame encodes resp into a frame of its final size from newFrame
+// (transport.NewFrame or (*TCP).Frame); with run set, run's items stand in
+// for resp's.
+func responseFrame(resp *response, run storeRun, newFrame func(int) []byte) []byte {
 	if run.data == nil {
-		return encodeResponse(transport.NewFrame(responseSize(resp)), resp)
+		return encodeResponse(newFrame(responseSize(resp)), resp)
 	}
-	c := codec{b: transport.NewFrame(responseSize(resp) + run.size)}
+	c := codec{b: newFrame(responseSize(resp) + run.size)}
 	resp.head(&c)
 	return appendRun(c.b, run)
 }

@@ -1,8 +1,13 @@
 package p2p
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"baton/internal/keyspace"
+	"baton/internal/store"
+	"baton/internal/transport"
 )
 
 // TestWireGoldenBytes pins the wire form itself, not just its round trip:
@@ -23,6 +28,53 @@ func TestWireGoldenBytes(t *testing.T) {
 	for i := range resps {
 		if got := fmt.Sprintf("%x", encodeResponse(nil, &resps[i])); got != wireGoldenResponses[i] {
 			t.Errorf("response %d: encoding moved\n got %s\nwant %s", i, got, wireGoldenResponses[i])
+		}
+	}
+}
+
+// dirtyFrame is transport.NewFrame as (*TCP).Frame may hand one out: a
+// written frame's bytes are still there, 0xFF here in every byte of its
+// capacity.
+func dirtyFrame(n int) []byte {
+	frame := transport.NewFrame(n)
+	for i := range frame[:cap(frame)] {
+		frame[:cap(frame)][i] = 0xFF
+	}
+	return frame
+}
+
+// TestWireEncodersOverwriteRecycledFrames: no encoder relies on a zeroed
+// frame. Every golden request and response encodes into a dirty one to its
+// golden bytes, and a store's part to its items' encoding.
+func TestWireEncodersOverwriteRecycledFrames(t *testing.T) {
+	golden := goldenRequests()
+	for k := 0; k < numKinds; k++ {
+		req := golden[kind(k)]
+		frame := encodeRequest(dirtyFrame(requestSize(&req)), &req)
+		if got := fmt.Sprintf("%x", frame[transport.FrameReserve:]); got != wireGoldenRequests[k] {
+			t.Errorf("%v: a dirty frame moved the encoding\n got %s\nwant %s", kind(k), got, wireGoldenRequests[k])
+		}
+	}
+	for i, resp := range goldenResponses() {
+		frame := responseFrame(&resp, storeRun{}, dirtyFrame)
+		if got := fmt.Sprintf("%x", frame[transport.FrameReserve:]); got != wireGoldenResponses[i] {
+			t.Errorf("response %d: a dirty frame moved the encoding\n got %s\nwant %s", i, got, wireGoldenResponses[i])
+		}
+	}
+	s := store.New()
+	for i := 0; i < 3000; i++ {
+		var v []byte
+		if i%7 != 0 {
+			v = bytes.Repeat([]byte{byte(i)}, i%5)
+		}
+		s.Put(keyspace.Key(2*i), v)
+	}
+	for _, r := range []keyspace.Range{{Lower: 301, Upper: 4501}, {Lower: 5, Upper: 6}, keyspace.FullDomain()} {
+		resp := response{parts: 2, hops: 1}
+		got := responseFrame(&resp, newRun(s, r), dirtyFrame)[transport.FrameReserve:]
+		resp.items = s.Scan(r)
+		if want := encodeResponse(nil, &resp); !bytes.Equal(got, want) {
+			t.Errorf("%v: a store's part in a dirty frame differs from its items' encoding", r)
 		}
 	}
 }

@@ -398,7 +398,7 @@ func TestWireRunFrameEncodesItems(t *testing.T) {
 	}
 	for _, r := range []keyspace.Range{{Lower: 1001, Upper: 15001}, {Lower: 5, Upper: 6}, keyspace.FullDomain()} {
 		resp := response{parts: 3, hops: 2, err: ErrOwnerDown}
-		frame := func() []byte { return responseFrame(&resp, newRun(s, r)) }
+		frame := func() []byte { return responseFrame(&resp, newRun(s, r), transport.NewFrame) }
 		got := frame()
 		want := encodeResponse(nil, &response{parts: 3, hops: 2, err: ErrOwnerDown, items: s.Scan(r)})
 		if !bytes.Equal(got[transport.FrameReserve:], want) {

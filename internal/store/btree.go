@@ -391,8 +391,14 @@ func (r *Run) spans() []span { return r.leaf.spans[r.from : r.from+len(r.Keys)] 
 // Value returns the run's i-th value, a read-only view as Get returns.
 func (r *Run) Value(i int) []byte { return value(r.leaf.vals, r.leaf.spans[r.from+i]) }
 
-// Size returns the total length of the run's values.
-func (r *Run) Size() int { return liveBytes(r.spans()) }
+// Size returns the total length of the run's values: for a whole leaf, its
+// buffer less its dead bytes, without a walk of its spans.
+func (r *Run) Size() int {
+	if r.from == 0 && len(r.Keys) == len(r.leaf.keys) {
+		return len(r.leaf.vals) - r.leaf.dead
+	}
+	return liveBytes(r.spans())
+}
 
 // AscendRuns is the one walk behind every range scan. It descends once to
 // the leaf holding r.Lower and passes fn, leaf by leaf in ascending order,

@@ -371,6 +371,16 @@ func checkScans(t testing.TB, s *Store, model map[keyspace.Key][]byte, r keyspac
 		want = want[:max(stop, 1)]
 	}
 	same("AscendRange with an early stop", seen)
+	s.AscendRuns(r, func(run Run) bool {
+		size := 0
+		for i := range run.Keys {
+			size += len(run.Value(i))
+		}
+		if run.Size() != size {
+			t.Fatalf("AscendRuns(%v): the run from key %d says %d value bytes, holds %d", r, run.Keys[0], run.Size(), size)
+		}
+		return true
+	})
 }
 
 // sameValue reports whether two values hold the same bytes and are both nil

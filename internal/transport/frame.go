@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"unsafe"
+	"weak"
 )
 
 // Wire format: every frame is a u32 little-endian length followed by that
@@ -50,6 +53,69 @@ func AppendFrame(dst []byte, m *Msg) []byte {
 // header in and queues these very bytes: no copy between encoder and socket.
 func NewFrame(n int) []byte {
 	return make([]byte, FrameReserve, FrameReserve+n)
+}
+
+const (
+	// recycleFloor is the smallest frame worth recycling: below it, a fresh
+	// buffer costs less than the free list's lock and weak pointer.
+	recycleFloor = 4 << 10
+	// recycleKeep bounds the free list: about the frames in flight at once.
+	recycleKeep = 8
+)
+
+// freeFrame is a written frame on the free list: a weak pointer to its
+// first byte, so that it holds no memory through a collection, and its size.
+type freeFrame struct {
+	p   weak.Pointer[byte]
+	cap int
+}
+
+// frameList is a transport's free list of written frames, a ring whose
+// newest entry overwrites its oldest. Every GC clears the weak pointers of
+// frames nobody else holds, so live-heap figures never see the list.
+type frameList struct {
+	mu   sync.Mutex
+	ring [recycleKeep]freeFrame
+	next int
+}
+
+// Frame is NewFrame, from the free list when a written frame of at least
+// the size needed is still there: its bytes are whatever was written last,
+// so the caller must write every byte of the payload it keeps.
+func (t *TCP) Frame(n int) []byte {
+	need := FrameReserve + n
+	if need < recycleFloor {
+		return NewFrame(n)
+	}
+	l := &t.frames
+	l.mu.Lock()
+	best := -1
+	for i, f := range l.ring {
+		if f.cap >= need && (best < 0 || f.cap < l.ring[best].cap) {
+			best = i
+		}
+	}
+	var f freeFrame
+	if best >= 0 {
+		f, l.ring[best] = l.ring[best], freeFrame{}
+	}
+	l.mu.Unlock()
+	if p := f.p.Value(); p != nil {
+		return unsafe.Slice(p, f.cap)[:FrameReserve]
+	}
+	return NewFrame(n)
+}
+
+// recycle puts a frame the writer is done with on the free list.
+func (l *frameList) recycle(frame []byte) {
+	if cap(frame) < recycleFloor {
+		return
+	}
+	f := freeFrame{weak.Make(&frame[:1][0]), cap(frame)}
+	l.mu.Lock()
+	l.ring[l.next] = f
+	l.next = (l.next + 1) % recycleKeep
+	l.mu.Unlock()
 }
 
 // putHeader fills frame's first FrameReserve bytes from m; everything after

@@ -28,6 +28,8 @@ type TCP struct {
 	// loops; see Stats.
 	framesIn, framesOut, bytesIn, bytesOut atomic.Uint64
 
+	frames frameList // written frames for Frame to hand out again
+
 	mu      sync.Mutex
 	conns   map[NodeID]*tcpConn
 	addrs   map[NodeID]string
@@ -236,12 +238,14 @@ func (t *TCP) register(peer NodeID, nc net.Conn, addr string, dialer bool, first
 // address is known, Send dials it synchronously once (later failures are
 // the caller's cue to fail over, exactly as with a local dead peer).
 func (t *TCP) Send(to NodeID, m *Msg) bool {
-	return t.SendFrame(to, m, append(NewFrame(len(m.Payload)), m.Payload...))
+	return t.SendFrame(to, m, append(t.Frame(len(m.Payload)), m.Payload...))
 }
 
-// SendFrame is Send for a frame built in place (NewFrame): the payload is
-// frame[FrameReserve:], m supplies the header and m.Payload is ignored. The
-// transport owns frame from here on, sent or not.
+// SendFrame is Send for a frame built in place (Frame or NewFrame): the
+// payload is frame[FrameReserve:], m supplies the header and m.Payload is
+// ignored. The transport owns frame from here on, sent or not: once written
+// it may be handed out again by Frame, so a frame is never sent twice, nor
+// read or written after SendFrame.
 func (t *TCP) SendFrame(to NodeID, m *Msg, frame []byte) bool {
 	c := t.conn(to)
 	if c == nil {
@@ -455,6 +459,9 @@ func (c *tcpConn) writeLoop() {
 			if err := bw.Flush(); err != nil {
 				c.drop()
 				return
+			}
+			for _, frame := range q {
+				c.t.frames.recycle(frame)
 			}
 			clear(q) // the frames are written: let go of them
 			c.mu.Lock()

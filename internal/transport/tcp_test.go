@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -232,6 +234,98 @@ func TestTCPCloseStopsReconnect(t *testing.T) {
 	d.Close()
 	if d.Send(1, &Msg{Kind: 1}) {
 		t.Fatal("send succeeded after Close")
+	}
+}
+
+// liveFrames counts the free list's frames a GC has not taken.
+func liveFrames(l *frameList) (n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, f := range l.ring {
+		if f.p.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTCPRecycledFrameDoesNotOutliveGC: the writer hands the frames of
+// 8 KiB and more it has written back to Frame, and a collection takes them
+// all — the next frame is a fresh, zeroed one and the heap is back where it
+// was. Between collections, taking a frame and recycling it allocates
+// nothing.
+func TestTCPRecycledFrameDoesNotOutliveGC(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // only the test's own collections run
+	var arrived atomic.Int64
+	head, err := Listen(Config{Self: 1, Handler: func(NodeID, *Msg) { arrived.Add(1) }, Assign: func() NodeID { return 2 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer head.Close()
+	d, err := Listen(Config{Self: 0, Handler: func(NodeID, *Msg) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.Dial(head.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	// A small frame first and last: both sides' loops have made their
+	// buffers before the heap is read, and the reader, which holds the
+	// last payload it read, lets go of the big ones.
+	small := func(want int64) {
+		t.Helper()
+		if !d.Send(1, &Msg{Kind: 1}) {
+			t.Fatal("send failed")
+		}
+		for deadline := time.Now().Add(5 * time.Second); arrived.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d frames arrived", arrived.Load(), want)
+			}
+		}
+	}
+	small(1)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	sizes := []int{8 << 10, 64 << 10, 512 << 10}
+	for _, n := range sizes {
+		frame := d.Frame(n)[:FrameReserve+n]
+		for i := range frame {
+			frame[i] = 0xAB
+		}
+		if !d.SendFrame(1, &Msg{Kind: 1}, frame) {
+			t.Fatal("send failed")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for arrived.Load() < int64(1+len(sizes)) || liveFrames(&d.frames) < len(sizes) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames arrived, %d recycled", arrived.Load(), len(sizes), liveFrames(&d.frames))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	used := func(frame []byte) bool { return frame[:cap(frame)][FrameReserve] != 0 }
+	if frame := d.Frame(60 << 10); !used(frame) || cap(frame) != FrameReserve+64<<10 {
+		t.Fatalf("a 60 KiB frame came fresh, or from the wrong frame (capacity %d)", cap(frame))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.frames.recycle(d.Frame(100 << 10)) }); allocs != 0 {
+		t.Errorf("taking and recycling a frame allocates %.1f times, want 0", allocs)
+	}
+
+	runtime.GC()
+	if n := liveFrames(&d.frames); n != 0 {
+		t.Fatalf("%d recycled frames outlived a GC", n)
+	}
+	if frame := d.Frame(8 << 10); used(frame) {
+		t.Fatal("the first frame after a GC was a recycled one")
+	}
+	small(int64(2 + len(sizes)))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
+		t.Errorf("the heap holds %d bytes more after a GC than before the frames were written", grew)
 	}
 }
 
